@@ -64,6 +64,6 @@ from .initial import (
 )
 from .quadrature import QuadratureError, integrate
 from .reference import ExactSolution, burgers_rarefaction_shock, godunov_reference, riemann_solution
-from .velocity import follow_the_leader_deviation, particle_velocity
+from .velocity import follow_the_leader_deviation, interface_velocities, particle_velocity
 
 __version__ = "0.1.0"

@@ -237,36 +237,26 @@ def _pairing_terms(
     pos = state.positions
     f_k = float(model.eval_f(k))
 
-    # pieces: (x_l, x_r, v, A_l, A_r) clipped to [lo, hi]
-    pieces = []
-    if lo < min(pos[0], hi):
-        pieces.append((lo, min(pos[0], hi), 0.0, vel[0], vel[0]))
-    interp = np.interp
-    for i in range(state.n_cells):
-        a = max(pos[i], lo)
-        b = min(pos[i + 1], hi)
-        if b <= a:
-            continue
-        A_a = float(interp(a, pos, vel))
-        A_b = float(interp(b, pos, vel))
-        pieces.append((a, b, float(state.densities[i]), A_a, A_b))
-    if max(pos[-1], lo) < hi:
-        pieces.append((max(pos[-1], lo), hi, 0.0, vel[-1], vel[-1]))
+    # pieces [a, b] with density v and velocity A_a, A_b at the ends: the
+    # vacuum left of the particles, every cell, the vacuum to the right;
+    # each clipped to [lo, hi] and dropped when empty
+    a = np.concatenate(([lo], np.maximum(pos, lo)))
+    b = np.concatenate((np.minimum(pos, hi), [hi]))
+    v = np.concatenate(([0.0], state.densities, [0.0]))
+    keep = b > a
+    a, b, v = a[keep], b[keep], v[keep]
+    A_a = np.interp(a, pos, vel)
+    A_b = np.interp(b, pos, vel)
 
-    I_abs = 0.0
-    I_flux = 0.0
-    for a, b, v, A_a, A_b in pieces:
-        Theta_a = float(bump.theta_antideriv(a))
-        Theta_b = float(bump.theta_antideriv(b))
-        I_abs += abs(v - k) * (Theta_b - Theta_a)
-        sgn = float(np.sign(v - k))
-        if sgn == 0.0:
-            continue
-        g_a = A_a * v - f_k
-        g_b = A_b * v - f_k
-        slope = (g_b - g_a) / (b - a)
-        # integral of g * theta' = [g theta] - slope * integral of theta
-        I_flux += sgn * (g_b * float(bump.theta(b)) - g_a * float(bump.theta(a)) - slope * (Theta_b - Theta_a))
+    Theta_a = bump.theta_antideriv(a)
+    Theta_b = bump.theta_antideriv(b)
+    I_abs = float(np.sum(np.abs(v - k) * (Theta_b - Theta_a)))
+    g_a = A_a * v - f_k
+    g_b = A_b * v - f_k
+    slope = (g_b - g_a) / (b - a)
+    # integral of g * theta' = [g theta] - slope * integral of theta
+    flux = g_b * bump.theta(b) - g_a * bump.theta(a) - slope * (Theta_b - Theta_a)
+    I_flux = float(np.sum(np.sign(v - k) * flux))
     return I_abs, I_flux
 
 

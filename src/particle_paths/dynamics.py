@@ -21,7 +21,7 @@ import numpy as np
 
 from .flux import FluxModel
 from .initial import InitialData, ParticleState
-from .velocity import particle_velocity
+from .velocity import interface_velocities
 
 __all__ = [
     "CollisionEvent",
@@ -101,16 +101,13 @@ class Trajectory:
 
 
 def particle_velocities(model: FluxModel, state: ParticleState) -> np.ndarray:
-    """Velocity of every particle; sentinel density 0 beyond the ends."""
-    dens = state.densities
-    n = state.n_particles
-    vel = np.empty(n)
-    left = 0.0
-    for i in range(n):
-        right = dens[i] if i < n - 1 else 0.0
-        vel[i] = particle_velocity(model, left, right)
-        left = right
-    return vel
+    """Velocity of every particle; sentinel density 0 beyond the ends.
+
+    Raises ValueError when a density is negative or above the model's
+    working interval.
+    """
+    padded = np.concatenate(([0.0], state.densities, [0.0]))
+    return interface_velocities(model, padded[:-1], padded[1:])
 
 
 def _timestep_cap(state: ParticleState, vel: np.ndarray, theta: float) -> float:

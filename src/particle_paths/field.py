@@ -120,13 +120,15 @@ def velocity_interpolant(model: FluxModel, state: ParticleState) -> PiecewiseLin
     return PiecewiseLinearFn(state.positions.copy(), particle_velocities(model, state))
 
 
-def _abs_affine_integral(g_l: float, g_r: float, w: float) -> float:
-    """Integral of |g| over an interval of width w where g is affine."""
-    if g_l == 0.0 and g_r == 0.0:
-        return 0.0
-    if g_l * g_r >= 0.0:
-        return 0.5 * abs(g_l + g_r) * w
-    return 0.5 * w * (g_l * g_l + g_r * g_r) / abs(g_l - g_r)
+def _abs_affine_integral(g_l, g_r, w):
+    """Integral of |g| over intervals of width w where g is affine (elementwise)."""
+    g_l = np.asarray(g_l, dtype=float)
+    g_r = np.asarray(g_r, dtype=float)
+    same_sign = g_l * g_r >= 0.0
+    # a sign change splits the interval at the root: two triangles
+    split = 0.5 * w * (g_l * g_l + g_r * g_r) / np.where(same_sign, 1.0, np.abs(g_l - g_r))
+    out = np.where(same_sign, 0.5 * np.abs(g_l + g_r) * w, split)
+    return out if out.ndim else float(out)
 
 
 def flux_residual_l1(model: FluxModel, state: ParticleState) -> float:
@@ -138,17 +140,10 @@ def flux_residual_l1(model: FluxModel, state: ParticleState) -> float:
     particle range v = 0 and f(0) = 0, so nothing contributes.
     """
     vel = particle_velocities(model, state)
-    widths = state.widths
-    total = 0.0
-    for i in range(state.n_cells):
-        v_i = state.densities[i]
-        if v_i == 0.0:
-            continue
-        f_i = float(model.eval_f(v_i))
-        g_l = vel[i] * v_i - f_i
-        g_r = vel[i + 1] * v_i - f_i
-        total += _abs_affine_integral(g_l, g_r, widths[i])
-    return float(total)
+    dens = state.densities
+    f = np.asarray(model.eval_f(dens), dtype=float)
+    cells = _abs_affine_integral(vel[:-1] * dens - f, vel[1:] * dens - f, state.widths)
+    return float(np.sum(np.where(dens == 0.0, 0.0, cells)))
 
 
 def spacetime_flux_residual(traj: Trajectory) -> Tuple[float, float]:

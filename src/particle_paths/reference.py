@@ -6,7 +6,9 @@ the inverse of f' otherwise).  The Godunov finite volume scheme is an
 independent first-order baseline used to cross-check runs where no closed
 form exists; its interface flux is the min of f over [u_l, u_r] for
 u_l <= u_r and the max over [u_r, u_l] otherwise, evaluated with the
-classical closed forms for monotone, convex, and concave fluxes.
+classical closed forms for monotone, convex, and concave fluxes, exactly
+at the ends and table nodes for a tabulated (piecewise linear) flux, and
+by a per-interface scan for any other flux.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .field import PiecewiseConstantFn
-from .flux import FluxModel
+from .flux import FluxModel, TabulatedOracle
 from .initial import InitialData
 
 __all__ = [
@@ -229,6 +231,10 @@ def godunov_reference(
             return np.maximum(f(np.maximum(ul, u_star)), f(np.minimum(ur, u_star)))
         if kind == "concave":
             return np.minimum(f(np.minimum(ul, u_star)), f(np.maximum(ur, u_star)))
+        if isinstance(model.extremum_oracle, TabulatedOracle):
+            # piecewise linear f: exact, its extrema sit at the ends or nodes
+            ext = model.extremum_oracle.flux_extrema(np.minimum(ul, ur), np.maximum(ul, ur))
+            return np.where(ul <= ur, ext.min_value, ext.max_value)
         # general flux: per-interface scan (slow path, rarely needed)
         out = np.empty(ul.shape)
         for j, (a, b) in enumerate(zip(ul, ur)):

@@ -12,9 +12,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flux import FluxModel, velocity_extrema
+from .flux import ArrayExtremumOracle, FluxModel, check_density_intervals, velocity_extrema
 
-__all__ = ["particle_velocity", "follow_the_leader_deviation"]
+__all__ = ["interface_velocities", "particle_velocity", "follow_the_leader_deviation"]
+
+
+def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
+    """Entropic velocity of every interface between states v_l[i] and v_r[i].
+
+    One array call for models with an ``ArrayExtremumOracle`` (every
+    built-in flux); other models are served one nondegenerate interval at
+    a time by ``particle_velocity``.  Raises ValueError on a negative state
+    or one above the model's working interval.
+    """
+    v_l, v_r = np.broadcast_arrays(np.asarray(v_l, dtype=float), np.asarray(v_r, dtype=float))
+    lo = np.minimum(v_l, v_r)
+    hi = np.maximum(v_l, v_r)
+    check_density_intervals(model, lo, hi)
+    if isinstance(model.extremum_oracle, ArrayExtremumOracle):
+        ext = model.extremum_oracle(lo, hi)
+        vel = np.where(v_l <= v_r, ext.min_value, ext.max_value)
+    else:
+        vel = np.empty(v_l.shape)
+        for i in np.flatnonzero(v_l != v_r).tolist():
+            vel.flat[i] = particle_velocity(model, float(v_l.flat[i]), float(v_r.flat[i]))
+    # a(v) on degenerate intervals, exactly as the scalar rule evaluates it
+    same = v_l == v_r
+    vel[same] = model.eval_a(v_l[same])
+    return vel
 
 
 def particle_velocity(model: FluxModel, v_l: float, v_r: float) -> float:
@@ -41,9 +66,7 @@ def follow_the_leader_deviation(model: FluxModel, pairs, scan_points: int = 2048
             "velocity field is not nonincreasing: "
             f"a({us[j]:.9g}) = {av[j]:.9g} < a({us[j + 1]:.9g}) = {av[j + 1]:.9g}"
         )
-    worst = 0.0
-    for v_l, v_r in pairs:
-        dev = abs(particle_velocity(model, float(v_l), float(v_r)) - float(model.eval_a(v_r)))
-        if dev > worst:
-            worst = dev
-    return worst
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    vel = interface_velocities(model, pairs[:, 0], pairs[:, 1])
+    dev = np.abs(vel - np.asarray(model.eval_a(pairs[:, 1]), dtype=float))
+    return float(np.max(dev, initial=0.0))

@@ -192,3 +192,46 @@ def test_temporal_modulus_uses_snapshot_pairs(burgers3):
     st = pp.cell_average(data, pp.place_particles(data, 31, "uniform"))
     traj = pp.simulate(burgers3, st, 0.1, dt_max=1e-3, data=data, snapshot_count=9)
     assert pp.temporal_modulus_margin(traj) <= 1.05
+
+
+def _pairing_piece_loop(model, state, k, bump, window):
+    """Per-piece reference for ``_pairing_terms``: (I_abs, I_flux, sum of |terms|)."""
+    lo, hi = max(bump.x_support[0], window[0]), min(bump.x_support[1], window[1])
+    vel = pp.particle_velocities(model, state)
+    pos = state.positions
+    f_k = float(model.eval_f(k))
+    pieces = []
+    if lo < min(pos[0], hi):
+        pieces.append((lo, min(pos[0], hi), 0.0, vel[0], vel[0]))
+    for i in range(state.n_cells):
+        a, b = max(pos[i], lo), min(pos[i + 1], hi)
+        if b > a:
+            pieces.append((a, b, float(state.densities[i]), float(np.interp(a, pos, vel)), float(np.interp(b, pos, vel))))
+    if max(pos[-1], lo) < hi:
+        pieces.append((max(pos[-1], lo), hi, 0.0, vel[-1], vel[-1]))
+    I_abs = I_flux = scale = 0.0
+    for a, b, v, A_a, A_b in pieces:
+        Th_a, Th_b = float(bump.theta_antideriv(a)), float(bump.theta_antideriv(b))
+        term = abs(v - k) * (Th_b - Th_a)
+        I_abs += term
+        g_a, g_b = A_a * v - f_k, A_b * v - f_k
+        slope = (g_b - g_a) / (b - a)
+        flux = float(np.sign(v - k)) * (g_b * float(bump.theta(b)) - g_a * float(bump.theta(a)) - slope * (Th_b - Th_a))
+        I_flux += flux
+        scale += abs(term) + abs(g_b * float(bump.theta(b))) + abs(g_a * float(bump.theta(a))) + abs(slope * (Th_b - Th_a))
+    return I_abs, I_flux, scale
+
+
+def test_pairing_terms_match_piece_loop(burgers3, rarefaction_shock_run):
+    # the array form sums in another order: allow a rounding budget per term
+    from particle_paths.analysis import _pairing_terms
+
+    window = (-1.0, 2.0)
+    bumps = [SpaceTimeBump(0.5, 0.4, 0.12, 0.1), SpaceTimeBump(0.9, 0.5, 0.0, 0.1), SpaceTimeBump(-0.5, 0.5, 0.2, 0.1)]
+    for _, s in rarefaction_shock_run.snapshots[::8]:
+        for k in (0.0, 1.0, 2.5, 3.0):
+            for bump in bumps:
+                I_abs, I_flux = _pairing_terms(burgers3, s, k, bump, window)
+                want_abs, want_flux, scale = _pairing_piece_loop(burgers3, s, k, bump, window)
+                assert abs(I_abs - want_abs) <= 1e-12 * scale
+                assert abs(I_flux - want_flux) <= 1e-12 * scale

@@ -183,3 +183,37 @@ def test_piecewise_linear_validation():
         PiecewiseLinearFn(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         PiecewiseConstantFn(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+
+def _residual_cell_loop(model, state):
+    """Per-cell reference for ``flux_residual_l1``: (value, sum of |terms|)."""
+    vel = pp.particle_velocities(model, state)
+    total = 0.0
+    for i in range(state.n_cells):
+        v_i = float(state.densities[i])
+        if v_i == 0.0:
+            continue
+        f_i = float(model.eval_f(v_i))
+        g_l, g_r, w = vel[i] * v_i - f_i, vel[i + 1] * v_i - f_i, float(state.widths[i])
+        if g_l * g_r >= 0.0:
+            total += 0.5 * abs(g_l + g_r) * w
+        else:
+            total += 0.5 * w * (g_l * g_l + g_r * g_r) / abs(g_l - g_r)
+    return total
+
+
+def test_residual_matches_cell_loop(burgers3, lwr1, rarefaction_shock_run, lwr_riemann_run):
+    # the terms are nonnegative, so only the summation order differs; with a
+    # monotone a one end of every cell has A v = f(v), so the non-convex
+    # flux on random cells is what exercises the sign-change split
+    cases = [(burgers3, s) for _, s in rarefaction_shock_run.snapshots[::8]]
+    cases += [(lwr1, s) for _, s in lwr_riemann_run.snapshots[::8]]
+    us = np.linspace(0.0, 1.0, 65)
+    tab = pp.builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        pos = np.cumsum(rng.uniform(0.01, 0.1, size=60))
+        cases.append((tab, ParticleState.from_cells(pos, rng.uniform(0.0, 1.0, size=59))))
+    for model, s in cases:
+        want = _residual_cell_loop(model, s)
+        assert pp.flux_residual_l1(model, s) == pytest.approx(want, rel=1e-12, abs=1e-300)

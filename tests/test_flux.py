@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from particle_paths import builtin_flux, velocity_extrema
+from particle_paths.flux import ANALYTIC_TOL
 
 
 def grid_scan(model, lo, hi, n=20001):
@@ -124,10 +125,12 @@ def test_tabulated_flux_tracks_its_source():
     us = np.linspace(0.0, 1.0, 2001)
     src = builtin_flux("burgers", u_high=1.0)
     tab = builtin_flux("tabulated", us=us, fs=np.asarray(src.eval_f(us)))
-    assert tab.extremum_oracle is None
     rng = np.random.default_rng(3)
     for lo, hi in np.sort(rng.uniform(0.05, 1.0, size=(20, 2)), axis=1):
         got = velocity_extrema(tab, lo, hi)
+        scan = grid_scan(tab, lo, hi)
+        assert got.min_value == pytest.approx(scan[0], abs=ANALYTIC_TOL)
+        assert got.max_value == pytest.approx(scan[1], abs=ANALYTIC_TOL)
         want = velocity_extrema(src, lo, hi)
         assert got.min_value == pytest.approx(want.min_value, abs=1e-6)
         assert got.max_value == pytest.approx(want.max_value, abs=1e-6)
