@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,6 +103,49 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
 
 
+# Scalar fields that validation and the modes read: dot path (``[]`` marks
+# every item of a list), numeric type, the range the value must lie in, and
+# the message when it does not.  A float field also takes an int; bool is
+# rejected where a number is expected.
+_SCALARS = (
+    ("time_horizon", float, lambda v: v > 0, "must be positive"),
+    ("placement.n", int, lambda v: v >= 2, "need at least two particles"),
+    ("placement.n_list[]", int, lambda v: v >= 2, "need >= 3 counts, each >= 2"),
+    ("integrator.dt_max", float, lambda v: v > 0, "must be positive"),
+    ("integrator.theta", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("snapshots", int, lambda v: v >= 2, "need at least two"),
+    ("seed", int, lambda v: v >= 0, "must be nonnegative"),
+    ("ftl.pairs", int, lambda v: v >= 1, "need at least one pair"),
+    ("ftl.tol", float, lambda v: v >= 0, "must be nonnegative"),
+)
+
+
+def _scalar_values(cfg: ExperimentConfig, path: str) -> List[tuple]:
+    """(dot path, value) for each value present at ``path``; absent keys give none."""
+    head, *keys = path.removesuffix("[]").split(".")
+    value = getattr(cfg, head)
+    for depth, key in enumerate(keys):
+        if not isinstance(value, dict):
+            raise ConfigError(".".join([head, *keys[:depth]]), "must be an object")
+        if key not in value:
+            return []
+        value = value[key]
+    if not path.endswith("[]"):
+        return [(path, value)]
+    if not isinstance(value, list):
+        raise ConfigError(path[:-2], "must be a list")
+    return [(f"{path[:-2]}[{j}]", item) for j, item in enumerate(value)]
+
+
+def _check_scalars(cfg: ExperimentConfig) -> None:
+    for path, kind, in_range, rule in _SCALARS:
+        for name, value in _scalar_values(cfg, path):
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+                raise ConfigError(name, f"must be {'a number' if kind is float else 'an integer'}, got {value!r}")
+            if not ((isinstance(value, int) or math.isfinite(value)) and in_range(value)):
+                raise ConfigError(name, f"{rule}, got {value!r}")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}, got {cfg.mode!r}")
@@ -109,19 +153,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("flux", "need a tagged record {kind, params}")
     if not isinstance(cfg.initial_data, dict) or "kind" not in cfg.initial_data:
         raise ConfigError("initial_data", "need a tagged record {kind, params}")
-    if cfg.time_horizon <= 0:
-        raise ConfigError("time_horizon", "must be positive")
+    _check_scalars(cfg)
     place = cfg.placement
-    if "n" in place:
-        if place["n"] < 2:
-            raise ConfigError("placement.n", "need at least two particles")
-    elif "n_list" in place:
-        if len(place["n_list"]) < 3 or any(n < 2 for n in place["n_list"]):
+    if "n" not in place:
+        if "n_list" not in place:
+            raise ConfigError("placement", "need n or n_list")
+        if len(place["n_list"]) < 3:
             raise ConfigError("placement.n_list", "need >= 3 counts, each >= 2")
-    else:
-        raise ConfigError("placement", "need n or n_list")
-    if cfg.integrator.get("dt_max", 0) <= 0:
-        raise ConfigError("integrator.dt_max", "must be positive")
+    if "dt_max" not in cfg.integrator:
+        raise ConfigError("integrator.dt_max", "required")
 
 
 def _build_data(cfg: ExperimentConfig) -> InitialData:
@@ -236,7 +276,10 @@ def _mode_audit(cfg: ExperimentConfig, out: Path) -> int:
     data = _build_data(cfg)
     model = _build_model(cfg, data)
     src = Path(cfg.input) if cfg.input else out
-    traj = exports.load_trajectory_dir(src, model)
+    try:
+        traj = exports.load_trajectory_dir(src, model)
+    except ValueError as exc:
+        raise ConfigError("input", str(exc)) from exc
     audit = invariant_audit(traj)
     for name, check in sorted(audit.checks.items()):
         print(f"{'PASS' if check.ok else 'FAIL'} {name}: {check.detail}")

@@ -7,14 +7,23 @@ Events JSON: one object per collision with the deleted particle and cell
 indices, the survivor map, and the discarded mass.  Floats are written
 with ``repr`` (shortest round-trip), so identical runs produce identical
 bytes and parsing recovers exact values.
+
+Every CSV writer formats its rows the same way: fields joined by ``,``
+and each row ended by ``\\r\\n``, the bytes ``csv.writer`` emits.  The
+trajectory writer formats one snapshot at a time (each position once,
+though it appears as ``x_right`` of one cell and ``x_left`` of the next)
+and writes it with a single call, so the file is never held whole in
+memory.  The loader parses the whole body in one ``np.loadtxt`` pass and
+cuts snapshots out of its columns as slices; it accepts LF as well as
+CRLF line endings and raises ``ValueError`` with a one-line reason for
+any malformed or missing input.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,18 +39,26 @@ __all__ = [
     "load_trajectory_dir",
 ]
 
+_TRAJECTORY_HEADER = "t,i,x_left,x_right,v"
+
+
+def _rows(*columns) -> str:
+    """CSV rows built from columns of already formatted fields."""
+    return "".join([",".join(fields) + "\r\n" for fields in zip(*columns)])
+
+
+def _reprs(values) -> list:
+    """Shortest round-trip text of each value, as a float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "x_left", "x_right", "v"])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_TRAJECTORY_HEADER + "\r\n")
         for t, state in traj.snapshots:
-            pos = state.positions
-            for i in range(state.n_cells):
-                writer.writerow(
-                    [repr(float(t)), i, repr(float(pos[i])), repr(float(pos[i + 1])), repr(float(state.densities[i]))]
-                )
+            xs = _reprs(state.positions)
+            n = state.n_cells
+            fh.write(_rows([repr(float(t))] * n, map(str, range(n)), xs, xs[1:], _reprs(state.densities)))
 
 
 def write_events_json(traj: Trajectory, path) -> None:
@@ -66,27 +83,70 @@ def write_events_json(traj: Trajectory, path) -> None:
 def write_function_csv(fn, path, lo: float, hi: float, n: int = 512) -> None:
     """Sample a callable (reconstruction or velocity field) to CSV (x, value)."""
     xs = np.linspace(lo, hi, n)
-    vals = np.asarray(fn(xs), dtype=float)
+    vals = fn(xs)
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(xs, vals):
-            writer.writerow([repr(float(x)), repr(float(v))])
+        fh.write("x,value\r\n" + _rows(_reprs(xs), _reprs(vals)))
 
 
 def write_rate_csv(fit, path) -> None:
     """Convergence table: dx, error, bound, slope-so-far."""
-    res = np.asarray(fit.resolutions)
-    err = np.asarray(fit.errors)
+    res = np.asarray(fit.resolutions, dtype=float)
+    err = np.asarray(fit.errors, dtype=float)
+    slopes = [""] + [
+        repr(float(np.polyfit(np.log(res[: j + 1]), np.log(err[: j + 1]), 1)[0])) for j in range(1, res.size)
+    ]
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dx", "error", "slope_so_far"])
-        for j in range(res.size):
-            if j == 0:
-                slope = ""
-            else:
-                slope = repr(float(np.polyfit(np.log(res[: j + 1]), np.log(err[: j + 1]), 1)[0]))
-            writer.writerow([repr(float(res[j])), repr(float(err[j])), slope])
+        fh.write("dx,error,slope_so_far\r\n" + _rows(_reprs(res), _reprs(err), slopes))
+
+
+def _read_trajectory_table(path: Path) -> np.ndarray:
+    """The rows of ``trajectory.csv`` as an (n_rows, 5) float array."""
+    with path.open() as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != _TRAJECTORY_HEADER:
+            raise ValueError(f"unexpected trajectory header {header!r}")
+        # find the first row here, so an empty body is reported as such and
+        # not as a warning from np.loadtxt
+        start = fh.tell()
+        while (line := fh.readline()) == "\n":
+            start = fh.tell()
+        if not line:
+            raise ValueError("empty trajectory file")
+        fh.seek(start)
+        try:
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"malformed trajectory row: {exc}") from exc
+    if table.shape[1] != 5:
+        raise ValueError(f"trajectory rows have {table.shape[1]} fields, need 5")
+    cells = table[:, 1]
+    if not np.all(cells % 1.0 == 0.0):
+        raise ValueError("non-integral cell index in trajectory file")
+    if cells[0] != 0:
+        raise ValueError("first trajectory row is not cell 0")
+    return table
+
+
+def _read_events(path: Path) -> tuple:
+    """Events, config and fingerprint recorded in ``events.json``."""
+    try:
+        payload = json.loads(path.read_text())
+        events = [
+            CollisionEvent(
+                time=ev["time"],
+                deleted_particles=np.asarray(ev["deleted_particles"], dtype=int),
+                deleted_cells=np.asarray(ev["deleted_cells"], dtype=int),
+                survivor_map=np.asarray(ev["survivor_map"], dtype=int),
+                discarded_mass=ev["discarded_mass"],
+                pre_particle_count=ev["pre_particle_count"],
+            )
+            for ev in payload["events"]
+        ]
+        return events, payload.get("config", {}), payload.get("fingerprint", "")
+    except KeyError as exc:
+        raise ValueError(f"invalid {path.name}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {path.name}: {exc}") from exc
 
 
 def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
@@ -95,60 +155,45 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     Initial per-cell widths and densities are taken from the first
     snapshot and pulled through the recorded collision deletions, so the
     invariant audit runs on the loaded object exactly as on a live one.
+    Raises ``ValueError`` if either file is missing, unreadable or
+    malformed, or if the cell counts disagree with the event log.
     """
     directory = Path(directory)
-    rows: List[Tuple[float, int, float, float, float]] = []
-    with (directory / "trajectory.csv").open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "i", "x_left", "x_right", "v"]:
-            raise ValueError(f"unexpected trajectory header {header}")
-        for raw in reader:
-            rows.append((float(raw[0]), int(raw[1]), float(raw[2]), float(raw[3]), float(raw[4])))
-    if not rows:
-        raise ValueError("empty trajectory file")
+    try:
+        table = _read_trajectory_table(directory / "trajectory.csv")
+        events, config, fingerprint = _read_events(directory / "events.json")
+    except OSError as exc:
+        raise ValueError(f"cannot read {exc.filename}: {exc.strerror}") from exc
 
-    payload = json.loads((directory / "events.json").read_text())
-    events = [
-        CollisionEvent(
-            time=ev["time"],
-            deleted_particles=np.asarray(ev["deleted_particles"], dtype=int),
-            deleted_cells=np.asarray(ev["deleted_cells"], dtype=int),
-            survivor_map=np.asarray(ev["survivor_map"], dtype=int),
-            discarded_mass=ev["discarded_mass"],
-            pre_particle_count=ev["pre_particle_count"],
-        )
-        for ev in payload["events"]
-    ]
-
-    # split rows into snapshots wherever the cell index restarts
-    groups: List[List[Tuple[float, int, float, float, float]]] = []
-    for row in rows:
-        if row[1] == 0:
-            groups.append([])
-        groups[-1].append(row)
+    times, cells, x_left, x_right, dens_all = np.ascontiguousarray(table.T)
+    # a snapshot starts wherever the cell index restarts at 0
+    bounds = np.append(np.flatnonzero(cells == 0), cells.size).tolist()
 
     snapshots = []
     width0: Optional[np.ndarray] = None
     density0: Optional[np.ndarray] = None
     rho_star = 0.0
     pending = list(events)
-    for g in groups:
-        t = g[0][0]
-        pos = np.array([r[2] for r in g] + [g[-1][3]])
-        dens = np.array([r[4] for r in g])
+    for lo, hi in zip(bounds, bounds[1:]):
+        t = float(times[lo])
+        pos = np.append(x_left[lo:hi], x_right[hi - 1])
+        dens = dens_all[lo:hi]
         if width0 is None:
             width0 = np.diff(pos)
             density0 = dens.copy()
             rho_star = float(np.max(dens, initial=0.0))
         elif width0.size != dens.size:
-            if not pending or width0.size - pending[0].deleted_cells.size != dens.size:
+            deleted = pending.pop(0).deleted_cells if pending else None
+            if (
+                deleted is None
+                or width0.size - deleted.size != dens.size
+                or np.any((deleted < 0) | (deleted >= width0.size))
+            ):
                 raise ValueError("cell count change does not match the event log")
             keep = np.ones(width0.size, dtype=bool)
-            keep[pending[0].deleted_cells] = False
+            keep[deleted] = False
             width0 = width0[keep]
             density0 = density0[keep]
-            pending.pop(0)
         state = ParticleState(
             positions=pos,
             densities=dens,
@@ -164,6 +209,6 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
         events=events,
         model=model,
         data=None,
-        config=payload.get("config", {}),
-        fingerprint=payload.get("fingerprint", ""),
+        config=config,
+        fingerprint=fingerprint,
     )
