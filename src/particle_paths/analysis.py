@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -498,7 +497,6 @@ def convergence_study(
     theta: float = 0.1,
     snapshot_count: int = 33,
     window: Optional[Tuple[float, float]] = None,
-    workers: int = 1,
 ) -> Tuple[RateFit, List[ErrorReport]]:
     """Run the scheme over a family of particle counts and fit the rate.
 
@@ -522,11 +520,7 @@ def convergence_study(
             raise StudyError(f"run with n = {n} failed the invariant audit")
         return rep
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, n_list))
-    else:
-        reports = [one(n) for n in n_list]
+    reports = [one(n) for n in n_list]
     fit = fit_loglog_slope([r.dx0_star for r in reports], [r.l1_error_at_T for r in reports])
     return fit, reports
 

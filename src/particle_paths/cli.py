@@ -77,9 +77,17 @@ class ExperimentConfig:
 
 
 _MODES = ("simulate", "convergence", "audit", "ftl-check")
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def load_config(path_or_dict) -> ExperimentConfig:
+    cfg = _read_config(path_or_dict)
+    _validate(cfg)
+    return cfg
+
+
+def _read_config(path_or_dict) -> ExperimentConfig:
+    """Config with the given top-level fields, not yet validated."""
     if isinstance(path_or_dict, dict):
         raw = path_or_dict
     else:
@@ -90,12 +98,10 @@ def load_config(path_or_dict) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path_or_dict), f"invalid JSON: {exc}")
     cfg = ExperimentConfig()
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key, value in raw.items():
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigError(key, "unknown key")
         setattr(cfg, key, value)
-    _validate(cfg)
     return cfg
 
 
@@ -155,11 +161,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("initial_data", "need a tagged record {kind, params}")
     _check_scalars(cfg)
     place = cfg.placement
-    if "n" not in place:
-        if "n_list" not in place:
-            raise ConfigError("placement", "need n or n_list")
-        if len(place["n_list"]) < 3:
-            raise ConfigError("placement.n_list", "need >= 3 counts, each >= 2")
+    if "n" not in place and "n_list" not in place:
+        raise ConfigError("placement", "need n or n_list")
+    needed = {"simulate": "n", "convergence": "n_list"}.get(cfg.mode)
+    if needed is not None and needed not in place:
+        raise ConfigError(f"placement.{needed}", f"required in {cfg.mode} mode")
+    if "n_list" in place and len(place["n_list"]) < 3:
+        raise ConfigError("placement.n_list", "need >= 3 counts, each >= 2")
     if "dt_max" not in cfg.integrator:
         raise ConfigError("integrator.dt_max", "required")
 
@@ -315,17 +323,15 @@ def _apply_overrides(cfg: ExperimentConfig, sets: List[str]) -> None:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        target = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = getattr(target, part) if dataclasses.is_dataclass(target) else target[part]
-        leaf = parts[-1]
-        if dataclasses.is_dataclass(target):
-            if not hasattr(target, leaf):
-                raise ConfigError(key, "unknown key")
-            setattr(target, leaf, value)
-        else:
-            target[leaf] = value
+        head, *keys = key.split(".")
+        if head not in _FIELDS:
+            raise ConfigError(head, "unknown key")
+        target, leaf = vars(cfg), head  # the fields as the outermost dict
+        for depth, part in enumerate(keys):
+            target, leaf = target.get(leaf), part
+            if not isinstance(target, dict):
+                raise ConfigError(".".join([head, *keys[:depth]]), "must be an object")
+        target[leaf] = value
 
 
 def run_cli(argv: Optional[List[str]] = None) -> int:
@@ -340,7 +346,8 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        # validated once, after the flags: which keys are required depends on the mode
+        cfg = _read_config(args.config)
         if args.mode:
             cfg.mode = args.mode
         if args.out:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Trajectory, particle_velocities
 from .flux import FluxModel
-from .initial import ParticleState
+from .initial import ParticleState, integrate
 
 __all__ = [
     "PiecewiseConstantFn",
@@ -120,17 +120,6 @@ def velocity_interpolant(model: FluxModel, state: ParticleState) -> PiecewiseLin
     return PiecewiseLinearFn(state.positions.copy(), particle_velocities(model, state))
 
 
-def _abs_affine_integral(g_l, g_r, w):
-    """Integral of |g| over intervals of width w where g is affine (elementwise)."""
-    g_l = np.asarray(g_l, dtype=float)
-    g_r = np.asarray(g_r, dtype=float)
-    same_sign = g_l * g_r >= 0.0
-    # a sign change splits the interval at the root: two triangles
-    split = 0.5 * w * (g_l * g_l + g_r * g_r) / np.where(same_sign, 1.0, np.abs(g_l - g_r))
-    out = np.where(same_sign, 0.5 * np.abs(g_l + g_r) * w, split)
-    return out if out.ndim else float(out)
-
-
 def flux_residual_l1(model: FluxModel, state: ParticleState) -> float:
     """Integral of |A(x) v(x) - f(v(x))| at the state's time.
 
@@ -142,7 +131,7 @@ def flux_residual_l1(model: FluxModel, state: ParticleState) -> float:
     vel = particle_velocities(model, state)
     dens = state.densities
     f = np.asarray(model.eval_f(dens), dtype=float)
-    cells = _abs_affine_integral(vel[:-1] * dens - f, vel[1:] * dens - f, state.widths)
+    cells = integrate(vel[:-1] * dens - f, vel[1:] * dens - f, state.widths)
     return float(np.sum(np.where(dens == 0.0, 0.0, cells)))
 
 

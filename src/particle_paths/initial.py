@@ -15,8 +15,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .quadrature import QuadratureError, integrate
-
 __all__ = [
     "InitialData",
     "ParticleState",
@@ -30,16 +28,21 @@ __all__ = [
     "sampled_data",
 ]
 
-TOL_QUAD = 1e-10
+# bound on the width-weighted affinity misfit of u0 summed over its pieces
+AFFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class InitialData:
     """Nonnegative initial density profile.
 
-    ``support_hint`` bounds the region the scheme resolves (the profile is
-    reported zero outside it).  ``breakpoints`` lists known discontinuities
-    inside the hint so quadrature can split there.  ``measure_window``, when
+    ``support_hint`` bounds the region the scheme resolves; the profile is
+    taken as zero outside it.  ``eval_u0`` takes arrays and must be affine
+    between consecutive ``breakpoints`` and hint edges inside the hint:
+    cell averages, mass placement and the initial gap integrate it in
+    closed form piece by piece, and raise ``ValueError`` where it is not
+    affine.  Every builder in this module meets the contract; a smooth
+    profile has to be sampled (``sampled_data``).  ``measure_window``, when
     set, is the window on which errors against a reference solution should
     be measured; it is recorded in result metadata.
     """
@@ -138,12 +141,57 @@ class ParticleState:
         )
 
 
+def integrate(g_l, g_r, w):
+    """Integral of |g| over intervals of width w where g is affine (elementwise).
+
+    ``g_l`` and ``g_r`` are the values at the interval ends; a sign change
+    splits the interval at the root into two triangles.
+    """
+    g_l = np.asarray(g_l, dtype=float)
+    g_r = np.asarray(g_r, dtype=float)
+    same_sign = g_l * g_r >= 0.0
+    split = 0.5 * w * (g_l * g_l + g_r * g_r) / np.where(same_sign, 1.0, np.abs(g_l - g_r))
+    out = np.where(same_sign, 0.5 * np.abs(g_l + g_r) * w, split)
+    return out if out.ndim else float(out)
+
+
+def _affine_pieces(data: InitialData, pos: np.ndarray):
+    """u0 on the pieces between its breakpoints, the hint edges and ``pos``.
+
+    Returns the cuts and each piece's cell index (-1 or n_cells outside
+    the particle range), width, midpoint value and end values; u0 is zero
+    outside the hint.  An affine piece has u(q1) + u(q3) = 2 u(mid) at its
+    quarter points; if the width-weighted misfit summed over all pieces
+    exceeds ``AFFINE_TOL``, ``ValueError`` names the first piece holding at
+    least its share of it.
+    """
+    if np.any(np.diff(pos) <= 0.0):
+        raise ValueError("positions must be strictly increasing")
+    lo, hi = data.support_hint
+    cuts = np.unique(np.concatenate([data.breakpoints, (lo, hi), pos]))
+    a, b = cuts[:-1], cuts[1:]
+    w = b - a
+    mid = 0.5 * (a + b)
+    q1 = 0.5 * (a + mid)
+    q3 = 0.5 * (mid + b)
+    u = np.asarray(data.eval_u0(np.concatenate([q1, mid, q3])), dtype=float).reshape(3, -1)
+    u1, um, u3 = np.where((lo <= a) & (b <= hi), u, 0.0)
+    misfit = w * np.abs(u1 + u3 - 2.0 * um)
+    if not np.sum(misfit) <= AFFINE_TOL:
+        k = np.flatnonzero(~(misfit <= AFFINE_TOL / misfit.size))[0]
+        raise ValueError(f"u0 is not affine on [{a[k]:.17g}, {b[k]:.17g}]: list its kinks and jumps as breakpoints")
+    # by left end: the midpoint of a one-ulp piece may round onto a particle
+    cell = np.searchsorted(pos, a, side="right") - 1
+    # u(q3) - u(q1) is half the rise across the piece: no division needed
+    return cuts, cell, w, um, um - (u3 - u1), um + (u3 - u1)
+
+
 def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.ndarray:
     """Initial particle positions covering the data's support hint.
 
     ``uniform`` spaces n particles evenly over the hint.
     ``mass_equidistributed`` puts equal mass between consecutive particles
-    by inverting the cumulative mass numerically.
+    by inverting the cumulative mass, exactly on each affine piece of u0.
     """
     if n < 2:
         raise ValueError(f"need at least two particles, got n={n}")
@@ -151,64 +199,42 @@ def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.
     if strategy == "uniform":
         return np.linspace(lo, hi, n)
     if strategy == "mass_equidistributed":
-        grid = _dense_grid(data, 16 * 4096 + 1)
-        u_vals = np.maximum(np.asarray(data.eval_u0(grid), dtype=float), 0.0)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (u_vals[1:] + u_vals[:-1]) * np.diff(grid))])
+        cuts, _, w, um, u_l, u_r = _affine_pieces(data, np.array([lo, hi]))
+        cum = np.concatenate([[0.0], np.cumsum(w * um)])
         total = cum[-1]
         if total <= 0.0:
             raise ValueError("mass_equidistributed needs positive total mass")
         targets = np.linspace(0.0, total, n)[1:-1]
-        # leftmost preimage of each mass quantile
-        idx = np.searchsorted(cum, targets, side="left")
-        interior = np.empty(targets.size)
-        for j, (m, i) in enumerate(zip(targets, idx)):
-            i = min(max(i, 1), cum.size - 1)
-            c0, c1 = cum[i - 1], cum[i]
-            if c1 > c0:
-                frac = (m - c0) / (c1 - c0)
-            else:
-                frac = 0.0
-            interior[j] = grid[i - 1] + frac * (grid[i] - grid[i - 1])
-        pos = np.concatenate([[lo], interior, [hi]])
+        # leftmost preimage of each mass quantile: the first piece whose
+        # cumulative mass reaches it, then u_l d + slope d^2 / 2 = m solved
+        # in the form without cancellation
+        k = np.searchsorted(cum, targets, side="left") - 1
+        m = targets - cum[k]
+        slope = (u_r[k] - u_l[k]) / w[k]
+        root = np.sqrt(np.maximum(u_l[k] * u_l[k] + 2.0 * slope * m, 0.0))
+        d = np.minimum(2.0 * m / (u_l[k] + root), w[k])
+        pos = np.concatenate([[lo], cuts[k] + d, [hi]])
         if np.any(np.diff(pos) <= 0.0):
             raise ValueError("mass quantiles are not strictly increasing; use uniform placement")
         return pos
     raise ValueError(f"unknown placement strategy '{strategy}'")
 
 
-def _dense_grid(data: InitialData, n: int) -> np.ndarray:
-    lo, hi = data.support_hint
-    grid = np.linspace(lo, hi, n)
-    eps = (hi - lo) * 1e-12
-    # sample tight around every jump, including the hint edges (open
-    # supports evaluate to zero exactly at their endpoints)
-    extra = [lo + eps, hi - eps]
-    for p in data.breakpoints:
-        if lo < p < hi:
-            extra.extend((p - eps, p, p + eps))
-    return np.unique(np.concatenate([grid, extra]))
-
-
 def cell_average(data: InitialData, positions) -> ParticleState:
-    """State at time zero whose cell densities are interval averages of u0."""
+    """State at time zero whose cell densities are interval averages of u0.
+
+    Exact to rounding: each affine piece of u0 contributes width times
+    midpoint value, and a cell inside one piece takes that value itself.
+    """
     pos = np.asarray(positions, dtype=float)
-    if np.any(np.diff(pos) <= 0.0):
-        raise ValueError("positions must be strictly increasing")
+    _, cell, w, um, _, _ = _affine_pieces(data, pos)
     n_cells = pos.size - 1
-    dens = np.empty(n_cells)
-    for i in range(n_cells):
-        a, b = pos[i], pos[i + 1]
-        try:
-            val = integrate(
-                lambda x: max(float(data.eval_u0(x)), 0.0),
-                a,
-                b,
-                tol=TOL_QUAD,
-                breakpoints=data.breakpoints,
-            )
-        except QuadratureError as exc:
-            raise QuadratureError(f"cell {i} on [{a:.6g}, {b:.6g}]: {exc}") from exc
-        dens[i] = max(val / (b - a), 0.0)
+    inside = (cell >= 0) & (cell < n_cells)
+    cell, w, um = cell[inside], w[inside], um[inside]
+    dens = np.bincount(cell, weights=w * um, minlength=n_cells) / np.diff(pos)
+    # (c * w) / w is not always c
+    whole = np.bincount(cell, minlength=n_cells)[cell] == 1
+    dens[cell[whole]] = um[whole]
     return ParticleState.from_cells(pos, dens, time=0.0)
 
 
@@ -217,35 +243,15 @@ def initial_approximation_gap(data: InitialData, state: ParticleState):
 
     The first value integrates |v0 - u0| over the particle range; the
     second is the mass of u0 left outside [x^1, x^N] (within the hint).
+    Both are exact to rounding.
     """
     if state.time != 0.0:
         raise ValueError("gap is defined for the initial state only")
-    pos = state.positions
-    gap = 0.0
-    for i in range(state.n_cells):
-        a, b = pos[i], pos[i + 1]
-        v_i = state.densities[i]
-        try:
-            gap += integrate(
-                lambda x: abs(max(float(data.eval_u0(x)), 0.0) - v_i),
-                a,
-                b,
-                tol=TOL_QUAD,
-                breakpoints=data.breakpoints,
-            )
-        except QuadratureError as exc:
-            raise QuadratureError(f"cell {i} on [{a:.6g}, {b:.6g}]: {exc}") from exc
-    lo, hi = data.support_hint
-    tail = 0.0
-    if lo < pos[0]:
-        tail += integrate(
-            lambda x: max(float(data.eval_u0(x)), 0.0), lo, pos[0], tol=TOL_QUAD, breakpoints=data.breakpoints
-        )
-    if pos[-1] < hi:
-        tail += integrate(
-            lambda x: max(float(data.eval_u0(x)), 0.0), pos[-1], hi, tol=TOL_QUAD, breakpoints=data.breakpoints
-        )
-    return float(gap), float(tail)
+    _, cell, w, _, u_l, u_r = _affine_pieces(data, state.positions)
+    inside = (cell >= 0) & (cell < state.n_cells)
+    v = np.where(inside, state.densities[np.clip(cell, 0, state.n_cells - 1)], 0.0)
+    pieces = integrate(u_l - v, u_r - v, w)
+    return float(np.sum(pieces[inside])), float(np.sum(pieces[~inside]))
 
 
 # ---------------------------------------------------------------------------

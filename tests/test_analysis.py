@@ -179,14 +179,6 @@ def test_convergence_study_lwr_family(lwr1):
     assert all(r.audit_passed for r in reports)
 
 
-def test_convergence_study_workers_merge_deterministically(burgers3):
-    data = pp.rarefaction_shock_data()
-    exact = pp.burgers_rarefaction_shock()
-    fit1, _ = pp.convergence_study(burgers3, data, exact, [9, 17, 33], 0.1)
-    fit2, _ = pp.convergence_study(burgers3, data, exact, [9, 17, 33], 0.1, workers=3)
-    assert fit1 == fit2
-
-
 def test_temporal_modulus_uses_snapshot_pairs(burgers3):
     data = pp.rarefaction_shock_data()
     st = pp.cell_average(data, pp.place_particles(data, 31, "uniform"))

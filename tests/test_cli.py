@@ -157,3 +157,41 @@ def test_set_overrides(tmp_path):
     rows = (out / "trajectory.csv").read_text().splitlines()
     # 8 snapshots of 10 cells plus header
     assert len(rows) == 1 + 8 * 10
+
+
+@pytest.mark.parametrize(
+    "mode, placement, path",
+    [
+        ("simulate", {"strategy": "uniform", "n_list": [9, 17, 33]}, "placement.n"),
+        ("convergence", {"strategy": "uniform", "n": 9}, "placement.n_list"),
+    ],
+)
+def test_placement_key_of_the_mode_is_required(mode, placement, path, tmp_path, capsys):
+    config = base_config(tmp_path, mode=mode, placement=placement)
+    assert run_cli([str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_placement_key_is_checked_after_the_mode_flag(tmp_path):
+    # the file's mode needs n, the flag's mode needs n_list
+    config = base_config(tmp_path, placement={"strategy": "uniform", "n_list": [9, 17, 33]})
+    assert run_cli([str(config), "--mode", "convergence"]) == 0
+    assert (tmp_path / "out" / "rate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, path",
+    [
+        ("placement.n.x=3", "placement.n"),
+        ("nosuch.x=1", "nosuch"),
+        ("nosuch=1", "nosuch"),
+        ("flux.nosuch.x=1", "flux.nosuch"),
+        ("to_dict=1", "to_dict"),
+    ],
+)
+def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
+    config = base_config(tmp_path)
+    assert run_cli([str(config), "--set", setting]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()

@@ -69,14 +69,14 @@ def test_residual_zero_for_internally_constant_state(burgers3):
     # interior cells of a constant block satisfy A v = f(v) exactly
     c = 2.0
     st = ParticleState.from_cells(np.arange(6.0), [c] * 5)
-    from particle_paths.field import _abs_affine_integral
+    from particle_paths.initial import integrate
 
     vel = pp.particle_velocities(burgers3, st)
     inner = 0.0
     for i in range(1, 4):
         g_l = vel[i] * c - float(burgers3.eval_f(c))
         g_r = vel[i + 1] * c - float(burgers3.eval_f(c))
-        inner += _abs_affine_integral(g_l, g_r, 1.0)
+        inner += integrate(g_l, g_r, 1.0)
     assert inner == 0.0
 
 

@@ -67,6 +67,18 @@ def test_cell_average_demo_profile():
     assert st.time == 0.0 and st.density0_max == 3.0
 
 
+def test_profile_is_zero_outside_the_hint():
+    # the step's natural tails (0.2 and 0.8) lie outside the window
+    data = riemann_data(0.2, 0.8, window=(-1, 1))
+    st = cell_average(data, [-2.0, -1.0, 1.0, 2.0])
+    np.testing.assert_array_equal(st.densities, [0.0, 0.5, 0.0])
+    gap, tail = initial_approximation_gap(data, st)
+    assert gap == pytest.approx(0.6, rel=1e-15) and tail == 0.0
+    inner = cell_average(data, [-0.5, 0.5])
+    gap, tail = initial_approximation_gap(data, inner)
+    assert gap == pytest.approx(0.3, rel=1e-15) and tail == pytest.approx(0.2 * 0.5 + 0.8 * 0.5, rel=1e-15)
+
+
 def test_gap_zero_for_aligned_piecewise_constant():
     data = piecewise_constant_data([0.0, 1.0, 2.0], [2.0, 1.0])
     st = cell_average(data, [0.0, 0.5, 1.0, 2.0])
