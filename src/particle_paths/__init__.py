@@ -62,7 +62,6 @@ from .initial import (
     riemann_data,
     sampled_data,
 )
-from .quadrature import QuadratureError, integrate
 from .reference import ExactSolution, burgers_rarefaction_shock, godunov_reference, riemann_solution
 from .velocity import follow_the_leader_deviation, interface_velocities, particle_velocity
 

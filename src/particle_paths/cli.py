@@ -97,6 +97,8 @@ def _read_config(path_or_dict) -> ExperimentConfig:
             raise ConfigError(str(path_or_dict), "file not found")
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path_or_dict), f"invalid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(str(path_or_dict), "top level must be a JSON object")
     cfg = ExperimentConfig()
     for key, value in raw.items():
         if key not in _FIELDS:

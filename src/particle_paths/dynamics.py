@@ -4,10 +4,12 @@ Between collisions each particle moves with the entropic interface
 velocity of its neighboring cell densities, and densities follow from the
 conserved cell masses.  Forward Euler is used with a step cap that keeps
 adjacent particles from crossing and cell densities below the initial
-maximum.  When a gap falls below the collision threshold, the left
-particles of the touching cluster are deleted together with their cells;
-only (numerically) massless cells ever get that close, so the discarded
-mass is audited against a tight budget.
+maximum.  The evolved state is the cell widths, and positions are rebuilt
+from them, so a cell whose particles move alike keeps its density exactly.
+When a gap falls below the collision threshold, the left particles of the
+touching cluster are deleted together with their cells; only (numerically)
+massless cells ever get that close, so the discarded mass is audited
+against a tight budget.
 """
 
 from __future__ import annotations
@@ -142,25 +144,22 @@ def stable_timestep(
 
 
 def _advance(state: ParticleState, vel: np.ndarray, dt: float, t_new: float) -> ParticleState:
-    # compensated update: carry the rounding residue of x + dt*v forward
-    incr = dt * vel + state.pos_carry
-    pos = state.positions + incr
-    carry = (state.positions - pos) + incr
+    widths = state.widths + dt * (vel[1:] - vel[:-1])
+    pos = (state.positions[0] + dt * vel[0]) + np.concatenate(([0.0], np.cumsum(widths)))
+    # also catches a non-positive width: adding it cannot raise the sum
     if np.any(np.diff(pos) <= 0.0):
         raise SimulationError(
             f"particle ordering violated after dt={dt:.3e}; step cap failed", state
         )
-    widths = np.diff(pos)
-    dens = state.masses / widths
     return ParticleState(
         positions=pos,
-        densities=dens,
+        densities=state.masses / widths,
         masses=state.masses,
         width0=state.width0,
         density0=state.density0,
         density0_max=state.density0_max,
         time=t_new,
-        pos_carry=carry,
+        widths=widths,
     )
 
 
@@ -182,8 +181,9 @@ def resolve_collisions(
     """Collapse every cluster of particles whose gaps are <= eps_coll.
 
     Within a cluster all particles except the rightmost are deleted, along
-    with the cells between them; surviving cells keep their masses.  The
-    state is returned unchanged when no gap is small enough.
+    with the cells between them; surviving cells keep their masses and take
+    over the widths of the deleted cells to their right.  The state is
+    returned unchanged when no gap is small enough.
     """
     gaps = state.widths
     small = gaps <= eps_coll
@@ -201,24 +201,22 @@ def resolve_collisions(
             f"of total {total:.3e}); eps_coll triggered on a massive cell",
             state,
         )
-    keep_particles = np.ones(state.n_particles, dtype=bool)
-    keep_particles[deleted_particles] = False
     keep_cells = ~small
+    keep_particles = np.append(keep_cells, True)
     survivor_map = np.full(state.n_particles, -1, dtype=int)
     survivor_map[keep_particles] = np.arange(int(keep_particles.sum()))
 
-    pos = state.positions[keep_particles]
     masses = state.masses[keep_cells]
-    widths = np.diff(pos)
+    widths = np.add.reduceat(state.widths, np.flatnonzero(keep_cells))
     new_state = ParticleState(
-        positions=pos,
+        positions=state.positions[keep_particles],
         densities=masses / widths,
         masses=masses,
         width0=state.width0[keep_cells],
         density0=state.density0[keep_cells],
         density0_max=state.density0_max,
         time=state.time,
-        pos_carry=state.pos_carry[keep_particles],
+        widths=widths,
     )
     event = CollisionEvent(
         time=state.time,

@@ -68,10 +68,12 @@ class ParticleState:
     """Particles and the cell data they carry between collisions.
 
     ``masses`` are fixed at creation (mass between particles is conserved);
-    ``densities`` are always mass over current width.  ``width0`` and
-    ``density0`` are each surviving cell's width and density at creation
-    time, kept through collisions so the a-priori bounds can be audited.
-    ``density0_max`` is the global initial density maximum.
+    ``densities`` are always mass over ``widths``, the cell widths a run
+    evolves (by default the position differences, which they match to
+    rounding).  ``width0`` and ``density0`` are each surviving cell's width
+    and density at creation time, kept through collisions so the a-priori
+    bounds can be audited.  ``density0_max`` is the global initial density
+    maximum.
     """
 
     positions: np.ndarray
@@ -81,10 +83,7 @@ class ParticleState:
     density0: np.ndarray
     density0_max: float
     time: float = 0.0
-    # Kahan carry for position updates: keeps the accumulated displacement
-    # exact to one rounding, so densities in constant regions do not creep
-    # over thousands of steps.
-    pos_carry: Optional[np.ndarray] = None
+    widths: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -95,7 +94,9 @@ class ParticleState:
         if np.any(np.diff(pos) <= 0.0):
             raise ValueError("particle positions must be strictly increasing")
         n_cells = pos.size - 1
-        for name in ("densities", "masses", "width0", "density0"):
+        if self.widths is None:
+            object.__setattr__(self, "widths", np.diff(pos))
+        for name in ("densities", "masses", "width0", "density0", "widths"):
             arr = getattr(self, name)
             if np.asarray(arr).shape != (n_cells,):
                 raise ValueError(f"{name} must have length {n_cells}")
@@ -103,10 +104,6 @@ class ParticleState:
             raise ValueError("non-finite cell density")
         if np.any(np.asarray(self.densities) < 0.0):
             raise ValueError("negative cell density")
-        if self.pos_carry is None:
-            object.__setattr__(self, "pos_carry", np.zeros(pos.size))
-        elif np.asarray(self.pos_carry).shape != pos.shape:
-            raise ValueError("pos_carry must match positions")
 
     @property
     def n_particles(self) -> int:
@@ -115,10 +112,6 @@ class ParticleState:
     @property
     def n_cells(self) -> int:
         return self.positions.size - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.positions)
 
     @property
     def total_mass(self) -> float:
@@ -155,35 +148,42 @@ def integrate(g_l, g_r, w):
     return out if out.ndim else float(out)
 
 
-def _affine_pieces(data: InitialData, pos: np.ndarray):
-    """u0 on the pieces between its breakpoints, the hint edges and ``pos``.
+def affine_pieces(u, cuts, inside=True, name="u"):
+    """Width, midpoint value and end values of ``u`` on the pieces between ``cuts``.
 
-    Returns the cuts and each piece's cell index (-1 or n_cells outside
-    the particle range), width, midpoint value and end values; u0 is zero
-    outside the hint.  An affine piece has u(q1) + u(q3) = 2 u(mid) at its
-    quarter points; if the width-weighted misfit summed over all pieces
-    exceeds ``AFFINE_TOL``, ``ValueError`` names the first piece holding at
-    least its share of it.
+    ``u`` takes arrays and must be affine on every piece; pieces where
+    ``inside`` is False count as zero.  An affine piece has u(q1) + u(q3)
+    = 2 u(mid) at its quarter points; if the width-weighted misfit summed
+    over all pieces exceeds ``AFFINE_TOL``, ``ValueError`` names the first
+    piece holding at least its share of it.
     """
-    if np.any(np.diff(pos) <= 0.0):
-        raise ValueError("positions must be strictly increasing")
-    lo, hi = data.support_hint
-    cuts = np.unique(np.concatenate([data.breakpoints, (lo, hi), pos]))
     a, b = cuts[:-1], cuts[1:]
     w = b - a
     mid = 0.5 * (a + b)
     q1 = 0.5 * (a + mid)
     q3 = 0.5 * (mid + b)
-    u = np.asarray(data.eval_u0(np.concatenate([q1, mid, q3])), dtype=float).reshape(3, -1)
-    u1, um, u3 = np.where((lo <= a) & (b <= hi), u, 0.0)
+    u = np.asarray(u(np.concatenate([q1, mid, q3])), dtype=float).reshape(3, -1)
+    u1, um, u3 = np.where(inside, u, 0.0)
     misfit = w * np.abs(u1 + u3 - 2.0 * um)
     if not np.sum(misfit) <= AFFINE_TOL:
         k = np.flatnonzero(~(misfit <= AFFINE_TOL / misfit.size))[0]
-        raise ValueError(f"u0 is not affine on [{a[k]:.17g}, {b[k]:.17g}]: list its kinks and jumps as breakpoints")
-    # by left end: the midpoint of a one-ulp piece may round onto a particle
-    cell = np.searchsorted(pos, a, side="right") - 1
+        raise ValueError(f"{name} is not affine on [{a[k]:.17g}, {b[k]:.17g}]: list its kinks and jumps as breakpoints")
     # u(q3) - u(q1) is half the rise across the piece: no division needed
-    return cuts, cell, w, um, um - (u3 - u1), um + (u3 - u1)
+    return w, um, um - (u3 - u1), um + (u3 - u1)
+
+
+def _u0_pieces(data: InitialData, pos: np.ndarray):
+    """Cuts at u0's breakpoints, the hint edges and ``pos``, each piece's cell
+    index (-1 or n_cells outside ``pos``) and ``affine_pieces`` of u0, zero
+    outside the hint."""
+    if np.any(np.diff(pos) <= 0.0):
+        raise ValueError("positions must be strictly increasing")
+    lo, hi = data.support_hint
+    cuts = np.unique(np.concatenate([data.breakpoints, (lo, hi), pos]))
+    inside = (lo <= cuts[:-1]) & (cuts[1:] <= hi)
+    # by left end: the midpoint of a one-ulp piece may round onto a particle
+    cell = np.searchsorted(pos, cuts[:-1], side="right") - 1
+    return (cuts, cell) + affine_pieces(data.eval_u0, cuts, inside, "u0")
 
 
 def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.ndarray:
@@ -199,7 +199,7 @@ def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.
     if strategy == "uniform":
         return np.linspace(lo, hi, n)
     if strategy == "mass_equidistributed":
-        cuts, _, w, um, u_l, u_r = _affine_pieces(data, np.array([lo, hi]))
+        cuts, _, w, um, u_l, u_r = _u0_pieces(data, np.array([lo, hi]))
         cum = np.concatenate([[0.0], np.cumsum(w * um)])
         total = cum[-1]
         if total <= 0.0:
@@ -227,7 +227,7 @@ def cell_average(data: InitialData, positions) -> ParticleState:
     midpoint value, and a cell inside one piece takes that value itself.
     """
     pos = np.asarray(positions, dtype=float)
-    _, cell, w, um, _, _ = _affine_pieces(data, pos)
+    _, cell, w, um, _, _ = _u0_pieces(data, pos)
     n_cells = pos.size - 1
     inside = (cell >= 0) & (cell < n_cells)
     cell, w, um = cell[inside], w[inside], um[inside]
@@ -247,7 +247,7 @@ def initial_approximation_gap(data: InitialData, state: ParticleState):
     """
     if state.time != 0.0:
         raise ValueError("gap is defined for the initial state only")
-    _, cell, w, _, u_l, u_r = _affine_pieces(data, state.positions)
+    _, cell, w, _, u_l, u_r = _u0_pieces(data, state.positions)
     inside = (cell >= 0) & (cell < state.n_cells)
     v = np.where(inside, state.densities[np.clip(cell, 0, state.n_cells - 1)], 0.0)
     pieces = integrate(u_l - v, u_r - v, w)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .field import PiecewiseConstantFn
 from .flux import FluxModel, TabulatedOracle
-from .initial import InitialData
+from .initial import InitialData, cell_average
 
 __all__ = [
     "ExactSolution",
@@ -32,7 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form entropy solution u(x, t) with a validity window in time."""
+    """Closed-form entropy solution u(x, t) with a validity window in time.
+
+    ``eval`` takes arrays of x and must be affine in x between consecutive
+    ``breakpoints_at(t)``: the L1 error integrates it in closed form and
+    raises ``ValueError`` naming a piece where it is not affine.
+    """
 
     eval: Callable
     description: str
@@ -162,7 +167,8 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
         eval_fan,
         f"rarefaction {u_l} -> {u_r}",
         (0.0, np.inf),
-        lambda t: (x0 + s_l * t, x0 + s_r * t) if t > 0 else (x0,),
+        # the fan is affine between its interpolation nodes
+        lambda t: (x0 + s_l * t, x0 + s_r * t, *(x0 + fps_sorted * t)) if t > 0 else (x0,),
     )
 
 
@@ -198,7 +204,8 @@ def godunov_reference(
     """First-order Godunov finite volume solution at time T.
 
     The uniform mesh covers the data's support hint expanded by the maximal
-    wave travel distance (unless ``window`` is given).  Boundary cells copy
+    wave travel distance (unless ``window`` is given).  It starts from the
+    exact cell averages of u0, zero outside the hint.  Boundary cells copy
     their edge values, which is exact as long as the data is constant near
     the window edges.  The time step obeys dt * lip_f / dx <= cfl.
     """
@@ -215,9 +222,7 @@ def godunov_reference(
         raise ValueError(f"CFL violation: dt*lip/dx = {dt * model.lip_f / dx:.3g} > {cfl}")
 
     edges = np.linspace(x_lo, x_hi, cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    u = np.asarray(data.eval_u0(centers), dtype=float).copy()
-    u = np.maximum(u, 0.0)
+    u = cell_average(data, edges).densities
 
     kind, u_star = _classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
     f = model.eval_f

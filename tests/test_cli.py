@@ -115,6 +115,14 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     assert run_cli([str(path)]) == 2
 
 
+@pytest.mark.parametrize("top", [[1, 2], 3, "simulate", None])
+def test_non_object_config_is_exit_2(top, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(top))
+    assert run_cli([str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error at {path}: top level must be a JSON object"
+
+
 def test_csv_inputs_for_flux_and_data(tmp_path):
     import numpy as np
 

@@ -21,15 +21,15 @@ REPO = Path(__file__).resolve().parents[1]
 DEMOS = {
     "01_rarefaction_shock.py": {
         "exact_T.csv": "43914e06204ff3541d3e84c61def87c78d9b937a6c0511ff84ba1301b6cec546",
-        "scheme_T.csv": "e64644a9f6e1880caf775e68c47e9a0bc823ef4fa7eab163a3a2f23ef18dc425",
-        "trajectory.csv": "fe4debc79497970adb187908c842c949b673539424d26ba1639991d196240e28",
+        "scheme_T.csv": "b2c9677425784876abf7883f842f01da94608e6224a7706aecbc7776079e30f0",
+        "trajectory.csv": "d91586b5302ed3a5033613d3e0cd125f9a08a62ff046a6142b1659cf57c9cdc2",
     },
     "02_convergence_rate.py": {
-        "rate.csv": "55791ab2fdb306fac6431e453c0f309d853f41d4b0741cb1f84d0edb5b6ca61e",
+        "rate.csv": "8919938cca299efde32f825c6194c28d33fb1f57f3d54789b8efd5bb064bd821",
     },
     "04_vacuum_collision.py": {
-        "collision_trajectory.csv": "82dbf4bad099aaff800cf358782e03882eb0a3eb1bbb90dcc3d2a5daed9ddbc9",
-        "collision_events.json": "afe087e2b30d5007388e7a5122deb211fef15a452bd5226ee4b6695ed96bfa47",
+        "collision_trajectory.csv": "20960e9f990607ede66f6412603e860d3acbe98212b692742e2a7bdb36e0c491",
+        "collision_events.json": "d982f8f3f314b905b985c14b95d3e626bb44b24570eed4c6e5257ff95030fef8",
     },
 }
 

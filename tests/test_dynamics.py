@@ -122,6 +122,17 @@ def test_resolve_triple_cluster():
     assert np.all(np.diff(out.positions) > 0)
 
 
+def test_resolve_cell_takes_over_deleted_widths():
+    eps = 1e-10
+    st = ParticleState.from_cells([0.0, 1.0, 1.0 + eps / 2, 1.0 + eps, 2.0], [1.0, 0.0, 0.0, 1.0])
+    out, event = resolve_collisions(st, eps)
+    np.testing.assert_array_equal(event.deleted_cells, [1, 2])
+    np.testing.assert_array_equal(out.positions, [0.0, 1.0 + eps, 2.0])
+    # the left neighbour of the deleted cells absorbs them
+    np.testing.assert_array_equal(out.widths, [st.widths[0] + st.widths[1] + st.widths[2], st.widths[3]])
+    np.testing.assert_array_equal(out.densities, out.masses / out.widths)
+
+
 def test_resolve_rejects_massive_cell():
     # a near-zero gap carrying real mass means the threshold fired early
     st = ParticleState.from_cells([0.0, 1e-13, 1.0], [1e12, 2.0])
@@ -204,3 +215,24 @@ def test_nonfinite_velocity_aborts():
     st = ParticleState.from_cells([0.0, 1.0], [1.0])
     with pytest.raises(SimulationError):
         pp.simulate(bad, st, 1.0, dt_max=0.1)
+
+
+def test_plateau_density_stays_exact():
+    # interior particles of a constant region all move at a(3): the widths,
+    # and so the densities, of cells the vacuum-edge fan has not reached
+    # stay exactly 3 (positions as the state let them creep by ~7e-13)
+    st = ParticleState.from_cells(np.linspace(1.0, 4.0, 1601), np.full(1600, 3.0))
+    model = pp.builtin_flux("burgers", u_high=3.0 * (1 + 1e-12))
+    traj = pp.simulate(model, st, 0.05, dt_max=1e-4)
+    assert np.all(traj.final_state.densities[600:] == 3.0)
+
+
+def test_paper_profile_at_1601_particles_completes():
+    # the density cap's 1e-13 headroom used to run out on the plateau here,
+    # stalling the run with "timestep collapsed"
+    data = pp.rarefaction_shock_data()
+    model = pp.builtin_flux("burgers", u_high=data.sup_u0 * (1 + 1e-12))
+    st = pp.cell_average(data, pp.place_particles(data, 1601, "uniform"))
+    traj = pp.simulate(model, st, 0.25, dt_max=0.2 * float(np.max(st.widths)), snapshot_count=33, data=data)
+    assert traj.times[-1] == 0.25
+    assert pp.invariant_audit(traj).passed

@@ -1,4 +1,8 @@
-"""Closed-form integrals of the initial data: cell averages, mass placement and the initial gap."""
+"""Closed-form integrals: cell averages, mass placement, the initial gap and the L1 error at T.
+
+The adaptive Simpson rule in ``simpson_reference`` is the independent
+reference the closed forms are compared against.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
-from particle_paths import InitialData, PiecewiseConstantFn
-from particle_paths.quadrature import integrate
+from particle_paths import ExactSolution, InitialData, PiecewiseConstantFn
+from simpson_reference import integrate
 
 
 @st.composite
@@ -129,3 +133,50 @@ def test_unlisted_kink_is_named():
         pp.cell_average(tent, [-1.0, -0.5, 0.5, 1.0])
     listed = InitialData(tent.eval_u0, (-1.0, 1.0), tv_u0=2.0, sup_u0=1.0, breakpoints=(0.0,))
     np.testing.assert_array_equal(pp.cell_average(listed, [-1.0, -0.5, 0.5, 1.0]).densities, [0.25, 0.75, 0.25])
+
+
+def simpson_l1(recon, exact, T, window):
+    """|v - u(., T)| over the window by adaptive Simpson, split at both functions' breakpoints."""
+    lo, hi = window
+    cuts = [float(b) for b in recon.breakpoints if lo < b < hi]
+    cuts.extend(float(b) for b in exact.breakpoints_at(T) if lo < b < hi)
+    return integrate(lambda x: abs(float(recon(x)) - float(exact(x, T))), lo, hi, tol=1e-10, breakpoints=cuts)
+
+
+@st.composite
+def reconstructions(draw, lo, hi, top):
+    """A random step function over [lo, hi], values in [0, top], zeros included."""
+    bp = np.unique(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=30)))
+    if bp.size < 2:
+        bp = np.array([lo, hi])
+    value = st.one_of(st.just(0.0), st.floats(0.0, top))
+    return PiecewiseConstantFn(bp, np.asarray(draw(st.lists(value, min_size=bp.size - 1, max_size=bp.size - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), T=st.floats(1e-3, 0.999), window=st.tuples(st.floats(-2.0, 0.5), st.floats(0.6, 3.0)))
+def test_l1_error_matches_simpson_on_the_paper_solution(data, T, window):
+    exact = pp.burgers_rarefaction_shock()
+    recon = data.draw(reconstructions(-2.5, 3.5, 4.0))
+    assert pp.l1_error_against(recon, exact, T, window) == pytest.approx(simpson_l1(recon, exact, T, window), rel=0.0, abs=1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["burgers", "lwr"]),
+    states=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    T=st.floats(1e-3, 0.999),
+)
+def test_l1_error_matches_simpson_on_riemann_solutions(data, name, states, T):
+    exact = pp.riemann_solution(pp.builtin_flux(name, u_high=1.0), *states)
+    recon = data.draw(reconstructions(-2.0, 2.0, 1.0))
+    window = (-1.5, 1.5)
+    assert pp.l1_error_against(recon, exact, T, window) == pytest.approx(simpson_l1(recon, exact, T, window), rel=0.0, abs=1e-9)
+
+
+def test_l1_error_rejects_a_reference_that_is_not_affine():
+    smooth = ExactSolution(lambda x, t: 1.0 + np.sin(np.asarray(x, dtype=float)), "1 + sin x", (0.0, 1.0))
+    recon = PiecewiseConstantFn(np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="not affine"):
+        pp.l1_error_against(recon, smooth, 0.5, (-1.0, 2.0))

@@ -98,7 +98,7 @@ def reference_load_trajectory_dir(directory, model):
     )
 
 
-STATE_FIELDS = ("positions", "densities", "masses", "width0", "density0", "density0_max", "time", "pos_carry")
+STATE_FIELDS = ("positions", "densities", "masses", "width0", "density0", "density0_max", "time", "widths")
 EVENT_FIELDS = ("time", "deleted_particles", "deleted_cells", "survivor_map", "discarded_mass", "pre_particle_count")
 
 

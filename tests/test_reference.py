@@ -79,8 +79,17 @@ def test_lwr_stationary_shock():
 def test_godunov_constant_data_exact():
     m = pp.builtin_flux("lwr", u_high=1.0)
     data = pp.riemann_data(0.3, 0.3, x0=0.0, window=(-1.0, 1.0))
-    g = godunov_reference(m, data, 200, 0.4)
+    g = godunov_reference(m, data, 200, 0.4, window=(-1.0, 1.0))
     np.testing.assert_allclose(g.values, 0.3, atol=1e-14)
+
+
+def test_godunov_starts_from_the_data_inside_its_hint():
+    # u0 is zero outside the support hint, for Godunov as for the particles;
+    # sampling the untruncated step tails on the padded mesh added mass
+    m = pp.builtin_flux("lwr")
+    data = pp.riemann_data(0.2, 0.8, window=(-1.0, 1.0))
+    g = godunov_reference(m, data, 200, 1e-9)
+    assert g.integral() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_godunov_mass_constant_in_time(burgers3):

@@ -41,3 +41,14 @@ def test_initial_integrals_run_through_the_traced_names():
     assert names.count("initial.gap") == 1
     assert names.count("quadrature.integrate") >= 1
     assert np.isfinite(tracer.self_times()).all()
+
+
+def test_l1_error_integrates_through_the_traced_name(rarefaction_shock_run):
+    tracing = _tracing()
+    with tracing.Tracer() as tracer:
+        pp.error_report(rarefaction_shock_run, pp.burgers_rarefaction_shock(), 0.25)
+    spans = tracer.spans
+    l1 = [i for i, rec in enumerate(spans) if rec[tracing.NAME] == "analysis.l1_error"]
+    assert len(l1) == 1
+    children = [rec[tracing.NAME] for rec in spans if rec[tracing.PARENT] == l1[0]]
+    assert children == ["quadrature.integrate"]
