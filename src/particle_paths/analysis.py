@@ -352,7 +352,7 @@ def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10
     model = traj.model
     state0 = traj.snapshots[0][1]
     rho_star = state0.density0_max
-    ext = velocity_extrema(model, 0.0, rho_star) if rho_star > 0 else velocity_extrema(model, 0.0, 0.0)
+    ext = velocity_extrema(model, 0.0, rho_star)
     a_min, a_max = ext.min_value, ext.max_value
     spread = a_max - a_min
     mass0 = state0.total_mass

@@ -77,6 +77,7 @@ class ExperimentConfig:
 
 
 _MODES = ("simulate", "convergence", "audit", "ftl-check")
+_STRATEGIES = ("uniform", "mass_equidistributed")
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
@@ -114,18 +115,22 @@ def dump_config(cfg: ExperimentConfig) -> str:
 # Scalar fields that validation and the modes read: dot path (``[]`` marks
 # every item of a list), numeric type, the range the value must lie in, and
 # the message when it does not.  A float field also takes an int; bool is
-# rejected where a number is expected.
+# rejected where a number is expected.  Null stands for the default only
+# where _NULLABLE says so.
 _SCALARS = (
     ("time_horizon", float, lambda v: v > 0, "must be positive"),
     ("placement.n", int, lambda v: v >= 2, "need at least two particles"),
     ("placement.n_list[]", int, lambda v: v >= 2, "need >= 3 counts, each >= 2"),
     ("integrator.dt_max", float, lambda v: v > 0, "must be positive"),
     ("integrator.theta", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("integrator.eps_coll", float, lambda v: v > 0, "must be positive, or null for the default"),
+    ("convergence.dt_max_ratio", float, lambda v: v > 0, "must be positive"),
     ("snapshots", int, lambda v: v >= 2, "need at least two"),
     ("seed", int, lambda v: v >= 0, "must be nonnegative"),
     ("ftl.pairs", int, lambda v: v >= 1, "need at least one pair"),
     ("ftl.tol", float, lambda v: v >= 0, "must be nonnegative"),
 )
+_NULLABLE = ("integrator.eps_coll",)
 
 
 def _scalar_values(cfg: ExperimentConfig, path: str) -> List[tuple]:
@@ -148,6 +153,8 @@ def _scalar_values(cfg: ExperimentConfig, path: str) -> List[tuple]:
 def _check_scalars(cfg: ExperimentConfig) -> None:
     for path, kind, in_range, rule in _SCALARS:
         for name, value in _scalar_values(cfg, path):
+            if value is None and name in _NULLABLE:
+                continue
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
                 raise ConfigError(name, f"must be {'a number' if kind is float else 'an integer'}, got {value!r}")
             if not ((isinstance(value, int) or math.isfinite(value)) and in_range(value)):
@@ -157,12 +164,16 @@ def _check_scalars(cfg: ExperimentConfig) -> None:
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}, got {cfg.mode!r}")
-    if not isinstance(cfg.flux, dict) or "kind" not in cfg.flux:
-        raise ConfigError("flux", "need a tagged record {kind, params}")
-    if not isinstance(cfg.initial_data, dict) or "kind" not in cfg.initial_data:
-        raise ConfigError("initial_data", "need a tagged record {kind, params}")
+    for key in ("flux", "initial_data"):
+        record = getattr(cfg, key)
+        if not isinstance(record, dict) or "kind" not in record:
+            raise ConfigError(key, "need a tagged record {kind, params}")
+        if not isinstance(record.get("params", {}), dict):
+            raise ConfigError(f"{key}.params", f"must be an object, got {record['params']!r}")
     _check_scalars(cfg)
     place = cfg.placement
+    if place.get("strategy", "uniform") not in _STRATEGIES:
+        raise ConfigError("placement.strategy", f"must be one of {_STRATEGIES}, got {place['strategy']!r}")
     if "n" not in place and "n_list" not in place:
         raise ConfigError("placement", "need n or n_list")
     needed = {"simulate": "n", "convergence": "n_list"}.get(cfg.mode)
@@ -172,6 +183,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("placement.n_list", "need >= 3 counts, each >= 2")
     if "dt_max" not in cfg.integrator:
         raise ConfigError("integrator.dt_max", "required")
+
+
+def _read_table(path, where: str) -> np.ndarray:
+    """Two-column CSV samples below a header row."""
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise ConfigError(where, str(exc))
+    if table.shape[1] < 2:
+        raise ConfigError(where, f"need two columns in {path}")
+    return table
 
 
 def _build_data(cfg: ExperimentConfig) -> InitialData:
@@ -189,9 +211,11 @@ def _build_data(cfg: ExperimentConfig) -> InitialData:
         if kind == "sampled":
             csv_path = params.pop("path", None)
             if csv_path is not None:
-                table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+                table = _read_table(csv_path, "initial_data.params.path")
                 return sampled_data(table[:, 0], table[:, 1], **params)
             return sampled_data(**params)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError("initial_data.params", str(exc))
     raise ConfigError("initial_data.kind", f"unknown kind {kind!r}")
@@ -203,9 +227,11 @@ def _build_model(cfg: ExperimentConfig, data: InitialData) -> FluxModel:
     u_high = data.sup_u0 * (1.0 + 1e-12)
     try:
         if kind == "tabulated" and "path" in params:
-            table = np.loadtxt(params.pop("path"), delimiter=",", skiprows=1)
+            table = _read_table(params.pop("path"), "flux.params.path")
             return builtin_flux("tabulated", us=table[:, 0], fs=table[:, 1], **params)
         return builtin_flux(kind, u_high=u_high, **params)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError("flux", str(exc))
 

@@ -12,30 +12,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flux import ArrayExtremumOracle, FluxModel, check_density_intervals, velocity_extrema
+from .flux import FluxModel, check_density_intervals, velocity_extrema
 
 __all__ = ["interface_velocities", "particle_velocity", "follow_the_leader_deviation"]
+
+_FTL_SCAN_POINTS = 2048
 
 
 def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
     """Entropic velocity of every interface between states v_l[i] and v_r[i].
 
-    One array call for models with an ``ArrayExtremumOracle`` (every
-    built-in flux); other models are served one nondegenerate interval at
-    a time by ``particle_velocity``.  Raises ValueError on a negative state
-    or one above the model's working interval.
+    One call to the model's array extremum oracle serves every interface.
+    Raises ValueError on a negative state or one above the model's working
+    interval.
     """
     v_l, v_r = np.broadcast_arrays(np.asarray(v_l, dtype=float), np.asarray(v_r, dtype=float))
     lo = np.minimum(v_l, v_r)
     hi = np.maximum(v_l, v_r)
     check_density_intervals(model, lo, hi)
-    if isinstance(model.extremum_oracle, ArrayExtremumOracle):
-        ext = model.extremum_oracle(lo, hi)
-        vel = np.where(v_l <= v_r, ext.min_value, ext.max_value)
-    else:
-        vel = np.empty(v_l.shape)
-        for i in np.flatnonzero(v_l != v_r).tolist():
-            vel.flat[i] = particle_velocity(model, float(v_l.flat[i]), float(v_r.flat[i]))
+    ext = model.extremum_oracle(lo, hi)
+    vel = np.where(v_l <= v_r, ext.min_value, ext.max_value)
     # a(v) on degenerate intervals, exactly as the scalar rule evaluates it
     same = v_l == v_r
     vel[same] = model.eval_a(v_l[same])
@@ -50,13 +46,13 @@ def particle_velocity(model: FluxModel, v_l: float, v_r: float) -> float:
     return velocity_extrema(model, v_r, v_l).max_value
 
 
-def follow_the_leader_deviation(model: FluxModel, pairs, scan_points: int = 2048) -> float:
+def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
     """Largest |particle_velocity(v_l, v_r) - a(v_r)| over the given pairs.
 
     Requires a numerically nonincreasing velocity field on [0, u_high];
     the scan rejects models where a rises anywhere, naming the sample.
     """
-    us = np.linspace(0.0, model.u_high, scan_points)
+    us = np.linspace(0.0, model.u_high, _FTL_SCAN_POINTS)
     av = np.asarray(model.eval_a(us), dtype=float)
     rise_tol = 1e-12 * max(1.0, float(np.max(np.abs(av))))
     rises = np.diff(av) > rise_tol

@@ -44,9 +44,9 @@ def cubic_flux_model(u_high: float) -> FluxModel:
 
     def oracle(lo, hi):
         vert = 0.75  # vertex of the quadratic a
-        u_min = min(max(vert, lo), hi)
-        u_max = lo if (vert - lo) >= (hi - vert) else hi
-        return VelocityExtrema(float(a(u_min)), float(a(u_max)), u_min, u_max)
+        u_min = np.clip(vert, lo, hi)
+        u_max = np.where(vert - lo >= hi - vert, lo, hi)
+        return VelocityExtrema(a(u_min), a(u_max))
 
     return FluxModel(
         name="cubic",
@@ -56,5 +56,4 @@ def cubic_flux_model(u_high: float) -> FluxModel:
         u_high=u_high,
         lip_fprime=max(1.0, abs(2.0 * u_high - 1.0)),
         extremum_oracle=oracle,
-        tol_ext=1e-10,
     )

@@ -203,3 +203,48 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
     assert run_cli([str(config), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"initial_data": {"kind": "sampled", "params": {"path": "missing.csv"}}}, "initial_data.params.path"),
+        ({"flux": {"kind": "tabulated", "params": {"path": "missing.csv"}}}, "flux.params.path"),
+        ({"flux": {"kind": "tabulated", "params": {"path": "one_column.csv"}}}, "flux.params.path"),
+        ({"flux": {"kind": "burgers", "params": [1, 2]}}, "flux.params"),
+        ({"initial_data": {"kind": "paper_example", "params": 3}}, "initial_data.params"),
+        ({"placement": {"strategy": "zigzag", "n": 31}}, "placement.strategy"),
+    ],
+)
+def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one_column.csv").write_text("u\n0.0\n1.0\n")
+    config = base_config(tmp_path, **overrides)
+    assert run_cli([str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "mode, key, value, path",
+    [
+        ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": "abc"}, "integrator.eps_coll"),
+        ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": -1}, "integrator.eps_coll"),
+        ("convergence", "convergence", {"dt_max_ratio": "abc"}, "convergence.dt_max_ratio"),
+        ("convergence", "convergence", {"dt_max_ratio": 0}, "convergence.dt_max_ratio"),
+    ],
+)
+def test_bad_step_parameter_is_exit_2(mode, key, value, path, tmp_path, capsys):
+    placement = {"strategy": "uniform", "n": 31, "n_list": [9, 17, 33]}
+    config = base_config(tmp_path, mode=mode, placement=placement, **{key: value})
+    assert run_cli([str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_or_absent_eps_coll_takes_the_default(tmp_path):
+    for integrator in ({"dt_max": 0.001, "eps_coll": None}, {"dt_max": 0.001}):
+        config = base_config(tmp_path, integrator=integrator)
+        assert run_cli([str(config)]) == 0

@@ -209,9 +209,12 @@ def test_determinism(burgers3):
 
 
 def test_nonfinite_velocity_aborts():
-    from particle_paths.flux import FluxModel
+    from particle_paths.flux import FluxModel, MonotoneOracle
 
-    bad = FluxModel("bad", lambda u: np.full_like(np.asarray(u, dtype=float), np.nan), 0.0, 1.0, 10.0)
+    def nan_of(u):
+        return np.full_like(np.asarray(u, dtype=float), np.nan)
+
+    bad = FluxModel("bad", nan_of, 0.0, 1.0, 10.0, extremum_oracle=MonotoneOracle(nan_of, increasing=True))
     st = ParticleState.from_cells([0.0, 1.0], [1.0])
     with pytest.raises(SimulationError):
         pp.simulate(bad, st, 1.0, dt_max=0.1)

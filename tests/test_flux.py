@@ -1,17 +1,15 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from particle_paths import builtin_flux, velocity_extrema
-from particle_paths.flux import ANALYTIC_TOL
+from particle_paths import FluxModel, builtin_flux, velocity_extrema
+
+ANALYTIC_TOL = 1e-10
 
 
 def grid_scan(model, lo, hi, n=20001):
     """Independent brute-force oracle: dense grid scan of a."""
-    us = np.linspace(lo, hi, n)
-    vals = np.asarray(model.eval_a(us))
-    return vals.min(), vals.max(), us[np.argmin(vals)], us[np.argmax(vals)]
+    vals = np.asarray(model.eval_a(np.linspace(lo, hi, n)))
+    return vals.min(), vals.max()
 
 
 def test_burgers_extrema_affine():
@@ -20,7 +18,6 @@ def test_burgers_extrema_affine():
     ref = grid_scan(m, 1.0, 3.0)
     assert res.min_value == pytest.approx(ref[0], abs=1e-12) == 0.5
     assert res.max_value == pytest.approx(ref[1], abs=1e-12) == 1.5
-    assert res.argmin == 1.0 and res.argmax == 3.0
 
 
 def test_lwr_extrema():
@@ -29,13 +26,12 @@ def test_lwr_extrema():
     ref = grid_scan(m, 0.2, 0.8)
     assert res.min_value == pytest.approx(ref[0], abs=1e-12) == pytest.approx(0.2)
     assert res.max_value == pytest.approx(ref[1], abs=1e-12) == pytest.approx(0.8)
-    assert res.argmin == 0.8 and res.argmax == 0.2
 
 
 def test_degenerate_interval():
     m = builtin_flux("burgers", u_high=3.0)
     res = velocity_extrema(m, 1.7, 1.7)
-    assert res == (m.eval_a(1.7), m.eval_a(1.7), 1.7, 1.7)
+    assert res == (m.eval_a(1.7), m.eval_a(1.7))
 
 
 def test_domain_violations():
@@ -80,31 +76,14 @@ def test_extrema_bracket_random_pairs():
             assert np.all(samples <= res.max_value + 1e-10)
 
 
-def test_numeric_fallback_matches_analytic():
-    rng = np.random.default_rng(1)
-    for name, top in (("burgers", 3.0), ("lwr", 1.0)):
-        m = builtin_flux(name, u_high=top)
-        numeric = dataclasses.replace(m, extremum_oracle=None)
-        for lo, hi in np.sort(rng.uniform(0.0, top, size=(50, 2)), axis=1):
-            exact = velocity_extrema(m, lo, hi)
-            scanned = velocity_extrema(numeric, lo, hi)
-            assert scanned.min_value == pytest.approx(exact.min_value, abs=1e-8)
-            assert scanned.max_value == pytest.approx(exact.max_value, abs=1e-8)
-
-
-def test_numeric_fallback_interior_minimum():
-    # a(u) = u^2/3 - u/2 + 1/2 has its minimum at u = 3/4, value 5/16
+def test_model_without_an_oracle_is_rejected_at_construction():
     def f(u):
-        u = np.asarray(u, dtype=float)
-        return u**3 / 3.0 - u**2 / 2.0 + u / 2.0
+        return 0.5 * np.asarray(u, dtype=float) ** 2
 
-    from particle_paths.flux import FluxModel
-
-    m = FluxModel("cubic", f, 0.5, 1.25, 1.5)
-    res = velocity_extrema(m, 0.0, 1.5)
-    assert res.min_value == pytest.approx(5.0 / 16.0, abs=1e-8)
-    assert res.argmin == pytest.approx(0.75, abs=1e-4)
-    assert res.max_value == pytest.approx(0.5, abs=1e-8)
+    with pytest.raises(ValueError, match="tabulated"):
+        FluxModel("plain", f, 0.0, 1.0, 1.0, extremum_oracle=None)
+    with pytest.raises(TypeError, match="extremum_oracle"):
+        FluxModel("plain", f, 0.0, 1.0, 1.0)
 
 
 def test_min_monotone_under_interval_inclusion():

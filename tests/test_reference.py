@@ -3,7 +3,7 @@ import pytest
 
 import particle_paths as pp
 from particle_paths import burgers_rarefaction_shock, godunov_reference, riemann_solution
-from particle_paths.flux import FluxModel
+from particle_paths.flux import FluxModel, MonotoneOracle
 
 from conftest import cubic_flux_model
 
@@ -119,7 +119,8 @@ def test_godunov_linear_flux_transport():
     # f(u) = u is pure transport at unit speed; the upwind solution smears
     # the box edges by O(sqrt(dx T)); measured at this mesh the L1 gap to
     # the shifted data stays below 0.05
-    m = FluxModel("linear", lambda u: np.asarray(u, dtype=float), 1.0, 1.0, 2.0)
+    oracle = MonotoneOracle(lambda u: np.ones_like(np.asarray(u, dtype=float)), increasing=True)
+    m = FluxModel("linear", lambda u: np.asarray(u, dtype=float), 1.0, 1.0, 2.0, extremum_oracle=oracle)
     data = pp.box_data(1.0, 0.0, 1.0)
     T = 0.5
     g = godunov_reference(m, data, 2000, T, window=(-1.0, 3.0))

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import particle_paths as pp
 
@@ -52,3 +53,29 @@ def test_l1_error_integrates_through_the_traced_name(rarefaction_shock_run):
     assert len(l1) == 1
     children = [rec[tracing.NAME] for rec in spans if rec[tracing.PARENT] == l1[0]]
     assert children == ["quadrature.integrate"]
+
+
+@pytest.mark.parametrize("kind", ["burgers", "tabulated"])
+def test_kernel_and_audit_extrema_run_through_the_traced_names(kind):
+    # the velocity layer is the kernel's span inside simulate; the flux
+    # extremum layer is the audit's leaf call to velocity_extrema
+    tracing = _tracing()
+    data = pp.box_data(1.0, 0.0, 1.0)
+    if kind == "burgers":
+        model = pp.builtin_flux("burgers", u_high=1.0)
+    else:
+        us = np.linspace(0.0, 1.0, 65)
+        model = pp.builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    state0 = pp.cell_average(data, pp.place_particles(data, 21, "uniform"))
+    with tracing.Tracer() as tracer:
+        traj = pp.simulate(model, state0, 0.1, dt_max=0.01, data=data)
+        calls = tracer.leaf_calls
+        pp.invariant_audit(traj)
+    spans = tracer.spans
+    names = [rec[tracing.NAME] for rec in spans]
+    sim = names.index("dynamics.simulate")
+    kernel = [rec for rec in spans if rec[tracing.NAME] == "velocity.particle_velocities" and rec[tracing.PARENT] == sim]
+    assert len(kernel) >= 10 and all(rec[tracing.WORK] > 0 for rec in kernel)
+    audit = names.index("analysis.audit")
+    assert tracer.leaf_calls > calls
+    assert spans[audit][tracing.LEAF_S] > 0.0
