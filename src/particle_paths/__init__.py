@@ -31,6 +31,7 @@ from .analysis import (
 )
 from .dynamics import (
     CollisionEvent,
+    RunStats,
     SimulationError,
     Trajectory,
     default_eps_coll,

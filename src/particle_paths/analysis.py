@@ -81,7 +81,7 @@ def l1_error_against(
     """
     listed = exact.breakpoints_at(T) if exact.breakpoints_at is not None else ()
     cuts = np.unique(np.clip(np.concatenate([window, recon.breakpoints, listed]), *window))
-    w, _, u_l, u_r = affine_pieces(lambda x: exact(x, T), cuts, name=f"reference at t = {T}")
+    w, _, u_l, u_r = affine_pieces(lambda x: exact(x, T), cuts, name=f"reference at t = {T}", kinks=listed)
     # by left end: a cut on a breakpoint of v takes the value to its right
     v = recon(cuts[:-1])
     return float(np.sum(integrate(u_l - v, u_r - v, w)))

@@ -3,7 +3,8 @@
 One JSON config file describes an experiment; flags only override
 top-level fields.  Modes:
 
-* ``simulate``    run once, write trajectory.csv / events.json / summary.txt
+* ``simulate``    run once, write trajectory.csv / events.json / stats.json /
+                  summary.txt
 * ``convergence`` run a particle-count family, write rate.csv / rate.json
 * ``audit``       re-check invariants on a previously written output dir
 * ``ftl-check``   report the deviation from the follow-the-leader rule
@@ -248,10 +249,18 @@ def _reference_for(cfg: ExperimentConfig, model: FluxModel):
     raise ConfigError("initial_data.kind", f"no closed-form reference for {kind!r}")
 
 
+def _place(cfg: ExperimentConfig, data: InitialData, n: int) -> np.ndarray:
+    """Initial positions; a strategy the data cannot support is a config error."""
+    try:
+        return place_particles(data, n, cfg.placement.get("strategy", "uniform"))
+    except ValueError as exc:
+        raise ConfigError("placement.strategy", str(exc)) from exc
+
+
 def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
     data = _build_data(cfg)
     model = _build_model(cfg, data)
-    pos = place_particles(data, int(cfg.placement["n"]), cfg.placement.get("strategy", "uniform"))
+    pos = _place(cfg, data, int(cfg.placement["n"]))
     state0 = cell_average(data, pos)
     traj = simulate(
         model,
@@ -268,6 +277,7 @@ def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     exports.write_trajectory_csv(traj, out / "trajectory.csv")
     exports.write_events_json(traj, out / "events.json")
+    (out / "stats.json").write_text(traj.stats.to_json())
     mass0 = traj.snapshots[0][1].total_mass
     massT = traj.final_state.total_mass + sum(ev.discarded_mass for ev in traj.events)
     lines = [
@@ -290,6 +300,8 @@ def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
     model = _build_model(cfg, data)
     exact = _reference_for(cfg, model)
     n_list = [int(n) for n in cfg.placement["n_list"]]
+    for n in n_list:  # a placement the data cannot support fails before any run
+        _place(cfg, data, n)
     fit, reports = convergence_study(
         model,
         data,

@@ -10,14 +10,18 @@ When a gap falls below the collision threshold, the left particles of the
 touching cluster are deleted together with their cells; only (numerically)
 massless cells ever get that close, so the discarded mass is audited
 against a tight budget.
+
+A run keeps its state between records as plain arrays; a validated
+``ParticleState`` is built only for a recorded snapshot, for the states
+around a collision sweep, and for the state a ``SimulationError`` carries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .velocity import interface_velocities
 
 __all__ = [
     "CollisionEvent",
+    "RunStats",
     "Trajectory",
     "SimulationError",
     "particle_velocities",
@@ -39,6 +44,11 @@ __all__ = [
 
 THETA_DEFAULT = 0.1
 MASS_TOL_FRACTION = 1e-8
+# headroom on the density cap: it keeps the cap positive when a cell
+# already sits at the maximum up to rounding (its closing rate is then noise)
+DENSITY_HEADROOM = 1e-13
+# what can set a step, in the order ties are broken
+LIMITERS = ("dt_max", "crossing", "density", "landing")
 
 
 class SimulationError(RuntimeError):
@@ -65,13 +75,36 @@ class CollisionEvent:
     pre_particle_count: int
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """How a run advanced: its steps, their sizes and what limited them.
+
+    ``limited_by`` counts the steps each of ``LIMITERS`` set: the
+    ``dt_max`` ceiling, the no-crossing cap, the density cap, or landing on
+    a snapshot time (a landed step counts as landing; other ties go to the
+    earlier name).  ``min_width`` is the smallest cell width any step
+    reached, collapsing cells included.
+    """
+
+    steps: int
+    dt_min: float
+    dt_median: float
+    limited_by: Dict[str, int]
+    collision_sweeps: int
+    min_width: float
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
 @dataclass
 class Trajectory:
     """Time-ordered snapshots plus collision events for one run.
 
     Snapshot times are nondecreasing; they repeat only at collision times,
     where the state immediately before and immediately after the sweep are
-    both recorded (in that order).
+    both recorded (in that order).  ``stats`` is set by ``simulate`` and
+    absent on a trajectory loaded from disk.
     """
 
     snapshots: List[Tuple[float, ParticleState]]
@@ -80,6 +113,7 @@ class Trajectory:
     data: Optional[InitialData] = None
     config: dict = field(default_factory=dict)
     fingerprint: str = ""
+    stats: Optional[RunStats] = None
 
     @property
     def times(self) -> np.ndarray:
@@ -102,33 +136,40 @@ class Trajectory:
         return best
 
 
+class _Cells(NamedTuple):
+    """The part of a state the velocity kernel reads, for the array loop."""
+
+    densities: np.ndarray
+    n_particles: int
+
+
 def particle_velocities(model: FluxModel, state: ParticleState) -> np.ndarray:
     """Velocity of every particle; sentinel density 0 beyond the ends.
 
-    Raises ValueError when a density is negative or above the model's
-    working interval.
+    Reads only ``state.densities``.  Raises ValueError when a density is
+    negative or above the model's working interval.
     """
     padded = np.concatenate(([0.0], state.densities, [0.0]))
     return interface_velocities(model, padded[:-1], padded[1:])
 
 
-def _timestep_cap(state: ParticleState, vel: np.ndarray, theta: float) -> float:
-    gaps = state.widths
+def _timestep_cap(
+    widths: np.ndarray, masses: np.ndarray, rho_star: float, vel: np.ndarray, theta: float
+) -> Tuple[float, float]:
+    """The no-crossing cap and the density cap on the next step (inf when free)."""
     closing = vel[:-1] - vel[1:]
-    cap = np.inf
     approaching = closing > 0.0
-    if approaching.any():
-        rate = closing[approaching]
-        # no pair may close more than a (1 - theta) fraction of its gap
-        cap = float(np.min((1.0 - theta) * gaps[approaching] / rate))
-        # nor may any cell be squeezed past the initial density maximum;
-        # the tiny headroom keeps the cap positive when a cell already sits
-        # at the maximum up to rounding (its closing rate is then noise)
-        rho_star = state.density0_max * (1.0 + 1e-13)
-        if rho_star > 0.0:
-            slack = np.maximum(gaps[approaching] - state.masses[approaching] / rho_star, 0.0)
-            cap = min(cap, float(np.min(slack / rate)))
-    return cap
+    if not approaching.any():
+        return np.inf, np.inf
+    rate = closing[approaching]
+    gaps = widths[approaching]
+    # no pair may close more than a (1 - theta) fraction of its gap
+    crossing = float(((1.0 - theta) * gaps / rate).min())
+    if rho_star <= 0.0:
+        return crossing, np.inf
+    # nor may any cell be squeezed past the initial density maximum
+    slack = np.maximum(gaps - masses[approaching] / rho_star, 0.0)
+    return crossing, float((slack / rate).min())
 
 
 def stable_timestep(
@@ -140,25 +181,42 @@ def stable_timestep(
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     vel = particle_velocities(model, state)
-    return min(dt_max, _timestep_cap(state, vel, theta))
+    rho_star = state.density0_max * (1.0 + DENSITY_HEADROOM)
+    return min(dt_max, *_timestep_cap(state.widths, state.masses, rho_star, vel, theta))
 
 
-def _advance(state: ParticleState, vel: np.ndarray, dt: float, t_new: float) -> ParticleState:
-    widths = state.widths + dt * (vel[1:] - vel[:-1])
-    pos = (state.positions[0] + dt * vel[0]) + np.concatenate(([0.0], np.cumsum(widths)))
+def _advance(x_left: float, widths, masses, vel, dt: float, last_state: Callable[[], ParticleState]):
+    """Forward Euler on the widths: new (positions, widths, densities).
+
+    Raises SimulationError, carrying ``last_state()``, when the rebuilt
+    positions are not strictly increasing or the result is not finite.
+    """
+    widths = widths + dt * (vel[1:] - vel[:-1])
+    pos = np.empty(widths.size + 1)
+    pos[0] = 0.0
+    np.cumsum(widths, out=pos[1:])
+    pos += x_left + dt * vel[0]
     # also catches a non-positive width: adding it cannot raise the sum
-    if np.any(np.diff(pos) <= 0.0):
+    if (pos[1:] <= pos[:-1]).any():
         raise SimulationError(
-            f"particle ordering violated after dt={dt:.3e}; step cap failed", state
+            f"particle ordering violated after dt={dt:.3e}; step cap failed", last_state()
         )
+    densities = masses / widths
+    if not (np.isfinite(pos).all() and np.isfinite(densities).all()):
+        raise SimulationError("non-finite state encountered", last_state())
+    return pos, widths, densities
+
+
+def _successor(state: ParticleState, pos, widths, densities, time: float) -> ParticleState:
+    """Validated state with new kinematics and the cell data of ``state``."""
     return ParticleState(
         positions=pos,
-        densities=state.masses / widths,
+        densities=densities,
         masses=state.masses,
         width0=state.width0,
         density0=state.density0,
         density0_max=state.density0_max,
-        time=t_new,
+        time=time,
         widths=widths,
     )
 
@@ -168,7 +226,8 @@ def step(model: FluxModel, state: ParticleState, dt: float) -> ParticleState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     vel = particle_velocities(model, state)
-    return _advance(state, vel, dt, state.time + dt)
+    advanced = _advance(state.positions[0], state.widths, state.masses, vel, dt, lambda: state)
+    return _successor(state, *advanced, state.time + dt)
 
 
 def default_eps_coll(state: ParticleState) -> float:
@@ -251,7 +310,7 @@ def simulate(
     Snapshots are taken on an equispaced schedule (``snapshot_count``
     times including 0 and T), or after every step when ``every_step`` is
     set; the states immediately before and after each collision sweep are
-    always recorded.
+    always recorded.  The trajectory's ``stats`` summarise the steps.
     """
     if T <= state0.time:
         raise ValueError("T must exceed the initial time")
@@ -271,52 +330,81 @@ def simulate(
         run_config.update(config)
 
     targets = np.linspace(state0.time, T, max(2, snapshot_count))
-    state = state0
     snaps: List[Tuple[float, ParticleState]] = [(state0.time, state0)]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
+    rho_star = state0.density0_max * (1.0 + DENSITY_HEADROOM)
+    stall_dt = 1e-16 * max(1.0, T)
+    landing = LIMITERS.index("landing")
+    # the loop state: `cells` holds the masses and initial data of the
+    # current cells (state0, or the state after the latest sweep); t, pos,
+    # widths and densities are the arrays every step rebuilds
+    cells = state0
+    t, pos, widths, densities, masses = (
+        state0.time, state0.positions, state0.widths, state0.densities, state0.masses,
+    )
+    dts: List[float] = []
+    limited = [0] * len(LIMITERS)
+    min_width = float(np.min(widths))
     k = 1
     stall = 0
-    while state.time < T:
+
+    def current() -> ParticleState:
+        return _successor(cells, pos, widths, densities, t)
+
+    while t < T:
         target = T if every_step else float(targets[k])
-        vel = particle_velocities(model, state)
-        if not np.all(np.isfinite(vel)):
-            raise SimulationError("non-finite particle velocity", state)
-        dt = min(dt_max, _timestep_cap(state, vel, theta))
-        remaining = target - state.time
+        vel = particle_velocities(model, _Cells(densities, pos.size))
+        if not np.isfinite(vel).all():
+            raise SimulationError("non-finite particle velocity", current())
+        caps = (dt_max, *_timestep_cap(widths, masses, rho_star, vel, theta))
+        dt = min(caps)
+        remaining = target - t
         landed = dt >= remaining * (1.0 - 1e-12)
         if landed:
             dt = remaining
             t_new = target
+            limited[landing] += 1
         else:
-            t_new = state.time + dt
-        if dt <= 1e-16 * max(1.0, T):
+            t_new = t + dt
+            limited[caps.index(dt)] += 1
+        dts.append(dt)
+        if dt <= stall_dt:
             stall += 1
             if stall > 2000:
-                raise SimulationError("timestep collapsed; system is stuck", state)
+                raise SimulationError("timestep collapsed; system is stuck", current())
         else:
             stall = 0
-        state = _advance(state, vel, dt, t_new)
-        if not (np.all(np.isfinite(state.positions)) and np.all(np.isfinite(state.densities))):
-            raise SimulationError("non-finite state encountered", state)
+        pos, widths, densities = _advance(pos[0], widths, masses, vel, dt, current)
+        t = t_new
 
         collided = False
-        if float(np.min(state.widths)) <= eps_coll:
-            snaps.append((state.time, state))
-            state, event = resolve_collisions(state, eps_coll)
+        w_min = float(widths.min())
+        min_width = min(min_width, w_min)
+        if w_min <= eps_coll:
+            pre = current()
+            snaps.append((t, pre))
+            post, event = resolve_collisions(pre, eps_coll)
             if event is not None:
                 events.append(event)
                 if len(events) > max_events:
-                    raise SimulationError("more collision events than particles", state)
-                snaps.append((state.time, state))
+                    raise SimulationError("more collision events than particles", post)
+                snaps.append((t, post))
                 collided = True
-        if every_step:
-            if not collided:
-                snaps.append((state.time, state))
-        elif landed:
-            if not (snaps and snaps[-1][0] == target and snaps[-1][1] is state):
-                snaps.append((target, state))
+                cells = post
+                pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
+        if not collided and (every_step or landed):
+            snaps.append((t, current()))
+        if landed:
             k += 1
+    stats = RunStats(
+        steps=len(dts),
+        dt_min=min(dts),
+        dt_median=float(np.median(dts)),
+        limited_by=dict(zip(LIMITERS, limited)),
+        collision_sweeps=len(events),
+        min_width=min_width,
+    )
     return Trajectory(
         snapshots=snaps,
         events=events,
@@ -324,4 +412,5 @@ def simulate(
         data=data,
         config=run_config,
         fingerprint=_fingerprint(run_config),
+        stats=stats,
     )

@@ -148,20 +148,26 @@ def integrate(g_l, g_r, w):
     return out if out.ndim else float(out)
 
 
-def affine_pieces(u, cuts, inside=True, name="u"):
+def affine_pieces(u, cuts, inside=True, name="u", kinks=()):
     """Width, midpoint value and end values of ``u`` on the pieces between ``cuts``.
 
     ``u`` takes arrays and must be affine on every piece; pieces where
     ``inside`` is False count as zero.  An affine piece has u(q1) + u(q3)
     = 2 u(mid) at its quarter points; if the width-weighted misfit summed
     over all pieces exceeds ``AFFINE_TOL``, ``ValueError`` names the first
-    piece holding at least its share of it.
+    piece holding at least its share of it.  A piece with no float inside
+    it is sampled at an end that is not in ``kinks`` (the cuts where u
+    may jump), so the value across a jump cannot leak into it.
     """
     a, b = cuts[:-1], cuts[1:]
     w = b - a
     mid = 0.5 * (a + b)
     q1 = 0.5 * (a + mid)
     q3 = 0.5 * (mid + b)
+    shut = ~((a < mid) & (mid < b))
+    if shut.any():
+        end = np.where(np.isin(a, kinks), b, a)
+        q1, mid, q3 = (np.where(shut, end, q) for q in (q1, mid, q3))
     u = np.asarray(u(np.concatenate([q1, mid, q3])), dtype=float).reshape(3, -1)
     u1, um, u3 = np.where(inside, u, 0.0)
     misfit = w * np.abs(u1 + u3 - 2.0 * um)
@@ -183,7 +189,8 @@ def _u0_pieces(data: InitialData, pos: np.ndarray):
     inside = (lo <= cuts[:-1]) & (cuts[1:] <= hi)
     # by left end: the midpoint of a one-ulp piece may round onto a particle
     cell = np.searchsorted(pos, cuts[:-1], side="right") - 1
-    return (cuts, cell) + affine_pieces(data.eval_u0, cuts, inside, "u0")
+    kinks = np.concatenate([data.breakpoints, (lo, hi)])
+    return (cuts, cell) + affine_pieces(data.eval_u0, cuts, inside, "u0", kinks)
 
 
 def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.ndarray:

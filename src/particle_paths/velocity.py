@@ -26,15 +26,21 @@ def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
     Raises ValueError on a negative state or one above the model's working
     interval.
     """
-    v_l, v_r = np.broadcast_arrays(np.asarray(v_l, dtype=float), np.asarray(v_r, dtype=float))
+    v_l = np.asarray(v_l, dtype=float)
+    v_r = np.asarray(v_r, dtype=float)
+    if v_l.shape != v_r.shape:
+        v_l, v_r = np.broadcast_arrays(v_l, v_r)
     lo = np.minimum(v_l, v_r)
     hi = np.maximum(v_l, v_r)
-    check_density_intervals(model, lo, hi)
+    # the check's own test without its call overhead; the check runs only to raise
+    if (lo < 0.0).any() or (hi > model.density_limit).any():
+        check_density_intervals(model, lo, hi)
     ext = model.extremum_oracle(lo, hi)
     vel = np.where(v_l <= v_r, ext.min_value, ext.max_value)
     # a(v) on degenerate intervals, exactly as the scalar rule evaluates it
     same = v_l == v_r
-    vel[same] = model.eval_a(v_l[same])
+    if same.any():
+        vel[same] = model.eval_a(v_l[same])
     return vel
 
 

@@ -50,6 +50,10 @@ def test_simulate_writes_outputs(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "mass drift: 0.000e+00" in summary
     assert "audit: PASS" in summary
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["steps"] == sum(stats["limited_by"].values()) >= 100
+    assert stats["collision_sweeps"] == len(json.loads((out / "events.json").read_text())["events"])
+    assert 0.0 < stats["dt_min"] <= stats["dt_median"] <= 0.001
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -241,6 +245,24 @@ def test_bad_step_parameter_is_exit_2(mode, key, value, path, tmp_path, capsys):
     config = base_config(tmp_path, mode=mode, placement=placement, **{key: value})
     assert run_cli([str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "mode, initial_data, placement",
+    [
+        ("simulate", {"kind": "box", "params": {"height": 0, "a": 0, "b": 1}}, {"n": 31}),
+        ("convergence", {"kind": "riemann", "params": {"u_l": 0, "u_r": 0}}, {"n_list": [9, 17, 33]}),
+    ],
+)
+def test_zero_mass_data_cannot_be_mass_equidistributed(mode, initial_data, placement, tmp_path, capsys):
+    placement = {"strategy": "mass_equidistributed", **placement}
+    config = base_config(tmp_path, mode=mode, initial_data=initial_data, placement=placement)
+    assert run_cli([str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at placement.strategy: ")
+    assert "positive total mass" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ reference the closed forms are compared against.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
@@ -55,11 +55,20 @@ def test_cell_average_matches_adaptive_quadrature(data, linear):
     np.testing.assert_allclose(state.masses, reference, rtol=0.0, atol=1e-10 * (1.0 + prof.sup_u0))
 
 
+@st.composite
+def step_profiles_with_positions(draw):
+    prof = draw(profiles(linear=False))
+    return prof, draw(positions(prof))
+
+
 @settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_cell_inside_one_constant_piece_gets_its_value(data):
-    prof = data.draw(profiles(linear=False))
-    pos = data.draw(positions(prof))
+@given(case=step_profiles_with_positions())
+# one-ulp cells whose midpoint rounds onto a jump: at an interior
+# breakpoint, and at the hint edge where u0 is 0 exactly
+@example(case=(pp.piecewise_constant_data([0.0, 1.0, 2.0], [1.0, 3.0]), np.array([0.0, np.nextafter(1.0, 0.0), 1.0, 2.0])))
+@example(case=(pp.piecewise_constant_data([0.0, 1.0], [1.0]), np.array([0.0, 5e-324])))
+def test_cell_inside_one_constant_piece_gets_its_value(case):
+    prof, pos = case
     dens = pp.cell_average(prof, pos).densities
     edges = np.concatenate([[-np.inf], prof.breakpoints, [np.inf]])
     vals = np.concatenate([[0.0], step_function(prof).values, [0.0]])
