@@ -38,8 +38,6 @@ from .dynamics import (
     particle_velocities,
     resolve_collisions,
     simulate,
-    stable_timestep,
-    step,
 )
 from .field import (
     PiecewiseConstantFn,

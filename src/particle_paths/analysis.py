@@ -348,10 +348,15 @@ def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10
     audited mass discarded at collisions), the density maximum principle
     with its time-dependent lower bound, the two-sided particle separation
     bounds, nonincreasing total variation, and velocity bounds.
+
+    The bounds are stated per cell in its width and density at creation:
+    those of snapshot 0, with each event's deleted cells dropped as the
+    audit passes it.  Raises ``ValueError`` when a snapshot's cell count
+    does not match the events passed before it.
     """
     model = traj.model
     state0 = traj.snapshots[0][1]
-    rho_star = state0.density0_max
+    rho_star = float(np.max(state0.densities, initial=0.0))
     ext = velocity_extrema(model, 0.0, rho_star)
     a_min, a_max = ext.min_value, ext.max_value
     spread = a_max - a_min
@@ -368,6 +373,7 @@ def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10
     worst_vel = np.inf
 
     discarded_so_far = 0.0
+    w0, rho0 = state0.widths, state0.densities
     event_iter = iter(traj.events)
     next_event = next(event_iter, None)
 
@@ -377,7 +383,12 @@ def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10
             next_event.time < t or (next_event.time == t and state.n_particles < next_event.pre_particle_count)
         ):
             discarded_so_far += next_event.discarded_mass
+            keep = np.ones(w0.size, dtype=bool)
+            keep[next_event.deleted_cells] = False
+            w0, rho0 = w0[keep], rho0[keep]
             next_event = next(event_iter, None)
+        if w0.size != state.n_cells:
+            raise ValueError(f"snapshot at t = {t} has {state.n_cells} cells, the event log leaves {w0.size}")
 
         widths = state.widths
         worst_mass_id = max(
@@ -386,12 +397,12 @@ def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10
         worst_drift = max(worst_drift, abs(state.total_mass + discarded_so_far - mass0) / scale_m)
         if state.densities.size:
             worst_max_principle = min(worst_max_principle, rho_star - float(np.max(state.densities)))
-            lower = state.width0 * state.density0 / (state.width0 + state.time * spread)
+            lower = w0 * rho0 / (w0 + state.time * spread)
             worst_lower_density = min(worst_lower_density, float(np.min(state.densities - lower)))
             if rho_star > 0:
-                sep_low = state.density0 / rho_star * state.width0
+                sep_low = rho0 / rho_star * w0
                 worst_sep_low = min(worst_sep_low, float(np.min(widths - sep_low)))
-            sep_high = state.width0 + state.time * spread
+            sep_high = w0 + state.time * spread
             worst_sep_high = min(worst_sep_high, float(np.min(sep_high - widths)))
         tv = reconstruct_density(state).total_variation()
         if tv_prev is not None:

@@ -325,10 +325,9 @@ def _mode_audit(cfg: ExperimentConfig, out: Path) -> int:
     model = _build_model(cfg, data)
     src = Path(cfg.input) if cfg.input else out
     try:
-        traj = exports.load_trajectory_dir(src, model)
+        audit = invariant_audit(exports.load_trajectory_dir(src, model))
     except ValueError as exc:
         raise ConfigError("input", str(exc)) from exc
-    audit = invariant_audit(traj)
     for name, check in sorted(audit.checks.items()):
         print(f"{'PASS' if check.ok else 'FAIL'} {name}: {check.detail}")
     return EXIT_OK if audit.passed else EXIT_INVARIANT

@@ -35,8 +35,6 @@ __all__ = [
     "Trajectory",
     "SimulationError",
     "particle_velocities",
-    "step",
-    "stable_timestep",
     "resolve_collisions",
     "simulate",
     "default_eps_coll",
@@ -172,19 +170,6 @@ def _timestep_cap(
     return crossing, float((slack / rate).min())
 
 
-def stable_timestep(
-    model: FluxModel, state: ParticleState, dt_max: float, theta: float = THETA_DEFAULT
-) -> float:
-    """Largest step <= dt_max that no adjacent pair can use to cross."""
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    vel = particle_velocities(model, state)
-    rho_star = state.density0_max * (1.0 + DENSITY_HEADROOM)
-    return min(dt_max, *_timestep_cap(state.widths, state.masses, rho_star, vel, theta))
-
-
 def _advance(x_left: float, widths, masses, vel, dt: float, last_state: Callable[[], ParticleState]):
     """Forward Euler on the widths: new (positions, widths, densities).
 
@@ -205,29 +190,6 @@ def _advance(x_left: float, widths, masses, vel, dt: float, last_state: Callable
     if not (np.isfinite(pos).all() and np.isfinite(densities).all()):
         raise SimulationError("non-finite state encountered", last_state())
     return pos, widths, densities
-
-
-def _successor(state: ParticleState, pos, widths, densities, time: float) -> ParticleState:
-    """Validated state with new kinematics and the cell data of ``state``."""
-    return ParticleState(
-        positions=pos,
-        densities=densities,
-        masses=state.masses,
-        width0=state.width0,
-        density0=state.density0,
-        density0_max=state.density0_max,
-        time=time,
-        widths=widths,
-    )
-
-
-def step(model: FluxModel, state: ParticleState, dt: float) -> ParticleState:
-    """One forward Euler step; the caller guarantees dt below the crossing cap."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    vel = particle_velocities(model, state)
-    advanced = _advance(state.positions[0], state.widths, state.masses, vel, dt, lambda: state)
-    return _successor(state, *advanced, state.time + dt)
 
 
 def default_eps_coll(state: ParticleState) -> float:
@@ -271,9 +233,6 @@ def resolve_collisions(
         positions=state.positions[keep_particles],
         densities=masses / widths,
         masses=masses,
-        width0=state.width0[keep_cells],
-        density0=state.density0[keep_cells],
-        density0_max=state.density0_max,
         time=state.time,
         widths=widths,
     )
@@ -333,13 +292,12 @@ def simulate(
     snaps: List[Tuple[float, ParticleState]] = [(state0.time, state0)]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
-    rho_star = state0.density0_max * (1.0 + DENSITY_HEADROOM)
+    # the density cap: no cell may be squeezed past the initial maximum
+    rho_star = float(np.max(state0.densities, initial=0.0)) * (1.0 + DENSITY_HEADROOM)
     stall_dt = 1e-16 * max(1.0, T)
     landing = LIMITERS.index("landing")
-    # the loop state: `cells` holds the masses and initial data of the
-    # current cells (state0, or the state after the latest sweep); t, pos,
-    # widths and densities are the arrays every step rebuilds
-    cells = state0
+    # the loop state: masses change only at a sweep; t, pos, widths and
+    # densities are the arrays every step rebuilds
     t, pos, widths, densities, masses = (
         state0.time, state0.positions, state0.widths, state0.densities, state0.masses,
     )
@@ -350,7 +308,7 @@ def simulate(
     stall = 0
 
     def current() -> ParticleState:
-        return _successor(cells, pos, widths, densities, t)
+        return ParticleState(positions=pos, densities=densities, masses=masses, time=t, widths=widths)
 
     while t < T:
         target = T if every_step else float(targets[k])
@@ -391,7 +349,6 @@ def simulate(
                     raise SimulationError("more collision events than particles", post)
                 snaps.append((t, post))
                 collided = True
-                cells = post
                 pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
         if not collided and (every_step or landed):
             snaps.append((t, current()))

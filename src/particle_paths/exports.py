@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -152,11 +151,9 @@ def _read_events(path: Path) -> tuple:
 def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     """Rebuild a trajectory from ``trajectory.csv`` and ``events.json``.
 
-    Initial per-cell widths and densities are taken from the first
-    snapshot and pulled through the recorded collision deletions, so the
-    invariant audit runs on the loaded object exactly as on a live one.
     Raises ``ValueError`` if either file is missing, unreadable or
-    malformed, or if the cell counts disagree with the event log.
+    malformed, or if a change in the cell count does not match the next
+    recorded event, so the invariant audit can replay the deletions.
     """
     directory = Path(directory)
     try:
@@ -170,40 +167,22 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     bounds = np.append(np.flatnonzero(cells == 0), cells.size).tolist()
 
     snapshots = []
-    width0: Optional[np.ndarray] = None
-    density0: Optional[np.ndarray] = None
-    rho_star = 0.0
+    n_cells = None
     pending = list(events)
     for lo, hi in zip(bounds, bounds[1:]):
         t = float(times[lo])
         pos = np.append(x_left[lo:hi], x_right[hi - 1])
         dens = dens_all[lo:hi]
-        if width0 is None:
-            width0 = np.diff(pos)
-            density0 = dens.copy()
-            rho_star = float(np.max(dens, initial=0.0))
-        elif width0.size != dens.size:
+        if n_cells is not None and n_cells != dens.size:
             deleted = pending.pop(0).deleted_cells if pending else None
             if (
                 deleted is None
-                or width0.size - deleted.size != dens.size
-                or np.any((deleted < 0) | (deleted >= width0.size))
+                or n_cells - deleted.size != dens.size
+                or np.any((deleted < 0) | (deleted >= n_cells))
             ):
                 raise ValueError("cell count change does not match the event log")
-            keep = np.ones(width0.size, dtype=bool)
-            keep[deleted] = False
-            width0 = width0[keep]
-            density0 = density0[keep]
-        state = ParticleState(
-            positions=pos,
-            densities=dens,
-            masses=dens * np.diff(pos),
-            width0=width0.copy(),
-            density0=density0.copy(),
-            density0_max=rho_star,
-            time=t,
-        )
-        snapshots.append((t, state))
+        n_cells = dens.size
+        snapshots.append((t, ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t)))
     return Trajectory(
         snapshots=snapshots,
         events=events,

@@ -276,8 +276,8 @@ def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxMod
         slopes = np.diff(fs) / np.diff(us)
         in_range = us[:-1] < top
         lip_f = float(np.max(np.abs(slopes[in_range]))) if in_range.any() else float(abs(slopes[0]))
-        h0 = 1e-7 * top
-        fprime0 = float(f_tab(h0)) / h0
+        # f is linear on the first piece, so f'(0) is its slope
+        fprime0 = float(slopes[0])
         return FluxModel(
             name="tabulated",
             eval_f=f_tab,

@@ -65,23 +65,17 @@ class InitialData:
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Particles and the cell data they carry between collisions.
+    """Particles and the cells between them at one time.
 
     ``masses`` are fixed at creation (mass between particles is conserved);
     ``densities`` are always mass over ``widths``, the cell widths a run
     evolves (by default the position differences, which they match to
-    rounding).  ``width0`` and ``density0`` are each surviving cell's width
-    and density at creation time, kept through collisions so the a-priori
-    bounds can be audited.  ``density0_max`` is the global initial density
-    maximum.
+    rounding).
     """
 
     positions: np.ndarray
     densities: np.ndarray
     masses: np.ndarray
-    width0: np.ndarray
-    density0: np.ndarray
-    density0_max: float
     time: float = 0.0
     widths: Optional[np.ndarray] = None
 
@@ -96,7 +90,7 @@ class ParticleState:
         n_cells = pos.size - 1
         if self.widths is None:
             object.__setattr__(self, "widths", np.diff(pos))
-        for name in ("densities", "masses", "width0", "density0", "widths"):
+        for name in ("densities", "masses", "widths"):
             arr = getattr(self, name)
             if np.asarray(arr).shape != (n_cells,):
                 raise ValueError(f"{name} must have length {n_cells}")
@@ -122,16 +116,7 @@ class ParticleState:
         """State with the given cell densities, masses fixed from them."""
         pos = np.asarray(positions, dtype=float).copy()
         dens = np.asarray(densities, dtype=float).copy()
-        widths = np.diff(pos)
-        return ParticleState(
-            positions=pos,
-            densities=dens,
-            masses=dens * widths,
-            width0=widths.copy(),
-            density0=dens.copy(),
-            density0_max=float(np.max(dens, initial=0.0)),
-            time=float(time),
-        )
+        return ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=float(time))
 
 
 def integrate(g_l, g_r, w):
@@ -161,16 +146,17 @@ def affine_pieces(u, cuts, inside=True, name="u", kinks=()):
     """
     a, b = cuts[:-1], cuts[1:]
     w = b - a
-    mid = 0.5 * (a + b)
-    q1 = 0.5 * (a + mid)
-    q3 = 0.5 * (mid + b)
+    # halved before adding: a + b may overflow where the mean does not
+    mid = 0.5 * a + 0.5 * b
+    q1 = 0.5 * a + 0.5 * mid
+    q3 = 0.5 * mid + 0.5 * b
     shut = ~((a < mid) & (mid < b))
     if shut.any():
         end = np.where(np.isin(a, kinks), b, a)
         q1, mid, q3 = (np.where(shut, end, q) for q in (q1, mid, q3))
     u = np.asarray(u(np.concatenate([q1, mid, q3])), dtype=float).reshape(3, -1)
     u1, um, u3 = np.where(inside, u, 0.0)
-    misfit = w * np.abs(u1 + u3 - 2.0 * um)
+    misfit = w * np.abs((u1 - um) + (u3 - um))
     if not np.sum(misfit) <= AFFINE_TOL:
         k = np.flatnonzero(~(misfit <= AFFINE_TOL / misfit.size))[0]
         raise ValueError(f"{name} is not affine on [{a[k]:.17g}, {b[k]:.17g}]: list its kinks and jumps as breakpoints")

@@ -25,7 +25,7 @@ from particle_paths.initial import ParticleState
 __all__ = ["simulate"]
 
 
-def _timestep_cap(state: ParticleState, vel: np.ndarray, theta: float) -> float:
+def _timestep_cap(state: ParticleState, rho_star: float, vel: np.ndarray, theta: float) -> float:
     gaps = state.widths
     closing = vel[:-1] - vel[1:]
     cap = np.inf
@@ -33,7 +33,6 @@ def _timestep_cap(state: ParticleState, vel: np.ndarray, theta: float) -> float:
     if approaching.any():
         rate = closing[approaching]
         cap = float(np.min((1.0 - theta) * gaps[approaching] / rate))
-        rho_star = state.density0_max * (1.0 + 1e-13)
         if rho_star > 0.0:
             slack = np.maximum(gaps[approaching] - state.masses[approaching] / rho_star, 0.0)
             cap = min(cap, float(np.min(slack / rate)))
@@ -51,9 +50,6 @@ def _advance(state: ParticleState, vel: np.ndarray, dt: float, t_new: float) -> 
         positions=pos,
         densities=state.masses / widths,
         masses=state.masses,
-        width0=state.width0,
-        density0=state.density0,
-        density0_max=state.density0_max,
         time=t_new,
         widths=widths,
     )
@@ -79,6 +75,7 @@ def simulate(
     snaps: List[Tuple[float, ParticleState]] = [(state0.time, state0)]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
+    rho_star = float(np.max(state0.densities, initial=0.0)) * (1.0 + 1e-13)
     k = 1
     stall = 0
     while state.time < T:
@@ -86,7 +83,7 @@ def simulate(
         vel = particle_velocities(model, state)
         if not np.all(np.isfinite(vel)):
             raise SimulationError("non-finite particle velocity", state)
-        dt = min(dt_max, _timestep_cap(state, vel, theta))
+        dt = min(dt_max, _timestep_cap(state, rho_star, vel, theta))
         remaining = target - state.time
         landed = dt >= remaining * (1.0 - 1e-12)
         if landed:

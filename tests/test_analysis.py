@@ -82,7 +82,7 @@ def test_invariant_audit_detects_corruption(burgers3, rarefaction_shock_run):
     # bump one density above the initial maximum: negative control
     t, state = rarefaction_shock_run.snapshots[30]
     bad_dens = state.densities.copy()
-    bad_dens[5] = state.density0_max * 1.5
+    bad_dens[5] = rarefaction_shock_run.snapshots[0][1].densities.max() * 1.5
     bad_state = dataclasses.replace(
         state, densities=bad_dens, masses=bad_dens * state.widths
     )

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from particle_paths.cli import ConfigError, dump_config, load_config, run_cli
@@ -270,3 +271,17 @@ def test_null_or_absent_eps_coll_takes_the_default(tmp_path):
     for integrator in ({"dt_max": 0.001, "eps_coll": None}, {"dt_max": 0.001}):
         config = base_config(tmp_path, integrator=integrator)
         assert run_cli([str(config)]) == 0
+
+
+def test_densities_near_the_largest_float_end_in_a_diagnostic(tmp_path, capsys):
+    # the affinity check on u0 used to overflow here and exit 1 with a traceback
+    path = base_config(
+        tmp_path,
+        flux={"kind": "lwr", "params": {}},
+        initial_data={"kind": "piecewise_constant", "params": {"breakpoints": [0.0, 1.0, 2.0], "values": [1.7976931348623157e308, 1e308]}},
+    )
+    with np.errstate(over="ignore"):
+        assert run_cli([str(path)]) == 4
+    diagnostic = json.loads((tmp_path / "out" / "diagnostic.json").read_text())
+    assert diagnostic["error"] == "non-finite particle velocity"
+    assert "runtime failure" in capsys.readouterr().err

@@ -14,6 +14,13 @@ def grid_max_a(model, lo, hi):
     return float(np.asarray(model.eval_a(np.linspace(lo, hi, 20001))).max())
 
 
+def one_step(model, st, dt, **kw):
+    """State after one simulate step of exactly dt (the run lands on T)."""
+    traj = pp.simulate(model, st, st.time + dt, dt_max=dt, snapshot_count=2, **kw)
+    assert traj.stats.steps == 1
+    return traj.final_state
+
+
 def test_constant_region_translates_rigidly(burgers3):
     # all interior interfaces of a constant region move at a(c); only the
     # cells touching the vacuum ends deform
@@ -22,7 +29,7 @@ def test_constant_region_translates_rigidly(burgers3):
     vel = pp.particle_velocities(burgers3, st)
     a_c = float(burgers3.eval_a(c))
     np.testing.assert_allclose(vel[1:-1], a_c)
-    st2 = pp.step(burgers3, st, 0.25)
+    st2 = one_step(burgers3, st, 0.25)
     np.testing.assert_allclose(st2.densities[1:-1], c)
     np.testing.assert_allclose(np.diff(st2.positions)[1:-1], 1.0)
 
@@ -37,7 +44,7 @@ def test_step_worked_example(burgers3):
         atol=1e-10,
     )
     np.testing.assert_allclose(vel, [0.0, 1.5, 0.5])
-    st2 = pp.step(burgers3, st, 0.1)
+    st2 = one_step(burgers3, st, 0.1)
     np.testing.assert_allclose(st2.positions, [0.0, 1.15, 2.05])
     np.testing.assert_allclose(st2.densities, [3.0 / 1.15, 1.0 / 0.9])
     # mass is untouched by stepping
@@ -46,13 +53,12 @@ def test_step_worked_example(burgers3):
 
 
 def test_step_matches_fine_reference(burgers3):
-    # one coarse step against many fine steps of the same frozen-velocity map
+    # one coarse step against a hundred fine steps over the same time
     st = ParticleState.from_cells([0.0, 1.0, 2.0], [3.0, 1.0])
-    coarse = pp.step(burgers3, st, 0.01)
-    fine = st
-    for _ in range(100):
-        fine = pp.step(burgers3, fine, 0.0001)
-    np.testing.assert_allclose(coarse.positions, fine.positions, atol=5e-4)
+    coarse = one_step(burgers3, st, 0.01)
+    fine = pp.simulate(burgers3, st, 0.01, dt_max=0.0001, snapshot_count=2)
+    assert fine.stats.steps >= 100
+    np.testing.assert_allclose(coarse.positions, fine.final_state.positions, atol=5e-4)
 
 
 def test_zero_density_cell_keeps_interface_still(burgers3):
@@ -60,38 +66,38 @@ def test_zero_density_cell_keeps_interface_still(burgers3):
     vel = pp.particle_velocities(burgers3, st)
     # left neighbor of x^2 is vacuum: velocity min a over [0, 2] = a(0) = 0
     assert vel[1] == 0.0
-    st2 = pp.step(burgers3, st, 0.1)
+    st2 = one_step(burgers3, st, 0.1)
     assert st2.positions[1] == 1.0
     assert st2.densities[0] == 0.0
 
 
 def test_stable_timestep_rigid(burgers3):
+    # nothing approaches: the first step is the full dt_max, the second lands
     st = ParticleState.from_cells([0.0, 1.0, 2.0], [1.0, 1.0])
-    assert pp.stable_timestep(burgers3, st, 0.7) == 0.7
+    traj = pp.simulate(burgers3, st, 1.0, dt_max=0.7, every_step=True)
+    assert traj.times[1] == 0.7
+    assert traj.stats.limited_by == {"dt_max": 1, "crossing": 0, "density": 0, "landing": 1}
 
 
 def test_stable_timestep_crossing_formula(burgers3):
-    # pair with gap 0.1 closing at relative speed 1, theta = 0.5 -> dt = 0.05
+    # pair with gap 0.1 closing at relative speed 1, theta = 0.5 -> dt = 0.05,
+    # below the density cap 0.1 - 0.1 / 3
     st = ParticleState.from_cells([-5.0, 0.0, 0.1], [3.0, 1.0])
     vel = pp.particle_velocities(burgers3, st)
     assert vel[1] - vel[2] == pytest.approx(1.0)
-    assert pp.stable_timestep(burgers3, st, 10.0, theta=0.5) == pytest.approx(0.05)
+    traj = pp.simulate(burgers3, st, 0.06, dt_max=10.0, theta=0.5, every_step=True)
+    assert traj.times[1] == pytest.approx(0.05)
+    assert traj.stats.limited_by["crossing"] >= 1 and traj.stats.limited_by["dt_max"] == 0
 
 
 def test_stable_timestep_never_allows_crossing(burgers3):
     st = ParticleState.from_cells([0.0, 1.0, 2.0], [3.0, 1.0])
-    dt = pp.stable_timestep(burgers3, st, 10.0, theta=0.1)
+    traj = pp.simulate(burgers3, st, 1.0, dt_max=10.0, theta=0.1, every_step=True)  # must not raise
+    dt = traj.times[1]
     vel = pp.particle_velocities(burgers3, st)
     closing = vel[:-1] - vel[1:]
     assert np.all(dt * closing <= (1 - 0.1) * st.widths + 1e-15)
-    stepped = pp.step(burgers3, st, dt)  # must not raise
-    assert np.all(np.diff(stepped.positions) > 0)
-
-
-def test_step_rejects_crossing_dt(burgers3):
-    st = ParticleState.from_cells([0.0, 1.0, 1.2], [3.0, 1.0])
-    with pytest.raises(SimulationError):
-        pp.step(burgers3, st, 5.0)
+    assert all(np.all(np.diff(s.positions) > 0) for _, s in traj.snapshots)
 
 
 def test_resolve_no_cluster():

@@ -4,20 +4,23 @@ The references below are the csv-module row loops the exporters used
 before they worked one snapshot at a time; the per-snapshot code must
 give the same bytes and the same arrays.  Malformed inputs must raise
 ``ValueError`` and make audit mode exit 2, as must malformed config
-values.
+values.  The invariant audit takes each cell's creation data from the
+first snapshot and the event log, so it must judge a loaded run as it
+judges the live one.
 """
 
 import csv
+import dataclasses
 import json
 import shutil
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from particle_paths import exports
+from particle_paths import cli, exports, invariant_audit, simulate, velocity_extrema
 from particle_paths.cli import run_cli
 from particle_paths.dynamics import CollisionEvent, Trajectory
 from particle_paths.initial import ParticleState
@@ -62,33 +65,11 @@ def reference_load_trajectory_dir(directory, model):
             groups.append([])
         groups[-1].append(row)
     snapshots = []
-    width0: Optional[np.ndarray] = None
-    density0: Optional[np.ndarray] = None
-    rho_star = 0.0
-    pending = list(events)
     for g in groups:
         t = g[0][0]
         pos = np.array([r[2] for r in g] + [g[-1][3]])
         dens = np.array([r[4] for r in g])
-        if width0 is None:
-            width0 = np.diff(pos)
-            density0 = dens.copy()
-            rho_star = float(np.max(dens, initial=0.0))
-        elif width0.size != dens.size:
-            keep = np.ones(width0.size, dtype=bool)
-            keep[pending.pop(0).deleted_cells] = False
-            width0 = width0[keep]
-            density0 = density0[keep]
-        state = ParticleState(
-            positions=pos,
-            densities=dens,
-            masses=dens * np.diff(pos),
-            width0=width0.copy(),
-            density0=density0.copy(),
-            density0_max=rho_star,
-            time=t,
-        )
-        snapshots.append((t, state))
+        snapshots.append((t, ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t)))
     return Trajectory(
         snapshots=snapshots,
         events=events,
@@ -98,7 +79,7 @@ def reference_load_trajectory_dir(directory, model):
     )
 
 
-STATE_FIELDS = ("positions", "densities", "masses", "width0", "density0", "density0_max", "time", "widths")
+STATE_FIELDS = ("positions", "densities", "masses", "time", "widths")
 EVENT_FIELDS = ("time", "deleted_particles", "deleted_cells", "survivor_map", "discarded_mass", "pre_particle_count")
 
 
@@ -129,9 +110,8 @@ def trajectories(draw):
     n_cells = draw(st.integers(1, 7))
     times = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6)))
     snapshots, events = [], []
-    width0 = density0 = None
     for t in times:
-        if width0 is not None and n_cells > 1 and draw(st.booleans()):
+        if snapshots and n_cells > 1 and draw(st.booleans()):
             deleted = np.asarray(sorted(draw(st.sets(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells - 1))))
             survivors = np.ones(n_cells + 1, dtype=bool)
             survivors[deleted + 1] = False
@@ -145,24 +125,10 @@ def trajectories(draw):
                     pre_particle_count=n_cells + 1,
                 )
             )
-            keep = np.ones(n_cells, dtype=bool)
-            keep[deleted] = False
-            width0, density0 = width0[keep], density0[keep]
             n_cells -= deleted.size
         pos = np.sort(draw(st.lists(coord, min_size=n_cells + 1, max_size=n_cells + 1, unique=True)))
         dens = np.asarray(draw(st.lists(density, min_size=n_cells, max_size=n_cells)))
-        if width0 is None:
-            width0, density0 = np.diff(pos), dens.copy()
-        state = ParticleState(
-            positions=pos,
-            densities=dens,
-            masses=dens * np.diff(pos),
-            width0=width0.copy(),
-            density0=density0.copy(),
-            density0_max=float(np.max(snapshots[0][1].densities if snapshots else dens)),
-            time=t,
-        )
-        snapshots.append((t, state))
+        snapshots.append((t, ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t)))
     return Trajectory(snapshots=snapshots, events=events, model=None, config={"seed": 3}, fingerprint="fp")
 
 
@@ -291,3 +257,94 @@ def test_malformed_config_types_exit_2(setting, path, tmp_path, capsys):
     assert run_cli([str(config), "--out", str(tmp_path / "out"), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+def live_run(config, tmp_path, monkeypatch):
+    """Run simulate mode on ``config``; the trajectory it wrote and its directory."""
+    runs = []
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kw: runs.append(simulate(*args, **kw)) or runs[-1])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run_cli([str(path), "--out", str(tmp_path / "out")])
+    assert len(runs) == 1 and runs[0].events
+    return runs[0], tmp_path / "out"
+
+
+def with_snapshot(traj, j, densities):
+    """``traj`` with snapshot j given new densities (masses to match)."""
+    snaps = list(traj.snapshots)
+    t, s = snaps[j]
+    snaps[j] = (t, ParticleState(s.positions, densities, densities * s.widths, t, s.widths))
+    return dataclasses.replace(traj, snapshots=snaps)
+
+
+@pytest.mark.parametrize("config", [VACUUM, LWR], ids=["vacuum", "lwr"])
+def test_audit_of_loaded_run_matches_live_run(config, tmp_path, monkeypatch):
+    live, out = live_run(config, tmp_path, monkeypatch)
+    loaded = exports.load_trajectory_dir(out, live.model)
+    # the files keep positions and densities; the loader rebuilds widths
+    # and masses from them
+    as_written = dataclasses.replace(
+        live,
+        snapshots=[(t, ParticleState(s.positions, s.densities, s.densities * np.diff(s.positions), t)) for t, s in live.snapshots],
+    )
+    assert invariant_audit(loaded).to_json() == invariant_audit(as_written).to_json()
+    # checks that read only densities and creation data agree with the live run
+    got, want = invariant_audit(loaded).checks, invariant_audit(live).checks
+    for name in ("max_principle", "density_lower_bound", "tv_diminishing", "velocity_bounds"):
+        assert got[name] == want[name], name
+
+
+def test_audit_follows_each_cell_to_its_creation(tmp_path, monkeypatch):
+    # an independent route to each cell's creation data: its index in
+    # snapshot 0, carried through the events' survivor maps
+    live, _ = live_run(VACUUM, tmp_path, monkeypatch)
+    state0 = live.snapshots[0][1]
+    ext = velocity_extrema(live.model, 0.0, state0.densities.max())
+    spread = ext.max_value - ext.min_value
+    ids, events, margin = np.arange(state0.n_cells), iter(live.events), np.inf
+    for t, s in live.snapshots:
+        if ids.size != s.n_cells:
+            ids = ids[next(events).survivor_map[:-1] >= 0]
+        np.testing.assert_array_equal(s.masses, state0.masses[ids])  # fixed at creation
+        w0, d0 = state0.widths[ids], state0.densities[ids]
+        margin = min(margin, float(np.min(s.densities - w0 * d0 / (w0 + t * spread))))
+    assert next(events, None) is None
+    assert invariant_audit(live).checks["density_lower_bound"].margin == margin
+
+
+def test_audit_catches_corruption_after_a_collision(tmp_path, monkeypatch):
+    live, _ = live_run(VACUUM, tmp_path, monkeypatch)
+    report = invariant_audit(live)
+    assert report.checks["max_principle"].ok and report.checks["density_lower_bound"].ok
+    first = live.events[0]
+    # the first snapshot after the post-collision one
+    j = next(j for j, (_, s) in enumerate(live.snapshots) if s.n_particles < first.pre_particle_count) + 1
+    densities = live.snapshots[j][1].densities
+    rho_star = live.snapshots[0][1].densities.max()
+    above = densities.copy()
+    above[np.argmax(densities)] = 1.5 * rho_star
+    assert "max_principle" in invariant_audit(with_snapshot(live, j, above)).failures()
+    # a surviving cell that started with mass cannot fall to zero density
+    emptied = densities.copy()
+    emptied[np.argmax(densities)] = 0.0
+    assert "density_lower_bound" in invariant_audit(with_snapshot(live, j, emptied)).failures()
+
+
+def _delay_first_event(text):
+    payload = json.loads(text)
+    payload["events"][0]["time"] = 1e9
+    return json.dumps(payload)
+
+
+def test_event_log_out_of_step_with_snapshots_exits_2(vacuum_run, lwr1, capsys):
+    # the cell counts still match the event sizes, but the first event now
+    # falls after every snapshot, so no snapshot can drop its cells
+    config, out = vacuum_run
+    _edit_events(_delay_first_event)(out)
+    loaded = exports.load_trajectory_dir(out, lwr1)
+    with pytest.raises(ValueError, match="event log"):
+        invariant_audit(loaded)
+    capsys.readouterr()
+    assert run_cli([str(config), "--mode", "audit", "--set", f"input={out}"]) == 2
+    assert capsys.readouterr().err.startswith("config error at input: ")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from particle_paths import FluxModel, builtin_flux, velocity_extrema
+from particle_paths import FluxModel, builtin_flux, interface_velocities, velocity_extrema
 
 ANALYTIC_TOL = 1e-10
 
@@ -127,3 +127,11 @@ def test_a_at_zero_matches_limit():
         m = builtin_flux(name, u_high=top)
         u = 1e-9
         assert float(m.eval_a(0.0)) == pytest.approx(float(m.eval_f(u)) / u, abs=1e-6)
+
+
+def test_tabulated_velocity_at_zero_is_the_first_slope():
+    # the first piece is thinner than a finite-difference step would be: a = 1
+    # exactly on (0, 1e-9], so a(0) = 1 and not a slope mixed across pieces
+    tab = builtin_flux("tabulated", us=[0.0, 1e-9, 1.0], fs=[0.0, 1e-9, 0.5])
+    assert tab.fprime0 == 1.0
+    assert interface_velocities(tab, np.array([0.0]), np.array([1e-9]))[0] == 1.0

@@ -140,3 +140,22 @@ def test_riemann_vs_godunov_random_pairs():
             g = godunov_reference(m, data, 2000, 0.5, window=(-3.0, 3.0))
             err = pp.l1_error_against(g, sol, 0.5, (-1.5, 1.5))
             assert err <= 0.05, (name, u_l, u_r, err)
+
+
+def test_godunov_rejects_a_flux_it_would_have_to_scan():
+    # non-convex and not monotone on [0, 1], with a closed form but no table:
+    # Godunov has no exact interface flux for it until it is sampled
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return u * ((u - 0.5) ** 2 - 0.1)
+
+    closed = FluxModel("cubic", f, 0.15, 1.0, 1.0, extremum_oracle=MonotoneOracle(f, increasing=True))
+    data = pp.box_data(0.9, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"builtin_flux\('tabulated'\)"):
+        godunov_reference(closed, data, 200, 0.1)
+    us = np.linspace(0.0, 1.0, 65)
+    sampled = pp.builtin_flux("tabulated", us=us, fs=f(us), u_high=0.9 * (1 + 1e-12))
+    window = (-1.0, 2.0)
+    g0 = godunov_reference(sampled, data, 600, 1e-9, window=window)
+    gT = godunov_reference(sampled, data, 600, 0.5, window=window)
+    assert gT.integral() == pytest.approx(g0.integral(), abs=1e-12 * g0.integral())
