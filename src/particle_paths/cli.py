@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import exports
-from .analysis import convergence_study, invariant_audit
+from .analysis import StudyError, convergence_study, invariant_audit
 from .dynamics import SimulationError, simulate
 from .flux import FluxModel, builtin_flux
 from .initial import (
@@ -409,6 +409,9 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
+    except StudyError as exc:  # a convergence run failed its audit
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except SimulationError as exc:
         out.mkdir(parents=True, exist_ok=True)
         diag = {"error": str(exc)}

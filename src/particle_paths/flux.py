@@ -198,12 +198,23 @@ def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxMod
       * ``burgers``: f(u) = u^2 / 2.
       * ``lwr``: f(u) = v_max * u * (1 - u/u_max); params v_max, u_max.
       * ``tabulated``: linear interpolation of samples; params ``us``, ``fs``
-        with strictly increasing us starting at 0 and fs[0] = 0.  Extrema
-        are exact: the velocity field is monotone on every linear piece.
+        with strictly increasing us starting at 0, finite fs and fs[0] = 0.
+        Extrema are exact: the velocity field is monotone on every linear
+        piece.
 
     ``u_high`` sets the working density interval [0, u_high]; Lipschitz
-    constants are taken on it.
+    constants are taken on it.  A flux that overflows there (``lip_f`` or
+    f(u_high) not finite) raises ``ValueError``.
     """
+    model = _registered_flux(name, u_high, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_top = float(model.eval_f(model.u_high))
+    if not (np.isfinite(model.lip_f) and np.isfinite(f_top)):
+        raise ValueError(f"{name} flux overflows on [0, {model.u_high}]: lip_f = {model.lip_f}, f(u_high) = {f_top}")
+    return model
+
+
+def _registered_flux(name: str, u_high: Optional[float], params: dict) -> FluxModel:
     if name == "burgers":
         if params:
             raise ValueError(f"burgers flux takes no params, got {sorted(params)}")
@@ -266,6 +277,8 @@ def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxMod
             raise ValueError("tabulated u samples must be strictly increasing")
         if fs[0] != 0.0:
             raise ValueError(f"tabulated flux has f(0) = {fs[0]}, expected 0")
+        if not np.all(np.isfinite(fs)):
+            raise ValueError("tabulated flux values fs must be finite")
         top = float(us[-1]) if u_high is None else float(u_high)
         if top > us[-1]:
             raise ValueError("u_high exceeds the tabulated sample range")
@@ -273,9 +286,12 @@ def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxMod
         def f_tab(u):
             return np.interp(np.asarray(u, dtype=float), us, fs)
 
-        slopes = np.diff(fs) / np.diff(us)
+        with np.errstate(over="ignore"):
+            slopes = np.diff(fs) / np.diff(us)
         in_range = us[:-1] < top
         lip_f = float(np.max(np.abs(slopes[in_range]))) if in_range.any() else float(abs(slopes[0]))
+        if not np.isfinite(lip_f):  # before the oracle divides f by u
+            raise ValueError(f"tabulated flux slope overflows: lip_f = {lip_f}")
         # f is linear on the first piece, so f'(0) is its slope
         fprime0 = float(slopes[0])
         return FluxModel(

@@ -59,8 +59,8 @@ class InitialData:
         lo, hi = self.support_hint
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValueError(f"support hint must be a finite interval, got {self.support_hint}")
-        if self.tv_u0 < 0 or self.sup_u0 < 0:
-            raise ValueError("variation and supremum must be nonnegative")
+        if not (0.0 <= self.tv_u0 < np.inf and 0.0 <= self.sup_u0 < np.inf):
+            raise ValueError(f"variation {self.tv_u0} and supremum {self.sup_u0} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,39 @@ def initial_approximation_gap(data: InitialData, state: ParticleState):
 # builtin profiles
 
 
+def _variation(values) -> float:
+    """Total variation of ``values`` with zero on both sides; inf, without a
+    numpy warning, where the sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(np.diff(np.concatenate([[0.0], values, [0.0]])))))
+
+
+def _steps(bp, vals, description: str, measure_window=None) -> InitialData:
+    """Step profile: ``vals[k]`` on (bp[k], bp[k+1]), zero outside (bp[0], bp[-1]).
+
+    A jump point takes the value to its right, the hint edges take zero.
+    """
+    bp = np.asarray(bp, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+
+    def u0(x):
+        x = np.asarray(x, dtype=float)
+        idx = np.searchsorted(bp, x, side="right") - 1
+        inside = (idx >= 0) & (idx < vals.size) & (x < bp[-1]) & (x > bp[0])
+        out = np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
+        return out if out.ndim else float(out)
+
+    return InitialData(
+        eval_u0=u0,
+        support_hint=(float(bp[0]), float(bp[-1])),
+        tv_u0=_variation(vals),
+        sup_u0=float(np.max(vals, initial=0.0)),
+        breakpoints=tuple(float(p) for p in bp),
+        measure_window=tuple(measure_window) if measure_window else None,
+        description=description,
+    )
+
+
 def riemann_data(u_l, u_r, x0=0.0, window=(-1.0, 1.0), measure_window=None) -> InitialData:
     """Two-state step profile, truncated to ``window``."""
     u_l = float(u_l)
@@ -261,21 +294,7 @@ def riemann_data(u_l, u_r, x0=0.0, window=(-1.0, 1.0), measure_window=None) -> I
     lo, hi = float(window[0]), float(window[1])
     if not lo < x0 < hi:
         raise ValueError(f"jump point {x0} must lie inside the window {window}")
-
-    def u0(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < x0, u_l, u_r)
-        return out if out.ndim else float(out)
-
-    return InitialData(
-        eval_u0=u0,
-        support_hint=(lo, hi),
-        tv_u0=u_l + abs(u_r - u_l) + u_r,
-        sup_u0=max(u_l, u_r),
-        breakpoints=(x0,),
-        measure_window=tuple(measure_window) if measure_window else None,
-        description=f"step {u_l} -> {u_r} at x = {x0}",
-    )
+    return _steps((lo, x0, hi), (u_l, u_r), f"step {u_l} -> {u_r} at x = {x0}", measure_window)
 
 
 def rarefaction_shock_data(margin: float = 1.0) -> InitialData:
@@ -289,22 +308,8 @@ def rarefaction_shock_data(margin: float = 1.0) -> InitialData:
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
-    lo, hi = -1.0 - margin, 2.0 + margin
-
-    def u0(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x > 0.0) & (x < 1.0), 3.0, 1.0)
-        return out if out.ndim else float(out)
-
-    return InitialData(
-        eval_u0=u0,
-        support_hint=(lo, hi),
-        tv_u0=6.0,  # truncated-to-zero profile: 1 + 2 + 2 + 1
-        sup_u0=3.0,
-        breakpoints=(0.0, 1.0),
-        measure_window=(-1.0, 2.0),
-        description="3 on (0,1) over background 1",
-    )
+    bp = (-1.0 - margin, 0.0, 1.0, 2.0 + margin)
+    return _steps(bp, (1.0, 3.0, 1.0), "3 on (0,1) over background 1", (-1.0, 2.0))
 
 
 def box_data(height, a, b) -> InitialData:
@@ -313,20 +318,7 @@ def box_data(height, a, b) -> InitialData:
     b = float(b)
     if height < 0 or b <= a:
         raise ValueError("box needs nonnegative height and a < b")
-
-    def u0(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x > a) & (x < b), height, 0.0)
-        return out if out.ndim else float(out)
-
-    return InitialData(
-        eval_u0=u0,
-        support_hint=(a, b),
-        tv_u0=2.0 * height,
-        sup_u0=height,
-        breakpoints=(a, b),
-        description=f"box height {height} on ({a}, {b})",
-    )
+    return _steps((a, b), (height,), f"box height {height} on ({a}, {b})")
 
 
 def piecewise_constant_data(breakpoints, values, measure_window=None) -> InitialData:
@@ -339,24 +331,7 @@ def piecewise_constant_data(breakpoints, values, measure_window=None) -> Initial
         raise ValueError("breakpoints must be strictly increasing")
     if np.any(vals < 0):
         raise ValueError("values must be nonnegative")
-
-    def u0(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(bp, x, side="right") - 1
-        inside = (idx >= 0) & (idx < vals.size) & (x < bp[-1]) & (x > bp[0])
-        out = np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
-        return out if out.ndim else float(out)
-
-    padded = np.concatenate([[0.0], vals, [0.0]])
-    return InitialData(
-        eval_u0=u0,
-        support_hint=(float(bp[0]), float(bp[-1])),
-        tv_u0=float(np.sum(np.abs(np.diff(padded)))),
-        sup_u0=float(np.max(vals, initial=0.0)),
-        breakpoints=tuple(float(p) for p in bp),
-        measure_window=tuple(measure_window) if measure_window else None,
-        description="piecewise constant profile",
-    )
+    return _steps(bp, vals, "piecewise constant profile", measure_window)
 
 
 def sampled_data(xs, us, measure_window=None) -> InitialData:
@@ -375,11 +350,10 @@ def sampled_data(xs, us, measure_window=None) -> InitialData:
         out = np.interp(x, xs, us, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
-    padded = np.concatenate([[0.0], us, [0.0]])
     return InitialData(
         eval_u0=u0,
         support_hint=(float(xs[0]), float(xs[-1])),
-        tv_u0=float(np.sum(np.abs(np.diff(padded)))),
+        tv_u0=_variation(us),
         sup_u0=float(np.max(us)),
         breakpoints=tuple(float(p) for p in xs),
         measure_window=tuple(measure_window) if measure_window else None,

@@ -1,8 +1,8 @@
 """Reference solutions: closed-form entropy solutions and a finite volume oracle.
 
-The Riemann solver covers convex or concave fluxes (shock via the
-Rankine-Hugoniot speed when characteristics converge, rarefaction through
-the inverse of f' otherwise).  The Godunov finite volume scheme is an
+The Riemann solver is exact: envelope fronts for a tabulated flux, and a
+shock or a fan linear in x/t for a quadratic flux such as burgers or
+lwr.  The Godunov finite volume scheme is an
 independent first-order baseline used to cross-check runs where no closed
 form exists; its interface flux is the min of f over [u_l, u_r] for
 u_l <= u_r and the max over [u_r, u_l] otherwise, evaluated with the
@@ -82,94 +82,98 @@ def burgers_rarefaction_shock() -> ExactSolution:
     )
 
 
-def _second_difference_scan(model: FluxModel, lo: float, hi: float, n: int = 1000):
-    us = np.linspace(lo, hi, n)
-    fs = np.asarray(model.eval_f(us), dtype=float)
-    d2 = np.diff(fs, 2)
-    scale = max(1.0, float(np.max(np.abs(fs))))
-    tol = 1e-10 * scale
-    convex = bool(np.all(d2 >= -tol))
-    concave = bool(np.all(d2 <= tol))
-    return convex, concave
+def _fronts(x0: float, speeds, states, description: str) -> ExactSolution:
+    """Self-similar solution: ``states[k]`` between fronts k - 1 and k, the
+    fronts at ``x0 + speeds * t`` for nondecreasing ``speeds``.  A point on
+    a front takes the state to its right."""
+    speeds = np.asarray(speeds, dtype=float)
+    states = np.asarray(states, dtype=float)
+
+    def eval_u(x, t):
+        out = states[np.searchsorted(x0 + speeds * t, np.asarray(x, dtype=float), side="right")]
+        return out if out.ndim else float(out)
+
+    return ExactSolution(eval_u, description, (0.0, np.inf), lambda t: tuple(x0 + speeds * t))
 
 
-def _fprime(model: FluxModel, u: float, h: float) -> float:
-    u = max(u, 0.0)
-    lo = max(u - h, 0.0)
-    hi = u + h
-    return (float(model.eval_f(hi)) - float(model.eval_f(lo))) / (hi - lo)
+def _envelope(model: FluxModel, u_l: float, u_r: float):
+    """States and front speeds, from u_l to u_r, of the envelope of a polygonal f.
+
+    The lower convex envelope for u_l < u_r and the upper concave one
+    otherwise, over the two states and the table nodes between them: a
+    monotone chain (Andrew 1979) that keeps its edge slopes strictly
+    increasing, so the speeds come out strictly increasing.
+    """
+    lo, hi = min(u_l, u_r), max(u_l, u_r)
+    us = model.extremum_oracle.us
+    if hi > us[-1]:
+        raise ValueError(f"state {hi} lies beyond the flux table, which ends at u = {us[-1]}")
+    pts = np.concatenate([[lo], us[(us > lo) & (us < hi)], [hi]])
+    sign = 1.0 if u_l < u_r else -1.0
+    g = sign * np.asarray(model.eval_f(pts), dtype=float)
+    hull, slopes = [0], []
+    for j in range(1, pts.size):
+        while True:
+            s = (g[j] - g[hull[-1]]) / (pts[j] - pts[hull[-1]])
+            if not slopes or s > slopes[-1]:
+                break
+            hull.pop()
+            slopes.pop()
+        hull.append(j)
+        slopes.append(s)
+    states, speeds = pts[hull], sign * np.array(slopes)
+    return (states, speeds) if sign > 0 else (states[::-1], speeds[::-1])
 
 
 def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) -> ExactSolution:
-    """Entropy solution of the two-state problem for convex or concave flux.
+    """Exact entropy solution of the two-state problem.
 
-    Characteristics converging (f'(u_l) > f'(u_r)) produce a shock moving
-    with the Rankine-Hugoniot speed; diverging characteristics open a
-    rarefaction obtained by inverting f' between the states.  Fluxes that
-    are neither convex nor concave between the states are rejected (use
-    the finite volume oracle there).
+    It follows the lower convex envelope of f between the states when
+    u_l < u_r and the upper concave one otherwise (Oleinik's chord
+    condition; Dafermos 1972).  A tabulated flux is polygonal, so its
+    envelope is a finite fan of fronts, one per envelope edge, each moving
+    with the edge's slope.  Any other flux must be quadratic with
+    f(0) = 0, as burgers and lwr are: then a is affine and
+    f'(u) = 2 a(u) - a(0), so converging characteristics give one shock at
+    the Rankine-Hugoniot speed and diverging ones a fan linear in x/t.  A
+    flux whose a is not affine between the states raises ``ValueError``:
+    sample it into ``builtin_flux("tabulated")``.
     """
     u_l = float(u_l)
     u_r = float(u_r)
+    x0 = float(x0)
     if u_l < 0 or u_r < 0:
         raise ValueError("states must be nonnegative")
-    lo, hi = min(u_l, u_r), max(u_l, u_r)
-    if lo == hi:
-        c = u_l
+    if u_l == u_r:
+        return _fronts(x0, (), (u_l,), f"constant {u_l}")
+    if isinstance(model.extremum_oracle, TabulatedOracle):
+        states, speeds = _envelope(model, u_l, u_r)
+    else:
+        a_l, a_m, a_r = (float(a) for a in model.eval_a(np.array([u_l, 0.5 * u_l + 0.5 * u_r, u_r])))
+        if not abs((a_l - a_m) + (a_r - a_m)) <= 1e-12 * (abs(a_l) + abs(a_m) + abs(a_r)):
+            raise ValueError(
+                f"flux '{model.name}' is not quadratic between the states: "
+                "sample it into builtin_flux('tabulated') for its exact Riemann solution"
+            )
+        s_l = 2.0 * a_l - model.fprime0
+        s_r = 2.0 * a_r - model.fprime0
+        if s_l < s_r:
 
-        def eval_const(x, t):
-            out = np.full_like(np.asarray(x, dtype=float), c)
-            return out if out.ndim else float(out)
+            def eval_fan(x, t):
+                x = np.asarray(x, dtype=float)
+                if t == 0.0:
+                    out = np.where(x < x0, u_l, u_r)
+                else:
+                    out = np.interp((x - x0) / t, (s_l, s_r), (u_l, u_r))
+                return out if out.ndim else float(out)
 
-        return ExactSolution(eval_const, f"constant {c}", (0.0, np.inf), lambda t: ())
-
-    convex, concave = _second_difference_scan(model, lo, hi)
-    if not (convex or concave):
-        raise ValueError("flux is neither convex nor concave between the states")
-
-    h = 1e-7 * max(1.0, hi)
-    s_l = _fprime(model, u_l, h)
-    s_r = _fprime(model, u_r, h)
-
-    if s_l >= s_r:
-        speed = (float(model.eval_f(u_l)) - float(model.eval_f(u_r))) / (u_l - u_r)
-
-        def eval_shock(x, t):
-            x = np.asarray(x, dtype=float)
-            out = np.where(x < x0 + speed * t, u_l, u_r)
-            return out if out.ndim else float(out)
-
-        return ExactSolution(
-            eval_shock,
-            f"shock {u_l} -> {u_r} at speed {speed:.6g}",
-            (0.0, np.inf),
-            lambda t: (x0 + speed * t,),
-        )
-
-    # rarefaction: invert f' between the states (monotone there)
-    us = np.linspace(lo, hi, 4097)
-    fps = np.array([_fprime(model, float(u), h) for u in us])
-    order = np.argsort(fps, kind="stable")
-    fps_sorted = fps[order]
-    us_sorted = us[order]
-
-    def eval_fan(x, t):
-        x = np.asarray(x, dtype=float)
-        if t == 0.0:
-            out = np.where(x < x0, u_l, u_r)
-            return out if out.ndim else float(out)
-        xi = (x - x0) / t
-        fan_val = np.interp(xi, fps_sorted, us_sorted)
-        out = np.where(xi <= s_l, u_l, np.where(xi >= s_r, u_r, fan_val))
-        return out if out.ndim else float(out)
-
-    return ExactSolution(
-        eval_fan,
-        f"rarefaction {u_l} -> {u_r}",
-        (0.0, np.inf),
-        # the fan is affine between its interpolation nodes
-        lambda t: (x0 + s_l * t, x0 + s_r * t, *(x0 + fps_sorted * t)) if t > 0 else (x0,),
-    )
+            edges = lambda t: (x0 + s_l * t, x0 + s_r * t)
+            return ExactSolution(eval_fan, f"rarefaction {u_l} -> {u_r}", (0.0, np.inf), edges)
+        states = (u_l, u_r)
+        speeds = ((float(model.eval_f(u_l)) - float(model.eval_f(u_r))) / (u_l - u_r),)
+    if len(speeds) == 1:
+        return _fronts(x0, speeds, states, f"shock {u_l} -> {u_r} at speed {speeds[0]:.6g}")
+    return _fronts(x0, speeds, states, f"{len(speeds)} fronts {u_l} -> {u_r}")
 
 
 def _classify_flux(model: FluxModel, u_top: float, n: int = 2001):

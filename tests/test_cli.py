@@ -273,15 +273,63 @@ def test_null_or_absent_eps_coll_takes_the_default(tmp_path):
         assert run_cli([str(config)]) == 0
 
 
-def test_densities_near_the_largest_float_end_in_a_diagnostic(tmp_path, capsys):
-    # the affinity check on u0 used to overflow here and exit 1 with a traceback
-    path = base_config(
+def box(height):
+    return {"kind": "box", "params": {"height": height, "a": 0.0, "b": 1.0}}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flux, initial_data, path",
+    [
+        ("lwr", {"kind": "piecewise_constant", "params": {"breakpoints": [0.0, 1.0, 2.0], "values": [1.7976931348623157e308, 1e308]}}, "initial_data.params"),
+        ("lwr", box(1e200), "flux"),
+        ("burgers", box(1e200), "flux"),
+        ("tabulated", box(0.5), "flux"),
+    ],
+    ids=["piecewise_constant", "box_lwr", "box_burgers", "tabulated"],
+)
+def test_data_or_flux_that_overflows_is_exit_2(flux, initial_data, path, tmp_path, capsys):
+    # these used to pass validation and fail only at the first step (exit 4)
+    params = {"us": [0.0, 0.5, 1.0], "fs": [0.0, 1e308, float("inf")]} if flux == "tabulated" else {}
+    config = base_config(tmp_path, flux={"kind": flux, "params": params}, initial_data=initial_data)
+    assert run_cli([str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+RIEMANN_CONVERGENCE = {
+    "mode": "convergence",
+    "placement": {"strategy": "uniform", "n_list": [37, 73, 145]},
+    "time_horizon": 0.5,
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_audit_in_convergence_mode_is_exit_3(tmp_path, capsys):
+    # every run here fails tv_diminishing (a TV rise of a few 1e-3)
+    step = {"u_l": 0.084, "u_r": 0.833, "x0": 0.1723, "window": [-2, 2], "measure_window": [-1, 1]}
+    config = base_config(
         tmp_path,
         flux={"kind": "lwr", "params": {}},
-        initial_data={"kind": "piecewise_constant", "params": {"breakpoints": [0.0, 1.0, 2.0], "values": [1.7976931348623157e308, 1e308]}},
+        initial_data={"kind": "riemann", "params": step},
+        **RIEMANN_CONVERGENCE,
     )
-    with np.errstate(over="ignore"):
-        assert run_cli([str(path)]) == 4
-    diagnostic = json.loads((tmp_path / "out" / "diagnostic.json").read_text())
-    assert diagnostic["error"] == "non-finite particle velocity"
-    assert "runtime failure" in capsys.readouterr().err
+    assert run_cli([str(config)]) == 3
+    assert "run with n = 37 failed the invariant audit" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_convergence_mode_on_a_nonconvex_tabulated_flux(tmp_path):
+    # the reference is the flux's envelope fan, once refused as neither convex nor concave
+    table = {"us": [0.0, 0.25, 0.5, 0.75, 1.0], "fs": [0.0, 0.2, 0.1, 0.3, 0.15]}
+    step = {"u_l": 0.1, "u_r": 0.9, "window": [-2, 2], "measure_window": [-1, 1]}
+    config = base_config(
+        tmp_path,
+        flux={"kind": "tabulated", "params": table},
+        initial_data={"kind": "riemann", "params": step},
+        **RIEMANN_CONVERGENCE,
+    )
+    assert run_cli([str(config)]) == 0
+    reports = json.loads((tmp_path / "out" / "rate.json").read_text())["reports"]
+    assert [r["audit_passed"] for r in reports] == [True] * 3
+    assert all(r["l1_error_at_T"] <= r["stability_bound"] for r in reports)

@@ -170,18 +170,53 @@ def test_l1_error_matches_simpson_on_the_paper_solution(data, T, window):
     assert pp.l1_error_against(recon, exact, T, window) == pytest.approx(simpson_l1(recon, exact, T, window), rel=0.0, abs=1e-9)
 
 
-@settings(max_examples=12, deadline=None)
+@st.composite
+def tabulated_fluxes(draw):
+    """A random tabulated flux on [0, 1]: 2 to 30 nodes, f of either sign."""
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=28, unique=True))
+    us = np.concatenate([[0.0], np.sort(inner), [1.0]])
+    fs = [0.0, *draw(st.lists(st.floats(-1.0, 1.0), min_size=us.size - 1, max_size=us.size - 1))]
+    return pp.builtin_flux("tabulated", us=us, fs=fs)
+
+
+@settings(max_examples=18, deadline=None)
 @given(
     data=st.data(),
-    name=st.sampled_from(["burgers", "lwr"]),
+    name=st.sampled_from(["burgers", "lwr", "tabulated"]),
     states=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     T=st.floats(1e-3, 0.999),
 )
 def test_l1_error_matches_simpson_on_riemann_solutions(data, name, states, T):
-    exact = pp.riemann_solution(pp.builtin_flux(name, u_high=1.0), *states)
+    model = data.draw(tabulated_fluxes()) if name == "tabulated" else pp.builtin_flux(name, u_high=1.0)
+    exact = pp.riemann_solution(model, *states)
     recon = data.draw(reconstructions(-2.0, 2.0, 1.0))
     window = (-1.5, 1.5)
     assert pp.l1_error_against(recon, exact, T, window) == pytest.approx(simpson_l1(recon, exact, T, window), rel=0.0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=tabulated_fluxes(), states=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), T=st.floats(1e-3, 2.0))
+def test_riemann_fan_of_a_tabulated_flux_is_its_envelope(model, states, T):
+    u_l, u_r = states
+    sol = pp.riemann_solution(model, u_l, u_r)
+    fronts = np.asarray(sol.breakpoints_at(T))
+    assert np.all(np.diff(fronts) >= 0.0)
+    # every front is inside [-reach, reach]; u0 is u_l left of 0 and u_r right of it
+    reach = 1.0 + model.lip_f * T
+    cuts = np.concatenate([[-reach], fronts, [reach]])
+    widths = np.diff(cuts)
+    values = np.asarray(sol(0.5 * (cuts[:-1] + cuts[1:]), T))
+    gained = np.sum(widths * values) - reach * (u_l + u_r)
+    assert gained == pytest.approx(T * (model.eval_f(u_l) - model.eval_f(u_r)), rel=0.0, abs=1e-12 * (1.0 + reach))
+    fan = values[widths > 0.0]
+    assert fan[0] == u_l and fan[-1] == u_r
+    us = model.extremum_oracle.us
+    assert np.all(np.isin(fan, np.concatenate([[u_l, u_r], us])))
+    # Oleinik: the polygon through the fan states lies below f for u_l < u_r, above it otherwise
+    nodes = us[(us >= min(states)) & (us <= max(states))]
+    order = np.argsort(fan)
+    chords = np.interp(nodes, fan[order], model.eval_f(fan[order]))
+    assert np.all(np.sign(u_r - u_l) * (model.eval_f(nodes) - chords) >= -1e-12)
 
 
 def test_l1_error_rejects_a_reference_that_is_not_affine():
