@@ -113,11 +113,12 @@ def error_report(
     exact: ExactSolution,
     T: float,
     window: Optional[Tuple[float, float]] = None,
-    tv_u0: Optional[float] = None,
-    sup_u0: Optional[float] = None,
-    lip_fprime: Optional[float] = None,
 ) -> ErrorReport:
-    """Measure a run against a reference solution and assemble its bounds."""
+    """Measure a run against a reference solution and assemble its bounds.
+
+    The bounds take TV(u0) and sup(u0) from the run's initial data and
+    lip(f') from its model; a model without ``lip_fprime`` gets no rate bound.
+    """
     if traj.data is None:
         raise ValueError("trajectory carries no initial data record")
     times = traj.times
@@ -126,9 +127,6 @@ def error_report(
     data = traj.data
     if window is None:
         window = data.measure_window or data.support_hint
-    tv = data.tv_u0 if tv_u0 is None else tv_u0
-    sup = data.sup_u0 if sup_u0 is None else sup_u0
-    lip_fp = traj.model.lip_fprime if lip_fprime is None else lip_fprime
 
     state_T = traj.state_at(T)
     recon = reconstruct_density(state_T)
@@ -137,11 +135,12 @@ def error_report(
     state0 = traj.snapshots[0][1]
     gap, tail = initial_approximation_gap(data, state0)
     residual, resolution = spacetime_flux_residual(traj)
-    bound = stability_error_bound(gap + tail, tv, residual)
+    bound = stability_error_bound(gap + tail, data.tv_u0, residual)
     dx0_star = float(np.max(state0.widths))
+    lip_fp = traj.model.lip_fprime
     explicit = None
     if lip_fp is not None:
-        explicit = explicit_rate_bound(tv, sup, lip_fp, dx0_star, T)
+        explicit = explicit_rate_bound(data.tv_u0, data.sup_u0, lip_fp, dx0_star, T)
     audit = invariant_audit(traj)
     return ErrorReport(
         l1_error_at_T=float(err),
@@ -208,10 +207,6 @@ class SpaceTimeBump:
     def x_support(self) -> Tuple[float, float]:
         return (self.x_center - self.x_width, self.x_center + self.x_width)
 
-    @property
-    def t_support(self) -> Tuple[float, float]:
-        return (self.t_center - self.t_width, self.t_center + self.t_width)
-
 
 def _pairing_terms(
     model: FluxModel, state: ParticleState, k: float, bump: SpaceTimeBump, window: Tuple[float, float]
@@ -274,39 +269,31 @@ def entropy_defect(
     times = traj.times
     T = float(times[-1])
 
-    vals = np.empty(len(traj.snapshots))
+    vals = np.zeros(len(traj.snapshots))
+    I_abs = np.zeros(len(traj.snapshots))
     for j, (t, state) in enumerate(traj.snapshots):
         gamma = bump.gamma(t)
         gamma_p = bump.gamma_prime(t)
-        if gamma == 0.0 and gamma_p == 0.0:
-            vals[j] = 0.0
-            continue
-        I_abs, I_flux = _pairing_terms(traj.model, state, k, bump, window)
-        vals[j] = gamma_p * I_abs + gamma * I_flux
+        if gamma != 0.0 or gamma_p != 0.0:
+            I_abs[j], I_flux = _pairing_terms(traj.model, state, k, bump, window)
+            vals[j] = gamma_p * I_abs[j] + gamma * I_flux
     dts = np.diff(times)
     total = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * dts))
 
-    # boundary terms (nonzero only if the bump touches t = 0 or t = T)
-    g0 = bump.gamma(times[0])
-    if g0 != 0.0:
-        I_abs0, _ = _pairing_terms(traj.model, traj.snapshots[0][1], k, bump, window)
-        total += g0 * I_abs0
-    gT = bump.gamma(T)
-    if gT != 0.0:
-        I_absT, _ = _pairing_terms(traj.model, traj.final_state, k, bump, window)
-        total -= gT * I_absT
-    return total
+    # boundary terms (nonzero only if the bump touches t = 0 or t = T, where
+    # the loop has computed I_abs)
+    total += bump.gamma(times[0]) * I_abs[0]
+    total -= bump.gamma(T) * I_abs[-1]
+    return float(total)
 
 
-def entropy_tolerance(
-    traj: Trajectory, k: float, bump: SpaceTimeBump, window: Tuple[float, float], C: float = 5.0
-) -> float:
-    """Defect budget: C * (dt + snapshot spacing) * bump scale * content."""
+def entropy_tolerance(traj: Trajectory, k: float, bump: SpaceTimeBump, window: Tuple[float, float]) -> float:
+    """Defect budget: 5 * (dt + snapshot spacing) * bump scale * content."""
     dt_max = float(traj.config.get("dt_max", 0.0))
     spacing = float(np.max(np.diff(traj.times)))
     mass = traj.snapshots[0][1].total_mass
     width = window[1] - window[0]
-    return C * (dt_max + spacing) * bump.derivative_scale * (mass + k * width)
+    return 5.0 * (dt_max + spacing) * bump.derivative_scale * (mass + k * width)
 
 
 def continuity_pairing_defect(traj: Trajectory, bump: SpaceTimeBump, window: Tuple[float, float]) -> float:
@@ -341,7 +328,7 @@ class AuditReport:
         )
 
 
-def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10) -> AuditReport:
+def invariant_audit(traj: Trajectory) -> AuditReport:
     """Check the a-priori structure of a trajectory snapshot by snapshot.
 
     Verifies per-cell mass bookkeeping, total-mass conservation (up to the
@@ -352,8 +339,11 @@ def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10
     The bounds are stated per cell in its width and density at creation:
     those of snapshot 0, with each event's deleted cells dropped as the
     audit passes it.  Raises ``ValueError`` when a snapshot's cell count
-    does not match the events passed before it.
+    does not match the events passed before it.  Bookkeeping, the density
+    and separation bounds and the velocity bounds hold to a relative 1e-12,
+    the TV nonincrease to an absolute 1e-10.
     """
+    rtol, tv_tol = 1e-12, 1e-10
     model = traj.model
     state0 = traj.snapshots[0][1]
     rho_star = float(np.max(state0.densities, initial=0.0))
@@ -434,13 +424,12 @@ def invariant_audit(traj: Trajectory, rtol: float = 1e-12, tv_tol: float = 1e-10
     return AuditReport(checks=checks, passed=all(c.ok for c in checks.values()))
 
 
-def temporal_modulus_margin(traj: Trajectory, lip_f: Optional[float] = None) -> float:
+def temporal_modulus_margin(traj: Trajectory) -> float:
     """Largest ratio of ||v(t) - v(s)||_L1 to 4 * lip_f * TV(v0) * |t - s|."""
-    lip = traj.model.lip_f if lip_f is None else lip_f
     recons = [reconstruct_density(s) for _, s in traj.snapshots]
     times = traj.times
     tv0 = recons[0].total_variation()
-    bound_rate = 4.0 * lip * tv0
+    bound_rate = 4.0 * traj.model.lip_f * tv0
     worst = 0.0
     for i in range(len(recons)):
         for j in range(i + 1, len(recons)):
@@ -471,14 +460,16 @@ class RateFit:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def fit_loglog_slope(resolutions: Sequence[float], errors: Sequence[float], floor: float = 1e-12) -> RateFit:
+def fit_loglog_slope(resolutions: Sequence[float], errors: Sequence[float]) -> RateFit:
+    """Fit over every resolution and over the three finest; an error at or
+    below 1e-12 makes the fit ``degenerate``, with NaN slopes."""
     res = np.asarray(resolutions, dtype=float)
     err = np.asarray(errors, dtype=float)
     if res.size < 3:
         raise ValueError("need at least three resolutions")
     if np.any(np.diff(res) >= 0):
         raise ValueError("resolutions must be strictly decreasing")
-    degenerate = bool(np.any(err <= floor))
+    degenerate = bool(np.any(err <= 1e-12))
     if degenerate:
         return RateFit(tuple(res), tuple(err), float("nan"), float("nan"), float("nan"), True)
     slope, intercept = np.polyfit(np.log(res), np.log(err), 1)
@@ -498,17 +489,15 @@ def convergence_study(
     T: float,
     *,
     strategy: str = "uniform",
-    dt_max: Optional[float] = None,
     dt_max_ratio: float = 0.2,
     theta: float = 0.1,
-    snapshot_count: int = 33,
-    window: Optional[Tuple[float, float]] = None,
 ) -> Tuple[RateFit, List[ErrorReport]]:
     """Run the scheme over a family of particle counts and fit the rate.
 
-    The time step scales with the initial spacing (``dt_max_ratio`` times
-    dx*) unless ``dt_max`` is given.  Any run failing the invariant audit
-    aborts the study, naming the run.
+    Each run records 33 snapshots with ``dt_max`` at ``dt_max_ratio``
+    times its initial spacing dx*, and is measured over ``error_report``'s
+    default window.  Any run failing the invariant audit aborts the study,
+    naming the run.
     """
     if len(n_list) < 3:
         raise ValueError("need at least three particle counts")
@@ -516,12 +505,9 @@ def convergence_study(
     def one(n: int) -> ErrorReport:
         pos = place_particles(data, n, strategy)
         state0 = cell_average(data, pos)
-        dx_star = float(np.max(state0.widths))
-        dt = dt_max if dt_max is not None else dt_max_ratio * dx_star
-        traj = simulate(
-            model, state0, T, dt_max=dt, theta=theta, snapshot_count=snapshot_count, data=data
-        )
-        rep = error_report(traj, exact, T, window=window)
+        dt = dt_max_ratio * float(np.max(state0.widths))
+        traj = simulate(model, state0, T, dt_max=dt, theta=theta, snapshot_count=33, data=data)
+        rep = error_report(traj, exact, T)
         if not rep.audit_passed:
             raise StudyError(f"run with n = {n} failed the invariant audit")
         return rep

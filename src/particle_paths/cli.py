@@ -229,7 +229,13 @@ def _build_model(cfg: ExperimentConfig, data: InitialData) -> FluxModel:
     try:
         if kind == "tabulated" and "path" in params:
             table = _read_table(params.pop("path"), "flux.params.path")
-            return builtin_flux("tabulated", us=table[:, 0], fs=table[:, 1], **params)
+            model = builtin_flux("tabulated", us=table[:, 0], fs=table[:, 1], **params)
+            # the table keeps its own top, and with it its lip_f, so data above it is refused here
+            if data.sup_u0 > model.u_high:
+                raise ConfigError(
+                    "flux.params.path", f"data reach u = {data.sup_u0}, above the table's top u = {model.u_high}"
+                )
+            return model
         return builtin_flux(kind, u_high=u_high, **params)
     except ConfigError:
         raise

@@ -61,9 +61,6 @@ class PiecewiseConstantFn:
     def integral(self) -> float:
         return float(np.dot(self.values, self.widths))
 
-    def l1_norm(self) -> float:
-        return float(np.dot(np.abs(self.values), self.widths))
-
     def total_variation(self) -> float:
         padded = np.concatenate([[0.0], self.values, [0.0]])
         return float(np.sum(np.abs(np.diff(padded))))
@@ -151,14 +148,12 @@ def spacetime_flux_residual(traj: Trajectory) -> Tuple[float, float]:
     return value, float(np.max(dts))
 
 
-def trace_characteristic(
-    traj: Trajectory, x_start: float, t_start: float, substeps: int = 1
-) -> Tuple[np.ndarray, np.ndarray]:
+def trace_characteristic(traj: Trajectory, x_start: float, t_start: float) -> Tuple[np.ndarray, np.ndarray]:
     """Euler path through the interpolated velocity field of a run.
 
     The field is held fixed over each snapshot interval (matching the
-    first-order accuracy of the run itself) and the path is integrated
-    with ``substeps`` Euler substeps per interval.  Returns (times, xs).
+    first-order accuracy of the run itself) and the path takes one Euler
+    step per interval.  Returns (times, xs).
     """
     times = traj.times
     if not times[0] <= t_start <= times[-1]:
@@ -170,12 +165,7 @@ def trace_characteristic(
         if t1 <= t_start or t1 <= t0:
             continue
         seg_lo = max(t0, t_start)
-        field_fn = velocity_interpolant(traj.model, state)
-        h = (t1 - seg_lo) / substeps
-        t = seg_lo
-        for _ in range(substeps):
-            x += h * float(field_fn(x))
-            t += h
+        x += (t1 - seg_lo) * float(velocity_interpolant(traj.model, state)(x))
         ts.append(float(t1))
         xs.append(x)
     return np.asarray(ts), np.asarray(xs)

@@ -89,14 +89,9 @@ def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:
     """
     lo = float(lo)
     hi = float(hi)
-    if lo < 0.0 or hi < 0.0:
-        raise ValueError(f"negative density interval [{lo}, {hi}]")
     if lo > hi:
         raise ValueError(f"inverted density interval [{lo}, {hi}]")
-    if hi > model.density_limit:
-        raise ValueError(
-            f"interval top {hi} exceeds working interval [0, {model.u_high}]"
-        )
+    check_density_intervals(model, lo, hi)
     if lo == hi:
         a_val = float(model.eval_a(lo))
         return VelocityExtrema(a_val, a_val)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flux import FluxModel, check_density_intervals, velocity_extrema
+from .flux import FluxModel, MonotoneOracle, TabulatedOracle, check_density_intervals, velocity_extrema
 
 __all__ = ["interface_velocities", "particle_velocity", "follow_the_leader_deviation"]
-
-_FTL_SCAN_POINTS = 2048
 
 
 def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
@@ -55,10 +53,22 @@ def particle_velocity(model: FluxModel, v_l: float, v_r: float) -> float:
 def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
     """Largest |particle_velocity(v_l, v_r) - a(v_r)| over the given pairs.
 
-    Requires a numerically nonincreasing velocity field on [0, u_high];
-    the scan rejects models where a rises anywhere, naming the sample.
+    Requires a nonincreasing velocity field on [0, u_high], read from the
+    model without a scan: a ``MonotoneOracle``'s a is monotone, so its two
+    ends decide, and a ``TabulatedOracle``'s a is monotone on each piece, so
+    its nodes below u_high and u_high itself decide.  A rise between them
+    raises ``ValueError`` naming both points; any other oracle raises too.
     """
-    us = np.linspace(0.0, model.u_high, _FTL_SCAN_POINTS)
+    oracle = model.extremum_oracle
+    if isinstance(oracle, MonotoneOracle):
+        us = np.array([0.0, model.u_high])
+    elif isinstance(oracle, TabulatedOracle):
+        us = np.append(oracle.us[oracle.us < model.u_high], model.u_high)
+    else:
+        raise ValueError(
+            f"flux '{model.name}' does not expose where its velocity field is monotone: "
+            "sample it into builtin_flux('tabulated') for the follow-the-leader check"
+        )
     av = np.asarray(model.eval_a(us), dtype=float)
     rise_tol = 1e-12 * max(1.0, float(np.max(np.abs(av))))
     rises = np.diff(av) > rise_tol

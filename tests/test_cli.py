@@ -297,6 +297,25 @@ def test_data_or_flux_that_overflows_is_exit_2(flux, initial_data, path, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["simulate", "convergence"])
+def test_data_above_a_csv_flux_table_is_exit_2(mode, tmp_path, capsys):
+    # this used to end in a traceback (exit 1) at the first velocity call or
+    # in the Riemann reference
+    flux_csv = tmp_path / "flux.csv"
+    flux_csv.write_text("u,f\n0,0\n0.5,0.2\n1,0.1\n")
+    config = base_config(
+        tmp_path,
+        mode=mode,
+        flux={"kind": "tabulated", "params": {"path": str(flux_csv)}},
+        initial_data={"kind": "riemann", "params": {"u_l": 0.1, "u_r": 2.0, "window": [-1, 1]}},
+        placement={"strategy": "uniform", "n": 31, "n_list": [9, 17, 33]},
+    )
+    assert run_cli([str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error at flux.params.path: data reach u = 2.0")
+    assert not (tmp_path / "out").exists()
+
+
 RIEMANN_CONVERGENCE = {
     "mode": "convergence",
     "placement": {"strategy": "uniform", "n_list": [37, 73, 145]},

@@ -117,12 +117,6 @@ def test_godunov_demo_accuracy(burgers3):
     assert err <= 0.02
 
 
-def test_godunov_cfl_guard(burgers3):
-    data = pp.rarefaction_shock_data()
-    with pytest.raises(ValueError, match="CFL"):
-        godunov_reference(burgers3, data, 100, 0.25, dt=1.0)
-
-
 def test_godunov_linear_flux_transport():
     # f(u) = u is pure transport at unit speed; the upwind solution smears
     # the box edges by O(sqrt(dx T)); measured at this mesh the L1 gap to

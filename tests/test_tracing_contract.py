@@ -1,11 +1,14 @@
 """The benchmark's tracer wraps package functions by (module, name).
 
-``perfbench/tracing.py`` is loaded unchanged.  A name it wraps that the
-package no longer has, or no longer calls through its module, would
-otherwise show only as a broken or silent traced benchmark run.
+``perfbench/tracing.py`` and ``perfbench/workloads.py`` are loaded
+unchanged.  A name the tracer wraps that the package no longer has, or no
+longer calls through its module, or an argument a workload passes that the
+package no longer takes, would otherwise show only as a broken or silent
+benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,25 +16,35 @@ import pytest
 
 import particle_paths as pp
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    tracing = _tracing()
+    tracing = _load("tracing")
     names = [(module, attr) for module, attr, *_ in tracing.SPANS] + list(tracing.LEAVES)
     missing = [f"{module.__name__}.{attr}" for module, attr in names if not callable(getattr(module, attr, None))]
     assert missing == []
 
 
+def test_workload_calls_bind_to_the_package():
+    # one round at seed 0; a case that raised did not complete (the CLI
+    # workload only calls run_cli, which test_cli covers)
+    workloads = _load("workloads")
+    for workload in (workloads.ConvergenceBurgers(), workloads.NonconvexTabulated()):
+        rnd = workload.run_round(workload.build(0))
+        assert [(c.label, c.detail) for c in rnd.cases if not c.completed] == []
+
+
 def test_initial_integrals_run_through_the_traced_names():
-    tracing = _tracing()
+    tracing = _load("tracing")
     data = pp.box_data(1.0, 0.0, 1.0)
     pos = np.linspace(-0.25, 1.25, 7)
     with tracing.Tracer() as tracer:
@@ -45,7 +58,7 @@ def test_initial_integrals_run_through_the_traced_names():
 
 
 def test_l1_error_integrates_through_the_traced_name(rarefaction_shock_run):
-    tracing = _tracing()
+    tracing = _load("tracing")
     with tracing.Tracer() as tracer:
         pp.error_report(rarefaction_shock_run, pp.burgers_rarefaction_shock(), 0.25)
     spans = tracer.spans
@@ -59,7 +72,7 @@ def test_l1_error_integrates_through_the_traced_name(rarefaction_shock_run):
 def test_kernel_and_audit_extrema_run_through_the_traced_names(kind):
     # the velocity layer is the kernel's span inside simulate; the flux
     # extremum layer is the audit's leaf call to velocity_extrema
-    tracing = _tracing()
+    tracing = _load("tracing")
     data = pp.box_data(1.0, 0.0, 1.0)
     if kind == "burgers":
         model = pp.builtin_flux("burgers", u_high=1.0)

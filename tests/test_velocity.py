@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import cubic_flux_model
 from particle_paths import builtin_flux, follow_the_leader_deviation, particle_velocity, velocity_extrema
 
 
@@ -55,13 +56,23 @@ def test_entropic_ordering_at_extrema():
 
 
 def test_ftl_coincidence_lwr():
-    m = builtin_flux("lwr")
+    us = np.linspace(0.0, 1.0, 65)
+    sampled = builtin_flux("tabulated", us=us, fs=us * (1.0 - us))
     rng = np.random.default_rng(6)
     pairs = rng.uniform(0.0, 1.0, size=(100, 2))
-    assert follow_the_leader_deviation(m, pairs) <= 1e-8
-    assert follow_the_leader_deviation(m, [(0.5, 0.5)]) == 0.0
+    for m in (builtin_flux("lwr"), sampled):
+        assert follow_the_leader_deviation(m, pairs) <= 1e-8
+        assert follow_the_leader_deviation(m, [(0.5, 0.5)]) == 0.0
 
 
 def test_ftl_rejects_increasing_velocity_field(burgers3):
-    with pytest.raises(ValueError, match="not nonincreasing"):
-        follow_the_leader_deviation(burgers3, [(0.5, 0.5)])
+    # the table's a is 0.2 on [0, 0.5] and rises to 0.5 at u = 1; the cubic
+    # model's a falls on [0, 0.7], but its plain-function oracle cannot say so
+    rising_table = builtin_flux("tabulated", us=[0.0, 0.5, 1.0], fs=[0.0, 0.1, 0.5])
+    for model, message in (
+        (burgers3, "not nonincreasing"),
+        (rising_table, r"not nonincreasing: a\(0\.5\) = 0\.2 < a\(1\) = 0\.5$"),
+        (cubic_flux_model(0.7), r"builtin_flux\('tabulated'\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            follow_the_leader_deviation(model, [(0.5, 0.5)])
