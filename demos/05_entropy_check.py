@@ -37,7 +37,7 @@ for _ in range(25):
 for dt in (1e-3, 5e-4):
     traj = pp.simulate(model, state0, T, dt_max=dt, every_step=True, data=data)
     defects = [pp.entropy_defect(traj, k, b, WINDOW) for k, b in zip(ks, bumps)]
-    pairing = abs(pp.continuity_pairing_defect(traj, bumps[0], WINDOW))
+    pairing = abs(pp.entropy_defect(traj, 0.0, bumps[0], WINDOW))
     print(
         f"dt = {dt:.0e}: worst defect {min(defects):+.2e} (must stay above -tolerance), "
         f"k=0 pairing residue {pairing:.2e}"

@@ -16,7 +16,6 @@ from .analysis import (
     ErrorReport,
     RateFit,
     SpaceTimeBump,
-    continuity_pairing_defect,
     convergence_study,
     entropy_defect,
     entropy_tolerance,
@@ -41,12 +40,10 @@ from .dynamics import (
 )
 from .field import (
     PiecewiseConstantFn,
-    PiecewiseLinearFn,
     flux_residual_l1,
     reconstruct_density,
     spacetime_flux_residual,
     trace_characteristic,
-    velocity_interpolant,
 )
 from .flux import FluxModel, VelocityExtrema, builtin_flux, velocity_extrema
 from .initial import (

@@ -12,9 +12,8 @@ that vanishes linearly with the time resolution.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +21,8 @@ import numpy as np
 from .dynamics import Trajectory, particle_velocities, simulate
 from .field import PiecewiseConstantFn, reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel, velocity_extrema
-from .initial import InitialData, ParticleState, affine_pieces, cell_average, initial_approximation_gap, integrate, place_particles
+from .initial import InitialData, ParticleState, affine_pieces, cell_average, initial_approximation_gap, integrate
+from .initial import place_particles, total_variation
 from .reference import ExactSolution
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "error_report",
     "entropy_defect",
     "entropy_tolerance",
-    "continuity_pairing_defect",
     "invariant_audit",
     "temporal_modulus_margin",
     "convergence_study",
@@ -104,9 +103,6 @@ class ErrorReport:
     n_particles: int
     audit_passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 def error_report(
     traj: Trajectory,
@@ -116,20 +112,21 @@ def error_report(
 ) -> ErrorReport:
     """Measure a run against a reference solution and assemble its bounds.
 
-    The bounds take TV(u0) and sup(u0) from the run's initial data and
-    lip(f') from its model; a model without ``lip_fprime`` gets no rate bound.
+    The error is taken at the run's final state, so ``T`` must be the run's
+    final time (to a relative 1e-12).  The bounds take TV(u0) and sup(u0)
+    from the run's initial data and lip(f') from its model; a model without
+    ``lip_fprime`` gets no rate bound.
     """
     if traj.data is None:
         raise ValueError("trajectory carries no initial data record")
-    times = traj.times
-    if times[-1] < T - 1e-12 * max(1.0, T):
-        raise ValueError(f"trajectory ends at {times[-1]} before T = {T}")
+    t_end = float(traj.times[-1])
+    if abs(t_end - T) > 1e-12 * max(1.0, T):
+        raise ValueError(f"trajectory ends at {t_end}, not at T = {T}")
     data = traj.data
     if window is None:
         window = data.measure_window or data.support_hint
 
-    state_T = traj.state_at(T)
-    recon = reconstruct_density(state_T)
+    recon = reconstruct_density(traj.final_state)
     err = l1_error_against(recon, exact, T, window)
 
     state0 = traj.snapshots[0][1]
@@ -296,11 +293,6 @@ def entropy_tolerance(traj: Trajectory, k: float, bump: SpaceTimeBump, window: T
     return 5.0 * (dt_max + spacing) * bump.derivative_scale * (mass + k * width)
 
 
-def continuity_pairing_defect(traj: Trajectory, bump: SpaceTimeBump, window: Tuple[float, float]) -> float:
-    """Weak continuity-equation pairing; identical to the k = 0 defect."""
-    return entropy_defect(traj, 0.0, bump, window)
-
-
 # ---------------------------------------------------------------------------
 # invariant audit
 
@@ -319,13 +311,6 @@ class AuditReport:
 
     def failures(self) -> List[str]:
         return [name for name, c in self.checks.items() if not c.ok]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {name: asdict(c) for name, c in self.checks.items()} | {"passed": self.passed},
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def invariant_audit(traj: Trajectory) -> AuditReport:
@@ -394,7 +379,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
                 worst_sep_low = min(worst_sep_low, float(np.min(widths - sep_low)))
             sep_high = w0 + state.time * spread
             worst_sep_high = min(worst_sep_high, float(np.min(sep_high - widths)))
-        tv = reconstruct_density(state).total_variation()
+        tv = total_variation(state.densities)
         if tv_prev is not None:
             worst_tv_rise = max(worst_tv_rise, tv - tv_prev)
         tv_prev = tv
@@ -428,7 +413,7 @@ def temporal_modulus_margin(traj: Trajectory) -> float:
     """Largest ratio of ||v(t) - v(s)||_L1 to 4 * lip_f * TV(v0) * |t - s|."""
     recons = [reconstruct_density(s) for _, s in traj.snapshots]
     times = traj.times
-    tv0 = recons[0].total_variation()
+    tv0 = total_variation(recons[0].values)
     bound_rate = 4.0 * traj.model.lip_f * tv0
     worst = 0.0
     for i in range(len(recons)):
@@ -455,9 +440,6 @@ class RateFit:
     intercept: float
     slope_tail: float
     degenerate: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def fit_loglog_slope(resolutions: Sequence[float], errors: Sequence[float]) -> RateFit:

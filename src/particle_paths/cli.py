@@ -44,7 +44,7 @@ from .initial import (
 from .reference import burgers_rarefaction_shock, riemann_solution
 from .velocity import follow_the_leader_deviation
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "dump_config", "run_cli", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "run_cli", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,44 +73,28 @@ class ExperimentConfig:
     ftl: dict = field(default_factory=lambda: {"pairs": 10000, "tol": 1e-8})
     convergence: dict = field(default_factory=lambda: {"dt_max_ratio": 0.2})
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _MODES = ("simulate", "convergence", "audit", "ftl-check")
 _STRATEGIES = ("uniform", "mass_equidistributed")
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def load_config(path_or_dict) -> ExperimentConfig:
-    cfg = _read_config(path_or_dict)
-    _validate(cfg)
-    return cfg
-
-
-def _read_config(path_or_dict) -> ExperimentConfig:
-    """Config with the given top-level fields, not yet validated."""
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
-        try:
-            raw = json.loads(Path(path_or_dict).read_text())
-        except FileNotFoundError:
-            raise ConfigError(str(path_or_dict), "file not found")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(str(path_or_dict), f"invalid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError(str(path_or_dict), "top level must be a JSON object")
+def _read_config(path) -> ExperimentConfig:
+    """Config with the top-level fields of the file at ``path``, not yet validated."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(str(path), "file not found")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(path), f"invalid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(str(path), "top level must be a JSON object")
     cfg = ExperimentConfig()
     for key, value in raw.items():
         if key not in _FIELDS:
             raise ConfigError(key, "unknown key")
         setattr(cfg, key, value)
     return cfg
-
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
 
 
 # Scalar fields that validation and the modes read: dot path (``[]`` marks
@@ -180,8 +164,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     needed = {"simulate": "n", "convergence": "n_list"}.get(cfg.mode)
     if needed is not None and needed not in place:
         raise ConfigError(f"placement.{needed}", f"required in {cfg.mode} mode")
-    if "n_list" in place and len(place["n_list"]) < 3:
-        raise ConfigError("placement.n_list", "need >= 3 counts, each >= 2")
+    if "n_list" in place:
+        n_list = place["n_list"]
+        if len(n_list) < 3:
+            raise ConfigError("placement.n_list", "need >= 3 counts, each >= 2")
+        if any(later <= earlier for earlier, later in zip(n_list, n_list[1:])):
+            raise ConfigError("placement.n_list", f"counts must be strictly increasing, got {n_list!r}")
     if "dt_max" not in cfg.integrator:
         raise ConfigError("integrator.dt_max", "required")
 
@@ -283,7 +271,7 @@ def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     exports.write_trajectory_csv(traj, out / "trajectory.csv")
     exports.write_events_json(traj, out / "events.json")
-    (out / "stats.json").write_text(traj.stats.to_json())
+    exports.write_json(traj.stats, out / "stats.json")
     mass0 = traj.snapshots[0][1].total_mass
     massT = traj.final_state.total_mass + sum(ev.discarded_mass for ev in traj.events)
     lines = [
@@ -320,8 +308,7 @@ def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
     )
     out.mkdir(parents=True, exist_ok=True)
     exports.write_rate_csv(fit, out / "rate.csv")
-    payload = {"fit": json.loads(fit.to_json()), "reports": [json.loads(r.to_json()) for r in reports]}
-    (out / "rate.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    exports.write_json({"fit": fit, "reports": reports}, out / "rate.json")
     print(f"fitted slope: {fit.slope:.4f} (three finest: {fit.slope_tail:.4f})")
     return EXIT_OK
 
@@ -352,9 +339,7 @@ def _mode_ftl_check(cfg: ExperimentConfig, out: Path) -> int:
         print(f"precondition failed: {exc}")
         return EXIT_INVARIANT
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ftl_check.json").write_text(
-        json.dumps({"pairs": n_pairs, "max_deviation": deviation, "tol": tol}, indent=2, sort_keys=True)
-    )
+    exports.write_json({"pairs": n_pairs, "max_deviation": deviation, "tol": tol}, out / "ftl_check.json")
     print(f"max |V(v_l, v_r) - a(v_r)| over {n_pairs} pairs: {deviation:.3e}")
     return EXIT_OK if deviation <= tol else EXIT_INVARIANT
 
@@ -427,7 +412,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 "positions": [float(x) for x in exc.state.positions],
                 "densities": [float(v) for v in exc.state.densities],
             }
-        (out / "diagnostic.json").write_text(json.dumps(diag, indent=2, sort_keys=True))
+        exports.write_json(diag, out / "diagnostic.json")
         print(f"runtime failure: {exc} (diagnostic written to {out / 'diagnostic.json'})", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -91,9 +91,6 @@ class RunStats:
     collision_sweeps: int
     min_width: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 @dataclass
 class Trajectory:
@@ -120,18 +117,6 @@ class Trajectory:
     @property
     def final_state(self) -> ParticleState:
         return self.snapshots[-1][1]
-
-    def state_at(self, t: float) -> ParticleState:
-        """Latest recorded state with time <= t (post-collision at event times)."""
-        best = None
-        for s_t, s in self.snapshots:
-            if s_t <= t + 1e-15 * max(1.0, abs(t)):
-                best = s
-            else:
-                break
-        if best is None:
-            raise ValueError(f"time {t} precedes the trajectory")
-        return best
 
 
 class _Cells(NamedTuple):

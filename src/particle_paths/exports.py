@@ -6,7 +6,9 @@ new snapshot; collision times appear twice, pre- then post-sweep).
 Events JSON: one object per collision with the deleted particle and cell
 indices, the survivor map, and the discarded mass.  Floats are written
 with ``repr`` (shortest round-trip), so identical runs produce identical
-bytes and parsing recovers exact values.
+bytes and parsing recovers exact values.  Every JSON file the package
+writes (events, run statistics, convergence rates, the follow-the-leader
+check, the runtime diagnostic) goes through ``write_json``.
 
 Every CSV writer formats its rows the same way: fields joined by ``,``
 and each row ended by ``\\r\\n``, the bytes ``csv.writer`` emits.  The
@@ -21,6 +23,7 @@ any malformed or missing input.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from .flux import FluxModel
 from .initial import ParticleState
 
 __all__ = [
+    "write_json",
     "write_trajectory_csv",
     "write_events_json",
     "write_function_csv",
@@ -49,6 +53,12 @@ def _rows(*columns) -> str:
 def _reprs(values) -> list:
     """Shortest round-trip text of each value, as a float."""
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as JSON: two-space indent, sorted keys, each dataclass
+    as the dict of its fields."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, default=dataclasses.asdict))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -76,7 +86,7 @@ def write_events_json(traj: Trajectory, path) -> None:
             for ev in traj.events
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(payload, path)
 
 
 def write_function_csv(fn, path, lo: float, hi: float, n: int = 512) -> None:
@@ -126,25 +136,33 @@ def _read_trajectory_table(path: Path) -> np.ndarray:
     return table
 
 
+def _particle_count(value) -> int:
+    """``value`` as an int; ``ValueError`` unless it is integral."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"pre_particle_count {value!r} is not an integer")
+    return count
+
+
 def _read_events(path: Path) -> tuple:
     """Events, config and fingerprint recorded in ``events.json``."""
     try:
         payload = json.loads(path.read_text())
         events = [
             CollisionEvent(
-                time=ev["time"],
+                time=float(ev["time"]),
                 deleted_particles=np.asarray(ev["deleted_particles"], dtype=int),
                 deleted_cells=np.asarray(ev["deleted_cells"], dtype=int),
                 survivor_map=np.asarray(ev["survivor_map"], dtype=int),
-                discarded_mass=ev["discarded_mass"],
-                pre_particle_count=ev["pre_particle_count"],
+                discarded_mass=float(ev["discarded_mass"]),
+                pre_particle_count=_particle_count(ev["pre_particle_count"]),
             )
             for ev in payload["events"]
         ]
         return events, payload.get("config", {}), payload.get("fingerprint", "")
     except KeyError as exc:
         raise ValueError(f"invalid {path.name}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid {path.name}: {exc}") from exc
 
 

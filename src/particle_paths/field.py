@@ -3,7 +3,8 @@
 The density reconstruction is the piecewise constant function carrying
 each cell's density between its particles and zero outside.  The velocity
 interpolant is the continuous piecewise linear function whose node at
-particle i is that particle's interface velocity; the flux residual
+particle i is that particle's interface velocity (``np.interp`` over the
+particle positions, constant beyond the end particles); the flux residual
 integrates |velocity * density - flux(density)| exactly, cell by cell,
 since the integrand is affine between particles up to one sign change.
 """
@@ -21,9 +22,7 @@ from .initial import ParticleState, integrate
 
 __all__ = [
     "PiecewiseConstantFn",
-    "PiecewiseLinearFn",
     "reconstruct_density",
-    "velocity_interpolant",
     "flux_residual_l1",
     "spacetime_flux_residual",
     "trace_characteristic",
@@ -61,10 +60,6 @@ class PiecewiseConstantFn:
     def integral(self) -> float:
         return float(np.dot(self.values, self.widths))
 
-    def total_variation(self) -> float:
-        padded = np.concatenate([[0.0], self.values, [0.0]])
-        return float(np.sum(np.abs(np.diff(padded))))
-
     def integrate_between(self, a: float, b: float) -> float:
         """Integral over [a, b] (exact; pieces clipped to the window)."""
         if b < a:
@@ -82,39 +77,9 @@ class PiecewiseConstantFn:
         return float(np.dot(diff, np.diff(cuts)))
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
-    """Continuous piecewise linear function, constant beyond the end nodes."""
-
-    nodes: np.ndarray
-    node_values: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        vals = np.asarray(self.node_values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 1 or vals.shape != nodes.shape:
-            raise ValueError("need matching node and value arrays")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-
-    def __call__(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.nodes, self.node_values)
-        return out if out.ndim else float(out)
-
-
 def reconstruct_density(state: ParticleState) -> PiecewiseConstantFn:
     """Piecewise constant density carried by the particles."""
     return PiecewiseConstantFn(state.positions.copy(), state.densities.copy())
-
-
-def velocity_interpolant(model: FluxModel, state: ParticleState) -> PiecewiseLinearFn:
-    """Linear interpolation of particle interface velocities.
-
-    Node i carries the interface velocity between cells i-1 and i (with
-    vacuum beyond the ends), which is exactly the speed particle i moves
-    with, so particles are characteristics of this field.
-    """
-    return PiecewiseLinearFn(state.positions.copy(), particle_velocities(model, state))
 
 
 def flux_residual_l1(model: FluxModel, state: ParticleState) -> float:
@@ -165,7 +130,7 @@ def trace_characteristic(traj: Trajectory, x_start: float, t_start: float) -> Tu
         if t1 <= t_start or t1 <= t0:
             continue
         seg_lo = max(t0, t_start)
-        x += (t1 - seg_lo) * float(velocity_interpolant(traj.model, state)(x))
+        x += (t1 - seg_lo) * float(np.interp(x, state.positions, particle_velocities(traj.model, state)))
         ts.append(float(t1))
         xs.append(x)
     return np.asarray(ts), np.asarray(xs)

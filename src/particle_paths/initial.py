@@ -251,9 +251,10 @@ def initial_approximation_gap(data: InitialData, state: ParticleState):
 # builtin profiles
 
 
-def _variation(values) -> float:
-    """Total variation of ``values`` with zero on both sides; inf, without a
-    numpy warning, where the sum overflows."""
+def total_variation(values) -> float:
+    """Total variation of the step profile with ``values`` on consecutive
+    pieces and zero on both sides; inf, without a numpy warning, where the
+    sum overflows."""
     with np.errstate(over="ignore"):
         return float(np.sum(np.abs(np.diff(np.concatenate([[0.0], values, [0.0]])))))
 
@@ -276,7 +277,7 @@ def _steps(bp, vals, description: str, measure_window=None) -> InitialData:
     return InitialData(
         eval_u0=u0,
         support_hint=(float(bp[0]), float(bp[-1])),
-        tv_u0=_variation(vals),
+        tv_u0=total_variation(vals),
         sup_u0=float(np.max(vals, initial=0.0)),
         breakpoints=tuple(float(p) for p in bp),
         measure_window=tuple(measure_window) if measure_window else None,
@@ -353,7 +354,7 @@ def sampled_data(xs, us, measure_window=None) -> InitialData:
     return InitialData(
         eval_u0=u0,
         support_hint=(float(xs[0]), float(xs[-1])),
-        tv_u0=_variation(us),
+        tv_u0=total_variation(us),
         sup_u0=float(np.max(us)),
         breakpoints=tuple(float(p) for p in xs),
         measure_window=tuple(measure_window) if measure_window else None,

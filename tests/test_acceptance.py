@@ -141,7 +141,7 @@ def test_criterion_07_continuity_pairing(entropy_runs):
     bumps = _sample_bumps(rng, 10, T)
     worst = {}
     for dt, traj in entropy_runs.items():
-        worst[dt] = max(abs(pp.continuity_pairing_defect(traj, b, WINDOW)) for b in bumps)
+        worst[dt] = max(abs(pp.entropy_defect(traj, 0.0, b, WINDOW)) for b in bumps)
     ratio = worst[5e-4] / worst[1e-3]
     ok = 0.3 <= ratio <= 0.8
     report(

@@ -40,13 +40,21 @@ def test_error_report_zero_against_self(burgers3, rarefaction_shock_run):
     assert rep.audit_passed
 
 
-def test_error_report_inequalities(burgers3, rarefaction_shock_run):
+def test_error_report_inequalities(burgers3, rarefaction_shock_run, tmp_path):
     exact = pp.burgers_rarefaction_shock()
     rep = pp.error_report(rarefaction_shock_run, exact, 0.25)
     assert rep.l1_error_at_T <= rep.stability_bound
     assert rep.l1_error_at_T <= rep.rate_bound
     assert rep.window == (-1.0, 2.0)
-    json.loads(rep.to_json())  # serializable
+    pp.exports.write_json(rep, tmp_path / "report.json")
+    assert json.loads((tmp_path / "report.json").read_text()) == dict(dataclasses.asdict(rep), window=[-1.0, 2.0])
+
+
+@pytest.mark.parametrize("T", [0.2, 0.3])
+def test_error_report_needs_the_final_time(rarefaction_shock_run, T):
+    # the run ends at 0.25; the error is measured at its final state only
+    with pytest.raises(ValueError, match="not at T"):
+        pp.error_report(rarefaction_shock_run, pp.burgers_rarefaction_shock(), T)
 
 
 def test_rate_fit_scale_invariance():
@@ -99,7 +107,6 @@ def test_invariant_audit_clean_run(rarefaction_shock_run):
     report = pp.invariant_audit(rarefaction_shock_run)
     assert report.passed
     assert report.checks["tv_diminishing"].ok
-    json.loads(report.to_json())
 
 
 def test_bump_shape_and_antiderivative():
@@ -121,8 +128,8 @@ def test_entropy_defect_k_zero_equals_pairing(burgers3):
     traj = pp.simulate(burgers3, st, 0.2, dt_max=1e-3, every_step=True, data=data)
     bump = SpaceTimeBump(0.5, 0.8, 0.1, 0.05)
     window = (-1.0, 2.0)
-    assert pp.continuity_pairing_defect(traj, bump, window) == pp.entropy_defect(traj, 0.0, bump, window)
-    assert abs(pp.continuity_pairing_defect(traj, bump, window)) <= 1e-3
+    # at k = 0 the entropy pairing is the weak continuity-equation pairing
+    assert abs(pp.entropy_defect(traj, 0.0, bump, window)) <= 1e-3
 
 
 def test_entropy_defect_large_k_vanishes(burgers3):
@@ -150,7 +157,7 @@ def test_entropy_defect_boundary_terms(burgers3):
     bump = SpaceTimeBump(0.5, 0.8, 0.0, 0.1)  # gamma(0) = 1
     window = (-1.0, 2.0)
     assert bump.gamma(0.0) == 1.0
-    defect = pp.continuity_pairing_defect(traj, bump, window)
+    defect = pp.entropy_defect(traj, 0.0, bump, window)
     assert abs(defect) <= 1e-3
 
 

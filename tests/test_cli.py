@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from particle_paths.cli import ConfigError, dump_config, load_config, run_cli
+from particle_paths.cli import run_cli
 
 
 def base_config(tmp_path, **overrides):
@@ -24,22 +24,19 @@ def base_config(tmp_path, **overrides):
     return path
 
 
-def test_config_roundtrip(tmp_path):
-    path = base_config(tmp_path)
-    cfg = load_config(path)
-    again = load_config(json.loads(dump_config(cfg)))
-    assert cfg.to_dict() == again.to_dict()
-
-
-def test_config_errors(tmp_path):
-    with pytest.raises(ConfigError, match="file not found"):
-        load_config(tmp_path / "nope.json")
-    with pytest.raises(ConfigError, match="mode"):
-        load_config({"mode": "never"})
-    with pytest.raises(ConfigError, match="placement"):
-        load_config({"placement": {}})
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config({"modes": "simulate"})
+def test_config_errors(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert run_cli([str(missing)]) == 2
+    assert capsys.readouterr().err == f"config error at {missing}: file not found\n"
+    cases = [
+        ({"mode": "never"}, "config error at mode: must be one of"),
+        ({"placement": {}}, "config error at placement: need n or n_list"),
+        ({"modes": "simulate"}, "config error at modes: unknown key"),
+    ]
+    for overrides, message in cases:
+        assert run_cli([str(base_config(tmp_path, **overrides))]) == 2
+        assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_writes_outputs(tmp_path):
@@ -183,6 +180,15 @@ def test_placement_key_of_the_mode_is_required(mode, placement, path, tmp_path, 
     config = base_config(tmp_path, mode=mode, placement=placement)
     assert run_cli([str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_list", [[33, 17, 9], [9, 9, 17]])
+def test_counts_that_do_not_increase_are_exit_2(n_list, tmp_path, capsys):
+    # the rate fit needs strictly finer runs; refused before any run
+    config = base_config(tmp_path, mode="convergence", placement={"strategy": "uniform", "n_list": n_list})
+    assert run_cli([str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error at placement.n_list: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -191,6 +191,14 @@ def _drop_first_event(text):
     return json.dumps(payload)
 
 
+def _set_first_event(key, value):
+    def edit(text):
+        payload = json.loads(text)
+        payload["events"][0][key] = value
+        return json.dumps(payload)
+    return edit
+
+
 MALFORMED = {
     "missing directory": shutil.rmtree,
     "bad header": _edit_rows(lambda rows: b"\r\n".join([b"t,i,x_l,x_r,v"] + rows[1:])),
@@ -205,6 +213,11 @@ MALFORMED = {
     "events.json not JSON": _edit_events(lambda text: text[: len(text) // 2]),
     "events.json without events": _edit_events(lambda text: json.dumps({"config": {}})),
     "event log too short": _edit_events(_drop_first_event),
+    "event time not a number": _edit_events(_set_first_event("time", "abc")),
+    "discarded mass not a number": _edit_events(_set_first_event("discarded_mass", "abc")),
+    "particle count not a number": _edit_events(_set_first_event("pre_particle_count", "abc")),
+    "particle count not integral": _edit_events(_set_first_event("pre_particle_count", 3.5)),
+    "particle count infinite": _edit_events(_set_first_event("pre_particle_count", float("inf"))),
 }
 
 
@@ -288,7 +301,7 @@ def test_audit_of_loaded_run_matches_live_run(config, tmp_path, monkeypatch):
         live,
         snapshots=[(t, ParticleState(s.positions, s.densities, s.densities * np.diff(s.positions), t)) for t, s in live.snapshots],
     )
-    assert invariant_audit(loaded).to_json() == invariant_audit(as_written).to_json()
+    assert invariant_audit(loaded) == invariant_audit(as_written)
     # checks that read only densities and creation data agree with the live run
     got, want = invariant_audit(loaded).checks, invariant_audit(live).checks
     for name in ("max_principle", "density_lower_bound", "tv_diminishing", "velocity_bounds"):

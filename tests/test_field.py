@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import particle_paths as pp
-from particle_paths import ParticleState, PiecewiseConstantFn, PiecewiseLinearFn
+from particle_paths import ParticleState, PiecewiseConstantFn
+from particle_paths.initial import total_variation
 
 
 def test_reconstruction_step_function():
@@ -18,7 +19,7 @@ def test_reconstruction_demo_initial_state():
     st = pp.cell_average(data, [-1.0, 0.0, 1.0, 2.0])
     v = pp.reconstruct_density(st)
     np.testing.assert_allclose([v(-0.5), v(0.5), v(1.5)], [1.0, 3.0, 1.0])
-    assert v.total_variation() == pytest.approx(6.0)
+    assert total_variation(v.values) == pytest.approx(6.0)
 
 
 def test_reconstruction_zero_everywhere():
@@ -42,27 +43,37 @@ def test_l1_distance_exact_merge():
     assert f.l1_distance(f) == 0.0
 
 
+def tracer_speed(traj, j, x):
+    """Speed of a tracer started at x at snapshot j, over the interval after it."""
+    ts, xs = pp.trace_characteristic(traj, x, float(traj.times[j]))
+    return (xs[1] - xs[0]) / (ts[1] - ts[0])
+
+
+def held_state(model, st):
+    """One unit of time with the velocity field of ``st``."""
+    return pp.Trajectory(snapshots=[(0.0, st), (1.0, st)], events=[], model=model)
+
+
 def test_velocity_interpolant_constant_region(burgers3):
     c = 2.0
     st = ParticleState.from_cells([0.0, 1.0, 2.0, 3.0], [c, c, c])
-    A = pp.velocity_interpolant(burgers3, st)
-    assert A(1.5) == pytest.approx(float(burgers3.eval_a(c)))
+    assert tracer_speed(held_state(burgers3, st), 0, 1.5) == pytest.approx(float(burgers3.eval_a(c)))
 
 
 def test_velocity_interpolant_demo_state(burgers3):
     st = ParticleState.from_cells([0.0, 1.0, 2.0], [3.0, 1.0])
-    A = pp.velocity_interpolant(burgers3, st)
-    np.testing.assert_allclose(A.node_values, [0.0, 1.5, 0.5])
-    assert A(0.5) == pytest.approx(0.75)  # linear between the first two nodes
-    # constant extension outside
-    assert A(-5.0) == 0.0 and A(10.0) == 0.5
+    np.testing.assert_allclose(pp.particle_velocities(burgers3, st), [0.0, 1.5, 0.5])
+    traj = held_state(burgers3, st)
+    assert tracer_speed(traj, 0, 0.5) == pytest.approx(0.75)  # linear between the first two nodes
+    # a tracer outside the particle range moves with the end particle
+    assert tracer_speed(traj, 0, -5.0) == 0.0 and tracer_speed(traj, 0, 10.0) == 0.5
 
 
 def test_interpolant_matches_particle_velocities(burgers3, rarefaction_shock_run):
-    _, st = rarefaction_shock_run.snapshots[10]
-    A = pp.velocity_interpolant(burgers3, st)
-    vel = pp.particle_velocities(burgers3, st)
-    np.testing.assert_allclose(np.asarray(A(st.positions)), vel, atol=1e-14)
+    j = 10
+    st = rarefaction_shock_run.snapshots[j][1]
+    speeds = [tracer_speed(rarefaction_shock_run, j, float(x)) for x in st.positions]
+    np.testing.assert_allclose(speeds, pp.particle_velocities(burgers3, st), rtol=1e-10, atol=1e-10)
 
 
 def test_residual_zero_for_internally_constant_state(burgers3):
@@ -87,8 +98,8 @@ def test_residual_single_cell_closed_form(burgers3):
     got = pp.flux_residual_l1(burgers3, st)
     xs = np.linspace(0, 1, 2000001)
     mids = 0.5 * (xs[1:] + xs[:-1])
-    A = pp.velocity_interpolant(burgers3, st)
-    oracle = float(np.sum(np.abs(np.asarray(A(mids)) * 1.0 - 0.5)) * (xs[1] - xs[0]))
+    A = np.interp(mids, st.positions, pp.particle_velocities(burgers3, st))
+    oracle = float(np.sum(np.abs(A * 1.0 - 0.5)) * (xs[1] - xs[0]))
     assert got == pytest.approx(0.25, abs=1e-12)
     assert got == pytest.approx(oracle, abs=1e-6)
 
@@ -178,11 +189,11 @@ def test_temporal_modulus(rarefaction_shock_run):
     assert pp.temporal_modulus_margin(rarefaction_shock_run) <= 1.05
 
 
-def test_piecewise_linear_validation():
-    with pytest.raises(ValueError):
-        PiecewiseLinearFn(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+def test_piecewise_constant_validation():
     with pytest.raises(ValueError):
         PiecewiseConstantFn(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        PiecewiseConstantFn(np.array([0.0, 0.0]), np.array([1.0]))
 
 
 def _residual_cell_loop(model, state):

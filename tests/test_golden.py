@@ -19,6 +19,9 @@ position-state run, and its plateau no longer rises 2.7e-14 above the
 initial maximum.  The LWR run keeps its 34 collision events with the
 same deleted particles, deleted cells and survivor maps; event times and
 positions moved by at most 1.8e-11, and it takes 776 steps instead of 774.
+
+The ``stats.json`` digests were recorded before ``exports.write_json``
+became the one JSON writer; it writes the same bytes.
 """
 
 import hashlib
@@ -59,20 +62,22 @@ GOLDEN = {
         BURGERS,
         "76b8cca506c183e2c0d0cd4af9c8df615cbf6cbf10aaab353404e0b87405a5de",
         "11b1718f23d8e07860eacc669ef48f42c3464759d6cec265f49351f66d30e945",
+        "07e402c1b73c81a68e1f76b66d45f98e358ec1e2fea0247136fde95185ae8a2e",
     ),
     "lwr": (
         LWR,
         "ab94a4a7fb861f7120b90abf34722e84f65ab4e5f88687ea242dd2b8f613c539",
         "b58479328a085e789c75076e03268e0ae06e40253174f459b7464c8f031bb6c4",
+        "2c7083af995bf296efe6d5b833b74a26e5067b977e34d4ed328361ae925e1750",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_simulate_output_matches_golden_digest(name, tmp_path):
-    config, trajectory_sha, events_sha = GOLDEN[name]
+    config, trajectory_sha, events_sha, stats_sha = GOLDEN[name]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert run_cli([str(path), "--out", str(tmp_path / "out")]) == 0
-    digest = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in ("trajectory.csv", "events.json")}
-    assert digest == {"trajectory.csv": trajectory_sha, "events.json": events_sha}
+    want = {"trajectory.csv": trajectory_sha, "events.json": events_sha, "stats.json": stats_sha}
+    assert {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in want} == want

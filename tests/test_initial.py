@@ -9,10 +9,10 @@ from particle_paths import (
     piecewise_constant_data,
     place_particles,
     rarefaction_shock_data,
-    reconstruct_density,
     riemann_data,
     sampled_data,
 )
+from particle_paths.initial import total_variation
 
 
 def test_uniform_placement_covers_hint():
@@ -121,7 +121,7 @@ def test_averaging_does_not_increase_variation():
     data = rarefaction_shock_data()
     for n in (5, 17, 101):
         st = cell_average(data, place_particles(data, n, "uniform"))
-        assert reconstruct_density(st).total_variation() <= data.tv_u0 + 1e-10
+        assert total_variation(st.densities) <= data.tv_u0 + 1e-10
 
 
 def test_riemann_data_profile():
