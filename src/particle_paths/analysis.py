@@ -114,7 +114,8 @@ def error_report(
 
     The error is taken at the run's final state, so ``T`` must be the run's
     final time (to a relative 1e-12).  The bounds take TV(u0) and sup(u0)
-    from the run's initial data and lip(f') from its model; a model without
+    from the run's initial data, dx* from its initial state (the widest
+    cell with mass) and lip(f') from its model; a model without
     ``lip_fprime`` gets no rate bound.
     """
     if traj.data is None:
@@ -133,7 +134,7 @@ def error_report(
     gap, tail = initial_approximation_gap(data, state0)
     residual, resolution = spacetime_flux_residual(traj)
     bound = stability_error_bound(gap + tail, data.tv_u0, residual)
-    dx0_star = float(np.max(state0.widths))
+    dx0_star = state0.dx_star
     lip_fp = traj.model.lip_fprime
     explicit = None
     if lip_fp is not None:
@@ -477,9 +478,9 @@ def convergence_study(
     """Run the scheme over a family of particle counts and fit the rate.
 
     Each run records 33 snapshots with ``dt_max`` at ``dt_max_ratio``
-    times its initial spacing dx*, and is measured over ``error_report``'s
-    default window.  Any run failing the invariant audit aborts the study,
-    naming the run.
+    times its initial spacing dx* (``ParticleState.dx_star``), and is
+    measured over ``error_report``'s default window.  Any run failing the
+    invariant audit aborts the study, naming the run.
     """
     if len(n_list) < 3:
         raise ValueError("need at least three particle counts")
@@ -487,7 +488,7 @@ def convergence_study(
     def one(n: int) -> ErrorReport:
         pos = place_particles(data, n, strategy)
         state0 = cell_average(data, pos)
-        dt = dt_max_ratio * float(np.max(state0.widths))
+        dt = dt_max_ratio * state0.dx_star
         traj = simulate(model, state0, T, dt_max=dt, theta=theta, snapshot_count=33, data=data)
         rep = error_report(traj, exact, T)
         if not rep.audit_passed:

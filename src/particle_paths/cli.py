@@ -294,8 +294,12 @@ def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
     model = _build_model(cfg, data)
     exact = _reference_for(cfg, model)
     n_list = [int(n) for n in cfg.placement["n_list"]]
-    for n in n_list:  # a placement the data cannot support fails before any run
-        _place(cfg, data, n)
+    # a placement the data cannot support, or a dx* that does not fall as n
+    # grows (the rate fit needs strictly finer runs), fails before any run
+    dx_star = [cell_average(data, _place(cfg, data, n)).dx_star for n in n_list]
+    if any(later >= earlier for earlier, later in zip(dx_star, dx_star[1:])):
+        pairs = ", ".join(f"n = {n}: {dx:.6g}" for n, dx in zip(n_list, dx_star))
+        raise ConfigError("placement.n_list", f"dx* must fall as n grows, got {pairs}")
     fit, reports = convergence_study(
         model,
         data,

@@ -111,6 +111,13 @@ class ParticleState:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
+    @property
+    def dx_star(self) -> float:
+        """Widest cell that holds mass (the widest cell when none does): the
+        spacing dx* of the order-1/2 rate, which a massless cell never sets."""
+        held = self.widths[self.masses > 0.0]
+        return float(np.max(held if held.size else self.widths))
+
     @staticmethod
     def from_cells(positions, densities, time: float = 0.0) -> "ParticleState":
         """State with the given cell densities, masses fixed from them."""
@@ -179,10 +186,47 @@ def _u0_pieces(data: InitialData, pos: np.ndarray):
     return (cuts, cell) + affine_pieces(data.eval_u0, cuts, inside, "u0", kinks)
 
 
+def _uniform(data: InitialData, n: int) -> np.ndarray:
+    lo, hi = data.support_hint
+    pos = np.linspace(lo, hi, n)
+    bp = np.sort(data.breakpoints)
+    inner = bp[(lo < bp) & (bp < hi)]
+    if n > 2:
+        # each breakpoint takes its nearest grid point, ties to the right, so
+        # breakpoints at least dx apart take distinct points and positions
+        # stay increasing; one within dx/2 of a hint end takes the interior
+        # point next to it, unless a breakpoint nearer that point keeps it
+        near = np.floor((inner - lo) * (n - 1) / (hi - lo) + 0.5).astype(int)
+        j = np.minimum(np.maximum(near, 1), n - 2)
+        pos[j] = inner
+        unclipped = j == near
+        pos[j[unclipped]] = inner[unclipped]
+    # u0 is affine on each piece, so zero at both quarter points means zero
+    # throughout; the particles strictly inside each run of such pieces go
+    cuts = np.concatenate([[lo], inner, [hi]])
+    a, w = cuts[:-1], np.diff(cuts)
+    u = np.asarray(data.eval_u0(np.concatenate([a + 0.25 * w, a + 0.75 * w])), dtype=float)
+    vacuum = (u[: a.size] == 0.0) & (u[a.size :] == 0.0)
+    if not vacuum.any():
+        return pos
+    runs = cuts[np.flatnonzero(np.diff(np.concatenate([[0], vacuum, [0]])))]
+    keep = np.ones(n, dtype=bool)
+    for first, stop in zip(np.searchsorted(pos, runs[::2], "right"), np.searchsorted(pos, runs[1::2], "left")):
+        keep[first:stop] = False
+    return pos[keep]
+
+
 def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.ndarray:
     """Initial particle positions covering the data's support hint.
 
-    ``uniform`` spaces n particles evenly over the hint.
+    ``uniform`` starts from n particles evenly spaced over the hint,
+    ``dx = (hi - lo) / (n - 1)`` apart, and moves the interior particle
+    nearest each breakpoint strictly inside the hint onto it (by at most
+    dx/2).  Then each run of pieces where u0 is zero becomes one cell: the
+    particles strictly inside it are dropped, and the hint ends always
+    stay.  So the result has between 2 and n particles; where the
+    breakpoints lie at least dx apart, each is a particle and each cell
+    with mass is between dx/2 and 2 dx wide.
     ``mass_equidistributed`` puts equal mass between consecutive particles
     by inverting the cumulative mass, exactly on each affine piece of u0.
     """
@@ -190,7 +234,7 @@ def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.
         raise ValueError(f"need at least two particles, got n={n}")
     lo, hi = data.support_hint
     if strategy == "uniform":
-        return np.linspace(lo, hi, n)
+        return _uniform(data, n)
     if strategy == "mass_equidistributed":
         cuts, _, w, um, u_l, u_r = _u0_pieces(data, np.array([lo, hi]))
         cum = np.concatenate([[0.0], np.cumsum(w * um)])

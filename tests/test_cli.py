@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from particle_paths import analysis, cell_average, place_particles, riemann_data
+from particle_paths.analysis import AuditReport, CheckResult
 from particle_paths.cli import run_cli
 
 
@@ -329,18 +331,77 @@ RIEMANN_CONVERGENCE = {
 }
 
 
+# every run of this step failed tv_diminishing (a TV rise of a few 1e-3)
+# while a cell straddled its jump
+STEP = {"u_l": 0.084, "u_r": 0.833, "x0": 0.1723, "window": [-2, 2], "measure_window": [-1, 1]}
+
+
 @pytest.mark.filterwarnings("error")
-def test_failed_audit_in_convergence_mode_is_exit_3(tmp_path, capsys):
-    # every run here fails tv_diminishing (a TV rise of a few 1e-3)
-    step = {"u_l": 0.084, "u_r": 0.833, "x0": 0.1723, "window": [-2, 2], "measure_window": [-1, 1]}
+def test_failed_audit_in_convergence_mode_is_exit_3(tmp_path, capsys, monkeypatch):
+    failed = AuditReport({"tv_diminishing": CheckResult(False, -1.0)}, passed=False)
+    monkeypatch.setattr(analysis, "invariant_audit", lambda traj: failed)
     config = base_config(
         tmp_path,
         flux={"kind": "lwr", "params": {}},
-        initial_data={"kind": "riemann", "params": step},
+        initial_data={"kind": "riemann", "params": STEP},
         **RIEMANN_CONVERGENCE,
     )
     assert run_cli([str(config)]) == 3
     assert "run with n = 37 failed the invariant audit" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_step_with_a_particle_on_its_jump_passes_every_audit(tmp_path):
+    config = base_config(
+        tmp_path,
+        flux={"kind": "lwr", "params": {}},
+        initial_data={"kind": "riemann", "params": STEP},
+        **RIEMANN_CONVERGENCE,
+    )
+    assert run_cli([str(config)]) == 0
+    reports = json.loads((tmp_path / "out" / "rate.json").read_text())["reports"]
+    assert [r["audit_passed"] for r in reports] == [True] * 3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flux, u_l, u_r", [("lwr", 0.0, 0.8), ("burgers", 0.0, 0.8), ("lwr", 0.8, 0.0)])
+def test_dx_star_is_the_widest_cell_with_mass(flux, u_l, u_r, tmp_path):
+    # the vacuum half of the window is one cell, wider than any cell with mass
+    step = {"u_l": u_l, "u_r": u_r}
+    config = base_config(
+        tmp_path,
+        flux={"kind": flux, "params": {}},
+        initial_data={"kind": "riemann", "params": step},
+        **RIEMANN_CONVERGENCE,
+    )
+    assert run_cli([str(config)]) == 0
+    reports = json.loads((tmp_path / "out" / "rate.json").read_text())["reports"]
+    data = riemann_data(**step)
+    for n, report in zip(RIEMANN_CONVERGENCE["placement"]["n_list"], reports):
+        state = cell_average(data, place_particles(data, n, "uniform"))
+        assert report["dx0_star"] == np.max(np.diff(state.positions)[state.densities > 0.0]) < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_list, code", [([21, 22, 23], 2), ([37, 73, 145], 0)])
+def test_dx_star_that_does_not_fall_is_exit_2(n_list, code, tmp_path, capsys):
+    # a particle on the jump leaves cells between dx/2 and 2 dx wide, so close
+    # counts can give a wider dx*: here 0.2277 at n = 21 and 0.2675 at n = 22
+    step = {"u_l": 0.2, "u_r": 0.9, "x0": 0.1723, "window": [-2, 2]}
+    config = base_config(
+        tmp_path,
+        mode="convergence",
+        flux={"kind": "lwr", "params": {}},
+        initial_data={"kind": "riemann", "params": step},
+        placement={"strategy": "uniform", "n_list": n_list},
+        time_horizon=0.5,
+    )
+    assert run_cli([str(config)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("config error at placement.n_list: dx* must fall as n grows")
+        assert "n = 21: 0.2277, n = 22: 0.267538" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error")

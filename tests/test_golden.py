@@ -16,12 +16,20 @@ state.  Positions are now rebuilt from cumulative widths, so they move
 by rounding: the burgers run keeps its 512 steps and 17 snapshot times,
 with positions within 4e-15 and densities within 3e-14 relative of the
 position-state run, and its plateau no longer rises 2.7e-14 above the
-initial maximum.  The LWR run keeps its 34 collision events with the
+initial maximum.  The LWR run kept its 34 collision events with the
 same deleted particles, deleted cells and survivor maps; event times and
 positions moved by at most 1.8e-11, and it takes 776 steps instead of 774.
 
 The ``stats.json`` digests were recorded before ``exports.write_json``
 became the one JSON writer; it writes the same bytes.
+
+The LWR digests were re-recorded when ``uniform`` placement put a
+particle on every breakpoint and made each vacuum gap one cell: 141
+particles became 108 and 34 collision events became 2.  The earlier
+code, given the new positions in place of its own, wrote the same
+``trajectory.csv``, ``events.json``, ``stats.json`` and ``summary.txt``.
+The burgers run's positions are unchanged: its jumps already sat on the
+grid and it has no vacuum.
 """
 
 import hashlib
@@ -42,7 +50,7 @@ BURGERS = {
     "seed": 0,
 }
 
-# three boxes in vacuum: 34 collision events
+# three boxes in vacuum: 2 collision events, one per vacuum gap
 LWR = {
     "mode": "simulate",
     "flux": {"kind": "lwr", "params": {"v_max": 1.0, "u_max": 1.0}},
@@ -66,9 +74,9 @@ GOLDEN = {
     ),
     "lwr": (
         LWR,
-        "ab94a4a7fb861f7120b90abf34722e84f65ab4e5f88687ea242dd2b8f613c539",
-        "b58479328a085e789c75076e03268e0ae06e40253174f459b7464c8f031bb6c4",
-        "2c7083af995bf296efe6d5b833b74a26e5067b977e34d4ed328361ae925e1750",
+        "75f815f145ff875b3dfefa1efaa5de71b870e627e4dcca600cb5d4b7669a8679",
+        "19c7a085b14b9a3507cfdc0e995a73861690431bc65ae7f7723967fb1897a70d",
+        "e8cd73468e382f03481c0a2b0bb7385f314f051347f77398e0dcd7156df3fcf6",
     ),
 }
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from particle_paths import (
     ParticleState,
@@ -16,11 +18,78 @@ from particle_paths.initial import total_variation
 
 
 def test_uniform_placement_covers_hint():
+    # the grid points nearest the jumps at 0 and 1 move onto them
     data = rarefaction_shock_data(margin=0.0001)
     pos = place_particles(data, 4, "uniform")
     lo, hi = data.support_hint
+    dx = (hi - lo) / 3
     assert pos[0] == lo and pos[-1] == hi
-    np.testing.assert_allclose(np.diff(pos), np.diff(pos)[0])
+    np.testing.assert_array_equal(pos[1:3], [0.0, 1.0])
+    assert np.all(np.abs(pos - np.linspace(lo, hi, 4)) <= dx / 2)
+
+
+@pytest.mark.parametrize("n", [201, 401, 801, 1601, 3201])
+def test_uniform_placement_of_the_paper_profile_is_the_even_grid(n):
+    # its jumps at 0 and 1 are grid points and it has no vacuum
+    data = rarefaction_shock_data()
+    assert place_particles(data, n, "uniform").tobytes() == np.linspace(*data.support_hint, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "data, n, want",
+    [
+        (piecewise_constant_data([0.0, 0.5, 1.0], [0.5, 0.0]), 5, [0.0, 0.25, 0.5, 1.0]),
+        (piecewise_constant_data([0.0, 0.5, 1.0], [0.0, 0.5]), 5, [0.0, 0.5, 0.75, 1.0]),
+        (piecewise_constant_data([0.0, 0.5, 1.0, 2.0], [1.0, 0.0, 0.0]), 9, [0.0, 0.25, 0.5, 2.0]),
+        (box_data(0.0, 0.0, 1.0), 5, [0.0, 1.0]),
+        # breakpoints exactly dx apart at half-grid points take distinct particles
+        (piecewise_constant_data([0.0, 0.375, 0.625, 1.0], [1.0, 2.0, 1.0]), 5, [0.0, 0.25, 0.375, 0.625, 1.0]),
+        # 2.5 lies within dx/2 of the hint end; it may not take 1.5's particle
+        (piecewise_constant_data([0.0, 0.5, 1.5, 2.5, 2.75], [0.0, 1.0, 0.0, 1.0]), 4, [0.0, 0.5, 1.5, 2.75]),
+    ],
+)
+def test_uniform_placement_examples(data, n, want):
+    pos = place_particles(data, n, "uniform")
+    np.testing.assert_array_equal(pos, want)
+    assert cell_average(data, pos).n_particles == len(want)
+
+
+@st.composite
+def step_data(draw):
+    """Step profile with vacuum pieces anywhere, including at the ends, and
+    possibly zero throughout."""
+    k = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    values = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.1, 2.0), min_size=k, max_size=k))
+    left = draw(st.floats(-2.0, 2.0))
+    return piecewise_constant_data(left + np.concatenate([[0.0], np.cumsum(widths)]), values), np.asarray(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=step_data(), n=st.integers(2, 400))
+def test_uniform_placement_contract(profile, n):
+    data, values = profile
+    pos = place_particles(data, n, "uniform")
+    lo, hi = data.support_hint
+    dx = (hi - lo) / (n - 1)
+    assert pos[0] == lo and pos[-1] == hi and 2 <= pos.size <= n
+    assert np.all(np.diff(pos) > 0.0)
+
+    # every breakpoint at least dx (beyond rounding) from the others is a particle
+    bp = np.asarray(data.breakpoints)
+    gaps = np.diff(bp)
+    apart = np.minimum(np.concatenate([[np.inf], gaps]), np.concatenate([gaps, [np.inf]])) >= dx * (1 + 1e-9)
+    # a breakpoint with vacuum on both sides lies inside one vacuum cell
+    edge = np.concatenate([[True], (values[:-1] != 0.0) | (values[1:] != 0.0), [True]])
+    assert np.isin(bp[apart & edge], pos).all()
+
+    st0 = cell_average(data, pos)
+    massless = st0.masses == 0.0
+    assert not np.any(massless[:-1] & massless[1:])
+    if apart.all():
+        held = st0.widths[~massless]
+        assert np.all((dx / 2 * (1 - 1e-9) <= held) & (held <= 2 * dx * (1 + 1e-9)))
+    assert st0.total_mass == pytest.approx(float(np.sum(gaps * values)), rel=1e-12, abs=1e-300)
 
 
 def test_mass_placement_uniform_density_is_even():

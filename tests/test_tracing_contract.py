@@ -4,7 +4,8 @@
 unchanged.  A name the tracer wraps that the package no longer has, or no
 longer calls through its module, or an argument a workload passes that the
 package no longer takes, would otherwise show only as a broken or silent
-benchmark run.
+benchmark run.  One round of the CLI workload runs here too, so a case
+that fails in the benchmark fails in the test suite.
 """
 
 import importlib.util
@@ -92,3 +93,13 @@ def test_kernel_and_audit_extrema_run_through_the_traced_names(kind):
     audit = names.index("analysis.audit")
     assert tracer.leaf_calls > calls
     assert spans[audit][tracing.LEAF_S] > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 15, 28])
+def test_cli_workload_round_passes_every_case(seed, tmp_path):
+    # the workload's boxes in vacuum under uniform placement: every CLI mode
+    # exits 0 and the repeated simulate writes the same trajectory.csv
+    workload = _load("workloads").CliVacuumLwr(tmp_path)
+    rnd = workload.run_round(workload.build(seed))
+    assert [(c.label, c.detail) for c in rnd.cases if not c.ok] == []
+    assert rnd.checks["repeat_bytes"][0]
