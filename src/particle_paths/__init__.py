@@ -49,6 +49,7 @@ from .flux import FluxModel, VelocityExtrema, builtin_flux, velocity_extrema
 from .initial import (
     InitialData,
     ParticleState,
+    PiecewiseAffineFn,
     box_data,
     cell_average,
     initial_approximation_gap,

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import Trajectory, particle_velocities, simulate
 from .field import PiecewiseConstantFn, reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel, velocity_extrema
-from .initial import InitialData, ParticleState, affine_pieces, cell_average, initial_approximation_gap, integrate
+from .initial import InitialData, ParticleState, cell_average, initial_approximation_gap, integrate
 from .initial import place_particles, total_variation
 from .reference import ExactSolution
 
@@ -73,14 +73,11 @@ def l1_error_against(
     T: float,
     window: Tuple[float, float],
 ) -> float:
-    """Integral of |v - u(.,T)| over the window, in closed form.
-
-    Between the breakpoints of v and ``exact.breakpoints_at(T)``, v is
-    constant and u affine (``ValueError`` names a piece where it is not).
-    """
-    listed = exact.breakpoints_at(T) if exact.breakpoints_at is not None else ()
-    cuts = np.unique(np.clip(np.concatenate([window, recon.breakpoints, listed]), *window))
-    w, _, u_l, u_r = affine_pieces(lambda x: exact(x, T), cuts, name=f"reference at t = {T}", kinks=listed)
+    """Integral of |v - u(.,T)| over the window, in closed form: between
+    the breakpoints of v and of ``exact.at(T)``, v is constant and u affine."""
+    u = exact.at(T)
+    cuts = np.unique(np.clip(np.concatenate([window, recon.breakpoints, u.x]), *window))
+    w, _, u_l, u_r = u.split(cuts)
     # by left end: a cut on a breakpoint of v takes the value to its right
     v = recon(cuts[:-1])
     return float(np.sum(integrate(u_l - v, u_r - v, w)))

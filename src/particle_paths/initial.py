@@ -16,6 +16,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "PiecewiseAffineFn",
     "InitialData",
     "ParticleState",
     "place_particles",
@@ -28,39 +29,102 @@ __all__ = [
     "sampled_data",
 ]
 
-# bound on the width-weighted affinity misfit of u0 summed over its pieces
-AFFINE_TOL = 1e-10
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseAffineFn:
+    """Function running from ``left[k]`` to ``right[k]`` on [x[k], x[k+1]].
+
+    It is ``below`` left of x[0] and ``above`` right of x[-1]; a point on a
+    breakpoint takes the value to its right.  ``x`` is nondecreasing, and a
+    piece of zero width is never read.
+    """
+
+    x: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    below: float = 0.0
+    above: float = 0.0
+
+    def __post_init__(self):
+        for name in ("x", "left", "right"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    def _at(self, k, p):
+        """Values at points p of pieces k, from -1 (the tail below) to
+        ``left.size`` (the tail above): a constant piece gives its value, a
+        point on the piece's right end its ``right``, any other point
+        slope * (p - x[k]) + left[k], the form ``np.interp`` computes,
+        where that is finite."""
+        xs = np.concatenate([[-np.inf], self.x, [np.inf]])
+        a, b = xs[k + 1], xs[k + 2]
+        l = np.concatenate([[self.below], self.left, [self.above]])[k + 1]
+        r = np.concatenate([[self.below], self.right, [self.above]])[k + 1]
+        with np.errstate(all="ignore"):
+            ramp = (r - l) / (b - a) * (p - a) + l
+            # a slope past the float range: scale the rise by the fraction
+            ramp = np.where(np.isfinite(ramp), ramp, (p - a) / (b - a) * (r - l) + l)
+        return np.where(l == r, l, np.where(p == b, r, ramp))
+
+    def __call__(self, p):
+        p = np.asarray(p, dtype=float)
+        out = self._at(np.searchsorted(self.x, p, side="right") - 1, p)
+        return out if out.ndim else float(out)
+
+    def split(self, cuts):
+        """Width, midpoint value and end values on each interval between
+        sorted ``cuts``, which must include every breakpoint between them."""
+        a, b = cuts[:-1], cuts[1:]
+        # by left end: the piece holding the interval, even where its
+        # midpoint rounds onto a breakpoint
+        k = np.searchsorted(self.x, a, side="right") - 1
+        # halved before adding: a + b may overflow where the mean does not
+        um, u_l, u_r = self._at(k, np.stack([0.5 * a + 0.5 * b, a, b]))
+        return b - a, um, u_l, u_r
 
 
 @dataclass(frozen=True)
 class InitialData:
-    """Nonnegative initial density profile.
+    """Nonnegative initial density profile ``u0``, affine between its breakpoints.
 
-    ``support_hint`` bounds the region the scheme resolves; the profile is
-    taken as zero outside it.  ``eval_u0`` takes arrays and must be affine
-    between consecutive ``breakpoints`` and hint edges inside the hint:
-    cell averages, mass placement and the initial gap integrate it in
-    closed form piece by piece, and raise ``ValueError`` where it is not
-    affine.  Every builder in this module meets the contract; a smooth
+    ``u0`` is zero outside its first and last breakpoints, which make the
+    ``support_hint``, the region the scheme resolves.  Cell averages, mass
+    placement and the initial gap read its pieces in closed form; a smooth
     profile has to be sampled (``sampled_data``).  ``measure_window``, when
     set, is the window on which errors against a reference solution should
     be measured; it is recorded in result metadata.
     """
 
-    eval_u0: Callable
-    support_hint: Tuple[float, float]
+    u0: PiecewiseAffineFn
     tv_u0: float
     sup_u0: float
-    breakpoints: Tuple[float, ...] = ()
     measure_window: Optional[Tuple[float, float]] = None
     description: str = ""
 
     def __post_init__(self):
-        lo, hi = self.support_hint
-        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-            raise ValueError(f"support hint must be a finite interval, got {self.support_hint}")
+        u0 = self.u0
+        if not (u0.x.ndim == 1 and u0.x.size >= 2 and u0.left.shape == u0.right.shape == (u0.x.size - 1,)):
+            raise ValueError("u0 needs at least two breakpoints and one left and right value per piece")
+        if not (np.all(np.isfinite(u0.x)) and np.all(np.diff(u0.x) > 0.0)):
+            raise ValueError("u0's breakpoints must be finite and strictly increasing")
+        vals = np.concatenate([u0.left, u0.right])
+        if not (np.all(np.isfinite(vals)) and np.all(vals >= 0.0)):
+            raise ValueError("u0's values must be finite and nonnegative")
+        if u0.below != 0.0 or u0.above != 0.0:
+            raise ValueError("u0 must be zero outside its breakpoints")
         if not (0.0 <= self.tv_u0 < np.inf and 0.0 <= self.sup_u0 < np.inf):
             raise ValueError(f"variation {self.tv_u0} and supremum {self.sup_u0} must be finite and nonnegative")
+
+    @property
+    def support_hint(self) -> Tuple[float, float]:
+        return float(self.u0.x[0]), float(self.u0.x[-1])
+
+    @property
+    def breakpoints(self) -> Tuple[float, ...]:
+        return tuple(float(p) for p in self.u0.x)
+
+    @property
+    def eval_u0(self) -> Callable:
+        return self.u0
 
 
 @dataclass(frozen=True)
@@ -140,76 +204,38 @@ def integrate(g_l, g_r, w):
     return out if out.ndim else float(out)
 
 
-def affine_pieces(u, cuts, inside=True, name="u", kinks=()):
-    """Width, midpoint value and end values of ``u`` on the pieces between ``cuts``.
-
-    ``u`` takes arrays and must be affine on every piece; pieces where
-    ``inside`` is False count as zero.  An affine piece has u(q1) + u(q3)
-    = 2 u(mid) at its quarter points; if the width-weighted misfit summed
-    over all pieces exceeds ``AFFINE_TOL``, ``ValueError`` names the first
-    piece holding at least its share of it.  A piece with no float inside
-    it is sampled at an end that is not in ``kinks`` (the cuts where u
-    may jump), so the value across a jump cannot leak into it.
-    """
-    a, b = cuts[:-1], cuts[1:]
-    w = b - a
-    # halved before adding: a + b may overflow where the mean does not
-    mid = 0.5 * a + 0.5 * b
-    q1 = 0.5 * a + 0.5 * mid
-    q3 = 0.5 * mid + 0.5 * b
-    shut = ~((a < mid) & (mid < b))
-    if shut.any():
-        end = np.where(np.isin(a, kinks), b, a)
-        q1, mid, q3 = (np.where(shut, end, q) for q in (q1, mid, q3))
-    u = np.asarray(u(np.concatenate([q1, mid, q3])), dtype=float).reshape(3, -1)
-    u1, um, u3 = np.where(inside, u, 0.0)
-    misfit = w * np.abs((u1 - um) + (u3 - um))
-    if not np.sum(misfit) <= AFFINE_TOL:
-        k = np.flatnonzero(~(misfit <= AFFINE_TOL / misfit.size))[0]
-        raise ValueError(f"{name} is not affine on [{a[k]:.17g}, {b[k]:.17g}]: list its kinks and jumps as breakpoints")
-    # u(q3) - u(q1) is half the rise across the piece: no division needed
-    return w, um, um - (u3 - u1), um + (u3 - u1)
-
-
 def _u0_pieces(data: InitialData, pos: np.ndarray):
-    """Cuts at u0's breakpoints, the hint edges and ``pos``, each piece's cell
-    index (-1 or n_cells outside ``pos``) and ``affine_pieces`` of u0, zero
-    outside the hint."""
+    """Cuts at u0's breakpoints and ``pos``, each piece's cell index (-1 or
+    n_cells outside ``pos``) and its ``split`` of u0."""
     if np.any(np.diff(pos) <= 0.0):
         raise ValueError("positions must be strictly increasing")
-    lo, hi = data.support_hint
-    cuts = np.unique(np.concatenate([data.breakpoints, (lo, hi), pos]))
-    inside = (lo <= cuts[:-1]) & (cuts[1:] <= hi)
-    # by left end: the midpoint of a one-ulp piece may round onto a particle
+    cuts = np.union1d(data.u0.x, pos)
     cell = np.searchsorted(pos, cuts[:-1], side="right") - 1
-    kinks = np.concatenate([data.breakpoints, (lo, hi)])
-    return (cuts, cell) + affine_pieces(data.eval_u0, cuts, inside, "u0", kinks)
+    return (cuts, cell) + data.u0.split(cuts)
 
 
 def _uniform(data: InitialData, n: int) -> np.ndarray:
+    u0 = data.u0
     lo, hi = data.support_hint
     pos = np.linspace(lo, hi, n)
-    bp = np.sort(data.breakpoints)
-    inner = bp[(lo < bp) & (bp < hi)]
+    vacuum = (u0.left == 0.0) & (u0.right == 0.0)
+    # interior breakpoints where u0 jumps or a vacuum run ends
+    inner = u0.x[1:-1][(u0.right[:-1] != u0.left[1:]) | (vacuum[:-1] != vacuum[1:])]
     if n > 2:
-        # each breakpoint takes its nearest grid point, ties to the right, so
-        # breakpoints at least dx apart take distinct points and positions
-        # stay increasing; one within dx/2 of a hint end takes the interior
-        # point next to it, unless a breakpoint nearer that point keeps it
+        # each such breakpoint takes its nearest grid point, ties to the
+        # right, so breakpoints at least dx apart take distinct points and
+        # positions stay increasing; one within dx/2 of a hint end takes the
+        # interior point next to it, unless a breakpoint nearer that point
+        # keeps it
         near = np.floor((inner - lo) * (n - 1) / (hi - lo) + 0.5).astype(int)
         j = np.minimum(np.maximum(near, 1), n - 2)
         pos[j] = inner
         unclipped = j == near
         pos[j[unclipped]] = inner[unclipped]
-    # u0 is affine on each piece, so zero at both quarter points means zero
-    # throughout; the particles strictly inside each run of such pieces go
-    cuts = np.concatenate([[lo], inner, [hi]])
-    a, w = cuts[:-1], np.diff(cuts)
-    u = np.asarray(data.eval_u0(np.concatenate([a + 0.25 * w, a + 0.75 * w])), dtype=float)
-    vacuum = (u[: a.size] == 0.0) & (u[a.size :] == 0.0)
+    # the particles strictly inside each run of pieces where u0 is zero go
     if not vacuum.any():
         return pos
-    runs = cuts[np.flatnonzero(np.diff(np.concatenate([[0], vacuum, [0]])))]
+    runs = u0.x[np.flatnonzero(np.diff(np.concatenate([[0], vacuum, [0]])))]
     keep = np.ones(n, dtype=bool)
     for first, stop in zip(np.searchsorted(pos, runs[::2], "right"), np.searchsorted(pos, runs[1::2], "left")):
         keep[first:stop] = False
@@ -221,11 +247,13 @@ def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.
 
     ``uniform`` starts from n particles evenly spaced over the hint,
     ``dx = (hi - lo) / (n - 1)`` apart, and moves the interior particle
-    nearest each breakpoint strictly inside the hint onto it (by at most
-    dx/2).  Then each run of pieces where u0 is zero becomes one cell: the
+    nearest each jump of u0 strictly inside the hint onto it (by at most
+    dx/2), and likewise each end of a run of pieces where u0 is zero.
+    Breakpoints where u0 is continuous move no particle, so sampled data
+    keep the even grid.  Then each such run becomes one cell: the
     particles strictly inside it are dropped, and the hint ends always
-    stay.  So the result has between 2 and n particles; where the
-    breakpoints lie at least dx apart, each is a particle and each cell
+    stay.  So the result has between 2 and n particles; where the jumps
+    and run ends lie at least dx apart, each is a particle and each cell
     with mass is between dx/2 and 2 dx wide.
     ``mass_equidistributed`` puts equal mass between consecutive particles
     by inverting the cumulative mass, exactly on each affine piece of u0.
@@ -304,26 +332,12 @@ def total_variation(values) -> float:
 
 
 def _steps(bp, vals, description: str, measure_window=None) -> InitialData:
-    """Step profile: ``vals[k]`` on (bp[k], bp[k+1]), zero outside (bp[0], bp[-1]).
-
-    A jump point takes the value to its right, the hint edges take zero.
-    """
-    bp = np.asarray(bp, dtype=float)
+    """Step profile: ``vals[k]`` on (bp[k], bp[k+1]), zero outside (bp[0], bp[-1])."""
     vals = np.asarray(vals, dtype=float)
-
-    def u0(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(bp, x, side="right") - 1
-        inside = (idx >= 0) & (idx < vals.size) & (x < bp[-1]) & (x > bp[0])
-        out = np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
-        return out if out.ndim else float(out)
-
     return InitialData(
-        eval_u0=u0,
-        support_hint=(float(bp[0]), float(bp[-1])),
+        u0=PiecewiseAffineFn(bp, vals, vals),
         tv_u0=total_variation(vals),
         sup_u0=float(np.max(vals, initial=0.0)),
-        breakpoints=tuple(float(p) for p in bp),
         measure_window=tuple(measure_window) if measure_window else None,
         description=description,
     )
@@ -331,15 +345,8 @@ def _steps(bp, vals, description: str, measure_window=None) -> InitialData:
 
 def riemann_data(u_l, u_r, x0=0.0, window=(-1.0, 1.0), measure_window=None) -> InitialData:
     """Two-state step profile, truncated to ``window``."""
-    u_l = float(u_l)
-    u_r = float(u_r)
-    x0 = float(x0)
-    if u_l < 0 or u_r < 0:
-        raise ValueError("states must be nonnegative")
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < x0 < hi:
-        raise ValueError(f"jump point {x0} must lie inside the window {window}")
-    return _steps((lo, x0, hi), (u_l, u_r), f"step {u_l} -> {u_r} at x = {x0}", measure_window)
+    u_l, u_r, x0 = float(u_l), float(u_r), float(x0)
+    return _steps((window[0], x0, window[1]), (u_l, u_r), f"step {u_l} -> {u_r} at x = {x0}", measure_window)
 
 
 def rarefaction_shock_data(margin: float = 1.0) -> InitialData:
@@ -358,49 +365,24 @@ def rarefaction_shock_data(margin: float = 1.0) -> InitialData:
 
 
 def box_data(height, a, b) -> InitialData:
-    height = float(height)
-    a = float(a)
-    b = float(b)
-    if height < 0 or b <= a:
-        raise ValueError("box needs nonnegative height and a < b")
+    height, a, b = float(height), float(a), float(b)
     return _steps((a, b), (height,), f"box height {height} on ({a}, {b})")
 
 
 def piecewise_constant_data(breakpoints, values, measure_window=None) -> InitialData:
     """Profile with the given values between consecutive breakpoints, zero outside."""
-    bp = np.asarray(breakpoints, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if bp.size != vals.size + 1 or bp.size < 2:
-        raise ValueError("need len(breakpoints) == len(values) + 1")
-    if np.any(np.diff(bp) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
-    if np.any(vals < 0):
-        raise ValueError("values must be nonnegative")
-    return _steps(bp, vals, "piecewise constant profile", measure_window)
+    return _steps(breakpoints, values, "piecewise constant profile", measure_window)
 
 
 def sampled_data(xs, us, measure_window=None) -> InitialData:
     """Piecewise linear interpolation of (x, u0) samples; zero outside."""
-    xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
-    if xs.ndim != 1 or xs.shape != us.shape or xs.size < 2:
+    if us.ndim != 1 or np.shape(xs) != us.shape:
         raise ValueError("need matching 1-D sample arrays")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("sample positions must be strictly increasing")
-    if np.any(us < 0):
-        raise ValueError("sampled densities must be nonnegative")
-
-    def u0(x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, xs, us, left=0.0, right=0.0)
-        return out if out.ndim else float(out)
-
     return InitialData(
-        eval_u0=u0,
-        support_hint=(float(xs[0]), float(xs[-1])),
+        u0=PiecewiseAffineFn(xs, us[:-1], us[1:]),
         tv_u0=total_variation(us),
-        sup_u0=float(np.max(us)),
-        breakpoints=tuple(float(p) for p in xs),
+        sup_u0=float(np.max(us, initial=0.0)),
         measure_window=tuple(measure_window) if measure_window else None,
         description="sampled profile",
     )

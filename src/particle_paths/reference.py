@@ -20,7 +20,7 @@ import numpy as np
 
 from .field import PiecewiseConstantFn
 from .flux import FluxModel, TabulatedOracle
-from .initial import InitialData, cell_average
+from .initial import InitialData, PiecewiseAffineFn, cell_average
 
 __all__ = [
     "ExactSolution",
@@ -32,23 +32,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form entropy solution u(x, t) with a validity window in time.
+    """Closed-form entropy solution with a validity window in time.
 
-    ``eval`` takes arrays of x and must be affine in x between consecutive
-    ``breakpoints_at(t)``: the L1 error integrates it in closed form and
-    raises ``ValueError`` naming a piece where it is not affine.
+    ``profile(t)`` is u(., t) as a ``PiecewiseAffineFn``; the L1 error
+    integrates against its pieces in closed form.
     """
 
-    eval: Callable
+    profile: Callable[[float], PiecewiseAffineFn]
     description: str
     t_valid: Tuple[float, float]
-    breakpoints_at: Optional[Callable] = None
 
-    def __call__(self, x, t):
+    def at(self, t) -> PiecewiseAffineFn:
         lo, hi = self.t_valid
         if not lo <= t < hi:
             raise ValueError(f"t = {t} outside validity window [{lo}, {hi})")
-        return self.eval(x, t)
+        return self.profile(t)
+
+    def __call__(self, x, t):
+        return self.at(t)(x)
 
 
 def burgers_rarefaction_shock() -> ExactSolution:
@@ -59,27 +60,12 @@ def burgers_rarefaction_shock() -> ExactSolution:
     The fan head meets the shock at t = 1, which caps the window.
     """
 
-    def eval_u(x, t):
-        x = np.asarray(x, dtype=float)
+    def profile(t):
         if t == 0.0:
-            out = np.where((x > 0.0) & (x < 1.0), 3.0, 1.0)
-            return out if out.ndim else float(out)
-        fan = (x > t) & (x < 3.0 * t)
-        plateau = (x >= 3.0 * t) & (x < 1.0 + 2.0 * t)
-        out = np.where(fan, x / t, np.where(plateau, 3.0, 1.0))
-        return out if out.ndim else float(out)
+            return PiecewiseAffineFn((0.0, 1.0), (3.0,), (3.0,), 1.0, 1.0)
+        return PiecewiseAffineFn((t, 3.0 * t, 1.0 + 2.0 * t), (1.0, 3.0), (3.0, 3.0), 1.0, 1.0)
 
-    def cuts(t):
-        if t == 0.0:
-            return (0.0, 1.0)
-        return (t, 3.0 * t, 1.0 + 2.0 * t)
-
-    return ExactSolution(
-        eval=eval_u,
-        description="rarefaction into shock, quadratic flux",
-        t_valid=(0.0, 1.0),
-        breakpoints_at=cuts,
-    )
+    return ExactSolution(profile, "rarefaction into shock, quadratic flux", (0.0, 1.0))
 
 
 def _fronts(x0: float, speeds, states, description: str) -> ExactSolution:
@@ -87,13 +73,9 @@ def _fronts(x0: float, speeds, states, description: str) -> ExactSolution:
     fronts at ``x0 + speeds * t`` for nondecreasing ``speeds``.  A point on
     a front takes the state to its right."""
     speeds = np.asarray(speeds, dtype=float)
-    states = np.asarray(states, dtype=float)
-
-    def eval_u(x, t):
-        out = states[np.searchsorted(x0 + speeds * t, np.asarray(x, dtype=float), side="right")]
-        return out if out.ndim else float(out)
-
-    return ExactSolution(eval_u, description, (0.0, np.inf), lambda t: tuple(x0 + speeds * t))
+    inner = np.asarray(states[1:-1], dtype=float)
+    profile = lambda t: PiecewiseAffineFn(x0 + speeds * t, inner, inner, states[0], states[-1])
+    return ExactSolution(profile, description, (0.0, np.inf))
 
 
 def _envelope(model: FluxModel, u_l: float, u_r: float):
@@ -158,17 +140,8 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
         s_l = 2.0 * a_l - model.fprime0
         s_r = 2.0 * a_r - model.fprime0
         if s_l < s_r:
-
-            def eval_fan(x, t):
-                x = np.asarray(x, dtype=float)
-                if t == 0.0:
-                    out = np.where(x < x0, u_l, u_r)
-                else:
-                    out = np.interp((x - x0) / t, (s_l, s_r), (u_l, u_r))
-                return out if out.ndim else float(out)
-
-            edges = lambda t: (x0 + s_l * t, x0 + s_r * t)
-            return ExactSolution(eval_fan, f"rarefaction {u_l} -> {u_r}", (0.0, np.inf), edges)
+            fan = lambda t: PiecewiseAffineFn(x0 + np.array([s_l, s_r]) * t, (u_l,), (u_r,), u_l, u_r)
+            return ExactSolution(fan, f"rarefaction {u_l} -> {u_r}", (0.0, np.inf))
         states = (u_l, u_r)
         speeds = ((float(model.eval_f(u_l)) - float(model.eval_f(u_r))) / (u_l - u_r),)
     if len(speeds) == 1:

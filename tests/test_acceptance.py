@@ -201,3 +201,23 @@ def test_criterion_10_oracle_cross_check():
         f"scheme-vs-oracle L1 {dist:.4f} <= est_scheme {est_scheme:.4f} + "
         f"est_oracle {est_oracle:.4f}",
     )
+
+
+def test_criterion_11_order_one_half_at_contacts():
+    # a contact discontinuity, where f is linear between the states, is where
+    # first-order monotone schemes attain order 1/2 (Sabac 1997; Tang & Teng
+    # 1995): the fitted slope stays near 1/2 and the stability bound over the
+    # error stays constant.  Only the stability bound is reported: the
+    # rate bound needs Lip(f'), which a piecewise linear table lacks.
+    model = pp.builtin_flux("tabulated", us=[0.0, 0.2, 0.8, 1.0], fs=[0.0, 0.16, 0.46, 0.5])
+    details = []
+    ok = True
+    for u_l, u_r in ((0.3, 0.7), (0.7, 0.3)):
+        data = pp.riemann_data(u_l, u_r, 0.0, window=(-2.0, 2.0), measure_window=(-1.0, 1.5))
+        # convergence_study aborts on a failed audit
+        fit, reports = pp.convergence_study(model, data, pp.riemann_solution(model, u_l, u_r), [101, 201, 401, 801, 1601], 0.5)
+        ratios = [r.stability_bound / r.l1_error_at_T for r in reports]
+        ok &= all(r.l1_error_at_T <= r.stability_bound for r in reports)
+        ok &= 0.45 <= fit.slope <= 0.55 and max(ratios) <= 1.15 * min(ratios)
+        details.append(f"{u_l} -> {u_r}: slope={fit.slope:.3f}, bound/l1 in [{min(ratios):.2f}, {max(ratios):.2f}]")
+    report(11, ok, "; ".join(details) + " (slope in [0.45, 0.55], ratio spread <= 1.15)")

@@ -29,10 +29,9 @@ def test_error_report_zero_against_self(burgers3, rarefaction_shock_run):
     # reference that replays the run's own final reconstruction
     final = pp.reconstruct_density(rarefaction_shock_run.final_state)
     exact = pp.ExactSolution(
-        eval=lambda x, t: final(x),
+        profile=lambda t: pp.PiecewiseAffineFn(final.breakpoints, final.values, final.values),
         description="self",
         t_valid=(0.0, 1.0),
-        breakpoints_at=lambda t: tuple(final.breakpoints),
     )
     rep = pp.error_report(rarefaction_shock_run, exact, 0.25)
     assert rep.l1_error_at_T <= 1e-9

@@ -147,6 +147,18 @@ def test_csv_inputs_for_flux_and_data(tmp_path):
     assert "audit: PASS" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+def test_sampled_data_at_large_scale_simulates(tmp_path):
+    # exact sampled data near 1e6 once failed a fixed affinity tolerance
+    path = base_config(
+        tmp_path,
+        flux={"kind": "lwr", "params": {"u_max": 3e6}},
+        initial_data={"kind": "sampled", "params": {"xs": [0.0, 0.25, 0.5, 0.75, 1.0], "us": [1e6, 2.3e6, 1.7e6, 2.9e6, 1.1e6]}},
+        placement={"strategy": "uniform", "n": 101},
+    )
+    assert run_cli([str(path)]) == 0
+    assert "audit: PASS" in (tmp_path / "out" / "summary.txt").read_text()
+
+
 def test_function_csv_export(tmp_path):
     import numpy as np
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
-from particle_paths import ExactSolution, InitialData, PiecewiseConstantFn
+from particle_paths import PiecewiseAffineFn, PiecewiseConstantFn
 from simpson_reference import integrate
 
 
@@ -122,33 +122,38 @@ def test_one_ulp_sliver_piece_is_not_an_error(data, linear, side):
     assert gap >= 0.0 and tail == 0.0
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(2, 5000))
-def test_curved_profile_without_breakpoints_is_an_error(n):
-    curved = InitialData(lambda x: 1.0 + np.sin(np.asarray(x, dtype=float)), (0.0, 3.0), tv_u0=2.0, sup_u0=2.0)
-    pos = np.linspace(0.0, 3.0, n)
-    with pytest.raises(ValueError, match="not affine"):
-        pp.cell_average(curved, pos)
-    with pytest.raises(ValueError, match="not affine"):
-        pp.place_particles(curved, n, "mass_equidistributed")
-    state = pp.ParticleState.from_cells(pos, np.ones(n - 1))
-    with pytest.raises(ValueError, match="not affine"):
-        pp.initial_approximation_gap(curved, state)
+def test_listed_tent_is_averaged_exactly():
+    tent = pp.sampled_data([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(pp.cell_average(tent, [-1.0, -0.5, 0.5, 1.0]).densities, [0.25, 0.75, 0.25])
 
 
-def test_unlisted_kink_is_named():
-    tent = InitialData(lambda x: 1.0 - np.abs(np.asarray(x, dtype=float)), (-1.0, 1.0), tv_u0=2.0, sup_u0=1.0)
-    with pytest.raises(ValueError, match=r"not affine on \[-0.5, 0.5\]"):
-        pp.cell_average(tent, [-1.0, -0.5, 0.5, 1.0])
-    listed = InitialData(tent.eval_u0, (-1.0, 1.0), tv_u0=2.0, sup_u0=1.0, breakpoints=(0.0,))
-    np.testing.assert_array_equal(pp.cell_average(listed, [-1.0, -0.5, 0.5, 1.0]).densities, [0.25, 0.75, 0.25])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(-12, 12))
+def test_sampled_mass_survives_any_scale(data, k):
+    # the trapezoid mass of the samples, through cell averages, at values
+    # from 1e-12 to 1e12: exactness may not hang on an absolute tolerance
+    unit = data.draw(profiles(linear=True))
+    xs = np.asarray(unit.breakpoints)
+    us = 10.0**k * np.append(unit.u0.left, unit.u0.right[-1])
+    prof = pp.sampled_data(xs, us)
+    pos = np.union1d(data.draw(positions(prof)), xs[[0, -1]])
+    trapezoid = float(np.sum(np.diff(xs) * (0.5 * us[:-1] + 0.5 * us[1:])))
+    assert pp.cell_average(prof, pos).total_mass == pytest.approx(trapezoid, rel=1e-12, abs=1e-300)
+
+
+def test_a_piece_steeper_than_the_float_range_stays_finite():
+    prof = pp.sampled_data([0.0, 1e-310, 1.0], [0.0, 1.0, 1.0])
+    assert prof.eval_u0(0.5e-310) == pytest.approx(0.5, rel=1e-3)
+    state = pp.cell_average(prof, [0.0, 0.5e-310, 1.0])
+    assert np.all(np.isfinite(state.densities))
+    assert state.total_mass == pytest.approx(1.0 - 0.5e-310, rel=1e-15)
 
 
 def simpson_l1(recon, exact, T, window):
     """|v - u(., T)| over the window by adaptive Simpson, split at both functions' breakpoints."""
     lo, hi = window
     cuts = [float(b) for b in recon.breakpoints if lo < b < hi]
-    cuts.extend(float(b) for b in exact.breakpoints_at(T) if lo < b < hi)
+    cuts.extend(float(b) for b in exact.at(T).x if lo < b < hi)
     return integrate(lambda x: abs(float(recon(x)) - float(exact(x, T))), lo, hi, tol=1e-10, breakpoints=cuts)
 
 
@@ -199,7 +204,7 @@ def test_l1_error_matches_simpson_on_riemann_solutions(data, name, states, T):
 def test_riemann_fan_of_a_tabulated_flux_is_its_envelope(model, states, T):
     u_l, u_r = states
     sol = pp.riemann_solution(model, u_l, u_r)
-    fronts = np.asarray(sol.breakpoints_at(T))
+    fronts = sol.at(T).x
     assert np.all(np.diff(fronts) >= 0.0)
     # every front is inside [-reach, reach]; u0 is u_l left of 0 and u_r right of it
     reach = 1.0 + model.lip_f * T
@@ -219,8 +224,54 @@ def test_riemann_fan_of_a_tabulated_flux_is_its_envelope(model, states, T):
     assert np.all(np.sign(u_r - u_l) * (model.eval_f(nodes) - chords) >= -1e-12)
 
 
-def test_l1_error_rejects_a_reference_that_is_not_affine():
-    smooth = ExactSolution(lambda x, t: 1.0 + np.sin(np.asarray(x, dtype=float)), "1 + sin x", (0.0, 1.0))
-    recon = PiecewiseConstantFn(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="not affine"):
-        pp.l1_error_against(recon, smooth, 0.5, (-1.0, 2.0))
+def test_l1_error_of_a_fan_scales_with_its_states():
+    # the burgers fan 1e6 -> 2e6 at t = 7e-7 is the unit fan at t = 0.7
+    # scaled by 1e6 in u, measured against the Riemann data on 301 breakpoints
+    bp = np.linspace(-0.5, 1.5, 301)
+    step = np.where(0.5 * bp[:-1] + 0.5 * bp[1:] < 0.0, 1.0, 2.0)
+    unit = pp.l1_error_against(
+        PiecewiseConstantFn(bp, step), pp.riemann_solution(pp.builtin_flux("burgers", u_high=3.0), 1.0, 2.0), 0.7, (-0.5, 1.5)
+    )
+    big = pp.riemann_solution(pp.builtin_flux("burgers", u_high=3e6), 1e6, 2e6)
+    assert pp.l1_error_against(PiecewiseConstantFn(bp, 1e6 * step), big, 7e-7, (-0.5, 1.5)) == pytest.approx(1e6 * unit, rel=1e-12)
+
+
+def test_a_point_on_a_breakpoint_takes_the_value_to_its_right():
+    u = PiecewiseAffineFn([0.0, 1.0, 2.0], [1.0, 4.0], [3.0, 4.0], below=0.5, above=7.0)
+    np.testing.assert_array_equal(u([-5.0, 0.0, 0.5, 1.0, 1.5, 2.0, 9.0]), [0.5, 1.0, 2.0, 4.0, 4.0, 7.0, 7.0])
+    assert u(-np.inf) == 0.5 and u(np.inf) == 7.0
+
+
+def test_zero_width_pieces_are_never_read():
+    # at t = 0 the fan's edges coincide: u_l left of x0, u_r from x0 on
+    burgers = pp.builtin_flux("burgers", u_high=2.0)
+    u = pp.riemann_solution(burgers, 0.5, 2.0, x0=0.25).at(0.0)
+    np.testing.assert_array_equal(u([-1.0, np.nextafter(0.25, 0.0), 0.25, 1.0]), [0.5, 0.5, 2.0, 2.0])
+    w, um, u_l, u_r = u.split(np.array([-1.0, 0.25, 1.0]))
+    np.testing.assert_array_equal(np.stack([w, um, u_l, u_r]), [[1.25, 0.75], [0.5, 2.0], [0.5, 2.0], [0.5, 2.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_split_of_sampled_data_is_np_interp(data):
+    # bit for bit at the midpoints, which keeps cell averages as they were,
+    # and the samples themselves at ends on a sample
+    prof = data.draw(profiles(linear=True))
+    cuts = np.union1d(prof.breakpoints, data.draw(positions(prof)))
+    xs = np.asarray(prof.breakpoints)
+    us = np.append(prof.u0.left, prof.u0.right[-1])
+    _, um, u_l, u_r = prof.u0.split(cuts)
+    mid = 0.5 * cuts[:-1] + 0.5 * cuts[1:]
+    assert um.tobytes() == np.interp(mid, xs, us, left=0.0, right=0.0).tobytes()
+    # an interval starting on a sample other than the last, or ending on one
+    # other than the first, lies inside the samples
+    for ends, values, samples in ((cuts[:-1], u_l, xs[:-1]), (cuts[1:], u_r, xs[1:])):
+        on = np.isin(ends, samples)
+        assert values[on].tobytes() == np.interp(ends[on], xs, us).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(1.7e308, 1.79e308), (-1.79e308, -1.7e308), (-1.7e308, 1.7e308)])
+def test_constant_pieces_are_exact_near_the_largest_float(lo, hi):
+    u = PiecewiseAffineFn([lo, hi], [2.0], [2.0])
+    _, *values = u.split(np.array([lo, 0.5 * lo + 0.5 * hi, hi]))
+    np.testing.assert_array_equal(values, np.full((3, 2), 2.0))

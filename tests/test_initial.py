@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from particle_paths import (
+    InitialData,
     ParticleState,
+    PiecewiseAffineFn,
     box_data,
     cell_average,
     initial_approximation_gap,
@@ -75,13 +77,13 @@ def test_uniform_placement_contract(profile, n):
     assert pos[0] == lo and pos[-1] == hi and 2 <= pos.size <= n
     assert np.all(np.diff(pos) > 0.0)
 
-    # every breakpoint at least dx (beyond rounding) from the others is a particle
+    # every jump at least dx (beyond rounding) from the other jumps is a
+    # particle; a breakpoint between equal values, vacuum or not, is no jump
     bp = np.asarray(data.breakpoints)
-    gaps = np.diff(bp)
+    jumps = bp[np.concatenate([[True], values[:-1] != values[1:], [True]])]
+    gaps = np.diff(jumps)
     apart = np.minimum(np.concatenate([[np.inf], gaps]), np.concatenate([gaps, [np.inf]])) >= dx * (1 + 1e-9)
-    # a breakpoint with vacuum on both sides lies inside one vacuum cell
-    edge = np.concatenate([[True], (values[:-1] != 0.0) | (values[1:] != 0.0), [True]])
-    assert np.isin(bp[apart & edge], pos).all()
+    assert np.isin(jumps[apart], pos).all()
 
     st0 = cell_average(data, pos)
     massless = st0.masses == 0.0
@@ -89,7 +91,23 @@ def test_uniform_placement_contract(profile, n):
     if apart.all():
         held = st0.widths[~massless]
         assert np.all((dx / 2 * (1 - 1e-9) <= held) & (held <= 2 * dx * (1 + 1e-9)))
-    assert st0.total_mass == pytest.approx(float(np.sum(gaps * values)), rel=1e-12, abs=1e-300)
+    assert st0.total_mass == pytest.approx(float(np.sum(np.diff(bp) * values)), rel=1e-12, abs=1e-300)
+
+
+def test_uniform_placement_of_dense_samples_is_the_even_grid():
+    # sampled data are continuous between their ends: no grid point moves
+    # onto a sample, however close the samples lie
+    rng = np.random.default_rng(1)
+    data = sampled_data(np.sort(rng.uniform(0.0, 1.0, 301)), rng.uniform(0.5, 2.0, 301))
+    pos = place_particles(data, 101, "uniform")
+    assert pos.tobytes() == np.linspace(*data.support_hint, 101).tobytes()
+
+
+def test_uniform_placement_keeps_vacuum_ends_of_sampled_data():
+    # u0 meets its vacuum piece continuously at 1; the run still ends on a
+    # particle, so no cell with mass spans the vacuum
+    data = sampled_data([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(place_particles(data, 6, "uniform"), [0.0, 1.0, *np.linspace(0.0, 2.0, 6)[4:]])
 
 
 def test_mass_placement_uniform_density_is_even():
@@ -205,6 +223,41 @@ def test_sampled_data_interpolates():
     assert float(data.eval_u0(0.5)) == pytest.approx(1.0)
     assert float(data.eval_u0(5.0)) == 0.0
     assert data.sup_u0 == 2.0
+
+
+@pytest.mark.parametrize(
+    "u0",
+    [
+        PiecewiseAffineFn([0.0], [], []),
+        PiecewiseAffineFn([0.0, 1.0], [1.0, 2.0], [1.0]),
+        PiecewiseAffineFn([0.0, 0.0, 1.0], [1.0, 1.0], [1.0, 1.0]),
+        PiecewiseAffineFn([0.0, np.inf], [1.0], [1.0]),
+        PiecewiseAffineFn([0.0, 1.0], [-1.0], [1.0]),
+        PiecewiseAffineFn([0.0, 1.0], [1.0], [np.nan]),
+        PiecewiseAffineFn([0.0, 1.0], [1.0], [1.0], above=1.0),
+    ],
+    ids=["one_breakpoint", "lengths", "zero_width", "infinite_breakpoint", "negative", "nan", "tail"],
+)
+def test_initial_data_checks_its_pieces(u0):
+    with pytest.raises(ValueError, match="u0"):
+        InitialData(u0, tv_u0=1.0, sup_u0=1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: riemann_data(-0.1, 0.5),
+        lambda: riemann_data(0.1, 0.5, x0=2.0),
+        lambda: box_data(1.0, 1.0, 0.0),
+        lambda: piecewise_constant_data([0.0, 1.0], [1.0, 2.0]),
+        lambda: sampled_data([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        lambda: sampled_data([0.0, 1.0], [1.0, 2.0, 3.0]),
+    ],
+    ids=["negative_state", "jump_outside", "reversed_box", "lengths", "repeated_sample", "sample_lengths"],
+)
+def test_builders_reject_bad_profiles(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_state_validation():
