@@ -43,6 +43,6 @@ print(f"invariant audit:        {'PASS' if report.audit_passed else 'FAIL'}")
 # sampled curves for plotting: scheme vs closed form at T
 recon = pp.reconstruct_density(trajectory.final_state)
 pp.exports.write_function_csv(recon, OUT / "scheme_T.csv", -1.0, 2.0, 601)
-pp.exports.write_function_csv(lambda x: exact(x, T), OUT / "exact_T.csv", -1.0, 2.0, 601)
+pp.exports.write_function_csv(exact.at(T), OUT / "exact_T.csv", -1.0, 2.0, 601)
 pp.exports.write_trajectory_csv(trajectory, OUT / "trajectory.csv")
 print(f"wrote scheme_T.csv / exact_T.csv / trajectory.csv under {OUT}")

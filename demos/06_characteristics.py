@@ -27,8 +27,8 @@ _, left = pp.trace_characteristic(trajectory, 0.3, 0.0)
 _, right = pp.trace_characteristic(trajectory, 0.7, 0.0)
 v0 = pp.reconstruct_density(state0)
 vT = pp.reconstruct_density(trajectory.final_state)
-m0 = v0.integrate_between(0.3, 0.7)
-mT = vT.integrate_between(left[-1], right[-1])
+m0 = v0.integral((0.3, 0.7))
+mT = vT.integral((left[-1], right[-1]))
 print(f"mass between tracers: {m0:.6f} at t=0, {mT:.6f} at T (difference {abs(m0 - mT):.1e})")
 
 # a fan of tracers stays ordered

@@ -65,7 +65,7 @@ class ExperimentConfig:
     initial_data: dict = field(default_factory=lambda: {"kind": "paper_example", "params": {}})
     placement: dict = field(default_factory=lambda: {"strategy": "uniform", "n": 101})
     time_horizon: float = 0.25
-    integrator: dict = field(default_factory=lambda: {"dt_max": 1e-3, "theta": 0.1, "eps_coll": None})
+    integrator: dict = field(default_factory=lambda: {"dt_max": 1e-3, "theta": 0.1})
     snapshots: int = 64
     seed: int = 0
     out: str = "results"
@@ -100,22 +100,19 @@ def _read_config(path) -> ExperimentConfig:
 # Scalar fields that validation and the modes read: dot path (``[]`` marks
 # every item of a list), numeric type, the range the value must lie in, and
 # the message when it does not.  A float field also takes an int; bool is
-# rejected where a number is expected.  Null stands for the default only
-# where _NULLABLE says so.
+# rejected where a number is expected.
 _SCALARS = (
     ("time_horizon", float, lambda v: v > 0, "must be positive"),
     ("placement.n", int, lambda v: v >= 2, "need at least two particles"),
     ("placement.n_list[]", int, lambda v: v >= 2, "need >= 3 counts, each >= 2"),
     ("integrator.dt_max", float, lambda v: v > 0, "must be positive"),
     ("integrator.theta", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    ("integrator.eps_coll", float, lambda v: v > 0, "must be positive, or null for the default"),
     ("convergence.dt_max_ratio", float, lambda v: v > 0, "must be positive"),
     ("snapshots", int, lambda v: v >= 2, "need at least two"),
     ("seed", int, lambda v: v >= 0, "must be nonnegative"),
     ("ftl.pairs", int, lambda v: v >= 1, "need at least one pair"),
     ("ftl.tol", float, lambda v: v >= 0, "must be nonnegative"),
 )
-_NULLABLE = ("integrator.eps_coll",)
 
 
 def _scalar_values(cfg: ExperimentConfig, path: str) -> List[tuple]:
@@ -138,8 +135,6 @@ def _scalar_values(cfg: ExperimentConfig, path: str) -> List[tuple]:
 def _check_scalars(cfg: ExperimentConfig) -> None:
     for path, kind, in_range, rule in _SCALARS:
         for name, value in _scalar_values(cfg, path):
-            if value is None and name in _NULLABLE:
-                continue
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
                 raise ConfigError(name, f"must be {'a number' if kind is float else 'an integer'}, got {value!r}")
             if not ((isinstance(value, int) or math.isfinite(value)) and in_range(value)):
@@ -172,6 +167,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("placement.n_list", f"counts must be strictly increasing, got {n_list!r}")
     if "dt_max" not in cfg.integrator:
         raise ConfigError("integrator.dt_max", "required")
+    for key in cfg.integrator:
+        if key not in ("dt_max", "theta"):
+            raise ConfigError(f"integrator.{key}", "unknown key")
 
 
 def _read_table(path, where: str) -> np.ndarray:
@@ -262,7 +260,6 @@ def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
         float(cfg.time_horizon),
         dt_max=float(cfg.integrator["dt_max"]),
         theta=float(cfg.integrator.get("theta", 0.1)),
-        eps_coll=cfg.integrator.get("eps_coll"),
         snapshot_count=int(cfg.snapshots),
         data=data,
         config={"seed": cfg.seed},

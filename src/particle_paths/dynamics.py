@@ -243,7 +243,6 @@ def simulate(
     *,
     dt_max: float,
     theta: float = THETA_DEFAULT,
-    eps_coll: Optional[float] = None,
     snapshot_count: int = 64,
     every_step: bool = False,
     data: Optional[InitialData] = None,
@@ -254,12 +253,13 @@ def simulate(
     Snapshots are taken on an equispaced schedule (``snapshot_count``
     times including 0 and T), or after every step when ``every_step`` is
     set; the states immediately before and after each collision sweep are
-    always recorded.  The trajectory's ``stats`` summarise the steps.
+    always recorded.  A sweep collapses every gap of at most
+    ``default_eps_coll(state0)``.  The trajectory's ``stats`` summarise
+    the steps.
     """
     if T <= state0.time:
         raise ValueError("T must exceed the initial time")
-    if eps_coll is None:
-        eps_coll = default_eps_coll(state0)
+    eps_coll = default_eps_coll(state0)
     run_config = {
         "T": T,
         "dt_max": dt_max,

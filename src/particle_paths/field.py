@@ -1,24 +1,26 @@
 """Reconstructions built on top of a particle state.
 
 The density reconstruction is the piecewise constant function carrying
-each cell's density between its particles and zero outside.  The velocity
-interpolant is the continuous piecewise linear function whose node at
-particle i is that particle's interface velocity (``np.interp`` over the
-particle positions, constant beyond the end particles); the flux residual
-integrates |velocity * density - flux(density)| exactly, cell by cell,
-since the integrand is affine between particles up to one sign change.
+each cell's density between its particles and zero outside: a
+``PiecewiseAffineFn`` whose pieces are flat, so its integral and its L1
+distance to another piecewise function are that class's closed forms.
+The velocity interpolant is the continuous piecewise linear function
+whose node at particle i is that particle's interface velocity
+(``np.interp`` over the particle positions, constant beyond the end
+particles); the flux residual integrates |velocity * density -
+flux(density)| exactly, cell by cell, since the integrand is affine
+between particles up to one sign change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .dynamics import Trajectory, particle_velocities
 from .flux import FluxModel
-from .initial import ParticleState, integrate
+from .initial import ParticleState, PiecewiseAffineFn, integrate
 
 __all__ = [
     "PiecewiseConstantFn",
@@ -29,52 +31,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantFn:
-    """Step function: values between consecutive breakpoints, zero outside."""
+class PiecewiseConstantFn(PiecewiseAffineFn):
+    """Step function: ``values`` between consecutive ``breakpoints``, zero outside."""
 
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, breakpoints, values):
+        bp = np.asarray(breakpoints, dtype=float)
+        vals = np.asarray(values, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or vals.shape != (bp.size - 1,):
             raise ValueError("need n breakpoints and n-1 values")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
             raise ValueError("non-finite reconstruction")
+        super().__init__(bp, vals, vals)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        inside = (idx >= 0) & (idx < self.values.size) & (x < self.breakpoints[-1])
-        out = np.where(inside, self.values[np.clip(idx, 0, self.values.size - 1)], 0.0)
-        return out if out.ndim else float(out)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
-
-    def integral(self) -> float:
-        return float(np.dot(self.values, self.widths))
-
-    def integrate_between(self, a: float, b: float) -> float:
-        """Integral over [a, b] (exact; pieces clipped to the window)."""
-        if b < a:
-            raise ValueError("inverted window")
-        left = np.maximum(self.breakpoints[:-1], a)
-        right = np.minimum(self.breakpoints[1:], b)
-        overlap = np.maximum(right - left, 0.0)
-        return float(np.dot(self.values, overlap))
-
-    def l1_distance(self, other: "PiecewiseConstantFn") -> float:
-        """Exact L1 distance to another step function (merged breakpoints)."""
-        cuts = np.union1d(self.breakpoints, other.breakpoints)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        diff = np.abs(np.asarray(self(mids)) - np.asarray(other(mids)))
-        return float(np.dot(diff, np.diff(cuts)))
+    breakpoints = property(lambda self: self.x)
+    values = property(lambda self: self.left)
 
 
 def reconstruct_density(state: ParticleState) -> PiecewiseConstantFn:

@@ -11,7 +11,7 @@ the truncation edges cannot reach within the simulated horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +81,31 @@ class PiecewiseAffineFn:
         um, u_l, u_r = self._at(k, np.stack([0.5 * a + 0.5 * b, a, b]))
         return b - a, um, u_l, u_r
 
+    def l1_distance(self, other: "PiecewiseAffineFn", window=None) -> float:
+        """Integral of |self - other| over ``window``, or between the two
+        functions' outermost breakpoints: exact to rounding, since the
+        difference is affine between consecutive breakpoints of either."""
+        cuts = _cuts(np.concatenate([self.x, other.x]), window)
+        w, _, f_l, f_r = self.split(cuts)
+        _, _, g_l, g_r = other.split(cuts)
+        return float(np.sum(integrate(f_l - g_l, f_r - g_r, w)))
+
+    def integral(self, window=None) -> float:
+        """Integral over ``window``, or between the outermost breakpoints:
+        width times midpoint value, piece by piece."""
+        w, um, _, _ = self.split(_cuts(self.x, window))
+        return float(np.sum(w * um))
+
+
+def _cuts(x, window):
+    """The distinct points of ``x``, clipped to ``window`` and joined by its
+    ends when a window is given."""
+    if window is None:
+        return np.unique(x)
+    if not window[0] <= window[1]:
+        raise ValueError(f"inverted window {window}")
+    return np.unique(np.clip(np.concatenate([window, x]), *window))
+
 
 @dataclass(frozen=True)
 class InitialData:
@@ -117,14 +142,6 @@ class InitialData:
     @property
     def support_hint(self) -> Tuple[float, float]:
         return float(self.u0.x[0]), float(self.u0.x[-1])
-
-    @property
-    def breakpoints(self) -> Tuple[float, ...]:
-        return tuple(float(p) for p in self.u0.x)
-
-    @property
-    def eval_u0(self) -> Callable:
-        return self.u0
 
 
 @dataclass(frozen=True)

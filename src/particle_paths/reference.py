@@ -48,9 +48,6 @@ class ExactSolution:
             raise ValueError(f"t = {t} outside validity window [{lo}, {hi})")
         return self.profile(t)
 
-    def __call__(self, x, t):
-        return self.at(t)(x)
-
 
 def burgers_rarefaction_shock() -> ExactSolution:
     """Entropy solution for the quadratic flux u^2/2 with data 3 on (0,1), 1 elsewhere.

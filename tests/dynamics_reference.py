@@ -7,7 +7,7 @@ and is the reference its results must equal bit for bit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -62,14 +62,12 @@ def simulate(
     *,
     dt_max: float,
     theta: float = THETA_DEFAULT,
-    eps_coll: Optional[float] = None,
     snapshot_count: int = 64,
     every_step: bool = False,
 ) -> Trajectory:
     if T <= state0.time:
         raise ValueError("T must exceed the initial time")
-    if eps_coll is None:
-        eps_coll = default_eps_coll(state0)
+    eps_coll = default_eps_coll(state0)
     targets = np.linspace(state0.time, T, max(2, snapshot_count))
     state = state0
     snaps: List[Tuple[float, ParticleState]] = [(state0.time, state0)]

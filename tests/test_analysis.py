@@ -7,6 +7,7 @@ import pytest
 import particle_paths as pp
 from particle_paths import SpaceTimeBump
 from particle_paths.analysis import StudyError, fit_loglog_slope
+from particle_paths.initial import total_variation
 
 
 def test_stability_bound_monotone_in_residual():
@@ -29,7 +30,7 @@ def test_error_report_zero_against_self(burgers3, rarefaction_shock_run):
     # reference that replays the run's own final reconstruction
     final = pp.reconstruct_density(rarefaction_shock_run.final_state)
     exact = pp.ExactSolution(
-        profile=lambda t: pp.PiecewiseAffineFn(final.breakpoints, final.values, final.values),
+        profile=lambda t: final,
         description="self",
         t_valid=(0.0, 1.0),
     )
@@ -106,6 +107,26 @@ def test_invariant_audit_clean_run(rarefaction_shock_run):
     report = pp.invariant_audit(rarefaction_shock_run)
     assert report.passed
     assert report.checks["tv_diminishing"].ok
+
+
+def test_tv_tolerance_scales_with_the_data():
+    # the unit burgers Riemann run scaled by 1e6 in u and 1e-6 in t: its TV
+    # rises by rounding only (about 5e-16 of TV(u0) = 4e6), which passes
+    data = pp.riemann_data(2e6, 1e6)
+    model = pp.builtin_flux("burgers", u_high=data.sup_u0 * (1.0 + 1e-12))
+    state0 = pp.cell_average(data, pp.place_particles(data, 37, "uniform"))
+    traj = pp.simulate(model, state0, 2.5e-6, dt_max=0.2 * state0.dx_star / 1e6, data=data)
+    assert pp.invariant_audit(traj).checks["tv_diminishing"].ok
+    # a rise of 1e-9 of the TV is no rounding, and still fails; one of
+    # 5e-13 passes, though it is far above 1e-10
+    pos = [0.0, 1.0, 2.0, 3.0]
+    start = pp.ParticleState.from_cells(pos, [2e6, 1e6, 1e6])
+    tv0 = total_variation(start.densities)
+    for rise, ok in ((1e-9, False), (5e-13, True)):
+        later = pp.ParticleState.from_cells(pos, [2e6, 1e6, 1e6 + 0.5 * rise * tv0], time=1e-9)
+        run = pp.Trajectory(snapshots=[(0.0, start), (1e-9, later)], events=[], model=model)
+        check = pp.invariant_audit(run).checks["tv_diminishing"]
+        assert check.ok is ok, check.detail
 
 
 def test_bump_shape_and_antiderivative():

@@ -15,7 +15,7 @@ def base_config(tmp_path, **overrides):
         "initial_data": {"kind": "paper_example", "params": {}},
         "placement": {"strategy": "uniform", "n": 31},
         "time_horizon": 0.1,
-        "integrator": {"dt_max": 0.001, "theta": 0.1, "eps_coll": None},
+        "integrator": {"dt_max": 0.001, "theta": 0.1},
         "snapshots": 8,
         "seed": 0,
         "out": str(tmp_path / "out"),
@@ -255,8 +255,9 @@ def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, m
 @pytest.mark.parametrize(
     "mode, key, value, path",
     [
-        ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": "abc"}, "integrator.eps_coll"),
-        ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": -1}, "integrator.eps_coll"),
+        # the collision threshold is no option: eps_coll is an unknown key
+        ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": 1e-9}, "integrator.eps_coll"),
+        ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": None}, "integrator.eps_coll"),
         ("convergence", "convergence", {"dt_max_ratio": "abc"}, "convergence.dt_max_ratio"),
         ("convergence", "convergence", {"dt_max_ratio": 0}, "convergence.dt_max_ratio"),
     ],
@@ -287,10 +288,12 @@ def test_zero_mass_data_cannot_be_mass_equidistributed(mode, initial_data, place
     assert not (tmp_path / "out").exists()
 
 
-def test_null_or_absent_eps_coll_takes_the_default(tmp_path):
-    for integrator in ({"dt_max": 0.001, "eps_coll": None}, {"dt_max": 0.001}):
-        config = base_config(tmp_path, integrator=integrator)
-        assert run_cli([str(config)]) == 0
+def test_integrator_takes_only_dt_max_and_theta(tmp_path, capsys):
+    for key in ("eps_coll", "dt"):
+        assert run_cli([str(base_config(tmp_path, integrator={"dt_max": 0.001, key: None}))]) == 2
+        assert capsys.readouterr().err.startswith(f"config error at integrator.{key}: unknown key")
+    for integrator in ({"dt_max": 0.001}, {"dt_max": 0.001, "theta": 0.2}):
+        assert run_cli([str(base_config(tmp_path, integrator=integrator))]) == 0
 
 
 def box(height):

@@ -31,15 +31,9 @@ def positions(draw, data):
     """Random increasing positions around the hint, some of them on breakpoints."""
     lo, hi = data.support_hint
     inner = draw(st.lists(st.floats(lo - 0.3, hi + 0.3), min_size=2, max_size=60))
-    on_bp = draw(st.lists(st.sampled_from(data.breakpoints), max_size=4))
+    on_bp = draw(st.lists(st.sampled_from(data.u0.x), max_size=4))
     pos = np.unique(np.asarray(inner + on_bp, dtype=float))
     return pos if pos.size >= 2 else np.array([lo, hi])
-
-
-def step_function(data):
-    """The piecewise constant profile as a ``PiecewiseConstantFn``."""
-    bp = np.asarray(data.breakpoints)
-    return PiecewiseConstantFn(bp, data.eval_u0(0.5 * (bp[:-1] + bp[1:])))
 
 
 @settings(max_examples=50, deadline=None)
@@ -49,7 +43,7 @@ def test_cell_average_matches_adaptive_quadrature(data, linear):
     pos = data.draw(positions(prof))
     state = pp.cell_average(prof, pos)
     reference = [
-        integrate(lambda x: float(prof.eval_u0(x)), a, b, tol=1e-10, breakpoints=prof.breakpoints)
+        integrate(lambda x: float(prof.u0(x)), a, b, tol=1e-10, breakpoints=prof.u0.x)
         for a, b in zip(pos[:-1], pos[1:])
     ]
     np.testing.assert_allclose(state.masses, reference, rtol=0.0, atol=1e-10 * (1.0 + prof.sup_u0))
@@ -70,8 +64,8 @@ def step_profiles_with_positions(draw):
 def test_cell_inside_one_constant_piece_gets_its_value(case):
     prof, pos = case
     dens = pp.cell_average(prof, pos).densities
-    edges = np.concatenate([[-np.inf], prof.breakpoints, [np.inf]])
-    vals = np.concatenate([[0.0], step_function(prof).values, [0.0]])
+    edges = np.concatenate([[-np.inf], prof.u0.x, [np.inf]])
+    vals = np.concatenate([[0.0], prof.u0.left, [0.0]])
     for i in range(pos.size - 1):
         j = np.searchsorted(edges, pos[i], side="right") - 1
         if pos[i + 1] <= edges[j + 1]:
@@ -102,7 +96,7 @@ def test_gap_plus_tail_is_the_l1_distance_for_step_data(data):
     pos = data.draw(positions(prof))
     dens = data.draw(st.lists(st.floats(0.0, 3.0), min_size=pos.size - 1, max_size=pos.size - 1))
     state = pp.ParticleState.from_cells(pos, dens)
-    dist = pp.reconstruct_density(state).l1_distance(step_function(prof))
+    dist = pp.reconstruct_density(state).l1_distance(prof.u0)
     gap, tail = pp.initial_approximation_gap(prof, state)
     assert gap + tail == pytest.approx(dist, rel=1e-12, abs=1e-300)
 
@@ -111,13 +105,13 @@ def test_gap_plus_tail_is_the_l1_distance_for_step_data(data):
 @given(data=st.data(), linear=st.booleans(), side=st.sampled_from([-np.inf, np.inf]))
 def test_one_ulp_sliver_piece_is_not_an_error(data, linear, side):
     prof = data.draw(profiles(linear=linear))
-    bp = data.draw(st.sampled_from(prof.breakpoints))
+    bp = data.draw(st.sampled_from(prof.u0.x))
     lo, hi = prof.support_hint
     pos = np.unique([lo - 0.5, np.nextafter(bp, side), hi + 0.5])
     state = pp.cell_average(prof, pos)
     gap, tail = pp.initial_approximation_gap(prof, state)
-    bps = np.asarray(prof.breakpoints)
-    mass0 = float(np.sum(np.diff(bps) * prof.eval_u0(0.5 * (bps[:-1] + bps[1:]))))
+    bps = np.asarray(prof.u0.x)
+    mass0 = float(np.sum(np.diff(bps) * prof.u0(0.5 * (bps[:-1] + bps[1:]))))
     assert state.total_mass == pytest.approx(mass0, rel=1e-12, abs=1e-300)
     assert gap >= 0.0 and tail == 0.0
 
@@ -133,7 +127,7 @@ def test_sampled_mass_survives_any_scale(data, k):
     # the trapezoid mass of the samples, through cell averages, at values
     # from 1e-12 to 1e12: exactness may not hang on an absolute tolerance
     unit = data.draw(profiles(linear=True))
-    xs = np.asarray(unit.breakpoints)
+    xs = np.asarray(unit.u0.x)
     us = 10.0**k * np.append(unit.u0.left, unit.u0.right[-1])
     prof = pp.sampled_data(xs, us)
     pos = np.union1d(data.draw(positions(prof)), xs[[0, -1]])
@@ -143,7 +137,7 @@ def test_sampled_mass_survives_any_scale(data, k):
 
 def test_a_piece_steeper_than_the_float_range_stays_finite():
     prof = pp.sampled_data([0.0, 1e-310, 1.0], [0.0, 1.0, 1.0])
-    assert prof.eval_u0(0.5e-310) == pytest.approx(0.5, rel=1e-3)
+    assert prof.u0(0.5e-310) == pytest.approx(0.5, rel=1e-3)
     state = pp.cell_average(prof, [0.0, 0.5e-310, 1.0])
     assert np.all(np.isfinite(state.densities))
     assert state.total_mass == pytest.approx(1.0 - 0.5e-310, rel=1e-15)
@@ -154,7 +148,7 @@ def simpson_l1(recon, exact, T, window):
     lo, hi = window
     cuts = [float(b) for b in recon.breakpoints if lo < b < hi]
     cuts.extend(float(b) for b in exact.at(T).x if lo < b < hi)
-    return integrate(lambda x: abs(float(recon(x)) - float(exact(x, T))), lo, hi, tol=1e-10, breakpoints=cuts)
+    return integrate(lambda x: abs(float(recon(x)) - float(exact.at(T)(x))), lo, hi, tol=1e-10, breakpoints=cuts)
 
 
 @st.composite
@@ -210,7 +204,7 @@ def test_riemann_fan_of_a_tabulated_flux_is_its_envelope(model, states, T):
     reach = 1.0 + model.lip_f * T
     cuts = np.concatenate([[-reach], fronts, [reach]])
     widths = np.diff(cuts)
-    values = np.asarray(sol(0.5 * (cuts[:-1] + cuts[1:]), T))
+    values = np.asarray(sol.at(T)(0.5 * (cuts[:-1] + cuts[1:])))
     gained = np.sum(widths * values) - reach * (u_l + u_r)
     assert gained == pytest.approx(T * (model.eval_f(u_l) - model.eval_f(u_r)), rel=0.0, abs=1e-12 * (1.0 + reach))
     fan = values[widths > 0.0]
@@ -257,8 +251,8 @@ def test_split_of_sampled_data_is_np_interp(data):
     # bit for bit at the midpoints, which keeps cell averages as they were,
     # and the samples themselves at ends on a sample
     prof = data.draw(profiles(linear=True))
-    cuts = np.union1d(prof.breakpoints, data.draw(positions(prof)))
-    xs = np.asarray(prof.breakpoints)
+    cuts = np.union1d(prof.u0.x, data.draw(positions(prof)))
+    xs = np.asarray(prof.u0.x)
     us = np.append(prof.u0.left, prof.u0.right[-1])
     _, um, u_l, u_r = prof.u0.split(cuts)
     mid = 0.5 * cuts[:-1] + 0.5 * cuts[1:]
@@ -275,3 +269,39 @@ def test_constant_pieces_are_exact_near_the_largest_float(lo, hi):
     u = PiecewiseAffineFn([lo, hi], [2.0], [2.0])
     _, *values = u.split(np.array([lo, 0.5 * lo + 0.5 * hi, hi]))
     np.testing.assert_array_equal(values, np.full((3, 2), 2.0))
+
+
+@st.composite
+def affine_fns(draw):
+    """A random ``PiecewiseAffineFn`` with breakpoints in [-2, 2]: end values
+    of either sign, so pieces change sign inside, repeated breakpoints
+    (zero-width pieces) and nonzero tails."""
+    k = draw(st.integers(1, 6))
+    x = draw(st.lists(st.floats(-2.0, 2.0), min_size=k + 1, max_size=k + 1))
+    x = np.sort(x + draw(st.lists(st.sampled_from(x), max_size=2)))
+    value = st.floats(-2.0, 2.0)
+    ends = draw(st.lists(value, min_size=2 * x.size - 2, max_size=2 * x.size - 2))
+    return PiecewiseAffineFn(x, ends[: x.size - 1], ends[x.size - 1 :], draw(value), draw(value))
+
+
+def simpson(f, window, *fns):
+    """``f`` integrated over ``window`` by adaptive Simpson, split at the breakpoints of ``fns``."""
+    return integrate(f, *window, tol=1e-10, breakpoints=np.concatenate([g.x for g in fns]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=affine_fns(),
+    g=affine_fns(),
+    window=st.one_of(st.none(), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).map(sorted)),
+)
+def test_l1_distance_and_integral_match_simpson(f, g, window):
+    # no window: between the outermost breakpoints; a window may reach past
+    # both breakpoint sets, into the tails
+    span = window or (min(f.x[0], g.x[0]), max(f.x[-1], g.x[-1]))
+    dist = f.l1_distance(g, window)
+    assert dist == pytest.approx(simpson(lambda p: abs(f(p) - g(p)), span, f, g), rel=0.0, abs=1e-9)
+    assert g.l1_distance(f, window) == dist
+    assert f.l1_distance(f, window) == 0.0
+    own = window or (f.x[0], f.x[-1])
+    assert f.integral(window) == pytest.approx(simpson(f, own, f), rel=0.0, abs=1e-9)

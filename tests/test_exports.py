@@ -165,7 +165,7 @@ VACUUM = {
     "initial_data": {"kind": "piecewise_constant", "params": {"breakpoints": [0.0, 0.3, 0.4, 0.7], "values": [0.6, 0.0, 0.8]}},
     "placement": {"strategy": "uniform", "n": 29},
     "time_horizon": 0.5,
-    "integrator": {"dt_max": 0.002, "theta": 0.1, "eps_coll": None},
+    "integrator": {"dt_max": 0.002, "theta": 0.1},
     "snapshots": 4,
     "seed": 0,
 }

@@ -45,7 +45,7 @@ BURGERS = {
     "initial_data": {"kind": "paper_example", "params": {}},
     "placement": {"strategy": "uniform", "n": 201},
     "time_horizon": 0.25,
-    "integrator": {"dt_max": 0.0005, "theta": 0.1, "eps_coll": None},
+    "integrator": {"dt_max": 0.0005, "theta": 0.1},
     "snapshots": 17,
     "seed": 0,
 }
@@ -60,7 +60,7 @@ LWR = {
     },
     "placement": {"strategy": "uniform", "n": 141},
     "time_horizon": 1.0,
-    "integrator": {"dt_max": 0.002, "theta": 0.1, "eps_coll": None},
+    "integrator": {"dt_max": 0.002, "theta": 0.1},
     "snapshots": 17,
     "seed": 1,
 }

@@ -79,7 +79,7 @@ def test_uniform_placement_contract(profile, n):
 
     # every jump at least dx (beyond rounding) from the other jumps is a
     # particle; a breakpoint between equal values, vacuum or not, is no jump
-    bp = np.asarray(data.breakpoints)
+    bp = np.asarray(data.u0.x)
     jumps = bp[np.concatenate([[True], values[:-1] != values[1:], [True]])]
     gaps = np.diff(jumps)
     apart = np.minimum(np.concatenate([[np.inf], gaps]), np.concatenate([gaps, [np.inf]])) >= dx * (1 + 1e-9)
@@ -121,7 +121,7 @@ def test_mass_placement_two_level_profile():
     data = piecewise_constant_data([0.0, 1.0, 2.0], [2.0, 1.0])
     grid = np.linspace(0, 2, 400001)
     mids = 0.5 * (grid[1:] + grid[:-1])
-    cdf = np.concatenate([[0.0], np.cumsum(data.eval_u0(mids) * np.diff(grid))])
+    cdf = np.concatenate([[0.0], np.cumsum(data.u0(mids) * np.diff(grid))])
     expect = [np.interp(m, cdf, grid) for m in (1.0, 2.0)]
     pos = place_particles(data, 4, "mass_equidistributed")
     np.testing.assert_allclose(pos, [0.0, expect[0], expect[1], 2.0], atol=1e-6)
@@ -179,7 +179,7 @@ def test_gap_half_box():
     st = ParticleState.from_cells([-1.0, 1.0], [0.5])
     xs = np.linspace(-1, 1, 2000001)
     mids = 0.5 * (xs[1:] + xs[:-1])
-    oracle = float(np.sum(np.abs(data.eval_u0(mids) - 0.5)) * (xs[1] - xs[0]))
+    oracle = float(np.sum(np.abs(data.u0(mids) - 0.5)) * (xs[1] - xs[0]))
     gap, tail = initial_approximation_gap(data, st)
     assert gap == pytest.approx(oracle, abs=1e-5)
     assert gap == pytest.approx(1.0, abs=1e-9)
@@ -213,15 +213,15 @@ def test_averaging_does_not_increase_variation():
 
 def test_riemann_data_profile():
     data = riemann_data(0.2, 0.8, x0=0.25, window=(-1.0, 1.0))
-    assert float(data.eval_u0(0.0)) == 0.2
-    assert float(data.eval_u0(0.5)) == 0.8
+    assert float(data.u0(0.0)) == 0.2
+    assert float(data.u0(0.5)) == 0.8
     assert data.tv_u0 == pytest.approx(0.2 + 0.6 + 0.8)
 
 
 def test_sampled_data_interpolates():
     data = sampled_data([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-    assert float(data.eval_u0(0.5)) == pytest.approx(1.0)
-    assert float(data.eval_u0(5.0)) == 0.0
+    assert float(data.u0(0.5)) == pytest.approx(1.0)
+    assert float(data.u0(5.0)) == 0.0
     assert data.sup_u0 == 2.0
 
 

@@ -10,11 +10,11 @@ from conftest import cubic_flux_model
 
 def test_demo_solution_branches():
     u = burgers_rarefaction_shock()
-    assert u(0.5, 0.25) == pytest.approx(2.0)  # fan: x/t
-    assert u(1.4, 0.1) == pytest.approx(1.0)  # beyond the shock
-    assert u(1.0, 0.1) == pytest.approx(3.0)  # plateau
+    assert u.at(0.25)(0.5) == pytest.approx(2.0)  # fan: x/t
+    assert u.at(0.1)(1.4) == pytest.approx(1.0)  # beyond the shock
+    assert u.at(0.1)(1.0) == pytest.approx(3.0)  # plateau
     # matches its initial data at t = 0
-    assert u(0.5, 0.0) == 3.0 and u(-0.5, 0.0) == 1.0
+    assert u.at(0.0)(0.5) == 3.0 and u.at(0.0)(-0.5) == 1.0
 
 
 def test_demo_solution_shock_is_rankine_hugoniot(burgers3):
@@ -26,15 +26,15 @@ def test_demo_solution_shock_is_rankine_hugoniot(burgers3):
     u = burgers_rarefaction_shock()
     t = 0.2
     xs = 1.0 + speed * t
-    assert u(xs - 1e-9, t) == 3.0 and u(xs + 1e-9, t) == 1.0
+    assert u.at(t)(xs - 1e-9) == 3.0 and u.at(t)(xs + 1e-9) == 1.0
 
 
 def test_demo_solution_validity_window():
     u = burgers_rarefaction_shock()
     with pytest.raises(ValueError):
-        u(0.0, 1.0)
+        u.at(1.0)(0.0)
     with pytest.raises(ValueError):
-        u(0.0, -0.1)
+        u.at(-0.1)(0.0)
 
 
 def test_riemann_rarefaction_convex(burgers3):
@@ -43,7 +43,7 @@ def test_riemann_rarefaction_convex(burgers3):
     sol = riemann_solution(burgers3, 0.0, 2.0)
     assert "rarefaction" in sol.description
     assert tuple(sol.at(0.5).x) == (0.0, 1.0)  # the fan edges, nothing else
-    assert sol(0.5, 0.5) == pytest.approx(1.0, abs=1e-4)
+    assert sol.at(0.5)(0.5) == pytest.approx(1.0, abs=1e-4)
     data = pp.riemann_data(0.0, 2.0, x0=0.0, window=(-2.0, 3.0))
     g = pp.godunov_reference(burgers3, data, 4000, 0.5, window=(-2.0, 3.0))
     err = pp.l1_error_against(g, sol, 0.5, (-1.0, 2.0))
@@ -54,13 +54,13 @@ def test_riemann_shock_speed(burgers3):
     sol = riemann_solution(burgers3, 2.0, 0.0)
     assert "shock" in sol.description
     # Rankine-Hugoniot speed (f(2) - f(0)) / 2 = 1
-    assert sol(0.99, 1.0) == 2.0 and sol(1.01, 1.0) == 0.0
+    assert sol.at(1.0)(0.99) == 2.0 and sol.at(1.0)(1.01) == 0.0
 
 
 def test_riemann_constant():
     m = pp.builtin_flux("lwr")
     sol = riemann_solution(m, 0.4, 0.4)
-    assert sol(123.0, 7.0) == 0.4
+    assert sol.at(7.0)(123.0) == 0.4
 
 
 def test_riemann_rejects_nonconvex_flux():
@@ -81,7 +81,7 @@ def test_lwr_stationary_shock():
     sol = riemann_solution(m, 0.2, 0.8)
     assert "shock" in sol.description
     # f(0.2) = f(0.8) so the shock stands still
-    assert sol(-0.01, 1.0) == 0.2 and sol(0.01, 1.0) == 0.8
+    assert sol.at(1.0)(-0.01) == 0.2 and sol.at(1.0)(0.01) == 0.8
 
 
 def test_godunov_constant_data_exact():

@@ -36,12 +36,14 @@ def test_every_traced_name_resolves():
 
 
 def test_workload_calls_bind_to_the_package():
-    # one round at seed 0; a case that raised did not complete (the CLI
-    # workload only calls run_cli, which test_cli covers)
+    # one round at seed 0: every case passes its check (a case that raised
+    # fails too) and every cross-case check holds (the CLI workload only
+    # calls run_cli, and has its own round test below)
     workloads = _load("workloads")
     for workload in (workloads.ConvergenceBurgers(), workloads.NonconvexTabulated()):
         rnd = workload.run_round(workload.build(0))
-        assert [(c.label, c.detail) for c in rnd.cases if not c.completed] == []
+        assert [(c.label, c.detail) for c in rnd.cases if not c.ok] == []
+        assert {name: detail for name, (ok, detail) in rnd.checks.items() if not ok} == {}
 
 
 def test_initial_integrals_run_through_the_traced_names():
