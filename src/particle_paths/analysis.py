@@ -321,6 +321,13 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     and separation bounds and the velocity bounds hold to a relative 1e-12,
     the TV nonincrease to 1e-12 of snapshot 0's TV, or 1e-10 where that is
     larger.
+
+    The snapshots are read a row block at a time (``Trajectory.blocks``):
+    each check's elementwise work runs once per block and reduces along
+    the rows to one value per snapshot, so verdicts, margins and details
+    are those of a pass over one snapshot at a time.  A block whose
+    densities leave the model's working interval sets the velocity margin
+    to -inf instead of aborting the audit.
     """
     rtol = 1e-12
     model = traj.model
@@ -332,65 +339,67 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     spread = a_max - a_min
     mass0 = state0.total_mass
     scale_m = max(mass0, 1e-300)
+    times = traj.times
 
-    worst_mass_id = 0.0
-    worst_drift = 0.0
-    worst_max_principle = np.inf
-    worst_lower_density = np.inf
-    worst_sep_low = np.inf
-    worst_sep_high = np.inf
-    worst_tv_rise = -np.inf
-    worst_vel = np.inf
+    # each check's worst value per snapshot, filled a block at a time
+    mass_id, drift, max_principle, lower_density, sep_low, sep_high, tv, vel = np.empty((8, times.size))
 
     discarded_so_far = 0.0
     w0, rho0 = state0.widths, state0.densities
     event_iter = iter(traj.events)
     next_event = next(event_iter, None)
+    for block in traj.blocks():
+        rows = slice(block.start, block.start + block.times.size)
+        discarded = np.empty(block.times.size)
+        # the events passed before each snapshot of the block: a sweep
+        # changes the cell count, so the creation data hold for the whole
+        # block, but an event that deletes nothing (a hand-built trajectory
+        # can hold one) may still add discarded mass inside it
+        for j, (t, state) in enumerate(traj.snapshots[rows]):
+            while next_event is not None and (
+                next_event.time < t or (next_event.time == t and state.n_particles < next_event.pre_particle_count)
+            ):
+                discarded_so_far += next_event.discarded_mass
+                keep = np.ones(w0.size, dtype=bool)
+                keep[next_event.deleted_cells] = False
+                w0, rho0 = w0[keep], rho0[keep]
+                next_event = next(event_iter, None)
+            if w0.size != state.n_cells:
+                raise ValueError(f"snapshot at t = {t} has {state.n_cells} cells, the event log leaves {w0.size}")
+            discarded[j] = discarded_so_far
 
-    tv_prev = None
-    for t, state in traj.snapshots:
-        while next_event is not None and (
-            next_event.time < t or (next_event.time == t and state.n_particles < next_event.pre_particle_count)
-        ):
-            discarded_so_far += next_event.discarded_mass
-            keep = np.ones(w0.size, dtype=bool)
-            keep[next_event.deleted_cells] = False
-            w0, rho0 = w0[keep], rho0[keep]
-            next_event = next(event_iter, None)
-        if w0.size != state.n_cells:
-            raise ValueError(f"snapshot at t = {t} has {state.n_cells} cells, the event log leaves {w0.size}")
-
-        widths = state.widths
-        worst_mass_id = max(
-            worst_mass_id, float(np.max(np.abs(state.densities * widths - state.masses))) / scale_m
-        )
-        worst_drift = max(worst_drift, abs(state.total_mass + discarded_so_far - mass0) / scale_m)
-        if state.densities.size:
-            worst_max_principle = min(worst_max_principle, rho_star - float(np.max(state.densities)))
-            lower = w0 * rho0 / (w0 + state.time * spread)
-            worst_lower_density = min(worst_lower_density, float(np.min(state.densities - lower)))
-            if rho_star > 0:
-                sep_low = rho0 / rho_star * w0
-                worst_sep_low = min(worst_sep_low, float(np.min(widths - sep_low)))
-            sep_high = w0 + state.time * spread
-            worst_sep_high = min(worst_sep_high, float(np.min(sep_high - widths)))
-        tv = total_variation(state.densities)
-        if tv_prev is not None:
-            worst_tv_rise = max(worst_tv_rise, tv - tv_prev)
-        tv_prev = tv
+        dens, widths, masses = block.densities, block.widths, block.masses
+        mass_id[rows] = np.max(np.abs(dens * widths - masses), axis=1) / scale_m
+        drift[rows] = np.abs(np.sum(masses, axis=1) + discarded - mass0) / scale_m
+        max_principle[rows] = rho_star - np.max(dens, axis=1)
+        # the widest each cell can have grown by its snapshot's time
+        widest = w0 + block.times[:, None] * spread
+        lower_density[rows] = np.min(dens - w0 * rho0 / widest, axis=1)
+        sep_low[rows] = np.min(widths - rho0 / rho_star * w0, axis=1) if rho_star > 0 else np.inf
+        sep_high[rows] = np.min(widest - widths, axis=1)
+        tv[rows] = total_variation(dens)
         try:
-            vel = particle_velocities(model, state)
+            v = particle_velocities(model, block)
         except ValueError:
             # densities left the working interval: report it as a velocity
             # violation rather than aborting the audit
-            worst_vel = -np.inf
+            vel[rows] = -np.inf
         else:
-            worst_vel = min(
-                worst_vel, float(np.min(vel - a_min)), float(np.min(a_max - vel))
-            )
+            vel[rows] = np.fmin(np.min(v - a_min, axis=1), np.min(a_max - v, axis=1))
+
+    # fmax and fmin skip a NaN snapshot value, as the running max/min of a
+    # snapshot-at-a-time pass would
+    worst_mass_id = float(np.fmax.reduce(mass_id, initial=0.0))
+    worst_drift = float(np.fmax.reduce(drift, initial=0.0))
+    worst_max_principle = float(np.fmin.reduce(max_principle, initial=np.inf))
+    worst_lower_density = float(np.fmin.reduce(lower_density, initial=np.inf))
+    worst_sep_low = float(np.fmin.reduce(sep_low, initial=np.inf))
+    worst_sep_high = float(np.fmin.reduce(sep_high, initial=np.inf))
+    worst_tv_rise = float(np.fmax.reduce(np.diff(tv), initial=-np.inf))
+    worst_vel = float(np.fmin.reduce(vel, initial=np.inf))
 
     tol_rho = rtol * max(1.0, rho_star)
-    tol_sep = rtol * max(1.0, float(np.max(state0.widths)) + abs(spread) * traj.times[-1])
+    tol_sep = rtol * max(1.0, float(np.max(state0.widths)) + abs(spread) * times[-1])
     checks = {
         "mass_identity": CheckResult(worst_mass_id <= rtol, rtol - worst_mass_id, f"max |v*dx - m|/M = {worst_mass_id:.3e}"),
         "mass_drift": CheckResult(worst_drift <= rtol, rtol - worst_drift, f"max relative drift = {worst_drift:.3e}"),

@@ -133,6 +133,19 @@ def _read_trajectory_table(path: Path) -> np.ndarray:
         raise ValueError("non-integral cell index in trajectory file")
     if cells[0] != 0:
         raise ValueError("first trajectory row is not cell 0")
+    # row k + 1 continues row k's snapshot unless its cell index restarts at 0
+    same = cells[1:] != 0.0
+    if np.any(same & (cells[1:] != cells[:-1] + 1.0)):
+        raise ValueError("cell indices of a snapshot are not 0..n-1 in order")
+    t = table[:, 0]
+    if not np.all(np.isfinite(t)):
+        raise ValueError("non-finite snapshot time")
+    if np.any(t[1:][same] != t[:-1][same]):
+        raise ValueError("rows of one snapshot have different times")
+    if np.any(t[1:] < t[:-1]):
+        raise ValueError("snapshot times decrease")
+    if np.any(table[1:, 2][same] != table[:-1, 3][same]):
+        raise ValueError("a cell's x_right differs from the next cell's x_left")
     return table
 
 
@@ -170,8 +183,13 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     """Rebuild a trajectory from ``trajectory.csv`` and ``events.json``.
 
     Raises ``ValueError`` if either file is missing, unreadable or
-    malformed, or if a change in the cell count does not match the next
-    recorded event, so the invariant audit can replay the deletions.
+    malformed, or if the changes in the cell count do not match the
+    recorded events one for one, so the invariant audit can replay the
+    deletions.  A
+    well-formed ``trajectory.csv`` numbers each snapshot's cells 0..n-1 in
+    order, gives all of them one finite time, never lets that time
+    decrease, and repeats each cell's ``x_right`` as the next cell's
+    ``x_left``.
     """
     directory = Path(directory)
     try:
@@ -201,6 +219,8 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
                 raise ValueError("cell count change does not match the event log")
         n_cells = dens.size
         snapshots.append((t, ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t)))
+    if pending:
+        raise ValueError(f"event log has {len(pending)} more event(s) than cell count changes")
     return Trajectory(
         snapshots=snapshots,
         events=events,

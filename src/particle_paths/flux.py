@@ -42,7 +42,9 @@ class FluxModel:
     |a| there since |a(u)| = |f(u) - f(0)| / |u - 0|.  ``lip_fprime`` is
     optional and only needed for explicit rate bounds.  The required,
     keyword-only ``extremum_oracle(lo, hi)`` returns the exact
-    ``VelocityExtrema`` of a over arrays of intervals 0 <= lo <= hi <= u_high.
+    ``VelocityExtrema`` of a over arrays of intervals 0 <= lo <= hi <= u_high;
+    it works elementwise on arrays of any shape, as ``eval_f`` and
+    ``eval_a`` do, so one call serves a whole row block of snapshots.
     A flux without a closed form for them is sampled into
     ``builtin_flux("tabulated", ...)``, exact for the interpolant.
     """
@@ -99,7 +101,10 @@ def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:
 
 
 class MonotoneOracle:
-    """Closed-form extrema of a velocity field monotone on the working interval."""
+    """Closed-form extrema of a velocity field monotone on the working interval.
+
+    Elementwise on arrays of any shape: a's values at the interval ends.
+    """
 
     def __init__(self, a_of: Callable, increasing: bool):
         self.a_of = a_of
@@ -169,7 +174,8 @@ class TabulatedOracle:
     monotone and both f and a take their extrema over any interval at its
     ends or at table nodes inside it.  ``a`` is evaluated exactly as
     ``FluxModel.eval_a`` does.  ``flux_extrema`` answers the same query for
-    f itself (the Godunov interface flux).
+    f itself (the Godunov interface flux).  Both work elementwise on arrays
+    of any shape.
     """
 
     def __init__(self, us: np.ndarray, eval_f: Callable, fprime0: float):

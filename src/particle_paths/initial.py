@@ -340,12 +340,17 @@ def initial_approximation_gap(data: InitialData, state: ParticleState):
 # builtin profiles
 
 
-def total_variation(values) -> float:
+def total_variation(values):
     """Total variation of the step profile with ``values`` on consecutive
     pieces and zero on both sides; inf, without a numpy warning, where the
-    sum overflows."""
+    sum overflows.  A float for one profile; for a 2-D array, one value
+    per row, each the same bits as a call on that row alone."""
+    values = np.asarray(values, dtype=float)
+    padded = np.zeros((*values.shape[:-1], values.shape[-1] + 2))
+    padded[..., 1:-1] = values
     with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(np.diff(np.concatenate([[0.0], values, [0.0]])))))
+        tv = np.sum(np.abs(np.diff(padded)), axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
 def _steps(bp, vals, description: str, measure_window=None) -> InitialData:

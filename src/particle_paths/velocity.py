@@ -20,9 +20,10 @@ __all__ = ["interface_velocities", "particle_velocity", "follow_the_leader_devia
 def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
     """Entropic velocity of every interface between states v_l[i] and v_r[i].
 
-    One call to the model's array extremum oracle serves every interface.
-    Raises ValueError on a negative state or one above the model's working
-    interval.
+    One call to the model's array extremum oracle serves every interface;
+    v_l and v_r may have any (common) shape, since the rule and the oracle
+    work elementwise.  Raises ValueError on a negative state or one above
+    the model's working interval.
     """
     v_l = np.asarray(v_l, dtype=float)
     v_r = np.asarray(v_r, dtype=float)

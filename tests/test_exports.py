@@ -191,11 +191,35 @@ def _drop_first_event(text):
     return json.dumps(payload)
 
 
+def _append_empty_event(text):
+    # a sweep always deletes cells, so this event matches no cell count change
+    payload = json.loads(text)
+    payload["events"].append(dict(payload["events"][-1], deleted_particles=[], deleted_cells=[], discarded_mass=0.0))
+    return json.dumps(payload)
+
+
 def _set_first_event(key, value):
     def edit(text):
         payload = json.loads(text)
         payload["events"][0][key] = value
         return json.dumps(payload)
+    return edit
+
+
+def _set_field(rows, k, field, value):
+    """``rows`` with field ``field`` of row ``k`` set to ``value``."""
+    fields = rows[k].split(b",")
+    fields[field] = value
+    return rows[:k] + [b",".join(fields)] + rows[k + 1 :]
+
+
+def _last_time(value):
+    """Give the last snapshot's rows (the body ends with an empty line) the time ``value``."""
+    def edit(rows):
+        last = max(k for k, row in enumerate(rows[1:-1], 1) if row.split(b",")[1] == b"0")
+        for k in range(last, len(rows) - 1):
+            rows = _set_field(rows, k, 0, value)
+        return b"\r\n".join(rows)
     return edit
 
 
@@ -209,10 +233,18 @@ MALFORMED = {
     "ragged row": _edit_rows(lambda rows: b"\r\n".join(rows[:3] + [rows[3].rsplit(b",", 1)[0]] + rows[4:])),
     "every row short": _edit_rows(lambda rows: b"\r\n".join(rows[:1] + [r.rsplit(b",", 1)[0] for r in rows[1:-1]]) + b"\r\n"),
     "non-numeric row": _edit_rows(lambda rows: b"\r\n".join(rows[:3] + [rows[3].replace(b",", b",x", 1)] + rows[4:])),
+    "two times in one snapshot": _edit_rows(lambda rows: b"\r\n".join(_set_field(rows, 2, 0, b"0.001"))),
+    "cell index skipped": _edit_rows(lambda rows: b"\r\n".join(_set_field(rows, 2, 1, b"2"))),
+    "x_right is not the next x_left": _edit_rows(
+        lambda rows: b"\r\n".join(_set_field(rows, 2, 3, repr(float(rows[2].split(b",")[3]) + 1e-3).encode()))
+    ),
+    "snapshot times decrease": _edit_rows(_last_time(b"0.0")),
+    "snapshot time infinite": _edit_rows(_last_time(b"inf")),
     "missing events.json": lambda out: (out / "events.json").unlink(),
     "events.json not JSON": _edit_events(lambda text: text[: len(text) // 2]),
     "events.json without events": _edit_events(lambda text: json.dumps({"config": {}})),
     "event log too short": _edit_events(_drop_first_event),
+    "event log too long": _edit_events(_append_empty_event),
     "event time not a number": _edit_events(_set_first_event("time", "abc")),
     "discarded mass not a number": _edit_events(_set_first_event("discarded_mass", "abc")),
     "particle count not a number": _edit_events(_set_first_event("pre_particle_count", "abc")),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import particle_paths as pp
 from particle_paths import ParticleState, builtin_flux, interface_velocities, particle_velocity, velocity_extrema
+from particle_paths.dynamics import SnapshotBlock
 from particle_paths.flux import _RangeExtrema
 
 from conftest import cubic_flux_model
@@ -132,3 +133,34 @@ def test_kernel_broadcasts_scalars_on_both_paths():
         assert float(interface_velocities(model, 0.2, 1.5)) == particle_velocity(model, 0.2, 1.5)
         got = interface_velocities(model, [0.1, 0.2, 0.3], 0.2)
         assert got.tolist() == [particle_velocity(model, v, 0.2) for v in (0.1, 0.2, 0.3)]
+
+
+def _row_block_model(kind, draw):
+    if kind == "tabulated":
+        us, fs = draw(nonconvex_tables())
+        return builtin_flux("tabulated", us=us, fs=fs)
+    if kind == "cubic":
+        return cubic_flux_model(1.5)
+    return builtin_flux(kind, u_high=2.0) if kind == "burgers" else builtin_flux("lwr", u_max=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["burgers", "lwr", "tabulated", "cubic"]),
+    rows=st.integers(1, 6),
+    cells=st.integers(1, 12),
+    data=st.data(),
+)
+def test_kernel_on_a_row_block_equals_per_row_calls(kind, rows, cells, data):
+    # every oracle is elementwise, so one call on a (rows, cells) block
+    # gives each row the bits of a call on that row's state alone
+    model = _row_block_model(kind, data.draw)
+    frac = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    fracs = data.draw(st.lists(frac, min_size=rows * cells, max_size=rows * cells))
+    dens = np.asarray(fracs).reshape(rows, cells) * model.u_high
+    block = SnapshotBlock(0, np.zeros(rows), dens, np.ones_like(dens), dens.copy(), rows * (cells + 1))
+    got = pp.particle_velocities(model, block)
+    positions = np.arange(cells + 1, dtype=float)
+    want = np.array([pp.particle_velocities(model, ParticleState.from_cells(positions, row)) for row in dens])
+    assert got.shape == (rows, cells + 1)
+    assert got.tobytes() == want.tobytes()
