@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory, particle_velocities, simulate
+from .dynamics import THETA_DEFAULT, Trajectory, particle_velocities, simulate
 from .field import PiecewiseConstantFn, reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel, velocity_extrema
 from .initial import InitialData, ParticleState, cell_average, initial_approximation_gap
@@ -476,7 +476,7 @@ def convergence_study(
     *,
     strategy: str = "uniform",
     dt_max_ratio: float = 0.2,
-    theta: float = 0.1,
+    theta: float = THETA_DEFAULT,
 ) -> Tuple[RateFit, List[ErrorReport]]:
     """Run the scheme over a family of particle counts and fit the rate.
 

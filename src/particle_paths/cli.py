@@ -29,7 +29,7 @@ import numpy as np
 
 from . import exports
 from .analysis import StudyError, convergence_study, invariant_audit
-from .dynamics import SimulationError, simulate
+from .dynamics import THETA_DEFAULT, SimulationError, simulate
 from .flux import FluxModel, builtin_flux
 from .initial import (
     InitialData,
@@ -65,7 +65,7 @@ class ExperimentConfig:
     initial_data: dict = field(default_factory=lambda: {"kind": "paper_example", "params": {}})
     placement: dict = field(default_factory=lambda: {"strategy": "uniform", "n": 101})
     time_horizon: float = 0.25
-    integrator: dict = field(default_factory=lambda: {"dt_max": 1e-3, "theta": 0.1})
+    integrator: dict = field(default_factory=lambda: {"dt_max": 1e-3, "theta": THETA_DEFAULT})
     snapshots: int = 64
     seed: int = 0
     out: str = "results"
@@ -259,7 +259,7 @@ def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
         state0,
         float(cfg.time_horizon),
         dt_max=float(cfg.integrator["dt_max"]),
-        theta=float(cfg.integrator.get("theta", 0.1)),
+        theta=float(cfg.integrator.get("theta", THETA_DEFAULT)),
         snapshot_count=int(cfg.snapshots),
         data=data,
         config={"seed": cfg.seed},
@@ -305,7 +305,7 @@ def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
         float(cfg.time_horizon),
         strategy=cfg.placement.get("strategy", "uniform"),
         dt_max_ratio=float(cfg.convergence.get("dt_max_ratio", 0.2)),
-        theta=float(cfg.integrator.get("theta", 0.1)),
+        theta=float(cfg.integrator.get("theta", THETA_DEFAULT)),
     )
     out.mkdir(parents=True, exist_ok=True)
     exports.write_rate_csv(fit, out / "rate.csv")

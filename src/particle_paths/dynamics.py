@@ -190,35 +190,35 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
 
 
 def _timestep_cap(
-    widths: np.ndarray, masses: np.ndarray, rho_star: float, vel: np.ndarray, theta: float
+    widths: np.ndarray, masses: np.ndarray, rho_star: float, closing: np.ndarray, theta: float
 ) -> Tuple[float, float]:
-    """The no-crossing cap and the density cap on the next step (inf when free)."""
-    closing = vel[:-1] - vel[1:]
-    approaching = closing > 0.0
-    if not approaching.any():
+    """The no-crossing and density caps (inf when free) from closing rates vel[:-1] - vel[1:]."""
+    approaching = np.flatnonzero(closing > 0.0)
+    if approaching.size == 0:
         return np.inf, np.inf
-    rate = closing[approaching]
-    gaps = widths[approaching]
+    rate = closing.take(approaching)
+    gaps = widths.take(approaching)
     # no pair may close more than a (1 - theta) fraction of its gap
     crossing = float(((1.0 - theta) * gaps / rate).min())
     if rho_star <= 0.0:
         return crossing, np.inf
     # nor may any cell be squeezed past the initial density maximum
-    slack = np.maximum(gaps - masses[approaching] / rho_star, 0.0)
+    slack = np.maximum(gaps - masses.take(approaching) / rho_star, 0.0)
     return crossing, float((slack / rate).min())
 
 
-def _advance(x_left: float, widths, masses, vel, dt: float, last_state: Callable[[], ParticleState]):
-    """Forward Euler on the widths: new (positions, widths, densities).
+def _advance(x_left: float, widths, masses, closing, dt: float, last_state: Callable[[], ParticleState]):
+    """Forward Euler on the widths, the left end moved to ``x_left``: new (positions, widths, densities).
 
+    ``widths - dt * closing`` is bit for bit ``widths + dt * (vel[1:] - vel[:-1])``.
     Raises SimulationError, carrying ``last_state()``, when the rebuilt
     positions are not strictly increasing or the result is not finite.
     """
-    widths = widths + dt * (vel[1:] - vel[:-1])
+    widths = widths - dt * closing
     pos = np.empty(widths.size + 1)
     pos[0] = 0.0
     np.cumsum(widths, out=pos[1:])
-    pos += x_left + dt * vel[0]
+    pos += x_left
     # also catches a non-positive width: adding it cannot raise the sum
     if (pos[1:] <= pos[:-1]).any():
         raise SimulationError(
@@ -353,7 +353,8 @@ def simulate(
         vel = particle_velocities(model, _Cells(densities, pos.size))
         if not np.isfinite(vel).all():
             raise SimulationError("non-finite particle velocity", current())
-        caps = (dt_max, *_timestep_cap(widths, masses, rho_star, vel, theta))
+        closing = vel[:-1] - vel[1:]
+        caps = (dt_max, *_timestep_cap(widths, masses, rho_star, closing, theta))
         dt = min(caps)
         remaining = target - t
         landed = dt >= remaining * (1.0 - 1e-12)
@@ -371,7 +372,7 @@ def simulate(
                 raise SimulationError("timestep collapsed; system is stuck", current())
         else:
             stall = 0
-        pos, widths, densities = _advance(pos[0], widths, masses, vel, dt, current)
+        pos, widths, densities = _advance(pos[0] + dt * vel[0], widths, masses, closing, dt, current)
         t = t_new
 
         collided = False

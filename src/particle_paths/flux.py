@@ -42,9 +42,10 @@ class FluxModel:
     |a| there since |a(u)| = |f(u) - f(0)| / |u - 0|.  ``lip_fprime`` is
     optional and only needed for explicit rate bounds.  The required,
     keyword-only ``extremum_oracle(lo, hi)`` returns the exact
-    ``VelocityExtrema`` of a over arrays of intervals 0 <= lo <= hi <= u_high;
-    it works elementwise on arrays of any shape, as ``eval_f`` and
-    ``eval_a`` do, so one call serves a whole row block of snapshots.
+    ``VelocityExtrema`` of a over arrays of intervals 0 <= lo <= hi <= u_high
+    (a(lo) for lo == hi) and is the only source of interface velocities; it
+    works elementwise on arrays of any shape, as ``eval_f`` and ``eval_a``
+    do, so one call serves a whole row block of snapshots.
     A flux without a closed form for them is sampled into
     ``builtin_flux("tabulated", ...)``, exact for the interpolant.
     """
@@ -86,17 +87,15 @@ def check_density_intervals(model: FluxModel, lo: np.ndarray, hi: np.ndarray) ->
 def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:
     """Extrema of the velocity field a over the density interval [lo, hi].
 
-    Degenerate intervals return the point value of a.  Inputs must be
-    nonnegative, ordered, and inside the model's working interval.
+    The model's oracle answers every interval, a degenerate one with its own
+    a(lo), as in the array kernel.  Inputs must be nonnegative, ordered,
+    and inside the model's working interval.
     """
     lo = float(lo)
     hi = float(hi)
     if lo > hi:
         raise ValueError(f"inverted density interval [{lo}, {hi}]")
     check_density_intervals(model, lo, hi)
-    if lo == hi:
-        a_val = float(model.eval_a(lo))
-        return VelocityExtrema(a_val, a_val)
     return VelocityExtrema(*map(float, model.extremum_oracle(lo, hi)))
 
 
@@ -124,6 +123,8 @@ class _RangeExtrema:
     Level k holds the min and max of every window of 2**k consecutive
     entries; a query covers [i0, i1] with two overlapping windows of one
     level (Bender & Farach-Colton, "The LCA problem revisited", 2000).
+    The tables are flat, entry i of level k at k*n + i with an intp n (frexp
+    gives int32 levels), as 1-D ``take`` is cheaper than 2-D fancy indexing.
     """
 
     def __init__(self, values: np.ndarray):
@@ -137,12 +138,14 @@ class _RangeExtrema:
             width = n - (1 << k) + 1
             for table, pick in ((self.min, np.minimum), (self.max, np.maximum)):
                 table[k, :width] = pick(table[k - 1, :width], table[k - 1, half : half + width])
+        self.n, self.min, self.max = np.intp(n), self.min.ravel(), self.max.ravel()
 
     def query(self, i0, i1):
         """(min, max) over the inclusive index ranges [i0, i1], i0 <= i1."""
         k = np.frexp(i1 - i0 + 1)[1] - 1  # floor(log2(length)), exact for ints
-        j = i1 - (1 << k) + 1
-        return np.minimum(self.min[k, i0], self.min[k, j]), np.maximum(self.max[k, i0], self.max[k, j])
+        i = k * self.n + i0
+        j = i + (i1 - i0 + 1 - (1 << k))  # the second window ends at i1
+        return np.minimum(self.min.take(i), self.min.take(j)), np.maximum(self.max.take(i), self.max.take(j))
 
 
 def _piecewise_extrema(g: Callable, nodes: np.ndarray, table: _RangeExtrema, lo, hi) -> VelocityExtrema:

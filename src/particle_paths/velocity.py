@@ -22,8 +22,9 @@ def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
 
     One call to the model's array extremum oracle serves every interface;
     v_l and v_r may have any (common) shape, since the rule and the oracle
-    work elementwise.  Raises ValueError on a negative state or one above
-    the model's working interval.
+    work elementwise.  An interface with v_l == v_r takes the oracle's own
+    a(v_l).  Raises ValueError on a negative state or one above the model's
+    working interval.
     """
     v_l = np.asarray(v_l, dtype=float)
     v_r = np.asarray(v_r, dtype=float)
@@ -35,12 +36,7 @@ def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
     if (lo < 0.0).any() or (hi > model.density_limit).any():
         check_density_intervals(model, lo, hi)
     ext = model.extremum_oracle(lo, hi)
-    vel = np.where(v_l <= v_r, ext.min_value, ext.max_value)
-    # a(v) on degenerate intervals, exactly as the scalar rule evaluates it
-    same = v_l == v_r
-    if same.any():
-        vel[same] = model.eval_a(v_l[same])
-    return vel
+    return np.where(v_l <= v_r, ext.min_value, ext.max_value)
 
 
 def particle_velocity(model: FluxModel, v_l: float, v_r: float) -> float:

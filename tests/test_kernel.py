@@ -1,5 +1,7 @@
 """The array interface-velocity kernel against the scalar rule and brute force."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,47 @@ def test_tabulated_scalar_extrema_are_attained():
         candidates = model.eval_a(np.concatenate(([lo, hi], us[(us > lo) & (us < hi)])))
         assert res.min_value == candidates.min()
         assert res.max_value == candidates.max()
+
+
+@pytest.mark.parametrize("kind", ["burgers", "lwr", "tabulated", "cubic"])
+def test_degenerate_interval_takes_the_oracles_own_value(kind):
+    # the kernel and the scalar rule both read a(v) from the oracle; for
+    # burgers that is u/2, so a(0.2) is 0.1 where f(0.2)/0.2 rounds above it
+    if kind == "tabulated":
+        us = np.linspace(0.0, 1.0, 17)
+        model = builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    elif kind == "cubic":
+        model = cubic_flux_model(1.0)
+    else:
+        model = builtin_flux(kind)
+    vs = np.array([0.0, 0.2, 0.3, 0.5, 0.7, 1.0])
+    oracle = model.extremum_oracle(vs, vs)
+    own = np.asarray(oracle.min_value, dtype=float)
+    assert own.tobytes() == np.asarray(oracle.max_value, dtype=float).tobytes()
+    assert interface_velocities(model, vs, vs).tobytes() == own.tobytes()
+    assert [velocity_extrema(model, v, v) for v in vs] == [(a, a) for a in own]
+    if kind == "burgers":
+        assert own[1] == 0.1 != float(model.eval_a(0.2))
+    if kind == "tabulated":
+        assert own.tobytes() == np.asarray(model.eval_a(vs), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["burgers", "lwr"])
+def test_plateau_velocities_never_evaluate_the_flux(kind):
+    # a monotone oracle answers every interface in closed form, degenerate
+    # ones on the plateau included, so f itself is never called
+    base = builtin_flux(kind)
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return base.eval_f(u)
+
+    model = dataclasses.replace(base, eval_f=counting)
+    state = ParticleState.from_cells(np.linspace(0.0, 1.0, 11), np.full(10, 0.5))
+    vel = pp.particle_velocities(model, state)
+    assert vel.tobytes() == pp.particle_velocities(base, state).tobytes()
+    assert calls == []
 
 
 def test_range_table_matches_brute_force():
