@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .flux import FluxModel
+from .flux import FluxModel, MonotoneOracle, check_density_intervals
 from .initial import InitialData, ParticleState
 from .velocity import interface_velocities
 
@@ -180,31 +181,48 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
     (rows, cells) array with one snapshot per row.  Each row is padded
     with vacuum on both sides and gives that snapshot's velocities, the
     same bits as a call on the row alone, since the kernel and the flux
-    oracles work elementwise.  Raises ValueError when a density is
-    negative or above the model's working interval.
+    oracles work elementwise.  A monotone oracle takes the one-sided rule
+    of ``velocity``: one evaluation of a per cell, and its a(0) at the
+    vacuum end.  Raises ValueError when a density is negative or above the
+    model's working interval.
     """
     dens = state.densities
-    padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
-    padded[..., 1:-1] = dens
-    return interface_velocities(model, padded[..., :-1], padded[..., 1:])
+    oracle = model.extremum_oracle
+    if not isinstance(oracle, MonotoneOracle):
+        padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
+        padded[..., 1:-1] = dens
+        return interface_velocities(model, padded[..., :-1], padded[..., 1:])
+    # two reductions check the range, the vacuum padding in it (initial=0.0);
+    # fmin and fmax skip NaN, so a NaN passes, as in the two-sided kernel,
+    # without hiding a negative density beside it
+    if (
+        np.fmin.reduce(dens, axis=None, initial=0.0) < 0.0
+        or np.fmax.reduce(dens, axis=None, initial=0.0) > model.density_limit
+    ):
+        check_density_intervals(model, dens, dens)
+    vel = np.empty((*dens.shape[:-1], dens.shape[-1] + 1))
+    cells, vacuum = (vel[..., 1:], vel[..., 0]) if oracle.increasing else (vel[..., :-1], vel[..., -1])
+    cells[...] = oracle.a_of(dens)
+    vacuum[...] = oracle.a_vacuum
+    return vel
 
 
 def _timestep_cap(
     widths: np.ndarray, masses: np.ndarray, rho_star: float, closing: np.ndarray, theta: float
 ) -> Tuple[float, float]:
     """The no-crossing and density caps (inf when free) from closing rates vel[:-1] - vel[1:]."""
-    approaching = np.flatnonzero(closing > 0.0)
+    approaching = (closing > 0.0).nonzero()[0]
     if approaching.size == 0:
         return np.inf, np.inf
     rate = closing.take(approaching)
     gaps = widths.take(approaching)
     # no pair may close more than a (1 - theta) fraction of its gap
-    crossing = float(((1.0 - theta) * gaps / rate).min())
+    crossing = float(np.minimum.reduce((1.0 - theta) * gaps / rate))
     if rho_star <= 0.0:
         return crossing, np.inf
     # nor may any cell be squeezed past the initial density maximum
     slack = np.maximum(gaps - masses.take(approaching) / rho_star, 0.0)
-    return crossing, float((slack / rate).min())
+    return crossing, float(np.minimum.reduce(slack / rate))
 
 
 def _advance(x_left: float, widths, masses, closing, dt: float, last_state: Callable[[], ParticleState]):
@@ -217,7 +235,7 @@ def _advance(x_left: float, widths, masses, closing, dt: float, last_state: Call
     widths = widths - dt * closing
     pos = np.empty(widths.size + 1)
     pos[0] = 0.0
-    np.cumsum(widths, out=pos[1:])
+    widths.cumsum(out=pos[1:])
     pos += x_left
     # also catches a non-positive width: adding it cannot raise the sum
     if (pos[1:] <= pos[:-1]).any():
@@ -225,7 +243,12 @@ def _advance(x_left: float, widths, masses, closing, dt: float, last_state: Call
             f"particle ordering violated after dt={dt:.3e}; step cap failed", last_state()
         )
     densities = masses / widths
-    if not (np.isfinite(pos).all() and np.isfinite(densities).all()):
+    # pos[-1] is x_left plus a running sum of the widths, and a running sum
+    # is finite at its end only if every term is: once a term or a partial
+    # sum is inf or NaN, every later sum is too.  A finite end with an
+    # overflowed position between would break the strict increase checked
+    # above, so pos[-1] decides for every position
+    if not (math.isfinite(pos[-1]) and np.isfinite(densities).all()):
         raise SimulationError("non-finite state encountered", last_state())
     return pos, widths, densities
 
@@ -376,7 +399,7 @@ def simulate(
         t = t_new
 
         collided = False
-        w_min = float(widths.min())
+        w_min = float(np.minimum.reduce(widths))
         min_width = min(min_width, w_min)
         if w_min <= eps_coll:
             pre = current()

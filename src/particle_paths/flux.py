@@ -103,11 +103,14 @@ class MonotoneOracle:
     """Closed-form extrema of a velocity field monotone on the working interval.
 
     Elementwise on arrays of any shape: a's values at the interval ends.
+    ``a_vacuum`` is a(0), evaluated once, for the vacuum beyond a state's
+    end particles.
     """
 
     def __init__(self, a_of: Callable, increasing: bool):
         self.a_of = a_of
         self.increasing = increasing
+        self.a_vacuum = float(a_of(np.zeros(1))[0])
 
     def __call__(self, lo, hi) -> VelocityExtrema:
         a_lo = self.a_of(lo)

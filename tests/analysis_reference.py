@@ -2,8 +2,10 @@
 snapshot at a time.
 
 The package now works on row blocks of snapshots; these loops, which
-take every snapshot's reductions and kernel call on their own, are the
-reference its audit reports and residuals must equal bit for bit.
+take every snapshot's reductions and velocities on their own, are the
+reference its audit reports and residuals must equal bit for bit.  The
+velocities come from ``dynamics_reference.two_sided_velocities``, not
+from the package's kernel.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from typing import Tuple
 import numpy as np
 
 from particle_paths.analysis import AuditReport, CheckResult
-from particle_paths.dynamics import Trajectory, particle_velocities
+from particle_paths.dynamics import Trajectory
 from particle_paths.flux import FluxModel, velocity_extrema
 from particle_paths.initial import ParticleState, integrate, total_variation
+
+from dynamics_reference import two_sided_velocities
 
 __all__ = ["invariant_audit", "flux_residual_l1", "spacetime_flux_residual"]
 
@@ -93,7 +97,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
             worst_tv_rise = max(worst_tv_rise, tv - tv_prev)
         tv_prev = tv
         try:
-            vel = particle_velocities(model, state)
+            vel = two_sided_velocities(model, state)
         except ValueError:
             # densities left the working interval: report it as a velocity
             # violation rather than aborting the audit
@@ -126,7 +130,7 @@ def flux_residual_l1(model: FluxModel, state: ParticleState) -> float:
     sign-change split, so there is no quadrature error.  Outside the
     particle range v = 0 and f(0) = 0, so nothing contributes.
     """
-    vel = particle_velocities(model, state)
+    vel = two_sided_velocities(model, state)
     dens = state.densities
     f = np.asarray(model.eval_f(dens), dtype=float)
     cells = integrate(vel[:-1] * dens - f, vel[1:] * dens - f, state.widths)

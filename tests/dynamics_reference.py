@@ -2,7 +2,9 @@
 
 ``simulate`` now runs on raw arrays and validates a state only when it
 records one; this loop builds a full ``ParticleState`` after every step
-and is the reference its results must equal bit for bit.
+and is the reference its results must equal bit for bit.  Its velocities
+come from ``two_sided_velocities``, the velocity rule applied as stated,
+so the reference does not follow the package's kernel.
 """
 
 from __future__ import annotations
@@ -17,12 +19,30 @@ from particle_paths.dynamics import (
     SimulationError,
     Trajectory,
     default_eps_coll,
-    particle_velocities,
     resolve_collisions,
 )
+from particle_paths.flux import check_density_intervals
 from particle_paths.initial import ParticleState
 
-__all__ = ["simulate"]
+__all__ = ["simulate", "two_sided_velocities"]
+
+
+def two_sided_velocities(model, state) -> np.ndarray:
+    """Velocity of every particle by the two-sided rule, vacuum beyond the ends.
+
+    Pads each row of ``state.densities`` with density 0, asks the oracle for
+    the extrema of a over [min, max] of every neighbouring pair, and takes
+    the minimum where density rises to the right, the maximum where it
+    falls.  Raises the range check's ValueError first.
+    """
+    dens = np.asarray(state.densities, dtype=float)
+    padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
+    padded[..., 1:-1] = dens
+    v_l, v_r = padded[..., :-1], padded[..., 1:]
+    lo, hi = np.minimum(v_l, v_r), np.maximum(v_l, v_r)
+    check_density_intervals(model, lo, hi)
+    ext = model.extremum_oracle(lo, hi)
+    return np.where(v_l <= v_r, ext.min_value, ext.max_value)
 
 
 def _timestep_cap(state: ParticleState, rho_star: float, vel: np.ndarray, theta: float) -> float:
@@ -78,7 +98,7 @@ def simulate(
     stall = 0
     while state.time < T:
         target = T if every_step else float(targets[k])
-        vel = particle_velocities(model, state)
+        vel = two_sided_velocities(model, state)
         if not np.all(np.isfinite(vel)):
             raise SimulationError("non-finite particle velocity", state)
         dt = min(dt_max, _timestep_cap(state, rho_star, vel, theta))

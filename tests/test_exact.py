@@ -195,18 +195,26 @@ def test_l1_error_matches_simpson_on_riemann_solutions(data, name, states, T):
 
 @settings(max_examples=100, deadline=None)
 @given(model=tabulated_fluxes(), states=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), T=st.floats(1e-3, 2.0))
+# two nodes one ulp apart make lip_f = 5.76e17, where 1 + lip_f*T rounds onto the fastest front
+@example(
+    model=pp.builtin_flux("tabulated", us=[0.0, 0.01, np.nextafter(0.01, 1.0), 1.0], fs=[0.0, 0.0, 1.0, 0.0]),
+    states=(1.0, 0.01),
+    T=1.0,
+)
 def test_riemann_fan_of_a_tabulated_flux_is_its_envelope(model, states, T):
     u_l, u_r = states
     sol = pp.riemann_solution(model, u_l, u_r)
     fronts = sol.at(T).x
     assert np.all(np.diff(fronts) >= 0.0)
-    # every front is inside [-reach, reach]; u0 is u_l left of 0 and u_r right of it
-    reach = 1.0 + model.lip_f * T
+    # every front is strictly inside [-reach, reach], so the outer pieces have
+    # width; u0 is u_l left of 0 and u_r right of it
+    reach = 2.0 * max(1.0 + model.lip_f * T, float(np.max(np.abs(fronts), initial=0.0)))
     cuts = np.concatenate([[-reach], fronts, [reach]])
     widths = np.diff(cuts)
     values = np.asarray(sol.at(T)(0.5 * (cuts[:-1] + cuts[1:])))
     gained = np.sum(widths * values) - reach * (u_l + u_r)
-    assert gained == pytest.approx(T * (model.eval_f(u_l) - model.eval_f(u_r)), rel=0.0, abs=1e-12 * (1.0 + reach))
+    tol = 1e-12 * (2.0 + model.lip_f * T)
+    assert gained == pytest.approx(T * (model.eval_f(u_l) - model.eval_f(u_r)), rel=0.0, abs=tol)
     fan = values[widths > 0.0]
     assert fan[0] == u_l and fan[-1] == u_r
     us = model.extremum_oracle.us

@@ -1,6 +1,7 @@
 """The array interface-velocity kernel against the scalar rule and brute force."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 import particle_paths as pp
 from particle_paths import ParticleState, builtin_flux, interface_velocities, particle_velocity, velocity_extrema
 from particle_paths.dynamics import SnapshotBlock
-from particle_paths.flux import _RangeExtrema
+from particle_paths.flux import FluxModel, MonotoneOracle, _RangeExtrema
 
 from conftest import cubic_flux_model
+from dynamics_reference import two_sided_velocities
 
 ANALYTIC_TOL = 1e-10
 
@@ -207,3 +209,115 @@ def test_kernel_on_a_row_block_equals_per_row_calls(kind, rows, cells, data):
     want = np.array([pp.particle_velocities(model, ParticleState.from_cells(positions, row)) for row in dens])
     assert got.shape == (rows, cells + 1)
     assert got.tobytes() == want.tobytes()
+
+
+MONOTONE = ("burgers", "lwr", "rising", "falling")
+
+
+def monotone_model(kind):
+    """burgers, lwr, or a custom ``MonotoneOracle`` in either direction, on [0, 2]."""
+    if kind == "burgers":
+        return builtin_flux("burgers", u_high=2.0)
+    if kind == "lwr":
+        return builtin_flux("lwr", u_max=2.0)
+    if kind == "rising":
+        # a = sqrt(u) + 1/4, so f' = 1.5 sqrt(u) + 1/4
+        def a(u):
+            return np.sqrt(np.asarray(u, dtype=float)) + 0.25
+
+        lip_f, fprime0 = 1.5 * np.sqrt(2.0) + 0.25, 0.25
+    else:
+        # a = 1 / (1 + u), so f' = 1 / (1 + u)**2
+        def a(u):
+            return 1.0 / (1.0 + np.asarray(u, dtype=float))
+
+        lip_f, fprime0 = 1.0, 1.0
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return u * a(u)
+
+    oracle = MonotoneOracle(a, increasing=kind == "rising")
+    return FluxModel(kind, f, fprime0, lip_f, 2.0, extremum_oracle=oracle)
+
+
+def cells(dens):
+    """A state's or a row block's densities; the kernels read nothing else."""
+    return SimpleNamespace(densities=np.asarray(dens, dtype=float))
+
+
+def assert_one_sided_is_two_sided(model, dens):
+    state = cells(dens)
+    got = pp.particle_velocities(model, state)
+    want = two_sided_velocities(model, state)
+    assert got.shape == want.shape == (*dens.shape[:-1], dens.shape[-1] + 1)
+    assert got.tobytes() == want.tobytes()
+    # the pairs inside the state take the same rule
+    pairs = interface_velocities(model, dens[..., :-1], dens[..., 1:])
+    assert pairs.tobytes() == want[..., 1:-1].tobytes()
+
+
+@pytest.mark.parametrize("kind", MONOTONE)
+def test_one_sided_kernel_on_vacuum_plateaus_and_the_top(kind):
+    model = monotone_model(kind)
+    row = np.array([0.0, 0.0, 0.5, 0.5, 2.0, 2.0, 0.25, 0.0, 1.3]) * model.u_high / 2.0
+    for dens in (row, np.stack([row, row[::-1], np.zeros_like(row), np.full_like(row, model.u_high)])):
+        assert_one_sided_is_two_sided(model, dens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(MONOTONE), rows=st.integers(0, 4), n_cells=st.integers(1, 12), data=st.data())
+def test_one_sided_kernel_equals_the_two_sided_rule_bitwise(kind, rows, n_cells, data):
+    # rows = 0 is a single state's 1-D densities; the sampled fractions give
+    # zeros, equal neighbours and u_high often
+    model = monotone_model(kind)
+    frac = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    size = max(rows, 1) * n_cells
+    fracs = data.draw(st.lists(frac, min_size=size, max_size=size))
+    dens = np.asarray(fracs).reshape((rows, n_cells) if rows else (n_cells,)) * model.u_high
+    assert_one_sided_is_two_sided(model, dens)
+
+
+@pytest.mark.parametrize("kind", MONOTONE)
+@pytest.mark.parametrize(
+    "dens",
+    [
+        [0.5, -0.1, 0.2],
+        [0.5, 2.5, 0.2],
+        [np.nan, 0.5, -0.3],
+        [np.nan, 2.5, 0.3],
+        [[0.5, 0.2], [3.0, -1.0]],
+        [[0.5, 0.2], [0.3, 1e9]],
+    ],
+)
+def test_one_sided_kernel_raises_the_two_sided_message(kind, dens):
+    model = monotone_model(kind)
+    state = cells(dens)
+    with pytest.raises(ValueError) as want:
+        two_sided_velocities(model, state)
+    with pytest.raises(ValueError) as got:
+        pp.particle_velocities(model, state)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", ["burgers", "lwr"])
+@pytest.mark.parametrize("rows", [0, 3])
+def test_monotone_kernel_evaluates_a_once_per_call(kind, rows):
+    # one evaluation of a, on the cells alone: the two-sided rule would ask
+    # for a at both ends of every padded interface, two calls per kernel call
+    base = builtin_flux(kind)
+    calls = []
+
+    def counting(u):
+        calls.append(np.shape(u))
+        return base.extremum_oracle.a_of(u)
+
+    model = dataclasses.replace(base, extremum_oracle=MonotoneOracle(counting, base.extremum_oracle.increasing))
+    assert calls == [(1,)]  # the oracle's a(0), once
+    row = np.linspace(0.0, 1.0, 11)
+    dens = np.stack([row] * rows) if rows else row
+    calls.clear()
+    for _ in range(2):
+        vel = pp.particle_velocities(model, cells(dens))
+    assert calls == [dens.shape, dens.shape]
+    assert vel.tobytes() == pp.particle_velocities(base, cells(dens)).tobytes()

@@ -65,6 +65,16 @@ def test_ftl_coincidence_lwr():
         assert follow_the_leader_deviation(m, [(0.5, 0.5)]) == 0.0
 
 
+def test_ftl_deviation_of_lwr_is_exactly_zero(lwr1):
+    # the kernel's rule for lwr is the oracle's own a(v_r), the value the
+    # check compares against, so nothing is left to round
+    rng = np.random.default_rng(2024)
+    pairs = rng.uniform(0.0, lwr1.u_high, size=(10000, 2))  # criterion 5's pairs
+    assert follow_the_leader_deviation(lwr1, pairs) == 0.0
+    equal = np.repeat(np.linspace(0.01, 0.99, 99), 2).reshape(-1, 2)
+    assert follow_the_leader_deviation(builtin_flux("lwr"), equal) == 0.0
+
+
 def test_ftl_rejects_increasing_velocity_field(burgers3):
     # the table's a is 0.2 on [0, 0.5] and rises to 0.5 at u = 1; the cubic
     # model's a falls on [0, 0.7], but its plain-function oracle cannot say so
