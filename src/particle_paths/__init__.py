@@ -34,7 +34,6 @@ from .dynamics import (
     SimulationError,
     Trajectory,
     default_eps_coll,
-    particle_velocities,
     resolve_collisions,
     simulate,
 )
@@ -60,6 +59,6 @@ from .initial import (
     sampled_data,
 )
 from .reference import ExactSolution, burgers_rarefaction_shock, godunov_reference, riemann_solution
-from .velocity import follow_the_leader_deviation, interface_velocities, particle_velocity
+from .velocity import follow_the_leader_deviation, particle_velocities
 
 __version__ = "0.1.0"

@@ -18,13 +18,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import THETA_DEFAULT, Trajectory, particle_velocities, simulate
+from .dynamics import THETA_DEFAULT, Trajectory, simulate
 from .field import PiecewiseConstantFn, reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel, velocity_extrema
 from .initial import InitialData, ParticleState, cell_average, initial_approximation_gap
 from .initial import integrate  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .initial import place_particles, total_variation
 from .reference import ExactSolution
+from .velocity import particle_velocities
 
 __all__ = [
     "ErrorReport",
@@ -44,6 +45,9 @@ __all__ = [
     "richardson_error_estimate",
     "fit_loglog_slope",
 ]
+
+# a convergence run's dt_max as a fraction of its initial spacing dx*
+DT_MAX_RATIO = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +479,11 @@ def convergence_study(
     T: float,
     *,
     strategy: str = "uniform",
-    dt_max_ratio: float = 0.2,
     theta: float = THETA_DEFAULT,
 ) -> Tuple[RateFit, List[ErrorReport]]:
     """Run the scheme over a family of particle counts and fit the rate.
 
-    Each run records 33 snapshots with ``dt_max`` at ``dt_max_ratio``
+    Each run records 33 snapshots with ``dt_max`` at ``DT_MAX_RATIO``
     times its initial spacing dx* (``ParticleState.dx_star``), and is
     measured over ``error_report``'s default window.  Any run failing the
     invariant audit aborts the study, naming the run.
@@ -491,7 +494,7 @@ def convergence_study(
     def one(n: int) -> ErrorReport:
         pos = place_particles(data, n, strategy)
         state0 = cell_average(data, pos)
-        dt = dt_max_ratio * state0.dx_star
+        dt = DT_MAX_RATIO * state0.dx_star
         traj = simulate(model, state0, T, dt_max=dt, theta=theta, snapshot_count=33, data=data)
         rep = error_report(traj, exact, T)
         if not rep.audit_passed:

@@ -4,10 +4,12 @@ One JSON config file describes an experiment; flags only override
 top-level fields.  Modes:
 
 * ``simulate``    run once, write trajectory.csv / events.json / stats.json /
-                  summary.txt
-* ``convergence`` run a particle-count family, write rate.csv / rate.json
+                  summary.txt; needs ``placement.n`` and ``integrator.dt_max``
+* ``convergence`` run a particle-count family, write rate.csv / rate.json;
+                  needs ``placement.n_list``
 * ``audit``       re-check invariants on a previously written output dir
-* ``ftl-check``   report the deviation from the follow-the-leader rule
+* ``ftl-check``   report the deviation from the follow-the-leader rule on
+                  ``FTL_PAIRS`` seeded pairs, against ``FTL_TOL``
 
 Exit codes: 0 success, 2 config error, 3 invariant failure, 4 runtime
 failure.  Outputs are deterministic for a fixed config (fixed seed, floats
@@ -51,6 +53,11 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_RUNTIME = 4
 
+# ftl-check draws this many seeded pairs and passes when the largest
+# deviation is at most FTL_TOL
+FTL_PAIRS = 10000
+FTL_TOL = 1e-8
+
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
@@ -70,8 +77,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "results"
     input: Optional[str] = None
-    ftl: dict = field(default_factory=lambda: {"pairs": 10000, "tol": 1e-8})
-    convergence: dict = field(default_factory=lambda: {"dt_max_ratio": 0.2})
 
 
 _MODES = ("simulate", "convergence", "audit", "ftl-check")
@@ -107,11 +112,8 @@ _SCALARS = (
     ("placement.n_list[]", int, lambda v: v >= 2, "need >= 3 counts, each >= 2"),
     ("integrator.dt_max", float, lambda v: v > 0, "must be positive"),
     ("integrator.theta", float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    ("convergence.dt_max_ratio", float, lambda v: v > 0, "must be positive"),
     ("snapshots", int, lambda v: v >= 2, "need at least two"),
     ("seed", int, lambda v: v >= 0, "must be nonnegative"),
-    ("ftl.pairs", int, lambda v: v >= 1, "need at least one pair"),
-    ("ftl.tol", float, lambda v: v >= 0, "must be nonnegative"),
 )
 
 
@@ -154,18 +156,20 @@ def _validate(cfg: ExperimentConfig) -> None:
     place = cfg.placement
     if place.get("strategy", "uniform") not in _STRATEGIES:
         raise ConfigError("placement.strategy", f"must be one of {_STRATEGIES}, got {place['strategy']!r}")
-    if "n" not in place and "n_list" not in place:
-        raise ConfigError("placement", "need n or n_list")
+    # only simulate and convergence place particles, and only simulate reads dt_max
     needed = {"simulate": "n", "convergence": "n_list"}.get(cfg.mode)
-    if needed is not None and needed not in place:
-        raise ConfigError(f"placement.{needed}", f"required in {cfg.mode} mode")
+    if needed is not None:
+        if "n" not in place and "n_list" not in place:
+            raise ConfigError("placement", "need n or n_list")
+        if needed not in place:
+            raise ConfigError(f"placement.{needed}", f"required in {cfg.mode} mode")
     if "n_list" in place:
         n_list = place["n_list"]
         if len(n_list) < 3:
             raise ConfigError("placement.n_list", "need >= 3 counts, each >= 2")
         if any(later <= earlier for earlier, later in zip(n_list, n_list[1:])):
             raise ConfigError("placement.n_list", f"counts must be strictly increasing, got {n_list!r}")
-    if "dt_max" not in cfg.integrator:
+    if cfg.mode == "simulate" and "dt_max" not in cfg.integrator:
         raise ConfigError("integrator.dt_max", "required")
     for key in cfg.integrator:
         if key not in ("dt_max", "theta"):
@@ -304,7 +308,6 @@ def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
         n_list,
         float(cfg.time_horizon),
         strategy=cfg.placement.get("strategy", "uniform"),
-        dt_max_ratio=float(cfg.convergence.get("dt_max_ratio", 0.2)),
         theta=float(cfg.integrator.get("theta", THETA_DEFAULT)),
     )
     out.mkdir(parents=True, exist_ok=True)
@@ -331,18 +334,16 @@ def _mode_ftl_check(cfg: ExperimentConfig, out: Path) -> int:
     data = _build_data(cfg)
     model = _build_model(cfg, data)
     rng = np.random.default_rng(cfg.seed)
-    n_pairs = int(cfg.ftl.get("pairs", 10000))
-    tol = float(cfg.ftl.get("tol", 1e-8))
-    pairs = rng.uniform(0.0, model.u_high, size=(n_pairs, 2))
+    pairs = rng.uniform(0.0, model.u_high, size=(FTL_PAIRS, 2))
     try:
         deviation = follow_the_leader_deviation(model, pairs)
     except ValueError as exc:
         print(f"precondition failed: {exc}")
         return EXIT_INVARIANT
     out.mkdir(parents=True, exist_ok=True)
-    exports.write_json({"pairs": n_pairs, "max_deviation": deviation, "tol": tol}, out / "ftl_check.json")
-    print(f"max |V(v_l, v_r) - a(v_r)| over {n_pairs} pairs: {deviation:.3e}")
-    return EXIT_OK if deviation <= tol else EXIT_INVARIANT
+    exports.write_json({"pairs": FTL_PAIRS, "max_deviation": deviation, "tol": FTL_TOL}, out / "ftl_check.json")
+    print(f"max |V(v_l, v_r) - a(v_r)| over {FTL_PAIRS} pairs: {deviation:.3e}")
+    return EXIT_OK if deviation <= FTL_TOL else EXIT_INVARIANT
 
 
 def _apply_overrides(cfg: ExperimentConfig, sets: List[str]) -> None:

@@ -26,9 +26,9 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .flux import FluxModel, MonotoneOracle, check_density_intervals
+from .flux import FluxModel
 from .initial import InitialData, ParticleState
-from .velocity import interface_velocities
+from .velocity import _Cells, particle_velocities
 
 __all__ = [
     "CollisionEvent",
@@ -36,7 +36,6 @@ __all__ = [
     "SnapshotBlock",
     "Trajectory",
     "SimulationError",
-    "particle_velocities",
     "resolve_collisions",
     "simulate",
     "default_eps_coll",
@@ -165,46 +164,6 @@ class Trajectory:
                     masses=np.array([s.masses for s in states], dtype=float),
                     n_particles=len(states) * (counts[lo] + 1),
                 )
-
-
-class _Cells(NamedTuple):
-    """The part of a state the velocity kernel reads, for the array loop."""
-
-    densities: np.ndarray
-    n_particles: int
-
-
-def particle_velocities(model: FluxModel, state) -> np.ndarray:
-    """Velocity of every particle; sentinel density 0 beyond the ends.
-
-    Reads only ``state.densities``: one state's cells, or a row block's
-    (rows, cells) array with one snapshot per row.  Each row is padded
-    with vacuum on both sides and gives that snapshot's velocities, the
-    same bits as a call on the row alone, since the kernel and the flux
-    oracles work elementwise.  A monotone oracle takes the one-sided rule
-    of ``velocity``: one evaluation of a per cell, and its a(0) at the
-    vacuum end.  Raises ValueError when a density is negative or above the
-    model's working interval.
-    """
-    dens = state.densities
-    oracle = model.extremum_oracle
-    if not isinstance(oracle, MonotoneOracle):
-        padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
-        padded[..., 1:-1] = dens
-        return interface_velocities(model, padded[..., :-1], padded[..., 1:])
-    # two reductions check the range, the vacuum padding in it (initial=0.0);
-    # fmin and fmax skip NaN, so a NaN passes, as in the two-sided kernel,
-    # without hiding a negative density beside it
-    if (
-        np.fmin.reduce(dens, axis=None, initial=0.0) < 0.0
-        or np.fmax.reduce(dens, axis=None, initial=0.0) > model.density_limit
-    ):
-        check_density_intervals(model, dens, dens)
-    vel = np.empty((*dens.shape[:-1], dens.shape[-1] + 1))
-    cells, vacuum = (vel[..., 1:], vel[..., 0]) if oracle.increasing else (vel[..., :-1], vel[..., -1])
-    cells[...] = oracle.a_of(dens)
-    vacuum[...] = oracle.a_vacuum
-    return vel
 
 
 def _timestep_cap(

@@ -18,9 +18,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory, particle_velocities
+from .dynamics import Trajectory
 from .flux import FluxModel
 from .initial import ParticleState, PiecewiseAffineFn, integrate
+from .velocity import particle_velocities
 
 __all__ = [
     "PiecewiseConstantFn",

@@ -74,14 +74,16 @@ class FluxModel:
 def check_density_intervals(model: FluxModel, lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise ValueError unless every 0 <= lo[i] and hi[i] <= the working top.
 
-    NaN passes, so callers see it propagate.
+    The package's only range test.  fmin and fmax skip NaN, so a NaN
+    passes and callers see it propagate, without hiding a negative density
+    beside it, which the message then names.
     """
-    if np.any(lo < 0.0):
-        raise ValueError(f"negative density {float(np.min(lo))}")
-    if np.any(hi > model.density_limit):
-        raise ValueError(
-            f"density {float(np.max(hi))} exceeds working interval [0, {model.u_high}]"
-        )
+    lowest = np.fmin.reduce(lo, axis=None, initial=0.0)
+    if lowest < 0.0:
+        raise ValueError(f"negative density {float(lowest)}")
+    highest = np.fmax.reduce(hi, axis=None, initial=0.0)
+    if highest > model.density_limit:
+        raise ValueError(f"density {float(highest)} exceeds working interval [0, {model.u_high}]")
 
 
 def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:

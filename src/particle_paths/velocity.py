@@ -1,67 +1,76 @@
-"""Entropic particle velocity at a density interface.
+"""Entropic particle velocity: the rule V(v_l, v_r) and its one kernel.
 
 The particle between a left state v_l and right state v_r moves with the
 minimum of the velocity field a over [v_l, v_r] when density rises to the
 right, and with the maximum over [v_r, v_l] when it falls.  Both branches
 agree at v_l = v_r, where the value is a(v_l).
 
-When a is monotone (a ``MonotoneOracle``) the rule is one end of the
-interval: a(v_l) for increasing a (burgers), and a(v_r) for decreasing a
-(lwr), where each particle moves with the speed set by the density ahead
-of it, the follow-the-leader rule.  The kernels then evaluate a once per
-state, with no min, max or choice between branches: ``interface_velocities``
-on pairs, and ``dynamics.particle_velocities`` on cells, whose vacuum end
-takes the oracle's a(0).  They give the two-sided rule's bits on every
-density in range, since the oracle's extrema are a's values at the ends.
-Tabulated and custom oracles take the two-sided rule.
+``particle_velocities`` applies the rule to every particle of a state, of
+a row block of snapshots, or of an (n, 2) array of pairs, each row padded
+with vacuum (density 0) on both sides.  It has two paths:
+
+* a ``MonotoneOracle`` (burgers, lwr) takes one end of the interval:
+  a(v_l) for increasing a (burgers), and a(v_r) for decreasing a (lwr),
+  where each particle moves with the speed set by the density ahead of
+  it, the follow-the-leader rule.  a is evaluated once per cell, with no
+  min, max or choice between branches, and the vacuum end takes the
+  oracle's a(0).  These are the two-sided rule's bits on every density in
+  range, since the oracle's extrema are a's values at the ends;
+* any other oracle (tabulated, custom) takes the two-sided rule: one
+  oracle call on every padded interval, then the minimum or the maximum.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .flux import FluxModel, MonotoneOracle, TabulatedOracle, check_density_intervals, velocity_extrema
+from .flux import FluxModel, MonotoneOracle, TabulatedOracle, check_density_intervals
+from .flux import velocity_extrema  # noqa: F401  (wrapped by perfbench/tracing.py until ROADMAP item 2)
 
-__all__ = ["interface_velocities", "particle_velocity", "follow_the_leader_deviation"]
+__all__ = ["particle_velocities", "follow_the_leader_deviation"]
 
 
-def interface_velocities(model: FluxModel, v_l, v_r) -> np.ndarray:
-    """Entropic velocity of every interface between states v_l[i] and v_r[i].
+class _Cells(NamedTuple):
+    """The part of a state the velocity kernel reads, for the array loop."""
 
-    One call to the model's array oracle serves every interface;
-    v_l and v_r may have any (common) shape, since the rule and the oracle
-    work elementwise.  An interface with v_l == v_r takes the oracle's own
-    a(v_l); a monotone oracle answers every interface with one end (see the
-    module docstring).  Raises ValueError on a negative state or one above
-    the model's working interval.
+    densities: np.ndarray
+    n_particles: int
+
+
+def particle_velocities(model: FluxModel, state) -> np.ndarray:
+    """Velocity of every particle; sentinel density 0 beyond the ends.
+
+    Reads only ``state.densities``: one state's cells, or a row block's
+    (rows, cells) array with one snapshot per row.  Each row is padded
+    with vacuum on both sides and gives that snapshot's velocities, the
+    same bits as a call on the row alone, since the kernel and the flux
+    oracles work elementwise.  Column 1 of an (n, 2) block of pairs is the
+    velocity of the particle between each pair.  Raises ValueError when a
+    density is negative or above the model's working interval.
     """
-    v_l = np.asarray(v_l, dtype=float)
-    v_r = np.asarray(v_r, dtype=float)
-    if v_l.shape != v_r.shape:
-        v_l, v_r = np.broadcast_arrays(v_l, v_r)
-    lo = np.minimum(v_l, v_r)
-    hi = np.maximum(v_l, v_r)
-    # the check's own test without its call overhead; the check runs only to raise
-    if (lo < 0.0).any() or (hi > model.density_limit).any():
-        check_density_intervals(model, lo, hi)
+    dens = state.densities
+    check_density_intervals(model, dens, dens)
     oracle = model.extremum_oracle
     if isinstance(oracle, MonotoneOracle):
-        return np.asarray(oracle.a_of(v_l if oracle.increasing else v_r), dtype=float)
-    ext = oracle(lo, hi)
+        vel = np.empty((*dens.shape[:-1], dens.shape[-1] + 1))
+        cells, vacuum = (vel[..., 1:], vel[..., 0]) if oracle.increasing else (vel[..., :-1], vel[..., -1])
+        cells[...] = oracle.a_of(dens)
+        vacuum[...] = oracle.a_vacuum
+        return vel
+    padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
+    padded[..., 1:-1] = dens
+    v_l, v_r = padded[..., :-1], padded[..., 1:]
+    ext = oracle(np.minimum(v_l, v_r), np.maximum(v_l, v_r))
     return np.where(v_l <= v_r, ext.min_value, ext.max_value)
 
 
-def particle_velocity(model: FluxModel, v_l: float, v_r: float) -> float:
-    if v_l < 0.0 or v_r < 0.0:
-        raise ValueError(f"negative density state ({v_l}, {v_r})")
-    if v_l <= v_r:
-        return velocity_extrema(model, v_l, v_r).min_value
-    return velocity_extrema(model, v_r, v_l).max_value
-
-
 def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
-    """Largest |particle_velocity(v_l, v_r) - a(v_r)| over the given pairs.
+    """Largest |V(v_l, v_r) - a(v_r)| over the given (v_l, v_r) pairs.
 
+    Each pair is the two cells around one particle, whose velocity
+    ``particle_velocities`` gives in column 1 of the (pairs, 2) block.
     a(v_r) is the oracle's own value, its extremum over [v_r, v_r], so a
     rule that is exactly a(v_r) reads 0.
 
@@ -92,6 +101,6 @@ def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
         )
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     v_r = pairs[:, 1]
-    vel = interface_velocities(model, pairs[:, 0], v_r)
+    vel = particle_velocities(model, _Cells(pairs, 3 * len(pairs)))[:, 1]
     dev = np.abs(vel - np.asarray(oracle(v_r, v_r).min_value, dtype=float))
     return float(np.max(dev, initial=0.0))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,13 @@ def cubic_flux_model(u_high: float) -> FluxModel:
         lip_fprime=max(1.0, abs(2.0 * u_high - 1.0)),
         extremum_oracle=oracle,
     )
+
+
+def pair_velocities(model, v_l, v_r) -> np.ndarray:
+    """V(v_l[i], v_r[i]) through the package kernel.
+
+    Each pair is the two cells around one particle: column 1 of
+    ``particle_velocities`` on the (..., 2) block of pairs.
+    """
+    pairs = np.stack([np.asarray(v_l, dtype=float), np.asarray(v_r, dtype=float)], axis=-1)
+    return pp.particle_velocities(model, SimpleNamespace(densities=pairs))[..., 1]

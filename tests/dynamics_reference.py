@@ -4,7 +4,8 @@
 records one; this loop builds a full ``ParticleState`` after every step
 and is the reference its results must equal bit for bit.  Its velocities
 come from ``two_sided_velocities``, the velocity rule applied as stated,
-so the reference does not follow the package's kernel.
+so the reference does not follow the package's kernel; ``particle_velocity``
+states the same rule on one pair of scalars.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from particle_paths.dynamics import (
     default_eps_coll,
     resolve_collisions,
 )
-from particle_paths.flux import check_density_intervals
+from particle_paths.flux import check_density_intervals, velocity_extrema
 from particle_paths.initial import ParticleState
 
-__all__ = ["simulate", "two_sided_velocities"]
+__all__ = ["simulate", "two_sided_velocities", "particle_velocity"]
 
 
 def two_sided_velocities(model, state) -> np.ndarray:
@@ -43,6 +44,13 @@ def two_sided_velocities(model, state) -> np.ndarray:
     check_density_intervals(model, lo, hi)
     ext = model.extremum_oracle(lo, hi)
     return np.where(v_l <= v_r, ext.min_value, ext.max_value)
+
+
+def particle_velocity(model, v_l: float, v_r: float) -> float:
+    """The rule on one pair, from the scalar extrema of a over [min, max]."""
+    if v_l <= v_r:
+        return velocity_extrema(model, v_l, v_r).min_value
+    return velocity_extrema(model, v_r, v_l).max_value
 
 
 def _timestep_cap(state: ParticleState, rho_star: float, vel: np.ndarray, theta: float) -> float:

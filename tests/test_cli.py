@@ -101,16 +101,42 @@ def test_ftl_check_mode(tmp_path):
         mode="ftl-check",
         flux={"kind": "lwr", "params": {}},
         initial_data={"kind": "riemann", "params": {"u_l": 0.2, "u_r": 0.8, "x0": 0.0, "window": [-1, 1]}},
-        ftl={"pairs": 500, "tol": 1e-8},
     )
     assert run_cli([str(path)]) == 0
     payload = json.loads((tmp_path / "out" / "ftl_check.json").read_text())
     assert payload["max_deviation"] <= 1e-8
+    assert (payload["pairs"], payload["tol"]) == (10000, 1e-8)
 
 
 def test_ftl_check_rejects_rising_velocity_field(tmp_path):
     path = base_config(tmp_path, mode="ftl-check")  # burgers: a increases
     assert run_cli([str(path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "fs, code",
+    [
+        ([0.0, 0.1875, 0.25, 0.1875, 0.0], 0),  # u (1 - u): a falls
+        ([0.0, 0.05, 0.1, 0.3, 0.5], 3),  # a rises from u = 0.5
+    ],
+    ids=["falling", "rising"],
+)
+def test_ftl_check_on_a_tabulated_flux(fs, code, tmp_path, capsys):
+    # the table takes the kernel's two-sided path, lwr (above) its one-sided one
+    path = base_config(
+        tmp_path,
+        mode="ftl-check",
+        flux={"kind": "tabulated", "params": {"us": [0.0, 0.25, 0.5, 0.75, 1.0], "fs": fs}},
+        initial_data={"kind": "riemann", "params": {"u_l": 0.2, "u_r": 0.8, "x0": 0.0, "window": [-1, 1]}},
+    )
+    assert run_cli([str(path)]) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        payload = json.loads((tmp_path / "out" / "ftl_check.json").read_text())
+        assert payload["max_deviation"] <= 1e-15
+    else:
+        assert out.startswith("precondition failed: velocity field is not nonincreasing: a(0.5) = 0.2 < a(0.75)")
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_is_exit_2(tmp_path):
@@ -258,8 +284,6 @@ def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, m
         # the collision threshold is no option: eps_coll is an unknown key
         ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": 1e-9}, "integrator.eps_coll"),
         ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": None}, "integrator.eps_coll"),
-        ("convergence", "convergence", {"dt_max_ratio": "abc"}, "convergence.dt_max_ratio"),
-        ("convergence", "convergence", {"dt_max_ratio": 0}, "convergence.dt_max_ratio"),
     ],
 )
 def test_bad_step_parameter_is_exit_2(mode, key, value, path, tmp_path, capsys):
@@ -286,6 +310,46 @@ def test_zero_mass_data_cannot_be_mass_equidistributed(mode, initial_data, place
     assert err.startswith("config error at placement.strategy: ")
     assert "positive total mass" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("ftl", {"pairs": 500}), ("convergence", {"dt_max_ratio": 0.2})])
+def test_removed_config_values_are_unknown_keys(key, value, tmp_path, capsys):
+    # ftl-check's pair count and tolerance and the convergence step ratio are constants
+    assert run_cli([str(base_config(tmp_path, **{key: value}))]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {key}: unknown key")
+    assert run_cli([str(base_config(tmp_path)), "--set", f"{key}.x=1"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {key}: unknown key")
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_still_requires_dt_max(tmp_path, capsys):
+    assert run_cli([str(base_config(tmp_path, integrator={"theta": 0.1}))]) == 2
+    assert capsys.readouterr().err == "config error at integrator.dt_max: required\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_convergence_mode_needs_no_dt_max(tmp_path):
+    # its step is 0.2 dx* of each run
+    path = base_config(
+        tmp_path,
+        mode="convergence",
+        placement={"strategy": "uniform", "n_list": [9, 17, 33]},
+        integrator={"theta": 0.1},
+    )
+    assert run_cli([str(path)]) == 0
+    assert (tmp_path / "out" / "rate.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["audit", "ftl-check"])
+@pytest.mark.parametrize("setting", ["integrator={}", "placement={}"])
+def test_audit_and_ftl_check_need_no_dt_max_or_placement(mode, setting, tmp_path):
+    path = base_config(
+        tmp_path,
+        flux={"kind": "lwr", "params": {}},
+        initial_data={"kind": "riemann", "params": {"u_l": 0.2, "u_r": 0.8, "x0": 0.0, "window": [-1, 1]}},
+    )
+    assert run_cli([str(path)]) == 0
+    assert run_cli([str(path), "--mode", mode, "--set", setting]) == 0
 
 
 def test_integrator_takes_only_dt_max_and_theta(tmp_path, capsys):

@@ -291,8 +291,6 @@ def test_malformed_input_is_value_error_and_audit_exit_2(case, vacuum_run, capsy
         ('snapshots="x"', "snapshots"),
         ("seed=-1", "seed"),
         ("seed=false", "seed"),
-        ("ftl.pairs=0.5", "ftl.pairs"),
-        ("ftl.tol=NaN", "ftl.tol"),
         ("integrator=3", "integrator"),
     ],
 )

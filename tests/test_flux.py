@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from particle_paths import FluxModel, builtin_flux, interface_velocities, velocity_extrema
+import particle_paths as pp
+from particle_paths import FluxModel, ParticleState, builtin_flux, velocity_extrema
+
+from conftest import pair_velocities
 
 ANALYTIC_TOL = 1e-10
 
@@ -135,4 +138,6 @@ def test_tabulated_velocity_at_zero_is_the_first_slope():
     # exactly on (0, 1e-9], so a(0) = 1 and not a slope mixed across pieces
     tab = builtin_flux("tabulated", us=[0.0, 1e-9, 1.0], fs=[0.0, 1e-9, 0.5])
     assert tab.fprime0 == 1.0
-    assert interface_velocities(tab, np.array([0.0]), np.array([1e-9]))[0] == 1.0
+    assert pair_velocities(tab, [0.0, 1e-9], [1e-9, 0.0]).tolist() == [1.0, 1.0]
+    # the vacuum beside a state takes the same a(0)
+    assert pp.particle_velocities(tab, ParticleState.from_cells([0.0, 1.0], [1e-9])).tolist() == [1.0, 1.0]

@@ -1,4 +1,8 @@
-"""The array interface-velocity kernel against the scalar rule and brute force."""
+"""The velocity kernel against the scalar rule, the two-sided rule and brute force.
+
+Pairs run through ``particle_velocities`` as (pairs, 2) blocks: each pair
+is the two cells around one particle (``conftest.pair_velocities``).
+"""
 
 import dataclasses
 from types import SimpleNamespace
@@ -9,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
-from particle_paths import ParticleState, builtin_flux, interface_velocities, particle_velocity, velocity_extrema
+from particle_paths import ParticleState, builtin_flux, velocity_extrema
 from particle_paths.dynamics import SnapshotBlock
 from particle_paths.flux import FluxModel, MonotoneOracle, _RangeExtrema
 
-from conftest import cubic_flux_model
-from dynamics_reference import two_sided_velocities
+from conftest import cubic_flux_model, pair_velocities
+from dynamics_reference import particle_velocity, two_sided_velocities
 
 ANALYTIC_TOL = 1e-10
 
@@ -40,14 +44,60 @@ def dense_velocity(model, v_l, v_r, nodes=(), n=2001):
     return float(vals.min() if v_l <= v_r else vals.max())
 
 
+MONOTONE = ("burgers", "lwr", "rising", "falling")
+
+
+def monotone_model(kind):
+    """burgers, lwr, or a custom ``MonotoneOracle`` in either direction, on [0, 2]."""
+    if kind == "burgers":
+        return builtin_flux("burgers", u_high=2.0)
+    if kind == "lwr":
+        return builtin_flux("lwr", u_max=2.0)
+    if kind == "rising":
+        # a = sqrt(u) + 1/4, so f' = 1.5 sqrt(u) + 1/4
+        def a(u):
+            return np.sqrt(np.asarray(u, dtype=float)) + 0.25
+
+        lip_f, fprime0 = 1.5 * np.sqrt(2.0) + 0.25, 0.25
+    else:
+        # a = 1 / (1 + u), so f' = 1 / (1 + u)**2
+        def a(u):
+            return 1.0 / (1.0 + np.asarray(u, dtype=float))
+
+        lip_f, fprime0 = 1.0, 1.0
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return u * a(u)
+
+    oracle = MonotoneOracle(a, increasing=kind == "rising")
+    return FluxModel(kind, f, fprime0, lip_f, 2.0, extremum_oracle=oracle)
+
+
+def cells(dens):
+    """A state's or a row block's densities; the kernels read nothing else."""
+    return SimpleNamespace(densities=np.asarray(dens, dtype=float))
+
+
+def assert_pairs_take_the_rule(model, pairs):
+    """Kernel pair velocities, equal bit for bit to the scalar and the two-sided rule."""
+    pairs = np.asarray(pairs, dtype=float)
+    got = pair_velocities(model, pairs[:, 0], pairs[:, 1])
+    assert got.tolist() == [particle_velocity(model, float(l), float(r)) for l, r in pairs]
+    assert got.tobytes() == two_sided_velocities(model, cells(pairs))[:, 1].tobytes()
+    return got
+
+
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["burgers", "lwr"]), top=st.floats(0.1, 4.0), fracs=pair_arrays())
+@given(kind=st.sampled_from(MONOTONE), top=st.floats(0.1, 4.0), fracs=pair_arrays())
 def test_kernel_equals_scalar_rule_bitwise_on_monotone_fluxes(kind, top, fracs):
-    model = builtin_flux(kind, u_high=top) if kind == "burgers" else builtin_flux("lwr", u_max=top)
-    pairs = np.asarray(fracs) * model.u_high
-    got = interface_velocities(model, pairs[:, 0], pairs[:, 1])
-    want = [particle_velocity(model, float(l), float(r)) for l, r in pairs]
-    assert got.tolist() == want
+    if kind == "burgers":
+        model = builtin_flux("burgers", u_high=top)
+    elif kind == "lwr":
+        model = builtin_flux("lwr", u_max=top)
+    else:
+        model = monotone_model(kind)  # on [0, 2]
+    assert_pairs_take_the_rule(model, np.asarray(fracs) * model.u_high)
 
 
 @st.composite
@@ -64,9 +114,8 @@ def test_kernel_exact_on_random_tabulated_flux(table, fracs):
     us, fs = table
     model = builtin_flux("tabulated", us=us, fs=fs)
     pairs = np.asarray(fracs) * model.u_high
-    got = interface_velocities(model, pairs[:, 0], pairs[:, 1])
+    got = assert_pairs_take_the_rule(model, pairs)
     for (v_l, v_r), v in zip(pairs, got):
-        assert v == particle_velocity(model, float(v_l), float(v_r))
         assert v == pytest.approx(dense_velocity(model, v_l, v_r, us), abs=ANALYTIC_TOL)
         # the Godunov interface flux uses the same node search over f
         lo, hi = min(v_l, v_r), max(v_l, v_r)
@@ -84,16 +133,15 @@ def test_kernel_on_custom_oracle_matches_dense_scan(fracs):
     # at most h**2/12 < 5e-11
     model = cubic_flux_model(1.5)
     pairs = np.asarray(fracs) * model.u_high
-    got = interface_velocities(model, pairs[:, 0], pairs[:, 1])
+    got = assert_pairs_take_the_rule(model, pairs)
     for (v_l, v_r), v in zip(pairs, got):
-        assert v == particle_velocity(model, float(v_l), float(v_r))
         assert v == pytest.approx(dense_velocity(model, v_l, v_r, n=2**16 + 1), abs=ANALYTIC_TOL)
 
 
 def test_custom_oracle_finds_the_interior_minimum():
     # a = u^2/3 - u/2 + 1/2 has its minimum 5/16 at u = 3/4
     model = cubic_flux_model(1.5)
-    vel = interface_velocities(model, [0.0, 1.5], [1.5, 0.0])
+    vel = pair_velocities(model, [0.0, 1.5], [1.5, 0.0])
     assert vel[0] == pytest.approx(5.0 / 16.0, abs=1e-15)
     assert vel[0] == pytest.approx(dense_velocity(model, 0.0, 1.5, n=2**16 + 1), abs=ANALYTIC_TOL)
     assert vel[1] == 0.5
@@ -126,7 +174,7 @@ def test_degenerate_interval_takes_the_oracles_own_value(kind):
     oracle = model.extremum_oracle(vs, vs)
     own = np.asarray(oracle.min_value, dtype=float)
     assert own.tobytes() == np.asarray(oracle.max_value, dtype=float).tobytes()
-    assert interface_velocities(model, vs, vs).tobytes() == own.tobytes()
+    assert pair_velocities(model, vs, vs).tobytes() == own.tobytes()
     assert [velocity_extrema(model, v, v) for v in vs] == [(a, a) for a in own]
     if kind == "burgers":
         assert own[1] == 0.1 != float(model.eval_a(0.2))
@@ -168,16 +216,52 @@ def test_range_table_matches_brute_force():
 def test_kernel_rejects_densities_outside_the_working_interval():
     model = builtin_flux("burgers", u_high=1.0)
     with pytest.raises(ValueError, match="negative"):
-        interface_velocities(model, [0.0, 0.5], [0.5, -0.1])
+        pair_velocities(model, [0.0, 0.5], [0.5, -0.1])
     with pytest.raises(ValueError, match="exceeds"):
         pp.particle_velocities(model, ParticleState.from_cells([0.0, 1.0, 2.0], [0.5, 2.0]))
 
 
-def test_kernel_broadcasts_scalars_on_both_paths():
-    for model in (builtin_flux("burgers", u_high=1.5), cubic_flux_model(1.5)):
-        assert float(interface_velocities(model, 0.2, 1.5)) == particle_velocity(model, 0.2, 1.5)
-        got = interface_velocities(model, [0.1, 0.2, 0.3], 0.2)
-        assert got.tolist() == [particle_velocity(model, v, 0.2) for v in (0.1, 0.2, 0.3)]
+PAIR_KINDS = (*MONOTONE, "tabulated", "cubic")
+
+
+def pair_model(kind):
+    """A model of each oracle kind on [0, 2]: monotone, a non-convex table, or the custom cubic."""
+    if kind == "tabulated":
+        us = np.linspace(0.0, 2.0, 17)
+        return builtin_flux("tabulated", us=us, fs=us * ((us - 1.0) ** 2 - 0.2))
+    if kind == "cubic":
+        return cubic_flux_model(2.0)
+    return monotone_model(kind)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_vacuum_and_degenerate_pairs_take_the_rule(kind):
+    # every ordered pair of vacuum, inner states and the top: ties, both
+    # directions, and vacuum on either side
+    vs = [0.0, 0.3, 1.0, 2.0]
+    assert_pairs_take_the_rule(pair_model(kind), [(v_l, v_r) for v_l in vs for v_r in vs])
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([[0.5, -0.1]], "negative density -0.1"),
+        ([[0.5, 2.5]], "density 2.5 exceeds working interval [0, 2.0]"),
+        ([[np.nan, -0.3], [0.5, 0.2]], "negative density -0.3"),
+        ([[np.nan, 0.5], [2.5, 0.2]], "density 2.5 exceeds working interval [0, 2.0]"),
+    ],
+    ids=["negative", "above", "nan-negative", "nan-above"],
+)
+def test_out_of_range_pairs_raise_the_range_check(kind, pairs, message):
+    # a NaN passes the check, so the message names the offending density beside it
+    model = pair_model(kind)
+    pairs = np.asarray(pairs)
+    with pytest.raises(ValueError) as want:
+        two_sided_velocities(model, cells(pairs))
+    with pytest.raises(ValueError) as got:
+        pair_velocities(model, pairs[:, 0], pairs[:, 1])
+    assert str(got.value) == str(want.value) == message
 
 
 def _row_block_model(kind, draw):
@@ -211,41 +295,6 @@ def test_kernel_on_a_row_block_equals_per_row_calls(kind, rows, cells, data):
     assert got.tobytes() == want.tobytes()
 
 
-MONOTONE = ("burgers", "lwr", "rising", "falling")
-
-
-def monotone_model(kind):
-    """burgers, lwr, or a custom ``MonotoneOracle`` in either direction, on [0, 2]."""
-    if kind == "burgers":
-        return builtin_flux("burgers", u_high=2.0)
-    if kind == "lwr":
-        return builtin_flux("lwr", u_max=2.0)
-    if kind == "rising":
-        # a = sqrt(u) + 1/4, so f' = 1.5 sqrt(u) + 1/4
-        def a(u):
-            return np.sqrt(np.asarray(u, dtype=float)) + 0.25
-
-        lip_f, fprime0 = 1.5 * np.sqrt(2.0) + 0.25, 0.25
-    else:
-        # a = 1 / (1 + u), so f' = 1 / (1 + u)**2
-        def a(u):
-            return 1.0 / (1.0 + np.asarray(u, dtype=float))
-
-        lip_f, fprime0 = 1.0, 1.0
-
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        return u * a(u)
-
-    oracle = MonotoneOracle(a, increasing=kind == "rising")
-    return FluxModel(kind, f, fprime0, lip_f, 2.0, extremum_oracle=oracle)
-
-
-def cells(dens):
-    """A state's or a row block's densities; the kernels read nothing else."""
-    return SimpleNamespace(densities=np.asarray(dens, dtype=float))
-
-
 def assert_one_sided_is_two_sided(model, dens):
     state = cells(dens)
     got = pp.particle_velocities(model, state)
@@ -253,7 +302,7 @@ def assert_one_sided_is_two_sided(model, dens):
     assert got.shape == want.shape == (*dens.shape[:-1], dens.shape[-1] + 1)
     assert got.tobytes() == want.tobytes()
     # the pairs inside the state take the same rule
-    pairs = interface_velocities(model, dens[..., :-1], dens[..., 1:])
+    pairs = pair_velocities(model, dens[..., :-1], dens[..., 1:])
     assert pairs.tobytes() == want[..., 1:-1].tobytes()
 
 
@@ -301,10 +350,11 @@ def test_one_sided_kernel_raises_the_two_sided_message(kind, dens):
 
 
 @pytest.mark.parametrize("kind", ["burgers", "lwr"])
-@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("rows", [0, 3, "pairs"])
 def test_monotone_kernel_evaluates_a_once_per_call(kind, rows):
     # one evaluation of a, on the cells alone: the two-sided rule would ask
-    # for a at both ends of every padded interface, two calls per kernel call
+    # for a at both ends of every padded interface, two calls per kernel call;
+    # "pairs" is the (pairs, 2) block that pair velocities run through
     base = builtin_flux(kind)
     calls = []
 
@@ -315,7 +365,7 @@ def test_monotone_kernel_evaluates_a_once_per_call(kind, rows):
     model = dataclasses.replace(base, extremum_oracle=MonotoneOracle(counting, base.extremum_oracle.increasing))
     assert calls == [(1,)]  # the oracle's a(0), once
     row = np.linspace(0.0, 1.0, 11)
-    dens = np.stack([row] * rows) if rows else row
+    dens = {0: row, 3: np.stack([row] * 3), "pairs": np.stack([row[:-1], row[1:]], axis=-1)}[rows]
     calls.clear()
     for _ in range(2):
         vel = pp.particle_velocities(model, cells(dens))

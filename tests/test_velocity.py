@@ -1,33 +1,38 @@
 import numpy as np
 import pytest
 
-from conftest import cubic_flux_model
-from particle_paths import builtin_flux, follow_the_leader_deviation, particle_velocity, velocity_extrema
+from conftest import cubic_flux_model, pair_velocities
+from particle_paths import builtin_flux, follow_the_leader_deviation, velocity_extrema
+
+
+def pair_velocity(model, v_l, v_r) -> float:
+    """The kernel's velocity of the one particle between states v_l and v_r."""
+    return float(pair_velocities(model, [v_l], [v_r])[0])
 
 
 def test_burgers_pair():
     m = builtin_flux("burgers", u_high=3.0)
     # grid-scan oracle for min of a over [1, 3]
     ref = np.asarray(m.eval_a(np.linspace(1.0, 3.0, 20001))).min()
-    assert particle_velocity(m, 1.0, 3.0) == pytest.approx(ref, abs=1e-12) == 0.5
+    assert pair_velocity(m, 1.0, 3.0) == pytest.approx(ref, abs=1e-12) == 0.5
 
 
 def test_equal_states_both_branches(burgers3):
     for c in (0.0, 0.4, 1.7, 3.0):
-        assert particle_velocity(burgers3, c, c) == pytest.approx(float(burgers3.eval_a(c)))
+        assert pair_velocity(burgers3, c, c) == pytest.approx(float(burgers3.eval_a(c)))
 
 
 def test_lwr_decreasing_pair():
     m = builtin_flux("lwr")
     # falling density: max of a over [0.2, 0.8] is attained at the right state
-    assert particle_velocity(m, 0.8, 0.2) == pytest.approx(0.8) == pytest.approx(float(m.eval_a(0.2)))
+    assert pair_velocity(m, 0.8, 0.2) == pytest.approx(0.8) == pytest.approx(float(m.eval_a(0.2)))
 
 
 def test_negative_state_rejected(burgers3):
     with pytest.raises(ValueError):
-        particle_velocity(burgers3, -0.1, 1.0)
+        pair_velocity(burgers3, -0.1, 1.0)
     with pytest.raises(ValueError):
-        particle_velocity(burgers3, 1.0, -0.1)
+        pair_velocity(burgers3, 1.0, -0.1)
 
 
 def test_velocity_within_interval_extrema():
@@ -35,7 +40,7 @@ def test_velocity_within_interval_extrema():
     for name, top in (("burgers", 3.0), ("lwr", 1.0)):
         m = builtin_flux(name, u_high=top)
         for v_l, v_r in rng.uniform(0.0, top, size=(300, 2)):
-            v = particle_velocity(m, v_l, v_r)
+            v = pair_velocity(m, v_l, v_r)
             ext = velocity_extrema(m, min(v_l, v_r), max(v_l, v_r))
             assert ext.min_value - 1e-12 <= v <= ext.max_value + 1e-12
 
@@ -50,9 +55,9 @@ def test_entropic_ordering_at_extrema():
             trip = rng.uniform(0.0, top, size=3)
             lo, mid, hi = np.sort(trip)
             # peak: (lo, hi, mid) pattern around center hi
-            assert particle_velocity(m, lo, hi) <= particle_velocity(m, hi, mid) + 1e-12
+            assert pair_velocity(m, lo, hi) <= pair_velocity(m, hi, mid) + 1e-12
             # trough: center lo
-            assert particle_velocity(m, hi, lo) >= particle_velocity(m, lo, mid) - 1e-12
+            assert pair_velocity(m, hi, lo) >= pair_velocity(m, lo, mid) - 1e-12
 
 
 def test_ftl_coincidence_lwr():
