@@ -15,10 +15,16 @@ and each row ended by ``\\r\\n``, the bytes ``csv.writer`` emits.  The
 trajectory writer formats one snapshot at a time (each position once,
 though it appears as ``x_right`` of one cell and ``x_left`` of the next)
 and writes it with a single call, so the file is never held whole in
-memory.  The loader parses the whole body in one ``np.loadtxt`` pass and
-cuts snapshots out of its columns as slices; it accepts LF as well as
-CRLF line endings and raises ``ValueError`` with a one-line reason for
-any malformed or missing input.
+memory.  It keeps one list of every field, comma and line end of a
+snapshot's rows: the commas, the cell index strings (made once per file)
+and the line ends stay in place while the cell count holds, each snapshot
+fills its time, positions and densities into the list by slice
+assignment, and one ``join`` makes its text.  The loader parses the
+whole body in one ``np.loadtxt`` pass and cuts snapshots out of its
+columns as slices; it accepts LF as well as CRLF line endings and raises
+``ValueError`` with a one-line reason for any malformed or missing
+input, an index in ``events.json`` that is not an integral number (a
+fraction, a string or a bool) among them.
 """
 
 from __future__ import annotations
@@ -62,12 +68,24 @@ def write_json(obj, path) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
+    index = list(map(str, range(max((state.n_cells for _, state in traj.snapshots), default=0))))
+    pieces = []
     with Path(path).open("w", newline="") as fh:
         fh.write(_TRAJECTORY_HEADER + "\r\n")
         for t, state in traj.snapshots:
-            xs = _reprs(state.positions)
             n = state.n_cells
-            fh.write(_rows([repr(float(t))] * n, map(str, range(n)), xs, xs[1:], _reprs(state.densities)))
+            if len(pieces) != 10 * n:
+                # t , i , x_left , x_right , v CRLF: commas, cell indices and
+                # line ends stay in place for every snapshot with n cells
+                pieces = [","] * (10 * n)
+                pieces[2::10] = index[:n]
+                pieces[9::10] = ["\r\n"] * n
+            xs = _reprs(state.positions)
+            pieces[0::10] = [repr(float(t))] * n
+            pieces[4::10] = xs[:-1]
+            pieces[6::10] = xs[1:]
+            pieces[8::10] = _reprs(state.densities)
+            fh.write("".join(pieces))
 
 
 def write_events_json(traj: Trajectory, path) -> None:
@@ -149,12 +167,14 @@ def _read_trajectory_table(path: Path) -> np.ndarray:
     return table
 
 
-def _particle_count(value) -> int:
-    """``value`` as an int; ``ValueError`` unless it is integral."""
-    count = int(value)
-    if count != value:
-        raise ValueError(f"pre_particle_count {value!r} is not an integer")
-    return count
+def _integers(values, key: str) -> np.ndarray:
+    """``values`` as an int array; ``ValueError`` naming ``key`` unless each
+    is an integral number: an int, or a float with no fraction (a bool or a
+    string is not)."""
+    for v in values:
+        if not (type(v) is int or (type(v) is float and v.is_integer())):
+            raise ValueError(f"{key} holds {v!r}, not an integer")
+    return np.asarray(values, dtype=int)
 
 
 def _read_events(path: Path) -> tuple:
@@ -164,11 +184,11 @@ def _read_events(path: Path) -> tuple:
         events = [
             CollisionEvent(
                 time=float(ev["time"]),
-                deleted_particles=np.asarray(ev["deleted_particles"], dtype=int),
-                deleted_cells=np.asarray(ev["deleted_cells"], dtype=int),
-                survivor_map=np.asarray(ev["survivor_map"], dtype=int),
+                deleted_particles=_integers(ev["deleted_particles"], "deleted_particles"),
+                deleted_cells=_integers(ev["deleted_cells"], "deleted_cells"),
+                survivor_map=_integers(ev["survivor_map"], "survivor_map"),
                 discarded_mass=float(ev["discarded_mass"]),
-                pre_particle_count=_particle_count(ev["pre_particle_count"]),
+                pre_particle_count=int(_integers([ev["pre_particle_count"]], "pre_particle_count")[0]),
             )
             for ev in payload["events"]
         ]

@@ -99,16 +99,18 @@ def assert_same_trajectory(got, want):
     assert got.fingerprint == want.fingerprint
 
 
-# any finite float, subnormals included, so parsing must be exact everywhere
-coord = st.floats(-1e6, 1e6, allow_nan=False)
-density = st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 5e-324, 1.0, 0.1]))
+# any finite float, subnormals included, so parsing must be exact
+# everywhere; magnitudes of 1e16 and up and below 1e-4 reach repr's
+# exponent forms
+coord = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e20, 1e20), st.floats(-1e-4, 1e-4))
+density = st.one_of(st.floats(0.0, 1e20), st.floats(0.0, 1e-4), st.sampled_from([0.0, 5e-324, 1.0, 0.1]))
 
 
 @st.composite
 def trajectories(draw):
     """A consistent trajectory: cells are only ever removed by a recorded event."""
-    n_cells = draw(st.integers(1, 7))
-    times = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6)))
+    n_cells = draw(st.integers(1, 12))
+    times = sorted(draw(st.lists(coord, min_size=1, max_size=6)))
     snapshots, events = [], []
     for t in times:
         if snapshots and n_cells > 1 and draw(st.booleans()):
@@ -206,6 +208,15 @@ def _set_first_event(key, value):
     return edit
 
 
+def _map_first_event(key, entry):
+    """Replace each entry of the first event's ``key`` list by ``entry(value)``."""
+    def edit(text):
+        payload = json.loads(text)
+        payload["events"][0][key] = [entry(v) for v in payload["events"][0][key]]
+        return json.dumps(payload)
+    return edit
+
+
 def _set_field(rows, k, field, value):
     """``rows`` with field ``field`` of row ``k`` set to ``value``."""
     fields = rows[k].split(b",")
@@ -250,6 +261,11 @@ MALFORMED = {
     "particle count not a number": _edit_events(_set_first_event("pre_particle_count", "abc")),
     "particle count not integral": _edit_events(_set_first_event("pre_particle_count", 3.5)),
     "particle count infinite": _edit_events(_set_first_event("pre_particle_count", float("inf"))),
+    # each of these once loaded as a nearby integer, and the audit passed
+    "deleted cell index fractional": _edit_events(_map_first_event("deleted_cells", lambda j: j + 0.5)),
+    "deleted particle index a string": _edit_events(_map_first_event("deleted_particles", str)),
+    "deleted cell index a bool": _edit_events(_map_first_event("deleted_cells", lambda j: True)),
+    "survivor map fractional": _edit_events(_map_first_event("survivor_map", lambda j: 0.25)),
 }
 
 

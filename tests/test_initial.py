@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from particle_paths import (
@@ -16,7 +16,7 @@ from particle_paths import (
     riemann_data,
     sampled_data,
 )
-from particle_paths.initial import total_variation
+from particle_paths.initial import _accepts, total_variation
 
 
 def test_uniform_placement_covers_hint():
@@ -267,6 +267,83 @@ def test_state_validation():
         ParticleState.from_cells([0.0], [])
     with pytest.raises(ValueError):
         ParticleState.from_cells([0.0, 1.0], [-0.5])
+    for masses in ([1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="cell masses must be finite and nonnegative"):
+            ParticleState(positions=[0.0, 1.0, 2.0], densities=[1.0, 1.0], masses=masses)
+
+
+def reference_state_checks(positions, densities, masses, widths):
+    """``ParticleState``'s checks one at a time, as they ran before the
+    fused pass, followed by the mass check added after them."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 1 or pos.size < 2:
+        raise ValueError("need at least two particles")
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("non-finite particle position")
+    if np.any(np.diff(pos) <= 0.0):
+        raise ValueError("particle positions must be strictly increasing")
+    n_cells = pos.size - 1
+    if widths is None:
+        widths = np.diff(pos)
+    for name, arr in (("densities", densities), ("masses", masses), ("widths", widths)):
+        if np.asarray(arr).shape != (n_cells,):
+            raise ValueError(f"{name} must have length {n_cells}")
+    if not np.all(np.isfinite(densities)):
+        raise ValueError("non-finite cell density")
+    if np.any(np.asarray(densities) < 0.0):
+        raise ValueError("negative cell density")
+    if not np.all(np.isfinite(masses)) or np.any(np.asarray(masses) < 0.0):
+        raise ValueError("cell masses must be finite and nonnegative")
+
+
+# NaN, both infinities, both zeros and subnormals; cells also take the
+# largest float, which in a position could overflow a width
+EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.0]
+CELL_EDGES = EDGES + [1.7976931348623157e308]
+
+
+@st.composite
+def state_arrays(draw):
+    """Positions, densities, masses and widths: mostly a valid state, with
+    an edge value, a tie or a wrong shape dropped in here and there.
+    Finite positions stay within 1e300, so no width overflows."""
+
+    def spoil(arr, edges=CELL_EDGES, tie=False):
+        if arr.size and draw(st.booleans()):
+            # the ends, where a finiteness test may look, as often as the rest
+            k = draw(st.one_of(st.sampled_from([0, arr.size - 1]), st.integers(0, arr.size - 1)))
+            arr[k] = arr[k - 1] if tie and draw(st.booleans()) else draw(st.sampled_from(edges))
+        if draw(st.integers(0, 11)) == 0:
+            return draw(st.sampled_from([arr[:-1], np.append(arr, 1.0), arr.reshape(1, -1), np.float64(1.0)]))
+        return arr
+
+    n = draw(st.integers(0, 6))
+    pos = np.sort(draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n, unique=True)))
+    cells = st.lists(st.floats(0.0, 1e300), min_size=max(n - 1, 0), max_size=max(n - 1, 0)).map(np.array)
+    widths = spoil(draw(cells)) if draw(st.booleans()) else None
+    return spoil(pos, EDGES, tie=True), spoil(draw(cells)), spoil(draw(cells)), widths
+
+
+def _outcome(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(args=state_arrays())
+@example(args=(np.array([0.0, np.inf]), np.ones(1), np.ones(1), None))
+@example(args=(np.array([-np.inf, 0.0]), np.ones(1), np.ones(1), None))
+@example(args=(np.array([0.0, np.nan, 1.0]), np.ones(2), np.ones(2), None))
+@example(args=(np.array([0.0, 1.0]), np.array([-0.0]), np.array([np.nan]), None))
+def test_fused_pass_accepts_exactly_what_the_ordered_checks_accept(args):
+    pos, dens, masses, widths = args
+    want = _outcome(lambda: reference_state_checks(pos, dens, masses, widths))
+    got = _outcome(lambda: ParticleState(positions=pos, densities=dens, masses=masses, widths=widths))
+    assert got == want
+    assert _accepts(np.asarray(pos, dtype=float), dens, masses, widths) == (want is None)
 
 
 def test_cell_average_near_the_largest_float():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import particle_paths as pp
 from particle_paths import ParticleState, SimulationError, dynamics
+from particle_paths.flux import FluxModel, MonotoneOracle
 from dynamics_reference import simulate as reference_simulate
 
 FLUXES = ("burgers", "lwr", "tabulated")
@@ -188,3 +189,28 @@ def test_nonfinite_state_aborts_with_the_last_valid_state():
         pp.simulate(model, st0, 1e307, dt_max=1e307, snapshot_count=2)
     assert_valid(err.value.state, time=0.0)
     np.testing.assert_array_equal(err.value.state.positions, st0.positions)
+
+
+def test_nan_velocity_carries_the_last_valid_state():
+    # a(u) = u except NaN on (0, 0.5).  The density cap keeps every cell at
+    # or below the initial maximum, so the band lies below it: the box's
+    # left cell spreads behind its resting left end and enters the band
+    # once its density falls below 0.5, after several steps
+    def a_of(u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 0.0) & (u < 0.5), np.nan, u)
+
+    oracle = MonotoneOracle(a_of, increasing=True)
+    model = FluxModel("nan band", lambda u: u * a_of(u), 0.0, 1.0, 1.0, extremum_oracle=oracle)
+    st0 = ParticleState.from_cells(np.linspace(0.0, 1.0, 11), np.ones(10))
+    errors = []
+    for run in (pp.simulate, reference_simulate):
+        with pytest.raises(SimulationError, match="non-finite particle velocity") as err:
+            run(model, st0, 1.0, dt_max=0.01, snapshot_count=2)
+        errors.append(err.value.state)
+    state, ref = errors
+    assert_valid(state)
+    assert state.time > 0.05 and 0.0 < state.densities[0] < 0.5
+    assert state.time == ref.time
+    for name in STATE_ARRAYS:
+        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
