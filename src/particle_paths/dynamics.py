@@ -197,7 +197,7 @@ def _advance(x_left: float, widths, masses, closing, dt: float, last_state: Call
     widths.cumsum(out=pos[1:])
     pos += x_left
     # also catches a non-positive width: adding it cannot raise the sum
-    if np.logical_or.reduce(pos[1:] <= pos[:-1]):
+    if (pos[1:] <= pos[:-1]).any():
         raise SimulationError(
             f"particle ordering violated after dt={dt:.3e}; step cap failed", last_state()
         )
@@ -207,7 +207,7 @@ def _advance(x_left: float, widths, masses, closing, dt: float, last_state: Call
     # sum is inf or NaN, every later sum is too.  A finite end with an
     # overflowed position between would break the strict increase checked
     # above, so pos[-1] decides for every position
-    if not (math.isfinite(pos[-1]) and np.logical_and.reduce(np.isfinite(densities))):
+    if not (math.isfinite(pos[-1]) and np.isfinite(densities).all()):
         raise SimulationError("non-finite state encountered", last_state())
     return pos, widths, densities
 
@@ -308,7 +308,7 @@ def simulate(
     if config:
         run_config.update(config)
 
-    targets = np.linspace(state0.time, T, max(2, snapshot_count)).tolist()
+    targets = np.linspace(state0.time, T, max(2, snapshot_count))
     snaps: List[Tuple[float, ParticleState]] = [(state0.time, state0)]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
@@ -331,9 +331,9 @@ def simulate(
         return ParticleState(positions=pos, densities=densities, masses=masses, time=t, widths=widths)
 
     while t < T:
-        target = T if every_step else targets[k]
+        target = T if every_step else float(targets[k])
         vel = particle_velocities(model, _Cells(densities, pos.size))
-        if not np.logical_and.reduce(np.isfinite(vel)):
+        if not np.isfinite(vel).all():
             raise SimulationError("non-finite particle velocity", current())
         closing = vel[:-1] - vel[1:]
         caps = (dt_max, *_timestep_cap(widths, masses, rho_star, closing, theta))

@@ -10,21 +10,18 @@ bytes and parsing recovers exact values.  Every JSON file the package
 writes (events, run statistics, convergence rates, the follow-the-leader
 check, the runtime diagnostic) goes through ``write_json``.
 
-Every CSV writer formats its rows the same way: fields joined by ``,``
-and each row ended by ``\\r\\n``, the bytes ``csv.writer`` emits.  The
-trajectory writer formats one snapshot at a time (each position once,
-though it appears as ``x_right`` of one cell and ``x_left`` of the next)
-and writes it with a single call, so the file is never held whole in
-memory.  It keeps one list of every field, comma and line end of a
-snapshot's rows: the commas, the cell index strings (made once per file)
-and the line ends stay in place while the cell count holds, each snapshot
-fills its time, positions and densities into the list by slice
-assignment, and one ``join`` makes its text.  The loader parses the
-whole body in one ``np.loadtxt`` pass and cuts snapshots out of its
-columns as slices; it accepts LF as well as CRLF line endings and raises
-``ValueError`` with a one-line reason for any malformed or missing
-input, an index in ``events.json`` that is not an integral number (a
-fraction, a string or a bool) among them.
+Every CSV writer formats its rows the same way, through ``_rows``:
+fields joined by ``,`` and each row ended by ``\\r\\n``, the bytes
+``csv.writer`` emits, put into one list by slice assignment and joined
+once.  The trajectory writer formats one snapshot at a time (each
+position once, though it appears as ``x_right`` of one cell and
+``x_left`` of the next, and the cell index strings once per file) and
+writes it with a single call, so the file is never held whole in
+memory.  The loader parses the whole body in one ``np.loadtxt`` pass and
+cuts snapshots out of its columns as slices; it accepts LF as well as
+CRLF line endings and raises ``ValueError`` with a one-line reason for
+any malformed or missing input, an index in ``events.json`` that is not
+an integral number (a fraction, a string or a bool) among them.
 """
 
 from __future__ import annotations
@@ -52,8 +49,16 @@ _TRAJECTORY_HEADER = "t,i,x_left,x_right,v"
 
 
 def _rows(*columns) -> str:
-    """CSV rows built from columns of already formatted fields."""
-    return "".join([",".join(fields) + "\r\n" for fields in zip(*columns)])
+    """CSV rows from equally long columns of already formatted fields.
+    Fields, commas and line ends go into one list by slice assignment
+    (column ``j`` of ``k`` takes every ``2k``-th slot from ``2j`` on), and
+    one ``join`` makes the text."""
+    k, n = len(columns), len(columns[0])
+    pieces = [","] * (2 * k * n)
+    for j, col in enumerate(columns):
+        pieces[2 * j :: 2 * k] = col
+    pieces[2 * k - 1 :: 2 * k] = ["\r\n"] * n
+    return "".join(pieces)
 
 
 def _reprs(values) -> list:
@@ -69,23 +74,12 @@ def write_json(obj, path) -> None:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     index = list(map(str, range(max((state.n_cells for _, state in traj.snapshots), default=0))))
-    pieces = []
     with Path(path).open("w", newline="") as fh:
         fh.write(_TRAJECTORY_HEADER + "\r\n")
         for t, state in traj.snapshots:
-            n = state.n_cells
-            if len(pieces) != 10 * n:
-                # t , i , x_left , x_right , v CRLF: commas, cell indices and
-                # line ends stay in place for every snapshot with n cells
-                pieces = [","] * (10 * n)
-                pieces[2::10] = index[:n]
-                pieces[9::10] = ["\r\n"] * n
             xs = _reprs(state.positions)
-            pieces[0::10] = [repr(float(t))] * n
-            pieces[4::10] = xs[:-1]
-            pieces[6::10] = xs[1:]
-            pieces[8::10] = _reprs(state.densities)
-            fh.write("".join(pieces))
+            n = state.n_cells
+            fh.write(_rows([repr(float(t))] * n, index[:n], xs[:-1], xs[1:], _reprs(state.densities)))
 
 
 def write_events_json(traj: Trajectory, path) -> None:

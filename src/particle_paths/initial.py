@@ -156,9 +156,9 @@ class ParticleState:
 
     A state is accepted when it has at least two particles at finite,
     strictly increasing positions, one density, mass and width per cell,
-    and finite, nonnegative densities and masses.  One fused pass
-    (``_accepts``) decides that; a state it rejects runs the checks one
-    at a time, and the first that fails raises ``ValueError`` naming it.
+    and finite, nonnegative densities and masses; otherwise the first
+    check that fails raises ``ValueError`` naming it.  Each check is one
+    or two reductions, and the fault is told apart only once one fails.
     """
 
     positions: np.ndarray
@@ -169,29 +169,30 @@ class ParticleState:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        if _accepts(pos, self.densities, self.masses, self.widths):
-            if self.widths is None:
-                # np.diff's bits, without its argument handling
-                object.__setattr__(self, "widths", pos[1:] - pos[:-1])
-            return
         if pos.ndim != 1 or pos.size < 2:
             raise ValueError("need at least two particles")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("non-finite particle position")
-        if np.any(np.diff(pos) <= 0.0):
+        # finite ends and a strict increase make every position finite; the
+        # fault is told apart only once the test fails
+        if not (math.isfinite(pos[0]) and math.isfinite(pos[-1]) and np.logical_and.reduce(pos[1:] > pos[:-1])):
+            if not np.all(np.isfinite(pos)):
+                raise ValueError("non-finite particle position")
             raise ValueError("particle positions must be strictly increasing")
         n_cells = pos.size - 1
         if self.widths is None:
-            object.__setattr__(self, "widths", np.diff(pos))
+            # np.diff's bits, without its argument handling
+            object.__setattr__(self, "widths", pos[1:] - pos[:-1])
         for name in ("densities", "masses", "widths"):
             arr = getattr(self, name)
             if np.asarray(arr).shape != (n_cells,):
                 raise ValueError(f"{name} must have length {n_cells}")
-        if not np.all(np.isfinite(self.densities)):
-            raise ValueError("non-finite cell density")
-        if np.any(np.asarray(self.densities) < 0.0):
+        # NaN propagates through minimum and maximum, so it fails both tests
+        dens = np.asarray(self.densities)
+        if not (np.minimum.reduce(dens) >= 0.0 and np.maximum.reduce(dens) < np.inf):
+            if not np.all(np.isfinite(dens)):
+                raise ValueError("non-finite cell density")
             raise ValueError("negative cell density")
-        if not np.all(np.isfinite(self.masses)) or np.any(np.asarray(self.masses) < 0.0):
+        mass = np.asarray(self.masses)
+        if not (np.minimum.reduce(mass) >= 0.0 and np.maximum.reduce(mass) < np.inf):
             raise ValueError("cell masses must be finite and nonnegative")
 
     @property
@@ -219,30 +220,6 @@ class ParticleState:
         pos = np.asarray(positions, dtype=float).copy()
         dens = np.asarray(densities, dtype=float).copy()
         return ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=float(time))
-
-
-def _accepts(pos: np.ndarray, densities, masses, widths) -> bool:
-    """Whether a state passes every ``ParticleState`` check, in one pass.
-
-    Finite ends and a strict increase make every position finite.  NaN
-    propagates through minimum and maximum, so a NaN density or mass fails
-    the range tests.
-    """
-    n_cells = pos.size - 1
-    if pos.ndim != 1 or n_cells < 1:
-        return False
-    dens, mass = np.asarray(densities), np.asarray(masses)
-    if dens.shape != (n_cells,) or mass.shape != (n_cells,) or (widths is not None and np.shape(widths) != (n_cells,)):
-        return False
-    return bool(
-        math.isfinite(pos[0])
-        and math.isfinite(pos[-1])
-        and np.logical_and.reduce(pos[1:] > pos[:-1])
-        and np.minimum.reduce(dens) >= 0.0
-        and np.maximum.reduce(dens) < np.inf
-        and np.minimum.reduce(mass) >= 0.0
-        and np.maximum.reduce(mass) < np.inf
-    )
 
 
 def integrate(g_l, g_r, w):
