@@ -126,7 +126,7 @@ def error_report(
     recon = reconstruct_density(traj.final_state)
     err = l1_error_against(recon, exact, T, window)
 
-    state0 = traj.snapshots[0][1]
+    state0 = traj.snapshots[0]
     gap, tail = initial_approximation_gap(data, state0)
     residual, resolution = spacetime_flux_residual(traj)
     bound = stability_error_bound(gap + tail, data.tv_u0, residual)
@@ -265,9 +265,9 @@ def entropy_defect(
 
     vals = np.zeros(len(traj.snapshots))
     I_abs = np.zeros(len(traj.snapshots))
-    for j, (t, state) in enumerate(traj.snapshots):
-        gamma = bump.gamma(t)
-        gamma_p = bump.gamma_prime(t)
+    for j, state in enumerate(traj.snapshots):
+        gamma = bump.gamma(state.time)
+        gamma_p = bump.gamma_prime(state.time)
         if gamma != 0.0 or gamma_p != 0.0:
             I_abs[j], I_flux = _pairing_terms(traj.model, state, k, bump, window)
             vals[j] = gamma_p * I_abs[j] + gamma * I_flux
@@ -285,7 +285,7 @@ def entropy_tolerance(traj: Trajectory, k: float, bump: SpaceTimeBump, window: T
     """Defect budget: 5 * (dt + snapshot spacing) * bump scale * content."""
     dt_max = float(traj.config.get("dt_max", 0.0))
     spacing = float(np.max(np.diff(traj.times)))
-    mass = traj.snapshots[0][1].total_mass
+    mass = traj.snapshots[0].total_mass
     width = window[1] - window[0]
     return 5.0 * (dt_max + spacing) * bump.derivative_scale * (mass + k * width)
 
@@ -335,7 +335,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     """
     rtol = 1e-12
     model = traj.model
-    state0 = traj.snapshots[0][1]
+    state0 = traj.snapshots[0]
     tv_tol = max(1e-10, rtol * total_variation(state0.densities))
     rho_star = float(np.max(state0.densities, initial=0.0))
     ext = velocity_extrema(model, 0.0, rho_star)
@@ -359,7 +359,8 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
         # changes the cell count, so the creation data hold for the whole
         # block, but an event that deletes nothing (a hand-built trajectory
         # can hold one) may still add discarded mass inside it
-        for j, (t, state) in enumerate(traj.snapshots[rows]):
+        for j, state in enumerate(traj.snapshots[rows]):
+            t = state.time
             while next_event is not None and (
                 next_event.time < t or (next_event.time == t and state.n_particles < next_event.pre_particle_count)
             ):
@@ -419,7 +420,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
 
 def temporal_modulus_margin(traj: Trajectory) -> float:
     """Largest ratio of ||v(t) - v(s)||_L1 to 4 * lip_f * TV(v0) * |t - s|."""
-    recons = [reconstruct_density(s) for _, s in traj.snapshots]
+    recons = [reconstruct_density(s) for s in traj.snapshots]
     times = traj.times
     tv0 = total_variation(recons[0].values)
     bound_rate = 4.0 * traj.model.lip_f * tv0

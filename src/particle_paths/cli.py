@@ -273,7 +273,7 @@ def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
     exports.write_trajectory_csv(traj, out / "trajectory.csv")
     exports.write_events_json(traj, out / "events.json")
     exports.write_json(traj.stats, out / "stats.json")
-    mass0 = traj.snapshots[0][1].total_mass
+    mass0 = traj.snapshots[0].total_mass
     massT = traj.final_state.total_mass + sum(ev.discarded_mass for ev in traj.events)
     lines = [
         f"mode: simulate ({data.description}; flux {model.name})",

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -120,13 +120,14 @@ class SnapshotBlock(NamedTuple):
 class Trajectory:
     """Time-ordered snapshots plus collision events for one run.
 
-    Snapshot times are nondecreasing; they repeat only at collision times,
-    where the state immediately before and immediately after the sweep are
-    both recorded (in that order).  ``stats`` is set by ``simulate`` and
-    absent on a trajectory loaded from disk.
+    Each snapshot is a ``ParticleState``, whose ``time`` is the snapshot's
+    time.  Snapshot times are nondecreasing; they repeat only at collision
+    times, where the state immediately before and immediately after the
+    sweep are both recorded (in that order).  ``stats`` is set by
+    ``simulate`` and absent on a trajectory loaded from disk.
     """
 
-    snapshots: List[Tuple[float, ParticleState]]
+    snapshots: List[ParticleState]
     events: List[CollisionEvent]
     model: FluxModel
     data: Optional[InitialData] = None
@@ -136,11 +137,11 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray([t for t, _ in self.snapshots])
+        return np.array([state.time for state in self.snapshots], dtype=float)
 
     @property
     def final_state(self) -> ParticleState:
-        return self.snapshots[-1][1]
+        return self.snapshots[-1]
 
     def blocks(self) -> Iterator[SnapshotBlock]:
         """The snapshots in record order as row blocks.
@@ -150,12 +151,12 @@ class Trajectory:
         alone has more.  Cells are deleted only at collision sweeps, so the
         blocks break at every sweep.
         """
-        counts = [state.n_cells for _, state in self.snapshots]
+        counts = [state.n_cells for state in self.snapshots]
         edges = (np.flatnonzero(np.diff(counts)) + 1).tolist()
         for lo, hi in zip([0, *edges], [*edges, len(counts)]):
             rows = max(1, BLOCK_CELLS // counts[lo])
             for start in range(lo, hi, rows):
-                states = [state for _, state in self.snapshots[start : min(start + rows, hi)]]
+                states = self.snapshots[start : min(start + rows, hi)]
                 yield SnapshotBlock(
                     start=start,
                     times=np.array([s.time for s in states], dtype=float),
@@ -182,34 +183,6 @@ def _timestep_cap(
     # nor may any cell be squeezed past the initial density maximum
     slack = np.maximum(gaps - masses.take(approaching) / rho_star, 0.0)
     return crossing, float(np.minimum.reduce(slack / rate))
-
-
-def _advance(x_left: float, widths, masses, closing, dt: float, last_state: Callable[[], ParticleState]):
-    """Forward Euler on the widths, the left end moved to ``x_left``: new (positions, widths, densities).
-
-    ``widths - dt * closing`` is bit for bit ``widths + dt * (vel[1:] - vel[:-1])``.
-    Raises SimulationError, carrying ``last_state()``, when the rebuilt
-    positions are not strictly increasing or the result is not finite.
-    """
-    widths = widths - dt * closing
-    pos = np.empty(widths.size + 1)
-    pos[0] = 0.0
-    widths.cumsum(out=pos[1:])
-    pos += x_left
-    # also catches a non-positive width: adding it cannot raise the sum
-    if (pos[1:] <= pos[:-1]).any():
-        raise SimulationError(
-            f"particle ordering violated after dt={dt:.3e}; step cap failed", last_state()
-        )
-    densities = masses / widths
-    # pos[-1] is x_left plus a running sum of the widths, and a running sum
-    # is finite at its end only if every term is: once a term or a partial
-    # sum is inf or NaN, every later sum is too.  A finite end with an
-    # overflowed position between would break the strict increase checked
-    # above, so pos[-1] decides for every position
-    if not (math.isfinite(pos[-1]) and np.isfinite(densities).all()):
-        raise SimulationError("non-finite state encountered", last_state())
-    return pos, widths, densities
 
 
 def default_eps_coll(state: ParticleState) -> float:
@@ -291,9 +264,19 @@ def simulate(
     always recorded.  A sweep collapses every gap of at most
     ``default_eps_coll(state0)``.  The trajectory's ``stats`` summarise
     the steps.
+
+    ``T`` must be finite and later than ``state0.time``, ``dt_max``
+    positive (``inf`` leaves the step to the caps) and ``theta`` inside
+    (0, 1); otherwise ``ValueError`` names the argument.
     """
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T!r}")
     if T <= state0.time:
         raise ValueError("T must exceed the initial time")
+    if not dt_max > 0.0:
+        raise ValueError(f"dt_max must be positive, got {dt_max!r}")
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     eps_coll = default_eps_coll(state0)
     run_config = {
         "T": T,
@@ -309,7 +292,7 @@ def simulate(
         run_config.update(config)
 
     targets = np.linspace(state0.time, T, max(2, snapshot_count))
-    snaps: List[Tuple[float, ParticleState]] = [(state0.time, state0)]
+    snaps: List[ParticleState] = [state0]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
     # the density cap: no cell may be squeezed past the initial maximum
@@ -354,25 +337,38 @@ def simulate(
                 raise SimulationError("timestep collapsed; system is stuck", current())
         else:
             stall = 0
-        pos, widths, densities = _advance(pos[0] + dt * vel[0], widths, masses, closing, dt, current)
-        t = t_new
+        # Forward Euler on the widths (bit for bit widths + dt * (vel[1:] -
+        # vel[:-1])) and the left end; the loop state moves only once the
+        # checks pass, so an error carries the last valid state
+        new_widths = widths - dt * closing
+        new_pos = np.empty(pos.size)
+        new_pos[0] = 0.0
+        new_widths.cumsum(out=new_pos[1:])
+        new_pos += pos[0] + dt * vel[0]
+        # also catches a non-positive width: adding it cannot raise the sum
+        if (new_pos[1:] <= new_pos[:-1]).any():
+            raise SimulationError(f"particle ordering violated after dt={dt:.3e}; step cap failed", current())
+        new_densities = masses / new_widths
+        # a running sum is finite at its end only if every term is, and an
+        # overflowed position before a finite end breaks the increase above
+        if not (math.isfinite(new_pos[-1]) and np.isfinite(new_densities).all()):
+            raise SimulationError("non-finite state encountered", current())
+        t, pos, widths, densities = t_new, new_pos, new_widths, new_densities
 
-        collided = False
         w_min = float(np.minimum.reduce(widths))
         min_width = min(min_width, w_min)
         if w_min <= eps_coll:
+            # resolve_collisions tests these widths against eps_coll too, so
+            # it always sweeps here
             pre = current()
-            snaps.append((t, pre))
             post, event = resolve_collisions(pre, eps_coll)
-            if event is not None:
-                events.append(event)
-                if len(events) > max_events:
-                    raise SimulationError("more collision events than particles", post)
-                snaps.append((t, post))
-                collided = True
-                pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
-        if not collided and (every_step or landed):
-            snaps.append((t, current()))
+            events.append(event)
+            if len(events) > max_events:
+                raise SimulationError("more collision events than particles", post)
+            snaps += (pre, post)
+            pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
+        elif every_step or landed:
+            snaps.append(current())
         if landed:
             k += 1
     stats = RunStats(

@@ -73,13 +73,13 @@ def write_json(obj, path) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    index = list(map(str, range(max((state.n_cells for _, state in traj.snapshots), default=0))))
+    index = list(map(str, range(max((state.n_cells for state in traj.snapshots), default=0))))
     with Path(path).open("w", newline="") as fh:
         fh.write(_TRAJECTORY_HEADER + "\r\n")
-        for t, state in traj.snapshots:
+        for state in traj.snapshots:
             xs = _reprs(state.positions)
             n = state.n_cells
-            fh.write(_rows([repr(float(t))] * n, index[:n], xs[:-1], xs[1:], _reprs(state.densities)))
+            fh.write(_rows([repr(float(state.time))] * n, index[:n], xs[:-1], xs[1:], _reprs(state.densities)))
 
 
 def write_events_json(traj: Trajectory, path) -> None:
@@ -232,7 +232,7 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
             ):
                 raise ValueError("cell count change does not match the event log")
         n_cells = dens.size
-        snapshots.append((t, ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t)))
+        snapshots.append(ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t))
     if pending:
         raise ValueError(f"event log has {len(pending)} more event(s) than cell count changes")
     return Trajectory(

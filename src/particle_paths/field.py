@@ -103,7 +103,7 @@ def trace_characteristic(traj: Trajectory, x_start: float, t_start: float) -> Tu
     ts = [float(t_start)]
     xs = [float(x_start)]
     x = float(x_start)
-    for (t0, state), t1 in zip(traj.snapshots, times[1:]):
+    for t0, t1, state in zip(times, times[1:], traj.snapshots):
         if t1 <= t_start or t1 <= t0:
             continue
         seg_lo = max(t0, t_start)

@@ -117,7 +117,8 @@ class InitialData:
     placement and the initial gap read its pieces in closed form; a smooth
     profile has to be sampled (``sampled_data``).  ``measure_window``, when
     set, is the window on which errors against a reference solution should
-    be measured; it is recorded in result metadata.
+    be measured; it is recorded in result metadata.  It must be two finite
+    numbers ``lo < hi`` and is stored as a pair of floats.
     """
 
     u0: PiecewiseAffineFn
@@ -139,6 +140,14 @@ class InitialData:
             raise ValueError("u0 must be zero outside its breakpoints")
         if not (0.0 <= self.tv_u0 < np.inf and 0.0 <= self.sup_u0 < np.inf):
             raise ValueError(f"variation {self.tv_u0} and supremum {self.sup_u0} must be finite and nonnegative")
+        if self.measure_window is not None:
+            window = np.asarray(self.measure_window)
+            # numpy reads a bool beside a number as 0 or 1
+            numbers = window.shape == (2,) and window.dtype.kind in "iuf"
+            numbers = numbers and not any(isinstance(v, (bool, np.bool_)) for v in self.measure_window)
+            if not (numbers and np.isfinite(window).all() and window[0] < window[1]):
+                raise ValueError(f"measure_window must be two finite numbers lo < hi, got {self.measure_window!r}")
+            object.__setattr__(self, "measure_window", (float(window[0]), float(window[1])))
 
     @property
     def support_hint(self) -> Tuple[float, float]:
@@ -159,6 +168,9 @@ class ParticleState:
     and finite, nonnegative densities and masses; otherwise the first
     check that fails raises ``ValueError`` naming it.  Each check is one
     or two reductions, and the fault is told apart only once one fails.
+    ``positions``, ``densities``, ``masses`` and ``widths`` are stored as
+    float arrays, so a state built from lists works like any other; a
+    float array is kept as given, not copied.
     """
 
     positions: np.ndarray
@@ -178,20 +190,21 @@ class ParticleState:
                 raise ValueError("non-finite particle position")
             raise ValueError("particle positions must be strictly increasing")
         n_cells = pos.size - 1
+        object.__setattr__(self, "positions", pos)
         if self.widths is None:
             # np.diff's bits, without its argument handling
             object.__setattr__(self, "widths", pos[1:] - pos[:-1])
         for name in ("densities", "masses", "widths"):
-            arr = getattr(self, name)
-            if np.asarray(arr).shape != (n_cells,):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (n_cells,):
                 raise ValueError(f"{name} must have length {n_cells}")
+            object.__setattr__(self, name, arr)
         # NaN propagates through minimum and maximum, so it fails both tests
-        dens = np.asarray(self.densities)
+        dens, mass = self.densities, self.masses
         if not (np.minimum.reduce(dens) >= 0.0 and np.maximum.reduce(dens) < np.inf):
             if not np.all(np.isfinite(dens)):
                 raise ValueError("non-finite cell density")
             raise ValueError("negative cell density")
-        mass = np.asarray(self.masses)
         if not (np.minimum.reduce(mass) >= 0.0 and np.maximum.reduce(mass) < np.inf):
             raise ValueError("cell masses must be finite and nonnegative")
 
@@ -375,7 +388,7 @@ def _steps(bp, vals, description: str, measure_window=None) -> InitialData:
         u0=PiecewiseAffineFn(bp, vals, vals),
         tv_u0=total_variation(vals),
         sup_u0=float(np.max(vals, initial=0.0)),
-        measure_window=tuple(measure_window) if measure_window else None,
+        measure_window=measure_window,
         description=description,
     )
 
@@ -420,6 +433,6 @@ def sampled_data(xs, us, measure_window=None) -> InitialData:
         u0=PiecewiseAffineFn(xs, us[:-1], us[1:]),
         tv_u0=total_variation(us),
         sup_u0=float(np.max(us, initial=0.0)),
-        measure_window=tuple(measure_window) if measure_window else None,
+        measure_window=measure_window,
         description="sampled profile",
     )

@@ -42,7 +42,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     """
     rtol = 1e-12
     model = traj.model
-    state0 = traj.snapshots[0][1]
+    state0 = traj.snapshots[0]
     tv_tol = max(1e-10, rtol * total_variation(state0.densities))
     rho_star = float(np.max(state0.densities, initial=0.0))
     ext = velocity_extrema(model, 0.0, rho_star)
@@ -66,7 +66,8 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     next_event = next(event_iter, None)
 
     tv_prev = None
-    for t, state in traj.snapshots:
+    for state in traj.snapshots:
+        t = state.time
         while next_event is not None and (
             next_event.time < t or (next_event.time == t and state.n_particles < next_event.pre_particle_count)
         ):
@@ -147,7 +148,7 @@ def spacetime_flux_residual(traj: Trajectory) -> Tuple[float, float]:
     if len(traj.snapshots) < 2:
         raise ValueError("need at least two snapshots")
     times = traj.times
-    residuals = np.array([flux_residual_l1(traj.model, s) for _, s in traj.snapshots])
+    residuals = np.array([flux_residual_l1(traj.model, s) for s in traj.snapshots])
     dts = np.diff(times)
     value = float(np.sum(0.5 * (residuals[1:] + residuals[:-1]) * dts))
     return value, float(np.max(dts))

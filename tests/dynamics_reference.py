@@ -10,7 +10,7 @@ states the same rule on one pair of scalars.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def simulate(
     eps_coll = default_eps_coll(state0)
     targets = np.linspace(state0.time, T, max(2, snapshot_count))
     state = state0
-    snaps: List[Tuple[float, ParticleState]] = [(state0.time, state0)]
+    snaps: List[ParticleState] = [state0]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
     rho_star = float(np.max(state0.densities, initial=0.0)) * (1.0 + 1e-13)
@@ -129,19 +129,19 @@ def simulate(
 
         collided = False
         if float(np.min(state.widths)) <= eps_coll:
-            snaps.append((state.time, state))
+            snaps.append(state)
             state, event = resolve_collisions(state, eps_coll)
             if event is not None:
                 events.append(event)
                 if len(events) > max_events:
                     raise SimulationError("more collision events than particles", state)
-                snaps.append((state.time, state))
+                snaps.append(state)
                 collided = True
         if every_step:
             if not collided:
-                snaps.append((state.time, state))
+                snaps.append(state)
         elif landed:
-            if not (snaps and snaps[-1][0] == target and snaps[-1][1] is state):
-                snaps.append((target, state))
+            if snaps[-1] is not state:
+                snaps.append(state)
             k += 1
     return Trajectory(snapshots=snaps, events=events, model=model)

@@ -33,7 +33,7 @@ def entropy_runs(burgers3):
 
 def _invariant_detail(traj):
     audit = pp.invariant_audit(traj)
-    masses = [s.total_mass for _, s in traj.snapshots]
+    masses = [s.total_mass for s in traj.snapshots]
     drift = max(abs(m - masses[0]) for m in masses) / masses[0]
     return audit, drift
 
@@ -87,9 +87,9 @@ def test_criterion_04_residual_bound(rarefaction_shock_run, lwr_riemann_run):
     for traj in (rarefaction_shock_run, lwr_riemann_run):
         data = traj.data
         model = traj.model
-        state0 = traj.snapshots[0][1]
+        state0 = traj.snapshots[0]
         bound = 0.5 * model.lip_fprime * data.sup_u0 * float(np.max(state0.widths)) * data.tv_u0
-        worst = max(flux_residual_l1(model, s) for _, s in traj.snapshots)
+        worst = max(flux_residual_l1(model, s) for s in traj.snapshots)
         ok &= worst <= 1.01 * bound
         details.append(f"{model.name}: worst residual {worst:.4f} <= 1.01*{bound:.4f}")
     report(4, ok, "; ".join(details))

@@ -88,14 +88,14 @@ def test_convergence_study_aborts_on_audit_failure(burgers3, monkeypatch):
 
 def test_invariant_audit_detects_corruption(burgers3, rarefaction_shock_run):
     # bump one density above the initial maximum: negative control
-    t, state = rarefaction_shock_run.snapshots[30]
+    state = rarefaction_shock_run.snapshots[30]
     bad_dens = state.densities.copy()
-    bad_dens[5] = rarefaction_shock_run.snapshots[0][1].densities.max() * 1.5
+    bad_dens[5] = rarefaction_shock_run.snapshots[0].densities.max() * 1.5
     bad_state = dataclasses.replace(
         state, densities=bad_dens, masses=bad_dens * state.widths
     )
     snaps = list(rarefaction_shock_run.snapshots)
-    snaps[30] = (t, bad_state)
+    snaps[30] = bad_state
     corrupted = dataclasses.replace(rarefaction_shock_run)
     corrupted.snapshots = snaps
     report = pp.invariant_audit(corrupted)
@@ -124,7 +124,7 @@ def test_tv_tolerance_scales_with_the_data():
     tv0 = total_variation(start.densities)
     for rise, ok in ((1e-9, False), (5e-13, True)):
         later = pp.ParticleState.from_cells(pos, [2e6, 1e6, 1e6 + 0.5 * rise * tv0], time=1e-9)
-        run = pp.Trajectory(snapshots=[(0.0, start), (1e-9, later)], events=[], model=model)
+        run = pp.Trajectory(snapshots=[start, later], events=[], model=model)
         check = pp.invariant_audit(run).checks["tv_diminishing"]
         assert check.ok is ok, check.detail
 
@@ -247,10 +247,26 @@ def test_pairing_terms_match_piece_loop(burgers3, rarefaction_shock_run):
 
     window = (-1.0, 2.0)
     bumps = [SpaceTimeBump(0.5, 0.4, 0.12, 0.1), SpaceTimeBump(0.9, 0.5, 0.0, 0.1), SpaceTimeBump(-0.5, 0.5, 0.2, 0.1)]
-    for _, s in rarefaction_shock_run.snapshots[::8]:
+    for s in rarefaction_shock_run.snapshots[::8]:
         for k in (0.0, 1.0, 2.5, 3.0):
             for bump in bumps:
                 I_abs, I_flux = _pairing_terms(burgers3, s, k, bump, window)
                 want_abs, want_flux, scale = _pairing_piece_loop(burgers3, s, k, bump, window)
                 assert abs(I_abs - want_abs) <= 1e-12 * scale
                 assert abs(I_flux - want_flux) <= 1e-12 * scale
+
+
+def test_a_snapshot_is_read_at_its_state_time():
+    # each snapshot has one clock, its state's time: a state one unit of
+    # time on, every cell 1% wider with its mass kept, passes the audit,
+    # whose bounds grow with that time, and sets the residual's spacing
+    model = pp.builtin_flux("burgers", u_high=2.0)
+    st = pp.ParticleState.from_cells([0.0, 0.2, 0.4, 0.6, 0.8], [2.0, 1.0, 1.5, 0.5])
+    widths = 1.01 * st.widths
+    pos = np.concatenate([[0.0], np.cumsum(widths)])
+    grown = pp.ParticleState(pos, st.masses / widths, st.masses, time=1.0, widths=widths)
+    run = pp.Trajectory(snapshots=[st, grown], events=[], model=model)
+    assert run.times.tolist() == [0.0, 1.0]
+    report = pp.invariant_audit(run)
+    assert report.passed, report.failures()
+    assert pp.spacetime_flux_residual(run)[1] == 1.0

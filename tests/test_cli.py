@@ -266,6 +266,21 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
         ({"flux": {"kind": "burgers", "params": [1, 2]}}, "flux.params"),
         ({"initial_data": {"kind": "paper_example", "params": 3}}, "initial_data.params"),
         ({"placement": {"strategy": "zigzag", "n": 31}}, "placement.strategy"),
+        # a measure window that is not two finite numbers lo < hi (JSON reads
+        # -1e400 as -inf) once crashed convergence mode or gave it a NaN
+        # slope, and was printed into simulate mode's summary
+        *(
+            (
+                {
+                    "mode": mode,
+                    "initial_data": {"kind": "riemann", "params": {"u_l": 0.8, "u_r": 0.2, "window": [-2, 2], "measure_window": window}},
+                    "placement": {"strategy": "uniform", "n": 31, "n_list": [37, 73, 145]},
+                },
+                "initial_data.params",
+            )
+            for mode in ("simulate", "convergence")
+            for window in ("ab", [0, 1, 2], [1, -1], [0, "x"], [-float("inf"), 1], [0.5, 0.5], [True, 2])
+        ),
     ],
 )
 def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, monkeypatch):

@@ -97,7 +97,7 @@ def test_stable_timestep_never_allows_crossing(burgers3):
     vel = pp.particle_velocities(burgers3, st)
     closing = vel[:-1] - vel[1:]
     assert np.all(dt * closing <= (1 - 0.1) * st.widths + 1e-15)
-    assert all(np.all(np.diff(s.positions) > 0) for _, s in traj.snapshots)
+    assert all(np.all(np.diff(s.positions) > 0) for s in traj.snapshots)
 
 
 def test_resolve_no_cluster():
@@ -160,7 +160,7 @@ def test_run_single_cell_stretching_ode(burgers3):
 def test_run_demo_profile_has_no_collisions(rarefaction_shock_run):
     assert len(rarefaction_shock_run.events) == 0
     # all interior densities started at 1 or above; nothing can collide
-    assert all(np.all(s.densities >= 0.19) for _, s in rarefaction_shock_run.snapshots)
+    assert all(np.all(s.densities >= 0.19) for s in rarefaction_shock_run.snapshots)
 
 
 def test_run_snapshot_schedule(rarefaction_shock_run):
@@ -191,14 +191,14 @@ def test_event_snapshots_bracket_collision(burgers3):
     state0 = pp.cell_average(data, pp.place_particles(data, 4, "uniform"))
     traj = pp.simulate(burgers3, state0, 2.0, dt_max=1e-3, data=data)
     t_ev = traj.events[0].time
-    pairs = [(t, s) for t, s in traj.snapshots if t == t_ev]
+    pairs = [s for s in traj.snapshots if s.time == t_ev]
     assert len(pairs) == 2
-    pre, post = pairs[0][1], pairs[1][1]
+    pre, post = pairs
     assert pre.n_particles == post.n_particles + 1
 
 
 def test_mass_conserved_between_events(rarefaction_shock_run):
-    masses = [s.total_mass for _, s in rarefaction_shock_run.snapshots]
+    masses = [s.total_mass for s in rarefaction_shock_run.snapshots]
     assert max(abs(m - masses[0]) for m in masses) <= 1e-12 * masses[0]
 
 
@@ -208,8 +208,8 @@ def test_determinism(burgers3):
     t1 = pp.simulate(burgers3, st, 0.1, dt_max=1e-3, data=data)
     t2 = pp.simulate(burgers3, st, 0.1, dt_max=1e-3, data=data)
     assert t1.fingerprint == t2.fingerprint
-    for (ta, sa), (tb, sb) in zip(t1.snapshots, t2.snapshots):
-        assert ta == tb
+    for sa, sb in zip(t1.snapshots, t2.snapshots):
+        assert sa.time == sb.time
         np.testing.assert_array_equal(sa.positions, sb.positions)
         np.testing.assert_array_equal(sa.densities, sb.densities)
 
@@ -245,3 +245,40 @@ def test_paper_profile_at_1601_particles_completes():
     traj = pp.simulate(model, st, 0.25, dt_max=0.2 * float(np.max(st.widths)), snapshot_count=33, data=data)
     assert traj.times[-1] == 0.25
     assert pp.invariant_audit(traj).passed
+
+
+@pytest.fixture(scope="module")
+def step_run_inputs():
+    data = pp.riemann_data(0.8, 0.2)
+    model = pp.builtin_flux("burgers", u_high=0.8 * (1 + 1e-12))
+    return model, pp.cell_average(data, pp.place_particles(data, 21, "uniform"))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({"T": np.nan}, "T must be finite, got nan"),
+        ({"T": np.inf}, "T must be finite, got inf"),
+        ({"T": 0.0}, "T must exceed the initial time"),
+        ({"dt_max": -0.01}, "dt_max must be positive, got -0.01"),
+        ({"dt_max": 0.0}, "dt_max must be positive, got 0.0"),
+        ({"dt_max": np.nan}, "dt_max must be positive, got nan"),
+        ({"theta": np.nan}, r"theta must lie in \(0, 1\), got nan"),
+        ({"theta": 1.5}, r"theta must lie in \(0, 1\), got 1.5"),
+        ({"theta": 1.0}, r"theta must lie in \(0, 1\), got 1.0"),
+        ({"theta": 0.0}, r"theta must lie in \(0, 1\), got 0.0"),
+    ],
+)
+def test_invalid_run_arguments_are_refused_at_entry(step_run_inputs, args, message):
+    # each of these once ran without its step cap, or failed late with
+    # another message (a density outside the working interval, an empty min)
+    model, state0 = step_run_inputs
+    kw = {"T": 0.5, "dt_max": 0.01, "theta": 0.1, **args}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pp.simulate(model, state0, kw.pop("T"), **kw)
+
+
+def test_infinite_dt_max_leaves_the_step_to_the_caps(step_run_inputs):
+    model, state0 = step_run_inputs
+    stats = pp.simulate(model, state0, 0.5, dt_max=np.inf).stats
+    assert stats.limited_by["dt_max"] == 0 and stats.steps > 0

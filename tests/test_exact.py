@@ -253,18 +253,30 @@ def test_zero_width_pieces_are_never_read():
     np.testing.assert_array_equal(np.stack([w, um, u_l, u_r]), [[1.25, 0.75], [0.5, 2.0], [0.5, 2.0], [0.5, 2.0]])
 
 
+@st.composite
+def sampled_profiles_with_positions(draw):
+    prof = draw(profiles(linear=True))
+    return prof, draw(positions(prof))
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_split_of_sampled_data_is_np_interp(data):
-    # bit for bit at the midpoints, which keeps cell averages as they were,
-    # and the samples themselves at ends on a sample
-    prof = data.draw(profiles(linear=True))
-    cuts = np.union1d(prof.u0.x, data.draw(positions(prof)))
+@given(case=sampled_profiles_with_positions())
+# one-ulp intervals in a tail whose midpoints round onto the first and the
+# last sample: split reads the tail's 0, np.interp the sample's value
+@example(case=(pp.sampled_data([0.0, 1.0], [1.0, 0.0]), np.array([-5e-324, 0.0])))
+@example(case=(pp.sampled_data([0.0, 1.0], [1.0, 1.0]), np.array([1.0, np.nextafter(1.0, 2.0)])))
+def test_split_of_sampled_data_is_np_interp(case):
+    # bit for bit at the midpoints of intervals inside the samples, which
+    # keeps cell averages as they were, 0 on intervals in a tail, and the
+    # samples themselves at ends on a sample
+    prof, pos = case
+    cuts = np.union1d(prof.u0.x, pos)
     xs = np.asarray(prof.u0.x)
     us = np.append(prof.u0.left, prof.u0.right[-1])
     _, um, u_l, u_r = prof.u0.split(cuts)
     mid = 0.5 * cuts[:-1] + 0.5 * cuts[1:]
-    assert um.tobytes() == np.interp(mid, xs, us, left=0.0, right=0.0).tobytes()
+    tail = (cuts[1:] <= xs[0]) | (cuts[:-1] >= xs[-1])
+    assert um.tobytes() == np.where(tail, 0.0, np.interp(mid, xs, us, left=0.0, right=0.0)).tobytes()
     # an interval starting on a sample other than the last, or ending on one
     # other than the first, lies inside the samples
     for ends, values, samples in ((cuts[:-1], u_l, xs[:-1]), (cuts[1:], u_r, xs[1:])):

@@ -32,11 +32,11 @@ def reference_write_trajectory_csv(traj, path):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "i", "x_left", "x_right", "v"])
-        for t, state in traj.snapshots:
+        for state in traj.snapshots:
             pos = state.positions
             for i in range(state.n_cells):
                 writer.writerow(
-                    [repr(float(t)), i, repr(float(pos[i])), repr(float(pos[i + 1])), repr(float(state.densities[i]))]
+                    [repr(float(state.time)), i, repr(float(pos[i])), repr(float(pos[i + 1])), repr(float(state.densities[i]))]
                 )
 
 
@@ -69,7 +69,7 @@ def reference_load_trajectory_dir(directory, model):
         t = g[0][0]
         pos = np.array([r[2] for r in g] + [g[-1][3]])
         dens = np.array([r[4] for r in g])
-        snapshots.append((t, ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t)))
+        snapshots.append(ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t))
     return Trajectory(
         snapshots=snapshots,
         events=events,
@@ -85,8 +85,7 @@ EVENT_FIELDS = ("time", "deleted_particles", "deleted_cells", "survivor_map", "d
 
 def assert_same_trajectory(got, want):
     assert len(got.snapshots) == len(want.snapshots)
-    for (t_got, s_got), (t_want, s_want) in zip(got.snapshots, want.snapshots):
-        assert t_got == t_want
+    for s_got, s_want in zip(got.snapshots, want.snapshots):
         for name in STATE_FIELDS:
             a, b = getattr(s_got, name), getattr(s_want, name)
             assert np.array_equal(a, b), name
@@ -130,7 +129,7 @@ def trajectories(draw):
             n_cells -= deleted.size
         pos = np.sort(draw(st.lists(coord, min_size=n_cells + 1, max_size=n_cells + 1, unique=True)))
         dens = np.asarray(draw(st.lists(density, min_size=n_cells, max_size=n_cells)))
-        snapshots.append((t, ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t)))
+        snapshots.append(ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t))
     return Trajectory(snapshots=snapshots, events=events, model=None, config={"seed": 3}, fingerprint="fp")
 
 
@@ -332,8 +331,8 @@ def live_run(config, tmp_path, monkeypatch):
 def with_snapshot(traj, j, densities):
     """``traj`` with snapshot j given new densities (masses to match)."""
     snaps = list(traj.snapshots)
-    t, s = snaps[j]
-    snaps[j] = (t, ParticleState(s.positions, densities, densities * s.widths, t, s.widths))
+    s = snaps[j]
+    snaps[j] = ParticleState(s.positions, densities, densities * s.widths, s.time, s.widths)
     return dataclasses.replace(traj, snapshots=snaps)
 
 
@@ -345,7 +344,7 @@ def test_audit_of_loaded_run_matches_live_run(config, tmp_path, monkeypatch):
     # and masses from them
     as_written = dataclasses.replace(
         live,
-        snapshots=[(t, ParticleState(s.positions, s.densities, s.densities * np.diff(s.positions), t)) for t, s in live.snapshots],
+        snapshots=[ParticleState(s.positions, s.densities, s.densities * np.diff(s.positions), s.time) for s in live.snapshots],
     )
     assert invariant_audit(loaded) == invariant_audit(as_written)
     # checks that read only densities and creation data agree with the live run
@@ -358,16 +357,16 @@ def test_audit_follows_each_cell_to_its_creation(tmp_path, monkeypatch):
     # an independent route to each cell's creation data: its index in
     # snapshot 0, carried through the events' survivor maps
     live, _ = live_run(VACUUM, tmp_path, monkeypatch)
-    state0 = live.snapshots[0][1]
+    state0 = live.snapshots[0]
     ext = velocity_extrema(live.model, 0.0, state0.densities.max())
     spread = ext.max_value - ext.min_value
     ids, events, margin = np.arange(state0.n_cells), iter(live.events), np.inf
-    for t, s in live.snapshots:
+    for s in live.snapshots:
         if ids.size != s.n_cells:
             ids = ids[next(events).survivor_map[:-1] >= 0]
         np.testing.assert_array_equal(s.masses, state0.masses[ids])  # fixed at creation
         w0, d0 = state0.widths[ids], state0.densities[ids]
-        margin = min(margin, float(np.min(s.densities - w0 * d0 / (w0 + t * spread))))
+        margin = min(margin, float(np.min(s.densities - w0 * d0 / (w0 + s.time * spread))))
     assert next(events, None) is None
     assert invariant_audit(live).checks["density_lower_bound"].margin == margin
 
@@ -378,9 +377,9 @@ def test_audit_catches_corruption_after_a_collision(tmp_path, monkeypatch):
     assert report.checks["max_principle"].ok and report.checks["density_lower_bound"].ok
     first = live.events[0]
     # the first snapshot after the post-collision one
-    j = next(j for j, (_, s) in enumerate(live.snapshots) if s.n_particles < first.pre_particle_count) + 1
-    densities = live.snapshots[j][1].densities
-    rho_star = live.snapshots[0][1].densities.max()
+    j = next(j for j, s in enumerate(live.snapshots) if s.n_particles < first.pre_particle_count) + 1
+    densities = live.snapshots[j].densities
+    rho_star = live.snapshots[0].densities.max()
     above = densities.copy()
     above[np.argmax(densities)] = 1.5 * rho_star
     assert "max_principle" in invariant_audit(with_snapshot(live, j, above)).failures()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def test_reconstruction_zero_everywhere():
 
 
 def test_integral_equals_total_mass(rarefaction_shock_run):
-    for _, s in rarefaction_shock_run.snapshots[::8]:
+    for s in rarefaction_shock_run.snapshots[::8]:
         v = pp.reconstruct_density(s)
         assert v.integral() == pytest.approx(s.total_mass, abs=1e-12 * s.total_mass)
 
@@ -53,7 +55,7 @@ def tracer_speed(traj, j, x):
 
 def held_state(model, st):
     """One unit of time with the velocity field of ``st``."""
-    return pp.Trajectory(snapshots=[(0.0, st), (1.0, st)], events=[], model=model)
+    return pp.Trajectory(snapshots=[st, dataclasses.replace(st, time=1.0)], events=[], model=model)
 
 
 def test_velocity_interpolant_constant_region(burgers3):
@@ -73,7 +75,7 @@ def test_velocity_interpolant_demo_state(burgers3):
 
 def test_interpolant_matches_particle_velocities(burgers3, rarefaction_shock_run):
     j = 10
-    st = rarefaction_shock_run.snapshots[j][1]
+    st = rarefaction_shock_run.snapshots[j]
     speeds = [tracer_speed(rarefaction_shock_run, j, float(x)) for x in st.positions]
     np.testing.assert_allclose(speeds, pp.particle_velocities(burgers3, st), rtol=1e-10, atol=1e-10)
 
@@ -108,9 +110,9 @@ def test_residual_single_cell_closed_form(burgers3):
 
 def test_residual_bounded_by_spacing_estimate(burgers3, rarefaction_shock_run):
     data = pp.rarefaction_shock_data()
-    state0 = rarefaction_shock_run.snapshots[0][1]
+    state0 = rarefaction_shock_run.snapshots[0]
     bound = 0.5 * burgers3.lip_fprime * data.sup_u0 * float(np.max(state0.widths)) * data.tv_u0
-    for _, s in rarefaction_shock_run.snapshots[::4]:
+    for s in rarefaction_shock_run.snapshots[::4]:
         assert pp.flux_residual_l1(burgers3, s) <= bound * 1.01
 
 
@@ -217,8 +219,8 @@ def test_residual_matches_cell_loop(burgers3, lwr1, rarefaction_shock_run, lwr_r
     # the terms are nonnegative, so only the summation order differs; with a
     # monotone a one end of every cell has A v = f(v), so the non-convex
     # flux on random cells is what exercises the sign-change split
-    cases = [(burgers3, s) for _, s in rarefaction_shock_run.snapshots[::8]]
-    cases += [(lwr1, s) for _, s in lwr_riemann_run.snapshots[::8]]
+    cases = [(burgers3, s) for s in rarefaction_shock_run.snapshots[::8]]
+    cases += [(lwr1, s) for s in lwr_riemann_run.snapshots[::8]]
     us = np.linspace(0.0, 1.0, 65)
     tab = pp.builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
     rng = np.random.default_rng(12)

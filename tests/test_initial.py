@@ -272,6 +272,30 @@ def test_state_validation():
             ParticleState(positions=[0.0, 1.0, 2.0], densities=[1.0, 1.0], masses=masses)
 
 
+def test_state_from_lists_holds_float_arrays():
+    st = ParticleState(positions=[0, 1, 3], densities=[1.0, 2], masses=[1.0, 4])
+    for name in ("positions", "densities", "masses", "widths"):
+        assert getattr(st, name).dtype == np.float64, name
+    assert (st.n_particles, st.n_cells, st.dx_star, st.total_mass) == (3, 2, 2.0, 5.0)
+    # a float array is kept as given, not copied
+    pos, dens = np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0])
+    widths = np.diff(pos)
+    st = ParticleState(positions=pos, densities=dens, masses=dens * widths, widths=widths)
+    assert st.positions is pos and st.densities is dens and st.widths is widths
+
+
+@pytest.mark.parametrize("window", ["ab", [0, 1, 2], [1, -1], [0, "x"], [-np.inf, 1], [0.5, 0.5], [0, np.nan], [True, 2]])
+def test_malformed_measure_window_is_refused(window):
+    with pytest.raises(ValueError, match="measure_window must be two finite numbers lo < hi"):
+        riemann_data(0.8, 0.2, window=(-2.0, 2.0), measure_window=window)
+
+
+def test_measure_window_is_a_float_pair():
+    data = riemann_data(0.8, 0.2, window=(-2.0, 2.0), measure_window=[-1, np.float32(1.5)])
+    assert data.measure_window == (-1.0, 1.5) and all(type(v) is float for v in data.measure_window)
+    assert riemann_data(0.8, 0.2).measure_window is None
+
+
 def reference_state_checks(positions, densities, masses, widths):
     """``ParticleState``'s checks one at a time, each over every element,
     in the order that names the first fault."""

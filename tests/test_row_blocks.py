@@ -74,7 +74,7 @@ def test_vacuum_run_has_blocks_broken_at_the_sweep():
     traj = vacuum_run(29, 0.6, 0.8, every_step=True)
     assert traj.events
     blocks = list(traj.blocks())
-    counts = [state.n_cells for _, state in traj.snapshots]
+    counts = [state.n_cells for state in traj.snapshots]
     # the blocks tile the snapshots in order, each with one cell count
     assert [b.start for b in blocks] == [0] + np.cumsum([b.times.size for b in blocks])[:-1].tolist()
     assert sum(b.times.size for b in blocks) == len(counts)
@@ -122,11 +122,11 @@ def test_density_out_of_range_is_a_velocity_violation(rarefaction_shock_run):
     # whole block; the audit reports -inf instead of aborting
     traj = rarefaction_shock_run
     j = len(traj.snapshots) // 2
-    t, s = traj.snapshots[j]
+    s = traj.snapshots[j]
     dens = s.densities.copy()
     dens[np.argmax(dens)] = 2.0 * traj.model.u_high
     snaps = list(traj.snapshots)
-    snaps[j] = (t, ParticleState(s.positions, dens, dens * s.widths, t, s.widths))
+    snaps[j] = ParticleState(s.positions, dens, dens * s.widths, s.time, s.widths)
     broken = dataclasses.replace(traj, snapshots=snaps)
     check = pp.invariant_audit(broken).checks["velocity_bounds"]
     assert not check.ok and check.margin == -np.inf
