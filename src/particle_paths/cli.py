@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class ExperimentConfig:
     input: Optional[str] = None
 
 
-_MODES = ("simulate", "convergence", "audit", "ftl-check")
 _STRATEGIES = ("uniform", "mass_equidistributed")
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
@@ -117,16 +116,27 @@ _SCALARS = (
 )
 
 
-def _scalar_values(cfg: ExperimentConfig, path: str) -> List[tuple]:
-    """(dot path, value) for each value present at ``path``; absent keys give none."""
-    head, *keys = path.removesuffix("[]").split(".")
-    value = getattr(cfg, head)
-    for depth, key in enumerate(keys):
-        if not isinstance(value, dict):
+def _holder(cfg: ExperimentConfig, path: str) -> Tuple[dict, str]:
+    """The dict holding the last key of the dot path ``path`` (the config's
+    fields outermost), and that key; an unknown field, or a prefix that is
+    no object, is a ``ConfigError``."""
+    head, *keys = path.split(".")
+    if head not in _FIELDS:
+        raise ConfigError(head, "unknown key")
+    target, leaf = vars(cfg), head
+    for depth, part in enumerate(keys):
+        target, leaf = target.get(leaf), part
+        if not isinstance(target, dict):
             raise ConfigError(".".join([head, *keys[:depth]]), "must be an object")
-        if key not in value:
-            return []
-        value = value[key]
+    return target, leaf
+
+
+def _scalar_values(cfg: ExperimentConfig, path: str) -> List[tuple]:
+    """(dot path, value) for each value present at ``path``; an absent last key gives none."""
+    target, key = _holder(cfg, path.removesuffix("[]"))
+    if key not in target:
+        return []
+    value = target[key]
     if not path.endswith("[]"):
         return [(path, value)]
     if not isinstance(value, list):
@@ -145,7 +155,7 @@ def _check_scalars(cfg: ExperimentConfig) -> None:
 
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.mode not in _MODES:
-        raise ConfigError("mode", f"must be one of {_MODES}, got {cfg.mode!r}")
+        raise ConfigError("mode", f"must be one of {tuple(_MODES)}, got {cfg.mode!r}")
     for key in ("flux", "initial_data"):
         record = getattr(cfg, key)
         if not isinstance(record, dict) or "kind" not in record:
@@ -177,11 +187,16 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _read_table(path, where: str) -> np.ndarray:
-    """Two-column CSV samples below a header row."""
+    """Two-column CSV samples below a header row; a file without them is
+    reported here, not by np.loadtxt's "no data" warning."""
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        lines = Path(path).read_text().splitlines()[1:]
     except OSError as exc:
         raise ConfigError(where, str(exc))
+    rows = [line for line in lines if line.split("#", 1)[0].strip()]  # as np.loadtxt skips
+    if not rows:
+        raise ConfigError(where, f"no data rows in {path}")
+    table = np.loadtxt(rows, delimiter=",", ndmin=2)
     if table.shape[1] < 2:
         raise ConfigError(where, f"need two columns in {path}")
     return table
@@ -253,9 +268,7 @@ def _place(cfg: ExperimentConfig, data: InitialData, n: int) -> np.ndarray:
         raise ConfigError("placement.strategy", str(exc)) from exc
 
 
-def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    data = _build_data(cfg)
-    model = _build_model(cfg, data)
+def _mode_simulate(cfg: ExperimentConfig, data: InitialData, model: FluxModel, out: Path) -> int:
     pos = _place(cfg, data, int(cfg.placement["n"]))
     state0 = cell_average(data, pos)
     traj = simulate(
@@ -290,10 +303,13 @@ def _mode_simulate(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if audit.passed else EXIT_INVARIANT
 
 
-def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
-    data = _build_data(cfg)
-    model = _build_model(cfg, data)
+def _mode_convergence(cfg: ExperimentConfig, data: InitialData, model: FluxModel, out: Path) -> int:
     exact = _reference_for(cfg, model)
+    T = float(cfg.time_horizon)
+    try:
+        exact.at(T)  # the reference must hold at T, checked before any run
+    except ValueError as exc:
+        raise ConfigError("time_horizon", str(exc)) from exc
     n_list = [int(n) for n in cfg.placement["n_list"]]
     # a placement the data cannot support, or a dx* that does not fall as n
     # grows (the rate fit needs strictly finer runs), fails before any run
@@ -306,7 +322,7 @@ def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
         data,
         exact,
         n_list,
-        float(cfg.time_horizon),
+        T,
         strategy=cfg.placement.get("strategy", "uniform"),
         theta=float(cfg.integrator.get("theta", THETA_DEFAULT)),
     )
@@ -317,9 +333,7 @@ def _mode_convergence(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _mode_audit(cfg: ExperimentConfig, out: Path) -> int:
-    data = _build_data(cfg)
-    model = _build_model(cfg, data)
+def _mode_audit(cfg: ExperimentConfig, data: InitialData, model: FluxModel, out: Path) -> int:
     src = Path(cfg.input) if cfg.input else out
     try:
         audit = invariant_audit(exports.load_trajectory_dir(src, model))
@@ -330,9 +344,7 @@ def _mode_audit(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if audit.passed else EXIT_INVARIANT
 
 
-def _mode_ftl_check(cfg: ExperimentConfig, out: Path) -> int:
-    data = _build_data(cfg)
-    model = _build_model(cfg, data)
+def _mode_ftl_check(cfg: ExperimentConfig, data: InitialData, model: FluxModel, out: Path) -> int:
     rng = np.random.default_rng(cfg.seed)
     pairs = rng.uniform(0.0, model.u_high, size=(FTL_PAIRS, 2))
     try:
@@ -346,6 +358,9 @@ def _mode_ftl_check(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if deviation <= FTL_TOL else EXIT_INVARIANT
 
 
+_MODES = {"simulate": _mode_simulate, "convergence": _mode_convergence, "audit": _mode_audit, "ftl-check": _mode_ftl_check}
+
+
 def _apply_overrides(cfg: ExperimentConfig, sets: List[str]) -> None:
     for item in sets:
         if "=" not in item:
@@ -355,14 +370,7 @@ def _apply_overrides(cfg: ExperimentConfig, sets: List[str]) -> None:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        head, *keys = key.split(".")
-        if head not in _FIELDS:
-            raise ConfigError(head, "unknown key")
-        target, leaf = vars(cfg), head  # the fields as the outermost dict
-        for depth, part in enumerate(keys):
-            target, leaf = target.get(leaf), part
-            if not isinstance(target, dict):
-                raise ConfigError(".".join([head, *keys[:depth]]), "must be an object")
+        target, leaf = _holder(cfg, key)
         target[leaf] = value
 
 
@@ -371,7 +379,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         prog="particle-paths", description="particle scheme experiment driver"
     )
     parser.add_argument("config", help="path to a JSON experiment config")
-    parser.add_argument("--mode", choices=_MODES, help="override the config mode")
+    parser.add_argument("--mode", choices=tuple(_MODES), help="override the config mode")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config field (dot paths allowed)")
@@ -392,13 +400,8 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
 
     out = Path(cfg.out)
     try:
-        if cfg.mode == "simulate":
-            return _mode_simulate(cfg, out)
-        if cfg.mode == "convergence":
-            return _mode_convergence(cfg, out)
-        if cfg.mode == "audit":
-            return _mode_audit(cfg, out)
-        return _mode_ftl_check(cfg, out)
+        data = _build_data(cfg)
+        return _MODES[cfg.mode](cfg, data, _build_model(cfg, data), out)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

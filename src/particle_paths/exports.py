@@ -203,7 +203,8 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     well-formed ``trajectory.csv`` numbers each snapshot's cells 0..n-1 in
     order, gives all of them one finite time, never lets that time
     decrease, and repeats each cell's ``x_right`` as the next cell's
-    ``x_left``.
+    ``x_left``.  Widths are position differences; masses are snapshot 0's
+    density times width, carried through the events as a run carries them.
     """
     directory = Path(directory)
     try:
@@ -217,22 +218,25 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     bounds = np.append(np.flatnonzero(cells == 0), cells.size).tolist()
 
     snapshots = []
-    n_cells = None
+    masses = None
     pending = list(events)
     for lo, hi in zip(bounds, bounds[1:]):
         t = float(times[lo])
         pos = np.append(x_left[lo:hi], x_right[hi - 1])
         dens = dens_all[lo:hi]
-        if n_cells is not None and n_cells != dens.size:
+        if masses is None:
+            masses = dens * np.diff(pos)  # cell_average's product
+        elif masses.size != dens.size:
+            # survivors of a sweep keep their masses
             deleted = pending.pop(0).deleted_cells if pending else None
             if (
                 deleted is None
-                or n_cells - deleted.size != dens.size
-                or np.any((deleted < 0) | (deleted >= n_cells))
+                or masses.size - np.unique(deleted).size != dens.size
+                or np.any((deleted < 0) | (deleted >= masses.size))
             ):
                 raise ValueError("cell count change does not match the event log")
-        n_cells = dens.size
-        snapshots.append(ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t))
+            masses = np.delete(masses, deleted)
+        snapshots.append(ParticleState(positions=pos, densities=dens, masses=masses, time=t))
     if pending:
         raise ValueError(f"event log has {len(pending)} more event(s) than cell count changes")
     return Trajectory(

@@ -1,11 +1,13 @@
 """The invariant audit and the space-time flux residual as they ran one
-snapshot at a time.
+snapshot at a time, and the temporal modulus over every snapshot pair.
 
 The package now works on row blocks of snapshots; these loops, which
 take every snapshot's reductions and velocities on their own, are the
 reference its audit reports and residuals must equal bit for bit.  The
 velocities come from ``dynamics_reference.two_sided_velocities``, not
-from the package's kernel.
+from the package's kernel.  The package takes the temporal modulus over
+consecutive snapshots only; the loop over every pair kept here must give
+the same bits.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import numpy as np
 
 from particle_paths.analysis import AuditReport, CheckResult
 from particle_paths.dynamics import Trajectory
+from particle_paths.field import reconstruct_density
 from particle_paths.flux import FluxModel, velocity_extrema
 from particle_paths.initial import ParticleState, integrate, total_variation
 
 from dynamics_reference import two_sided_velocities
 
-__all__ = ["invariant_audit", "flux_residual_l1", "spacetime_flux_residual"]
+__all__ = ["invariant_audit", "flux_residual_l1", "spacetime_flux_residual", "temporal_modulus_margin"]
 
 
 def invariant_audit(traj: Trajectory) -> AuditReport:
@@ -152,3 +155,21 @@ def spacetime_flux_residual(traj: Trajectory) -> Tuple[float, float]:
     dts = np.diff(times)
     value = float(np.sum(0.5 * (residuals[1:] + residuals[:-1]) * dts))
     return value, float(np.max(dts))
+
+
+def temporal_modulus_margin(traj: Trajectory) -> float:
+    """Largest ratio of ||v(t) - v(s)||_L1 to 4 * lip_f * TV(v0) * |t - s|,
+    over every pair of snapshots."""
+    recons = [reconstruct_density(s) for s in traj.snapshots]
+    times = traj.times
+    tv0 = total_variation(recons[0].values)
+    bound_rate = 4.0 * traj.model.lip_f * tv0
+    worst = 0.0
+    for i in range(len(recons)):
+        for j in range(i + 1, len(recons)):
+            dt = times[j] - times[i]
+            if dt <= 0:
+                continue
+            dist = recons[i].l1_distance(recons[j])
+            worst = max(worst, dist / (bound_rate * dt))
+    return worst

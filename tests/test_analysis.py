@@ -163,6 +163,22 @@ def test_entropy_defect_large_k_vanishes(burgers3):
         assert abs(defect) <= pp.entropy_tolerance(traj, k, bump, window)
 
 
+def test_entropy_budget_charges_no_step_above_the_snapshot_spacing(burgers3):
+    # dt_max = inf once made the budget infinite, so every pairing passed;
+    # steps end on recorded times, so a dt_max above the spacing is the
+    # spacing, and the budget is that of dt_max = spacing
+    data = pp.rarefaction_shock_data()
+    st = pp.cell_average(data, pp.place_particles(data, 31, "uniform"))
+    bump = SpaceTimeBump(0.5, 0.8, 0.1, 0.05)
+    window = (-1.0, 2.0)
+    runs = [pp.simulate(burgers3, st, 0.2, dt_max=dt_max, every_step=True, data=data) for dt_max in (np.inf, 1.0)]
+    budgets = [pp.entropy_tolerance(traj, 1.0, bump, window) for traj in runs]
+    spacing = float(np.max(np.diff(runs[0].times)))
+    capped = dataclasses.replace(runs[0], config={**runs[0].config, "dt_max": spacing})
+    assert runs[0].stats.steps == 2 and np.isfinite(budgets[0])
+    assert budgets == [pp.entropy_tolerance(capped, 1.0, bump, window)] * 2
+
+
 def test_entropy_defect_rejects_spatially_escaping_bump(rarefaction_shock_run):
     with pytest.raises(ValueError, match="escapes"):
         pp.entropy_defect(rarefaction_shock_run, 1.0, SpaceTimeBump(0.0, 5.0, 0.1, 0.05), (-1.0, 2.0))

@@ -65,11 +65,17 @@ def reference_load_trajectory_dir(directory, model):
             groups.append([])
         groups[-1].append(row)
     snapshots = []
+    pending = iter(events)
     for g in groups:
         t = g[0][0]
         pos = np.array([r[2] for r in g] + [g[-1][3]])
         dens = np.array([r[4] for r in g])
-        snapshots.append(ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t))
+        if not snapshots:
+            masses = dens * np.diff(pos)
+        elif dens.size != masses.size:
+            deleted = set(next(pending).deleted_cells.tolist())
+            masses = np.array([m for i, m in enumerate(masses) if i not in deleted])
+        snapshots.append(ParticleState(positions=pos, densities=dens, masses=masses, time=t))
     return Trajectory(
         snapshots=snapshots,
         events=events,
@@ -107,10 +113,11 @@ density = st.one_of(st.floats(0.0, 1e20), st.floats(0.0, 1e-4), st.sampled_from(
 
 @st.composite
 def trajectories(draw):
-    """A consistent trajectory: cells are only ever removed by a recorded event."""
+    """A consistent trajectory: cells are only ever removed by a recorded event,
+    and the survivors keep the masses of snapshot 0, as in a run."""
     n_cells = draw(st.integers(1, 12))
     times = sorted(draw(st.lists(coord, min_size=1, max_size=6)))
-    snapshots, events = [], []
+    snapshots, events, masses = [], [], None
     for t in times:
         if snapshots and n_cells > 1 and draw(st.booleans()):
             deleted = np.asarray(sorted(draw(st.sets(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells - 1))))
@@ -127,9 +134,12 @@ def trajectories(draw):
                 )
             )
             n_cells -= deleted.size
+            masses = np.delete(masses, deleted)
         pos = np.sort(draw(st.lists(coord, min_size=n_cells + 1, max_size=n_cells + 1, unique=True)))
         dens = np.asarray(draw(st.lists(density, min_size=n_cells, max_size=n_cells)))
-        snapshots.append(ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=t))
+        if masses is None:
+            masses = dens * np.diff(pos)
+        snapshots.append(ParticleState(positions=pos, densities=dens, masses=masses, time=t))
     return Trajectory(snapshots=snapshots, events=events, model=None, config={"seed": 3}, fingerprint="fp")
 
 
@@ -340,16 +350,19 @@ def with_snapshot(traj, j, densities):
 def test_audit_of_loaded_run_matches_live_run(config, tmp_path, monkeypatch):
     live, out = live_run(config, tmp_path, monkeypatch)
     loaded = exports.load_trajectory_dir(out, live.model)
-    # the files keep positions and densities; the loader rebuilds widths
-    # and masses from them
+    # the files keep positions and densities; the loader carries snapshot
+    # 0's masses through the event log, as the run does, and rebuilds the
+    # widths from the positions
+    for s_loaded, s_live in zip(loaded.snapshots, live.snapshots):
+        np.testing.assert_array_equal(s_loaded.masses, s_live.masses)
     as_written = dataclasses.replace(
         live,
-        snapshots=[ParticleState(s.positions, s.densities, s.densities * np.diff(s.positions), s.time) for s in live.snapshots],
+        snapshots=[ParticleState(s.positions, s.densities, s.masses, s.time) for s in live.snapshots],
     )
     assert invariant_audit(loaded) == invariant_audit(as_written)
-    # checks that read only densities and creation data agree with the live run
+    # checks that read only densities, masses and creation data agree with the live run
     got, want = invariant_audit(loaded).checks, invariant_audit(live).checks
-    for name in ("max_principle", "density_lower_bound", "tv_diminishing", "velocity_bounds"):
+    for name in ("mass_drift", "max_principle", "density_lower_bound", "tv_diminishing", "velocity_bounds"):
         assert got[name] == want[name], name
 
 

@@ -5,7 +5,9 @@ row block at a time; ``analysis_reference`` keeps the loops that took one
 snapshot at a time.  Reports and residuals must match those bit for bit
 on runs with collisions, every-step recording, a tabulated flux and
 trajectories loaded from disk, for any block cap, and the kernel must
-run once per block.
+run once per block.  ``temporal_modulus_margin`` pairs only snapshots at
+adjacent times; on the same runs it must equal the loop over every pair,
+up to rounding where the ratios tie.
 """
 
 import dataclasses
@@ -146,3 +148,51 @@ def test_an_event_inside_a_block_is_passed_snapshot_by_snapshot():
     with_event = dataclasses.replace(traj, events=[event])
     assert not pp.invariant_audit(with_event).checks["mass_drift"].ok
     assert_same_as_reference(with_event)
+
+
+def assert_modulus_of_every_pair(traj):
+    got = pp.temporal_modulus_margin(traj)
+    # on a run without mass the all-pairs loop divides 0 by 0 (TV(v0) is
+    # 0), and its max keeps 0.0; the package skips pairs at distance 0
+    with np.errstate(invalid="ignore"):
+        want = reference.temporal_modulus_margin(traj)
+    # the adjacent pairs are among all pairs, computed the same way, so
+    # the package never reads higher; where the ratios tie in exact
+    # arithmetic (a shock and a fan that both move at constant speed) a
+    # pair further apart can round a few ulps above every adjacent one
+    assert got <= want <= got * (1.0 + 1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(traj=runs())
+def test_temporal_modulus_matches_every_pair(traj):
+    assert_modulus_of_every_pair(traj)
+
+
+def test_temporal_modulus_pairs_each_state_of_a_sweep():
+    # at theta 0.9 a gap closes by a tenth per step, so the sweep moves the
+    # box edges further than the step before it did: the snapshot before
+    # the sweep against the post-sweep state is the largest ratio, and
+    # consecutive snapshots alone (pre- and post-sweep skipped) miss it
+    data = pp.piecewise_constant_data([0.0, 0.3, 0.4, 0.7], [0.6, 0.0, 0.8])
+    state0 = pp.cell_average(data, pp.place_particles(data, 29, "uniform"))
+    traj = pp.simulate(pp.builtin_flux("lwr"), state0, 0.5, dt_max=0.002, theta=0.9, every_step=True)
+    (event,) = traj.events
+    j = int(np.flatnonzero(traj.times == event.time)[0])
+    near = dataclasses.replace(traj, snapshots=traj.snapshots[j - 20 : j + 20])
+    assert_modulus_of_every_pair(near)
+    recons = [pp.reconstruct_density(s) for s in near.snapshots]
+    rate = 4.0 * near.model.lip_f * pp.initial.total_variation(recons[0].values)
+    consecutive = max(
+        a.l1_distance(b) / (rate * dt) for a, b, dt in zip(recons, recons[1:], np.diff(near.times)) if dt > 0
+    )
+    assert pp.temporal_modulus_margin(near) > 1.5 * consecutive
+
+
+def test_temporal_modulus_of_a_run_without_mass_is_zero():
+    # TV(v0) is 0 and no state moves: every pair once divided 0 by 0
+    data = pp.sampled_data(np.linspace(0.0, 1.0, 9), np.zeros(9))
+    model = pp.builtin_flux("tabulated", us=TABLE, fs=TABLE * ((TABLE - 0.5) ** 2 - 0.1))
+    state0 = pp.cell_average(data, pp.place_particles(data, 9, "uniform"))
+    traj = pp.simulate(model, state0, 0.1, dt_max=0.01, snapshot_count=5)
+    assert pp.temporal_modulus_margin(traj) == 0.0
