@@ -263,16 +263,6 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
         ({"initial_data": {"kind": "sampled", "params": {"path": "missing.csv"}}}, "initial_data.params.path"),
         ({"flux": {"kind": "tabulated", "params": {"path": "missing.csv"}}}, "flux.params.path"),
         ({"flux": {"kind": "tabulated", "params": {"path": "one_column.csv"}}}, "flux.params.path"),
-        # a header with no rows once gave np.loadtxt's "no data" warning and
-        # then "need two columns"
-        ({"flux": {"kind": "tabulated", "params": {"path": "header_only.csv"}}}, "flux.params.path"),
-        ({"initial_data": {"kind": "sampled", "params": {"path": "header_only.csv"}}}, "initial_data.params.path"),
-        # the paper profile's reference holds for t < 1; the study once ran
-        # its first count and then ended in a traceback
-        (
-            {"mode": "convergence", "time_horizon": 1.5, "placement": {"strategy": "uniform", "n_list": [26, 51, 101]}},
-            "time_horizon",
-        ),
         ({"flux": {"kind": "burgers", "params": [1, 2]}}, "flux.params"),
         ({"initial_data": {"kind": "paper_example", "params": 3}}, "initial_data.params"),
         ({"placement": {"strategy": "zigzag", "n": 31}}, "placement.strategy"),
@@ -290,6 +280,16 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
             )
             for mode in ("simulate", "convergence")
             for window in ("ab", [0, 1, 2], [1, -1], [0, "x"], [-float("inf"), 1], [0.5, 0.5], [True, 2])
+        ),
+        # a header with no rows once gave np.loadtxt's "no data" warning and
+        # then "need two columns"
+        ({"flux": {"kind": "tabulated", "params": {"path": "header_only.csv"}}}, "flux.params.path"),
+        ({"initial_data": {"kind": "sampled", "params": {"path": "header_only.csv"}}}, "initial_data.params.path"),
+        # the paper profile's reference holds for t < 1; the study once ran
+        # its first count and then ended in a traceback
+        (
+            {"mode": "convergence", "time_horizon": 1.5, "placement": {"strategy": "uniform", "n_list": [26, 51, 101]}},
+            "time_horizon",
         ),
     ],
 )
