@@ -19,10 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import THETA_DEFAULT, Trajectory, simulate
+from .dynamics import THETA_DEFAULT, SnapshotBlock, Trajectory, simulate
 from .field import PiecewiseConstantFn, reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel, velocity_extrema
-from .initial import InitialData, ParticleState, cell_average, initial_approximation_gap
+from .initial import InitialData, cell_average, initial_approximation_gap
 from .initial import integrate  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .initial import place_particles, total_variation
 from .reference import ExactSolution
@@ -163,13 +163,20 @@ class SpaceTimeBump:
 
     Smooth, compactly supported on |x - x_center| < x_width and
     |t - t_center| < t_width, with closed-form derivative and spatial
-    antiderivative, which keeps the pairing integrals exact in x.
+    antiderivative, which keeps the pairing integrals exact in x.  Widths
+    must be finite and positive, centres finite.
     """
 
     x_center: float
     x_width: float
     t_center: float
     t_width: float
+
+    def __post_init__(self):
+        for name, low in (("x_center", -math.inf), ("x_width", 0.0), ("t_center", -math.inf), ("t_width", 0.0)):
+            value = getattr(self, name)
+            if not low < value < math.inf:
+                raise ValueError(f"{name} must be finite{' and positive' if low == 0.0 else ''}, got {value!r}")
 
     def theta(self, x):
         s = (np.asarray(x, dtype=float) - self.x_center) / self.x_width
@@ -178,19 +185,18 @@ class SpaceTimeBump:
 
     def theta_antideriv(self, x):
         s = np.clip((np.asarray(x, dtype=float) - self.x_center) / self.x_width, -1.0, 1.0)
-        prim = s - s**3 + 0.6 * s**5 - s**7 / 7.0
-        out = self.x_width * prim
+        out = self.x_width * (s - s**3 + 0.6 * s**5 - s**7 / 7.0)
         return out if out.ndim else float(out)
 
     def gamma(self, t):
-        s = (t - self.t_center) / self.t_width
-        return float((1.0 - s * s) ** 3) if abs(s) < 1.0 else 0.0
+        s = (np.asarray(t, dtype=float) - self.t_center) / self.t_width
+        out = np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 3, 0.0)
+        return out if out.ndim else float(out)
 
     def gamma_prime(self, t):
-        s = (t - self.t_center) / self.t_width
-        if abs(s) >= 1.0:
-            return 0.0
-        return float(-6.0 * s * (1.0 - s * s) ** 2 / self.t_width)
+        s = (np.asarray(t, dtype=float) - self.t_center) / self.t_width
+        out = np.where(np.abs(s) < 1.0, -6.0 * s * (1.0 - s * s) ** 2 / self.t_width, 0.0)
+        return out if out.ndim else float(out)
 
     @property
     def derivative_scale(self) -> float:
@@ -204,9 +210,9 @@ class SpaceTimeBump:
 
 
 def _pairing_terms(
-    model: FluxModel, state: ParticleState, k: float, bump: SpaceTimeBump, window: Tuple[float, float]
-) -> Tuple[float, float]:
-    """Spatial integrals at one snapshot.
+    model: FluxModel, block: SnapshotBlock, k: float, bump: SpaceTimeBump, window: Tuple[float, float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Spatial integrals at each snapshot of a row block, one value per row.
 
     Returns (I_abs, I_flux) with
       I_abs  = integral of |v - k| * theta(x) dx        (for the d/dt term),
@@ -214,33 +220,29 @@ def _pairing_terms(
     both over the bump's support, using the zero extension of v and the
     constant extension of A outside the particle range.
     """
-    s_lo, s_hi = bump.x_support
-    lo = max(s_lo, window[0])
-    hi = min(s_hi, window[1])
-    vel = particle_velocities(model, state)
-    pos = state.positions
+    lo, hi = max(bump.x_support[0], window[0]), min(bump.x_support[1], window[1])
+    vel = particle_velocities(model, block)
+    pos = block.positions
     f_k = float(model.eval_f(k))
 
-    # pieces [a, b] with density v and velocity A_a, A_b at the ends: the
-    # vacuum left of the particles, every cell, the vacuum to the right;
-    # each clipped to [lo, hi] and dropped when empty
-    a = np.concatenate(([lo], np.maximum(pos, lo)))
-    b = np.concatenate((np.minimum(pos, hi), [hi]))
-    v = np.concatenate(([0.0], state.densities, [0.0]))
+    # pieces [a, b] with density v: the left vacuum, every cell, the right
+    # vacuum, each clipped to [lo, hi] and masked out of the sums when empty;
+    # A is the particle's velocity at an end, the interpolant's at a clip
+    x = np.pad(pos, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    u = np.pad(vel, ((0, 0), (1, 1)))
+    A_lo, A_hi = np.array([np.interp((lo, hi), p, w) for p, w in zip(pos, vel)]).T[..., None]
+    a, A_a = np.maximum(x[:, :-1], lo), np.where(x[:, :-1] < lo, A_lo, u[:, :-1])
+    b, A_b = np.minimum(x[:, 1:], hi), np.where(x[:, 1:] > hi, A_hi, u[:, 1:])
+    v = np.pad(block.densities, ((0, 0), (1, 1)))
     keep = b > a
-    a, b, v = a[keep], b[keep], v[keep]
-    A_a = np.interp(a, pos, vel)
-    A_b = np.interp(b, pos, vel)
 
-    Theta_a = bump.theta_antideriv(a)
-    Theta_b = bump.theta_antideriv(b)
-    I_abs = float(np.sum(np.abs(v - k) * (Theta_b - Theta_a)))
-    g_a = A_a * v - f_k
-    g_b = A_b * v - f_k
-    slope = (g_b - g_a) / (b - a)
+    d_Theta = bump.theta_antideriv(b) - bump.theta_antideriv(a)
+    I_abs = np.sum(np.where(keep, np.abs(v - k) * d_Theta, 0.0), axis=1)
+    g_a, g_b = A_a * v - f_k, A_b * v - f_k
+    slope = (g_b - g_a) / np.where(keep, b - a, 1.0)
     # integral of g * theta' = [g theta] - slope * integral of theta
-    flux = g_b * bump.theta(b) - g_a * bump.theta(a) - slope * (Theta_b - Theta_a)
-    I_flux = float(np.sum(np.sign(v - k) * flux))
+    flux = g_b * bump.theta(b) - g_a * bump.theta(a) - slope * d_Theta
+    I_flux = np.sum(np.where(keep, np.sign(v - k) * flux, 0.0), axis=1)
     return I_abs, I_flux
 
 
@@ -253,33 +255,25 @@ def entropy_defect(
     - int phi(T)|v(T)-k| + int phi(0)|v0-k|  with exact spatial integrals
     and trapezoidal time quadrature over the snapshots.  Nonnegative up to
     a defect that shrinks linearly with the time resolution.
+
+    The spatial integrals take a row block (``Trajectory.blocks``) at a
+    time, one kernel call per block, at every snapshot whether or not the
+    time profile reaches it.  ``k`` must be finite and nonnegative.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not 0.0 <= k < math.inf:
+        raise ValueError(f"k must be finite and nonnegative, got {k!r}")
     s_lo, s_hi = bump.x_support
     if s_lo < window[0] - 1e-12 or s_hi > window[1] + 1e-12:
         raise ValueError(f"bump support ({s_lo}, {s_hi}) escapes the window {window}")
     # the time profile may overhang [0, T]: the pairing then picks up the
-    # boundary terms below instead
+    # boundary terms at t = 0 and t = T
     times = traj.times
-    T = float(times[-1])
-
-    vals = np.zeros(len(traj.snapshots))
-    I_abs = np.zeros(len(traj.snapshots))
-    for j, state in enumerate(traj.snapshots):
-        gamma = bump.gamma(state.time)
-        gamma_p = bump.gamma_prime(state.time)
-        if gamma != 0.0 or gamma_p != 0.0:
-            I_abs[j], I_flux = _pairing_terms(traj.model, state, k, bump, window)
-            vals[j] = gamma_p * I_abs[j] + gamma * I_flux
-    dts = np.diff(times)
-    total = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * dts))
-
-    # boundary terms (nonzero only if the bump touches t = 0 or t = T, where
-    # the loop has computed I_abs)
-    total += bump.gamma(times[0]) * I_abs[0]
-    total -= bump.gamma(T) * I_abs[-1]
-    return float(total)
+    terms = [_pairing_terms(traj.model, block, k, bump, window) for block in traj.blocks()]
+    I_abs, I_flux = (np.concatenate(parts) for parts in zip(*terms))
+    gamma = bump.gamma(times)
+    vals = bump.gamma_prime(times) * I_abs + gamma * I_flux
+    total = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(times)))
+    return float(total + gamma[0] * I_abs[0] - gamma[-1] * I_abs[-1])
 
 
 def entropy_tolerance(traj: Trajectory, k: float, bump: SpaceTimeBump, window: Tuple[float, float]) -> float:

@@ -103,13 +103,15 @@ class SnapshotBlock(NamedTuple):
     """Consecutive snapshots with one cell count, one row per snapshot.
 
     ``start`` is the index of the first row's snapshot, ``times`` the
-    states' times; ``densities``, ``widths`` and ``masses`` are C-contiguous
-    (rows, cells) arrays.  ``n_particles`` counts the particles of every
-    row, the work of one kernel call on the block.
+    states' times; ``positions`` is a C-contiguous (rows, particles) array,
+    and ``densities``, ``widths`` and ``masses`` are C-contiguous (rows,
+    cells) arrays.  ``n_particles`` counts the particles of every row, the
+    work of one kernel call on the block.
     """
 
     start: int
     times: np.ndarray
+    positions: np.ndarray
     densities: np.ndarray
     widths: np.ndarray
     masses: np.ndarray
@@ -160,6 +162,7 @@ class Trajectory:
                 yield SnapshotBlock(
                     start=start,
                     times=np.array([s.time for s in states], dtype=float),
+                    positions=np.array([s.positions for s in states], dtype=float),
                     densities=np.array([s.densities for s in states], dtype=float),
                     widths=np.array([s.widths for s in states], dtype=float),
                     masses=np.array([s.masses for s in states], dtype=float),

@@ -142,6 +142,36 @@ def test_bump_shape_and_antiderivative():
     assert bump.gamma_prime(0.6) == pytest.approx((bump.gamma(0.6 + h) - bump.gamma(0.6 - h)) / (2 * h), abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("x_width", 0.0),
+        ("x_width", -0.3),
+        ("x_width", np.nan),
+        ("x_width", np.inf),
+        ("t_width", 0.0),
+        ("t_width", -0.05),
+        ("t_width", np.nan),
+        ("x_center", np.nan),
+        ("x_center", np.inf),
+        ("t_center", -np.inf),
+    ],
+)
+def test_bump_rejects_a_bad_field(field, value):
+    # in a pairing, a zero width once divided by zero, an inverted or NaN
+    # support passed the escape check with a defect of exactly 0.0, and a
+    # negative time width flipped the sign of the d/dt term
+    good = {"x_center": 0.5, "x_width": 0.8, "t_center": 0.1, "t_width": 0.05}
+    with pytest.raises(ValueError, match=field):
+        SpaceTimeBump(**{**good, field: value})
+
+
+@pytest.mark.parametrize("k", [-1e-3, -1.0, np.nan, np.inf])
+def test_entropy_defect_rejects_a_negative_or_non_finite_k(rarefaction_shock_run, k):
+    with pytest.raises(ValueError, match="k must be finite and nonnegative"):
+        pp.entropy_defect(rarefaction_shock_run, k, SpaceTimeBump(0.5, 0.8, 0.1, 0.05), (-1.0, 2.0))
+
+
 def test_entropy_defect_k_zero_equals_pairing(burgers3):
     data = pp.rarefaction_shock_data()
     st = pp.cell_average(data, pp.place_particles(data, 31, "uniform"))
@@ -264,9 +294,10 @@ def test_pairing_terms_match_piece_loop(burgers3, rarefaction_shock_run):
     window = (-1.0, 2.0)
     bumps = [SpaceTimeBump(0.5, 0.4, 0.12, 0.1), SpaceTimeBump(0.9, 0.5, 0.0, 0.1), SpaceTimeBump(-0.5, 0.5, 0.2, 0.1)]
     for s in rarefaction_shock_run.snapshots[::8]:
+        (block,) = pp.Trajectory(snapshots=[s], events=[], model=burgers3).blocks()
         for k in (0.0, 1.0, 2.5, 3.0):
             for bump in bumps:
-                I_abs, I_flux = _pairing_terms(burgers3, s, k, bump, window)
+                (I_abs,), (I_flux,) = _pairing_terms(burgers3, block, k, bump, window)
                 want_abs, want_flux, scale = _pairing_piece_loop(burgers3, s, k, bump, window)
                 assert abs(I_abs - want_abs) <= 1e-12 * scale
                 assert abs(I_flux - want_flux) <= 1e-12 * scale

@@ -1,11 +1,11 @@
-"""Demos 01, 02 and 04 run and write byte-identical outputs; demo 03 runs.
+"""Demos 01, 02 and 04 run and write byte-identical outputs; 03, 05, 06 run.
 
 Each demo is copied into a temporary directory and run there, so its
 ``output/`` directory lands beside the copy and nothing is written under
 ``demos/``.  The digests pin the bytes of every CSV and JSON writer:
 ``write_function_csv`` (exact_T, scheme_T), ``write_rate_csv`` (rate),
-``write_trajectory_csv`` and ``write_events_json``.  Demo 03 writes no
-file, so only its exit code and printout are checked.
+``write_trajectory_csv`` and ``write_events_json``.  Demos 03, 05 and 06
+write no file, so only their exit codes and printouts are checked.
 """
 
 import hashlib
@@ -54,3 +54,14 @@ def test_traffic_demo_runs_against_its_riemann_reference(tmp_path):
     lines = run_demo("03_traffic_follow_the_leader.py", tmp_path).splitlines()
     assert "invariant audit:        PASS" in lines
     assert any(line.startswith("reference: shock 0.2 -> 0.8") for line in lines)
+
+
+CLOSING_LINES = {
+    "05_entropy_check.py": "both quantities shrink linearly with the time step.",
+    "06_characteristics.py": "ordering preserved: True",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(CLOSING_LINES))
+def test_analysis_demo_runs_to_its_closing_line(demo, tmp_path):
+    assert run_demo(demo, tmp_path).splitlines()[-1] == CLOSING_LINES[demo]

@@ -287,9 +287,9 @@ def test_kernel_on_a_row_block_equals_per_row_calls(kind, rows, cells, data):
     frac = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     fracs = data.draw(st.lists(frac, min_size=rows * cells, max_size=rows * cells))
     dens = np.asarray(fracs).reshape(rows, cells) * model.u_high
-    block = SnapshotBlock(0, np.zeros(rows), dens, np.ones_like(dens), dens.copy(), rows * (cells + 1))
-    got = pp.particle_velocities(model, block)
     positions = np.arange(cells + 1, dtype=float)
+    block = SnapshotBlock(0, np.zeros(rows), np.tile(positions, (rows, 1)), dens, np.ones_like(dens), dens.copy(), rows * (cells + 1))
+    got = pp.particle_velocities(model, block)
     want = np.array([pp.particle_velocities(model, ParticleState.from_cells(positions, row)) for row in dens])
     assert got.shape == (rows, cells + 1)
     assert got.tobytes() == want.tobytes()

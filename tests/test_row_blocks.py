@@ -5,9 +5,10 @@ row block at a time; ``analysis_reference`` keeps the loops that took one
 snapshot at a time.  Reports and residuals must match those bit for bit
 on runs with collisions, every-step recording, a tabulated flux and
 trajectories loaded from disk, for any block cap, and the kernel must
-run once per block.  ``temporal_modulus_margin`` pairs only snapshots at
-adjacent times; on the same runs it must equal the loop over every pair,
-up to rounding where the ratios tie.
+run once per block, in them and in ``entropy_defect``.
+``temporal_modulus_margin`` pairs only snapshots at adjacent times; on
+the same runs it must equal the loop over every pair, up to rounding
+where the ratios tie.
 """
 
 import dataclasses
@@ -117,6 +118,15 @@ def test_kernel_runs_once_per_block(monkeypatch):
     pp.invariant_audit(traj)
     pp.spacetime_flux_residual(traj)
     assert calls == {"analysis": 1, "field": 1}
+    # the pairing too, with its bump's time profile over a dozen snapshots
+    bump = pp.SpaceTimeBump(1.0, 0.5, 0.1, 0.05)
+    pp.entropy_defect(traj, 1.0, bump, (-1.0, 2.0))
+    assert calls == {"analysis": 2, "field": 1}
+    # and once per block where the cap splits the run into five
+    monkeypatch.setattr(dynamics, "BLOCK_CELLS", 7 * state0.n_cells)
+    assert [b.times.size for b in traj.blocks()] == [7, 7, 7, 7, 5]
+    pp.entropy_defect(traj, 1.0, bump, (-1.0, 2.0))
+    assert calls == {"analysis": 7, "field": 1}
 
 
 def test_density_out_of_range_is_a_velocity_violation(rarefaction_shock_run):
