@@ -11,9 +11,19 @@ touching cluster are deleted together with their cells; only (numerically)
 massless cells ever get that close, so the discarded mass is audited
 against a tight budget.
 
-A run keeps its state between records as plain arrays; a validated
-``ParticleState`` is built only for a recorded snapshot, for the states
-around a collision sweep, and for the state a ``SimulationError`` carries.
+A run keeps its state between records as plain arrays: the time, the
+left end, the widths, the densities and the masses.  Positions exist only
+for a built state; a validated ``ParticleState`` is built for a recorded
+snapshot, for the states around a collision sweep, and for the state a
+``SimulationError`` carries.  A step that records a state checks its
+positions one by one; any other step checks them by a scalar
+certificate.  With every width at least w_min and every position within
+B = (|x0| + sum of widths)(1 + 1e-6), a finite B and w_min > 4 ulp(B)
+make the positions finite and increasing, since each addition errs by at
+most ulp(B) / 2.  A second certificate covers the densities of every
+step: a finite m_max / w_min makes every m_i / w_i finite, since
+correctly rounded division is monotone.  A step that fails a certificate
+is checked element by element, with the same messages.
 """
 
 from __future__ import annotations
@@ -188,6 +198,29 @@ def _timestep_cap(
     return crossing, float(np.minimum.reduce(slack / rate))
 
 
+def _positions(x0: float, widths: np.ndarray) -> np.ndarray:
+    """Particle positions from the left end and the cell widths: x0 plus the running sums."""
+    p = np.empty(widths.size + 1)
+    p[0] = 0.0
+    widths.cumsum(out=p[1:])
+    p += x0
+    return p
+
+
+def _surely_ordered(x0: float, widths: np.ndarray, w_min: float) -> bool:
+    """The ordering certificate: ``_positions(x0, widths)`` is finite and increasing.
+
+    With every width positive, each running sum of the widths and each
+    position x0 + sum has magnitude at most ``bound`` (the 1e-6 covers the
+    rounding of the span and of the sums, under n * 2**-53 each), so each
+    addition errs by at most ulp(bound) / 2, and consecutive positions
+    differ by more than w_min - 1.5 * ulp(bound) > 0.  False only says the
+    positions must be checked one by one.
+    """
+    bound = (abs(x0) + float(np.add.reduce(widths))) * (1.0 + 1e-6)
+    return math.isfinite(bound) and w_min > 4.0 * math.ulp(bound)
+
+
 def default_eps_coll(state: ParticleState) -> float:
     return 1e-9 * float(np.median(state.widths))
 
@@ -269,8 +302,9 @@ def simulate(
     the steps.
 
     ``T`` must be finite and later than ``state0.time``, ``dt_max``
-    positive (``inf`` leaves the step to the caps) and ``theta`` inside
-    (0, 1); otherwise ``ValueError`` names the argument.
+    positive (``inf`` leaves the step to the caps), ``theta`` inside
+    (0, 1) and ``snapshot_count`` an ``int`` (not a ``bool``) of at least
+    2; otherwise ``ValueError`` names the argument.
     """
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T!r}")
@@ -280,6 +314,8 @@ def simulate(
         raise ValueError(f"dt_max must be positive, got {dt_max!r}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
+    if isinstance(snapshot_count, bool) or not isinstance(snapshot_count, int) or snapshot_count < 2:
+        raise ValueError(f"snapshot_count must be an int of at least 2, got {snapshot_count!r}")
     eps_coll = default_eps_coll(state0)
     run_config = {
         "T": T,
@@ -294,7 +330,7 @@ def simulate(
     if config:
         run_config.update(config)
 
-    targets = np.linspace(state0.time, T, max(2, snapshot_count))
+    targets = np.linspace(state0.time, T, snapshot_count)
     snaps: List[ParticleState] = [state0]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
@@ -302,11 +338,14 @@ def simulate(
     rho_star = float(np.max(state0.densities, initial=0.0)) * (1.0 + DENSITY_HEADROOM)
     stall_dt = 1e-16 * max(1.0, T)
     landing = LIMITERS.index("landing")
-    # the loop state: masses change only at a sweep; t, pos, widths and
-    # densities are the arrays every step rebuilds
-    t, pos, widths, densities, masses = (
-        state0.time, state0.positions, state0.widths, state0.densities, state0.masses,
+    # the loop state: the left end x0 and the widths fix the positions,
+    # which are built only for a state; pos holds them once built and is
+    # None until then.  masses and m_max change only at a sweep
+    t, x0, widths, densities, masses = (
+        state0.time, float(state0.positions[0]), state0.widths, state0.densities, state0.masses,
     )
+    pos: Optional[np.ndarray] = state0.positions
+    m_max = float(np.maximum.reduce(masses))
     dts: List[float] = []
     limited = [0] * len(LIMITERS)
     min_width = float(np.min(widths))
@@ -314,11 +353,14 @@ def simulate(
     stall = 0
 
     def current() -> ParticleState:
+        nonlocal pos
+        if pos is None:
+            pos = _positions(x0, widths)
         return ParticleState(positions=pos, densities=densities, masses=masses, time=t, widths=widths)
 
     while t < T:
         target = T if every_step else float(targets[k])
-        vel = particle_velocities(model, _Cells(densities, pos.size))
+        vel = particle_velocities(model, _Cells(densities, widths.size + 1))
         if not np.isfinite(vel).all():
             raise SimulationError("non-finite particle velocity", current())
         closing = vel[:-1] - vel[1:]
@@ -344,21 +386,28 @@ def simulate(
         # vel[:-1])) and the left end; the loop state moves only once the
         # checks pass, so an error carries the last valid state
         new_widths = widths - dt * closing
-        new_pos = np.empty(pos.size)
-        new_pos[0] = 0.0
-        new_widths.cumsum(out=new_pos[1:])
-        new_pos += pos[0] + dt * vel[0]
-        # also catches a non-positive width: adding it cannot raise the sum
-        if (new_pos[1:] <= new_pos[:-1]).any():
-            raise SimulationError(f"particle ordering violated after dt={dt:.3e}; step cap failed", current())
+        new_x0 = 0.0 + (x0 + dt * vel.item(0))
+        w_min = float(np.minimum.reduce(new_widths))
+        # a step that records builds its positions anyway, so it checks them
+        # one by one; so does a step that fails the ordering certificate
+        new_pos = None
+        if every_step or landed or w_min <= eps_coll or not _surely_ordered(new_x0, new_widths, w_min):
+            new_pos = _positions(new_x0, new_widths)
+            # also catches a non-positive width: adding it cannot raise the sum
+            if (new_pos[1:] <= new_pos[:-1]).any():
+                raise SimulationError(f"particle ordering violated after dt={dt:.3e}; step cap failed", current())
         new_densities = masses / new_widths
         # a running sum is finite at its end only if every term is, and an
-        # overflowed position before a finite end breaks the increase above
-        if not (math.isfinite(new_pos[-1]) and np.isfinite(new_densities).all()):
+        # overflowed position before a finite end breaks the increase above.
+        # A finite, increasing run has w_min > 0, and correctly rounded
+        # division is monotone, so a finite m_max / w_min bounds every density
+        if not (
+            (new_pos is None or math.isfinite(new_pos[-1]))
+            and (math.isfinite(m_max / w_min) or np.isfinite(new_densities).all())
+        ):
             raise SimulationError("non-finite state encountered", current())
-        t, pos, widths, densities = t_new, new_pos, new_widths, new_densities
+        t, x0, pos, widths, densities = t_new, new_x0, new_pos, new_widths, new_densities
 
-        w_min = float(np.minimum.reduce(widths))
         min_width = min(min_width, w_min)
         if w_min <= eps_coll:
             # resolve_collisions tests these widths against eps_coll too, so
@@ -370,6 +419,7 @@ def simulate(
                 raise SimulationError("more collision events than particles", post)
             snaps += (pre, post)
             pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
+            x0, m_max = float(pos[0]), float(np.maximum.reduce(masses))
         elif every_step or landed:
             snaps.append(current())
         if landed:

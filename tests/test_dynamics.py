@@ -267,11 +267,18 @@ def step_run_inputs():
         ({"theta": 1.5}, r"theta must lie in \(0, 1\), got 1.5"),
         ({"theta": 1.0}, r"theta must lie in \(0, 1\), got 1.0"),
         ({"theta": 0.0}, r"theta must lie in \(0, 1\), got 0.0"),
+        ({"snapshot_count": 0}, "snapshot_count must be an int of at least 2, got 0"),
+        ({"snapshot_count": -5}, "snapshot_count must be an int of at least 2, got -5"),
+        ({"snapshot_count": 1}, "snapshot_count must be an int of at least 2, got 1"),
+        ({"snapshot_count": True}, "snapshot_count must be an int of at least 2, got True"),
+        ({"snapshot_count": 2.5}, "snapshot_count must be an int of at least 2, got 2.5"),
     ],
 )
 def test_invalid_run_arguments_are_refused_at_entry(step_run_inputs, args, message):
     # each of these once ran without its step cap, or failed late with
-    # another message (a density outside the working interval, an empty min)
+    # another message (a density outside the working interval, an empty min);
+    # a bad snapshot_count ran with two snapshots and was written into the
+    # run's config, or raised numpy's TypeError
     model, state0 = step_run_inputs
     kw = {"T": 0.5, "dt_max": 0.01, "theta": 0.1, **args}
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -7,6 +7,8 @@ bit.  The errors a run raises must still carry a valid state.
 """
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import particle_paths as pp
 from particle_paths import ParticleState, SimulationError, dynamics
 from particle_paths.flux import FluxModel, MonotoneOracle
+import dynamics_reference
 from dynamics_reference import simulate as reference_simulate
 
 FLUXES = ("burgers", "lwr", "tabulated")
@@ -52,12 +55,16 @@ def run_both(kind, data, positions, T, dt_ratio, **kw):
     return new, ref
 
 
+def assert_same_state(a, b):
+    assert a.time == b.time
+    for name in STATE_ARRAYS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 def assert_same_run(new, ref):
     assert new.times.tolist() == ref.times.tolist()
     for a, b in zip(new.snapshots, ref.snapshots):
-        assert a.time == b.time
-        for name in STATE_ARRAYS:
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert_same_state(a, b)
     assert len(new.events) == len(ref.events)
     for a, b in zip(new.events, ref.events):
         assert (a.time, a.discarded_mass, a.pre_particle_count) == (b.time, b.discarded_mass, b.pre_particle_count)
@@ -93,6 +100,59 @@ def test_array_loop_equals_reference(kind, data, n, grid, T, dt_ratio, theta, sn
     assert_same_run(new, ref)
 
 
+def far_data(heights, offset, ulps, n):
+    """Abutting boxes at ``offset`` whose n - 1 even cells are ``ulps`` position ulps wide.
+
+    Steps on such cells fail the ordering certificate (a width above four
+    ulps of the largest position) and check their positions one by one.
+    The boxes touch: a massless cell would shrink below the position
+    spacing long before the collision threshold and abort both loops.
+    """
+    scale = ulps * math.ulp(offset) * (n - 1)
+    return pp.piecewise_constant_data(offset + scale * np.linspace(0.0, 1.0, len(heights) + 1), heights), scale
+
+
+def outcome(run, model, state0, T, **kw):
+    """The run's trajectory, or the SimulationError it raised."""
+    try:
+        return run(model, state0, T, **kw)
+    except SimulationError as err:
+        return err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(FLUXES),
+    heights=st.lists(st.floats(0.3, 0.9), min_size=1, max_size=3),
+    offset=st.sampled_from([1e6, 1e12, 1e15]),
+    ulps=st.floats(1.0, 6.0).map(lambda e: 2.0**e),
+    n=st.integers(4, 48),
+    grid=st.booleans(),
+    T=st.floats(0.05, 0.6),
+    dt_ratio=st.floats(0.05, 0.5),
+    theta=st.sampled_from([0.1, 0.5]),
+    snapshot_count=st.integers(2, 12),
+    every_step=st.booleans(),
+)
+def test_far_from_the_origin_equals_reference(
+    kind, heights, offset, ulps, n, grid, T, dt_ratio, theta, snapshot_count, every_step
+):
+    # T is in units of the data's length; a run may end in the same
+    # SimulationError on both loops, which must then carry the same state
+    data, scale = far_data(heights, offset, ulps, n)
+    pos = np.linspace(*data.support_hint, n) if grid else pp.place_particles(data, n, "uniform")
+    model = flux_model(kind, data.sup_u0 * (1.0 + 1e-12))
+    state0 = pp.cell_average(data, pos)
+    kw = dict(dt_max=dt_ratio * state0.dx_star, theta=theta, snapshot_count=snapshot_count, every_step=every_step)
+    new = outcome(pp.simulate, model, state0, state0.time + T * scale, **kw)
+    ref = outcome(reference_simulate, model, state0, state0.time + T * scale, **kw)
+    if isinstance(ref, SimulationError):
+        assert isinstance(new, SimulationError) and str(new) == str(ref)
+        assert_same_state(new.state, ref.state)
+    else:
+        assert_same_run(new, ref)
+
+
 @pytest.mark.parametrize("every_step", [False, True])
 @pytest.mark.parametrize("kind", FLUXES)
 def test_vacuum_collisions_equal_reference(kind, every_step):
@@ -110,6 +170,37 @@ def test_paper_profile_equals_reference(burgers3):
     new = pp.simulate(burgers3, state0, 0.25, dt_max=0.2 * float(np.max(state0.widths)), snapshot_count=33)
     ref = reference_simulate(burgers3, state0, 0.25, dt_max=0.2 * float(np.max(state0.widths)), snapshot_count=33)
     assert_same_run(new, ref)
+
+
+def count_builds(monkeypatch):
+    """Count the position builds of ``simulate`` from now on."""
+    calls = []
+    build = dynamics._positions
+    monkeypatch.setattr(dynamics, "_positions", lambda x0, widths: calls.append(x0) or build(x0, widths))
+    return calls
+
+
+def test_positions_are_built_only_for_recorded_snapshots(burgers3, monkeypatch):
+    # every step of the paper's profile passes both certificates, and no
+    # sweep runs, so each snapshot after state0 builds its positions once
+    calls = count_builds(monkeypatch)
+    data = pp.rarefaction_shock_data()
+    state0 = pp.cell_average(data, pp.place_particles(data, 201, "uniform"))
+    traj = pp.simulate(burgers3, state0, 0.25, dt_max=0.2 * float(np.max(state0.widths)), snapshot_count=33)
+    assert not traj.events and traj.stats.steps > 32
+    assert len(calls) == len(traj.snapshots) - 1 == 32
+
+
+def test_far_from_the_origin_builds_positions_on_unrecorded_steps(burgers3, monkeypatch):
+    # cells eight position ulps wide fail the ordering certificate on some
+    # steps between snapshots, which then build their positions to check them
+    data, scale = far_data([0.8, 0.3, 0.7], 1e12, 8.0, 41)
+    state0 = pp.cell_average(data, np.linspace(*data.support_hint, 41))
+    kw = dict(dt_max=0.2 * state0.dx_star, snapshot_count=9)
+    calls = count_builds(monkeypatch)
+    traj = pp.simulate(burgers3, state0, state0.time + 0.5 * scale, **kw)
+    assert len(calls) > len(traj.snapshots) - 1
+    assert_same_run(traj, reference_simulate(burgers3, state0, state0.time + 0.5 * scale, **kw))
 
 
 def test_run_stats_describe_every_step():
@@ -172,6 +263,33 @@ def test_ordering_violation_carries_the_last_valid_state(burgers3, monkeypatch):
     np.testing.assert_array_equal(err.value.state.positions, st0.positions)
 
 
+def caps_then(cap, k, free):
+    """``cap`` for its first k calls, then ``free``: the step caps switched off mid-run."""
+    calls = itertools.count()
+    return lambda *args: cap(*args) if next(calls) < k else free
+
+
+def test_ordering_violation_after_unrecorded_steps_carries_the_last_valid_state(monkeypatch):
+    # three capped steps close the vacuum gaps, then one uncapped step to T
+    # closes them past zero.  No state was recorded after state0, so the
+    # carried state's positions are built from the left end and the widths,
+    # with the reference's bits
+    monkeypatch.setattr(dynamics, "_timestep_cap", caps_then(dynamics._timestep_cap, 3, (np.inf, np.inf)))
+    monkeypatch.setattr(dynamics_reference, "_timestep_cap", caps_then(dynamics_reference._timestep_cap, 3, np.inf))
+    data = boxes([0.8, 0.5, 0.7], [0.5, 0.4, 0.3], [0.2, 0.15])
+    model = flux_model("burgers", data.sup_u0 * (1.0 + 1e-12))
+    st0 = pp.cell_average(data, np.linspace(*data.support_hint, 41))
+    errors = []
+    for run in (pp.simulate, reference_simulate):
+        with pytest.raises(SimulationError, match="ordering violated") as err:
+            run(model, st0, 0.6, dt_max=np.inf, snapshot_count=2)
+        errors.append(err.value.state)
+    state, ref = errors
+    assert_valid(state)
+    assert state.time > 0.0 and state.n_particles == st0.n_particles
+    assert_same_state(state, ref)
+
+
 def test_stall_carries_the_last_valid_state(burgers3, monkeypatch):
     monkeypatch.setattr(dynamics, "_timestep_cap", lambda *args: (1e-20, 1e-20))
     st0 = ParticleState.from_cells([-5.0, 0.0, 0.1], [3.0, 1.0])
@@ -211,6 +329,4 @@ def test_nan_velocity_carries_the_last_valid_state():
     state, ref = errors
     assert_valid(state)
     assert state.time > 0.05 and 0.0 < state.densities[0] < 0.5
-    assert state.time == ref.time
-    for name in STATE_ARRAYS:
-        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert_same_state(state, ref)
