@@ -136,7 +136,9 @@ class Trajectory:
     time.  Snapshot times are nondecreasing; they repeat only at collision
     times, where the state immediately before and immediately after the
     sweep are both recorded (in that order).  ``stats`` is set by
-    ``simulate`` and absent on a trajectory loaded from disk.
+    ``simulate`` and absent on a trajectory loaded from disk.  The
+    ``fingerprint`` is worked out from ``config``, so a run and its copy
+    loaded from disk give the same one.
     """
 
     snapshots: List[ParticleState]
@@ -144,8 +146,12 @@ class Trajectory:
     model: FluxModel
     data: Optional[InitialData] = None
     config: dict = field(default_factory=dict)
-    fingerprint: str = ""
     stats: Optional[RunStats] = None
+
+    @property
+    def fingerprint(self) -> str:
+        """First 16 hex digits of the SHA-256 of ``config`` as sorted-key JSON."""
+        return hashlib.sha256(json.dumps(self.config, sort_keys=True).encode()).hexdigest()[:16]
 
     @property
     def times(self) -> np.ndarray:
@@ -276,10 +282,6 @@ def resolve_collisions(
     return new_state, event
 
 
-def _fingerprint(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def simulate(
     model: FluxModel,
     state0: ParticleState,
@@ -305,6 +307,11 @@ def simulate(
     positive (``inf`` leaves the step to the caps), ``theta`` inside
     (0, 1) and ``snapshot_count`` an ``int`` (not a ``bool``) of at least
     2; otherwise ``ValueError`` names the argument.
+
+    The loop tests every value it forms and raises ``SimulationError``,
+    carrying the last valid state, on a non-finite one, so it runs with
+    numpy's overflow, divide and invalid warnings off: the error, not a
+    warning, reports the fault.
     """
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T!r}")
@@ -358,72 +365,75 @@ def simulate(
             pos = _positions(x0, widths)
         return ParticleState(positions=pos, densities=densities, masses=masses, time=t, widths=widths)
 
-    while t < T:
-        target = T if every_step else float(targets[k])
-        vel = particle_velocities(model, _Cells(densities, widths.size + 1))
-        if not np.isfinite(vel).all():
-            raise SimulationError("non-finite particle velocity", current())
-        closing = vel[:-1] - vel[1:]
-        caps = (dt_max, *_timestep_cap(widths, masses, rho_star, closing, theta))
-        dt = min(caps)
-        remaining = target - t
-        landed = dt >= remaining * (1.0 - 1e-12)
-        if landed:
-            dt = remaining
-            t_new = target
-            limited[landing] += 1
-        else:
-            t_new = t + dt
-            limited[caps.index(dt)] += 1
-        dts.append(dt)
-        if dt <= stall_dt:
-            stall += 1
-            if stall > 2000:
-                raise SimulationError("timestep collapsed; system is stuck", current())
-        else:
-            stall = 0
-        # Forward Euler on the widths (bit for bit widths + dt * (vel[1:] -
-        # vel[:-1])) and the left end; the loop state moves only once the
-        # checks pass, so an error carries the last valid state
-        new_widths = widths - dt * closing
-        new_x0 = 0.0 + (x0 + dt * vel.item(0))
-        w_min = float(np.minimum.reduce(new_widths))
-        # a step that records builds its positions anyway, so it checks them
-        # one by one; so does a step that fails the ordering certificate
-        new_pos = None
-        if every_step or landed or w_min <= eps_coll or not _surely_ordered(new_x0, new_widths, w_min):
-            new_pos = _positions(new_x0, new_widths)
-            # also catches a non-positive width: adding it cannot raise the sum
-            if (new_pos[1:] <= new_pos[:-1]).any():
-                raise SimulationError(f"particle ordering violated after dt={dt:.3e}; step cap failed", current())
-        new_densities = masses / new_widths
-        # a running sum is finite at its end only if every term is, and an
-        # overflowed position before a finite end breaks the increase above.
-        # A finite, increasing run has w_min > 0, and correctly rounded
-        # division is monotone, so a finite m_max / w_min bounds every density
-        if not (
-            (new_pos is None or math.isfinite(new_pos[-1]))
-            and (math.isfinite(m_max / w_min) or np.isfinite(new_densities).all())
-        ):
-            raise SimulationError("non-finite state encountered", current())
-        t, x0, pos, widths, densities = t_new, new_x0, new_pos, new_widths, new_densities
+    # the loop tests every value it forms and raises SimulationError on a
+    # non-finite one, so numpy need not warn as it forms them
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while t < T:
+            target = T if every_step else float(targets[k])
+            vel = particle_velocities(model, _Cells(densities, widths.size + 1))
+            if not np.isfinite(vel).all():
+                raise SimulationError("non-finite particle velocity", current())
+            closing = vel[:-1] - vel[1:]
+            caps = (dt_max, *_timestep_cap(widths, masses, rho_star, closing, theta))
+            dt = min(caps)
+            remaining = target - t
+            landed = dt >= remaining * (1.0 - 1e-12)
+            if landed:
+                dt = remaining
+                t_new = target
+                limited[landing] += 1
+            else:
+                t_new = t + dt
+                limited[caps.index(dt)] += 1
+            dts.append(dt)
+            if dt <= stall_dt:
+                stall += 1
+                if stall > 2000:
+                    raise SimulationError("timestep collapsed; system is stuck", current())
+            else:
+                stall = 0
+            # Forward Euler on the widths (bit for bit widths + dt * (vel[1:] -
+            # vel[:-1])) and the left end; the loop state moves only once the
+            # checks pass, so an error carries the last valid state
+            new_widths = widths - dt * closing
+            new_x0 = 0.0 + (x0 + dt * vel.item(0))
+            w_min = float(np.minimum.reduce(new_widths))
+            # a step that records builds its positions anyway, so it checks them
+            # one by one; so does a step that fails the ordering certificate
+            new_pos = None
+            if every_step or landed or w_min <= eps_coll or not _surely_ordered(new_x0, new_widths, w_min):
+                new_pos = _positions(new_x0, new_widths)
+                # also catches a non-positive width: adding it cannot raise the sum
+                if (new_pos[1:] <= new_pos[:-1]).any():
+                    raise SimulationError(f"particle ordering violated after dt={dt:.3e}; step cap failed", current())
+            new_densities = masses / new_widths
+            # a running sum is finite at its end only if every term is, and an
+            # overflowed position before a finite end breaks the increase above.
+            # A finite, increasing run has w_min > 0, and correctly rounded
+            # division is monotone, so a finite m_max / w_min bounds every density
+            if not (
+                (new_pos is None or math.isfinite(new_pos[-1]))
+                and (math.isfinite(m_max / w_min) or np.isfinite(new_densities).all())
+            ):
+                raise SimulationError("non-finite state encountered", current())
+            t, x0, pos, widths, densities = t_new, new_x0, new_pos, new_widths, new_densities
 
-        min_width = min(min_width, w_min)
-        if w_min <= eps_coll:
-            # resolve_collisions tests these widths against eps_coll too, so
-            # it always sweeps here
-            pre = current()
-            post, event = resolve_collisions(pre, eps_coll)
-            events.append(event)
-            if len(events) > max_events:
-                raise SimulationError("more collision events than particles", post)
-            snaps += (pre, post)
-            pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
-            x0, m_max = float(pos[0]), float(np.maximum.reduce(masses))
-        elif every_step or landed:
-            snaps.append(current())
-        if landed:
-            k += 1
+            min_width = min(min_width, w_min)
+            if w_min <= eps_coll:
+                # resolve_collisions tests these widths against eps_coll too, so
+                # it always sweeps here
+                pre = current()
+                post, event = resolve_collisions(pre, eps_coll)
+                events.append(event)
+                if len(events) > max_events:
+                    raise SimulationError("more collision events than particles", post)
+                snaps += (pre, post)
+                pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
+                x0, m_max = float(pos[0]), float(np.maximum.reduce(masses))
+            elif every_step or landed:
+                snaps.append(current())
+            if landed:
+                k += 1
     stats = RunStats(
         steps=len(dts),
         dt_min=min(dts),
@@ -432,12 +442,4 @@ def simulate(
         collision_sweeps=len(events),
         min_width=min_width,
     )
-    return Trajectory(
-        snapshots=snaps,
-        events=events,
-        model=model,
-        data=data,
-        config=run_config,
-        fingerprint=_fingerprint(run_config),
-        stats=stats,
-    )
+    return Trajectory(snapshots=snaps, events=events, model=model, data=data, config=run_config, stats=stats)

@@ -172,7 +172,7 @@ def _integers(values, key: str) -> np.ndarray:
 
 
 def _read_events(path: Path) -> tuple:
-    """Events, config and fingerprint recorded in ``events.json``."""
+    """Events and config recorded in ``events.json``."""
     try:
         payload = json.loads(path.read_text())
         events = [
@@ -186,7 +186,7 @@ def _read_events(path: Path) -> tuple:
             )
             for ev in payload["events"]
         ]
-        return events, payload.get("config", {}), payload.get("fingerprint", "")
+        return events, payload.get("config", {})
     except KeyError as exc:
         raise ValueError(f"invalid {path.name}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -205,11 +205,12 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     decrease, and repeats each cell's ``x_right`` as the next cell's
     ``x_left``.  Widths are position differences; masses are snapshot 0's
     density times width, carried through the events as a run carries them.
+    The fingerprint is worked out from the recorded config, as for a run.
     """
     directory = Path(directory)
     try:
         table = _read_trajectory_table(directory / "trajectory.csv")
-        events, config, fingerprint = _read_events(directory / "events.json")
+        events, config = _read_events(directory / "events.json")
     except OSError as exc:
         raise ValueError(f"cannot read {exc.filename}: {exc.strerror}") from exc
 
@@ -239,11 +240,4 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
         snapshots.append(ParticleState(positions=pos, densities=dens, masses=masses, time=t))
     if pending:
         raise ValueError(f"event log has {len(pending)} more event(s) than cell count changes")
-    return Trajectory(
-        snapshots=snapshots,
-        events=events,
-        model=model,
-        data=None,
-        config=config,
-        fingerprint=fingerprint,
-    )
+    return Trajectory(snapshots=snapshots, events=events, model=model, config=config)

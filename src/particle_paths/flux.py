@@ -40,7 +40,9 @@ class FluxModel:
 
     ``lip_f`` is the Lipschitz constant of f on [0, u_high]; it also bounds
     |a| there since |a(u)| = |f(u) - f(0)| / |u - 0|.  ``lip_fprime`` is
-    optional and only needed for explicit rate bounds.  The required,
+    optional and only needed for explicit rate bounds.  ``u_high``,
+    ``lip_f`` and ``lip_fprime`` (when given) must be nonnegative and not
+    NaN, or ``ValueError`` names the field.  The required,
     keyword-only ``extremum_oracle(lo, hi)`` returns the exact
     ``VelocityExtrema`` of a over arrays of intervals 0 <= lo <= hi <= u_high
     (a(lo) for lo == hi) and is the only source of interface velocities; it
@@ -61,6 +63,11 @@ class FluxModel:
     def __post_init__(self):
         if not callable(self.extremum_oracle):
             raise ValueError(f"flux '{self.name}' needs an extremum oracle; sample it into builtin_flux('tabulated')")
+        for name in ("u_high", "lip_f", "lip_fprime"):
+            value = getattr(self, name)
+            # NaN fails the comparison too
+            if value is not None and not value >= 0.0:
+                raise ValueError(f"flux '{self.name}': {name} must be nonnegative, got {value!r}")
 
     def eval_a(self, u):
         return _velocity_field(self.eval_f, self.fprime0, u)

@@ -11,7 +11,7 @@ the truncation edges cannot reach within the simulated horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -119,11 +119,15 @@ class InitialData:
     set, is the window on which errors against a reference solution should
     be measured; it is recorded in result metadata.  It must be two finite
     numbers ``lo < hi`` and is stored as a pair of floats.
+
+    ``tv_u0`` and ``sup_u0``, which the error bounds read, are worked out
+    from u0's values and zero tails; a variation that overflows raises
+    ``ValueError``.
     """
 
     u0: PiecewiseAffineFn
-    tv_u0: float
-    sup_u0: float
+    tv_u0: float = field(init=False)
+    sup_u0: float = field(init=False)
     measure_window: Optional[Tuple[float, float]] = None
     description: str = ""
 
@@ -133,13 +137,19 @@ class InitialData:
             raise ValueError("u0 needs at least two breakpoints and one left and right value per piece")
         if not (np.all(np.isfinite(u0.x)) and np.all(np.diff(u0.x) > 0.0)):
             raise ValueError("u0's breakpoints must be finite and strictly increasing")
-        vals = np.concatenate([u0.left, u0.right])
+        # left[0], right[0], left[1], ...: the values in order along x
+        vals = np.stack([u0.left, u0.right], axis=-1).ravel()
         if not (np.all(np.isfinite(vals)) and np.all(vals >= 0.0)):
             raise ValueError("u0's values must be finite and nonnegative")
         if u0.below != 0.0 or u0.above != 0.0:
             raise ValueError("u0 must be zero outside its breakpoints")
-        if not (0.0 <= self.tv_u0 < np.inf and 0.0 <= self.sup_u0 < np.inf):
-            raise ValueError(f"variation {self.tv_u0} and supremum {self.sup_u0} must be finite and nonnegative")
+        # repeats dropped, a step profile's values are its steps
+        tv_u0 = total_variation(vals[np.append(True, vals[1:] != vals[:-1])])
+        sup_u0 = float(np.max(vals, initial=0.0))
+        if not tv_u0 < np.inf:
+            raise ValueError(f"variation {tv_u0} and supremum {sup_u0} must be finite and nonnegative")
+        object.__setattr__(self, "tv_u0", tv_u0)
+        object.__setattr__(self, "sup_u0", sup_u0)
         if self.measure_window is not None:
             window = np.asarray(self.measure_window)
             # numpy reads a bool beside a number as 0 or 1
@@ -383,14 +393,7 @@ def total_variation(values):
 
 def _steps(bp, vals, description: str, measure_window=None) -> InitialData:
     """Step profile: ``vals[k]`` on (bp[k], bp[k+1]), zero outside (bp[0], bp[-1])."""
-    vals = np.asarray(vals, dtype=float)
-    return InitialData(
-        u0=PiecewiseAffineFn(bp, vals, vals),
-        tv_u0=total_variation(vals),
-        sup_u0=float(np.max(vals, initial=0.0)),
-        measure_window=measure_window,
-        description=description,
-    )
+    return InitialData(PiecewiseAffineFn(bp, vals, vals), measure_window, description)
 
 
 def riemann_data(u_l, u_r, x0=0.0, window=(-1.0, 1.0), measure_window=None) -> InitialData:
@@ -429,10 +432,4 @@ def sampled_data(xs, us, measure_window=None) -> InitialData:
     us = np.asarray(us, dtype=float)
     if us.ndim != 1 or np.shape(xs) != us.shape:
         raise ValueError("need matching 1-D sample arrays")
-    return InitialData(
-        u0=PiecewiseAffineFn(xs, us[:-1], us[1:]),
-        tv_u0=total_variation(us),
-        sup_u0=float(np.max(us, initial=0.0)),
-        measure_window=measure_window,
-        description="sampled profile",
-    )
+    return InitialData(PiecewiseAffineFn(xs, us[:-1], us[1:]), measure_window, "sampled profile")

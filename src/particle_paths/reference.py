@@ -179,9 +179,10 @@ def godunov_reference(
     wave travel distance (unless ``window`` is given).  It starts from the
     exact cell averages of u0, zero outside the hint.  Boundary cells copy
     their edge values, which is exact as long as the data is constant near
-    the window edges.  The time step is dt = 0.9 dx / lip_f.  A flux
-    that is not monotone, convex or concave on the data's range raises
-    ``ValueError`` unless it is tabulated.
+    the window edges.  The time step is dt = 0.9 dx / lip_f.  A tabulated
+    flux takes its interface flux from its ends and table nodes, exact for
+    any table; any other is scanned once on [0, sup u0] and must be
+    monotone, convex or concave there, or ``ValueError`` is raised.
     """
     if cells < 2:
         raise ValueError("need at least two cells")
@@ -195,8 +196,11 @@ def godunov_reference(
     edges = np.linspace(x_lo, x_hi, cells + 1)
     u = cell_average(data, edges).densities
 
-    kind, u_star = _classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
-    if kind == "general" and not isinstance(model.extremum_oracle, TabulatedOracle):
+    if isinstance(model.extremum_oracle, TabulatedOracle):
+        kind, u_star = "tabulated", None
+    else:
+        kind, u_star = _classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
+    if kind == "general":
         raise ValueError(
             f"flux '{model.name}' is not monotone, convex or concave on the data's range: "
             "sample it into builtin_flux('tabulated') for an exact interface flux"
@@ -212,7 +216,7 @@ def godunov_reference(
             return np.maximum(f(np.maximum(ul, u_star)), f(np.minimum(ur, u_star)))
         if kind == "concave":
             return np.minimum(f(np.minimum(ul, u_star)), f(np.maximum(ur, u_star)))
-        # piecewise linear f: exact, its extrema sit at the ends or nodes
+        # tabulated f: exact, its extrema sit at the ends or nodes
         ext = model.extremum_oracle.flux_extrema(np.minimum(ul, ur), np.maximum(ul, ur))
         return np.where(ul <= ur, ext.min_value, ext.max_value)
 

@@ -30,6 +30,10 @@ def test_config_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run_cli([str(missing)]) == 2
     assert capsys.readouterr().err == f"config error at {missing}: file not found\n"
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"mode": "simulate",')
+    assert run_cli([str(broken)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {broken}: invalid JSON: ")
     cases = [
         ({"mode": "never"}, "config error at mode: must be one of"),
         ({"placement": {}}, "config error at placement: need n or n_list"),
@@ -247,6 +251,7 @@ def test_placement_key_is_checked_after_the_mode_flag(tmp_path):
         ("nosuch=1", "nosuch"),
         ("flux.nosuch.x=1", "flux.nosuch"),
         ("to_dict=1", "to_dict"),
+        ("placement.n", "placement.n"),  # no '='
     ],
 )
 def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
@@ -290,6 +295,23 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
         (
             {"mode": "convergence", "time_horizon": 1.5, "placement": {"strategy": "uniform", "n_list": [26, 51, 101]}},
             "time_horizon",
+        ),
+        ({"mode": "convergence", "placement": {"strategy": "uniform", "n_list": 9}}, "placement.n_list"),
+        ({"mode": "convergence", "placement": {"strategy": "uniform", "n_list": [9, 17]}}, "placement.n_list"),
+        ({"flux": {"params": {}}}, "flux"),
+        ({"initial_data": {"kind": "zigzag", "params": {}}}, "initial_data.kind"),
+        # the paper profile's closed form is burgers', and sampled data have none
+        (
+            {"mode": "convergence", "flux": {"kind": "lwr", "params": {}}, "placement": {"strategy": "uniform", "n_list": [9, 17, 33]}},
+            "flux.kind",
+        ),
+        (
+            {
+                "mode": "convergence",
+                "initial_data": {"kind": "sampled", "params": {"xs": [0.0, 0.5, 1.0], "us": [0.0, 1.0, 0.0]}},
+                "placement": {"strategy": "uniform", "n_list": [9, 17, 33]},
+            },
+            "initial_data.kind",
         ),
     ],
 )
@@ -408,6 +430,26 @@ def test_data_or_flux_that_overflows_is_exit_2(flux, initial_data, path, tmp_pat
     assert run_cli([str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_runtime_failure_is_exit_4_with_a_diagnostic(tmp_path, capsys):
+    # the first step's positions overflow: numpy once warned there, and
+    # under an error filter the warning escaped run_cli with no diagnostic
+    config = base_config(
+        tmp_path,
+        initial_data={"kind": "piecewise_constant", "params": {"breakpoints": [1.7e308, 1.79e308], "values": [1.0]}},
+        placement={"strategy": "uniform", "n": 2},
+        time_horizon=1e307,
+        integrator={"dt_max": 1e307},
+        snapshots=2,
+    )
+    assert run_cli([str(config)]) == 4
+    assert capsys.readouterr().err.startswith("runtime failure: ")
+    diag = json.loads((tmp_path / "out" / "diagnostic.json").read_text())
+    assert diag == {
+        "error": "non-finite state encountered",
+        "state": {"time": 0.0, "positions": [1.7e308, 1.79e308], "densities": [1.0]},
+    }
 
 
 @pytest.mark.filterwarnings("error")

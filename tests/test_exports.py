@@ -81,7 +81,6 @@ def reference_load_trajectory_dir(directory, model):
         events=events,
         model=model,
         config=payload.get("config", {}),
-        fingerprint=payload.get("fingerprint", ""),
     )
 
 
@@ -140,7 +139,7 @@ def trajectories(draw):
         if masses is None:
             masses = dens * np.diff(pos)
         snapshots.append(ParticleState(positions=pos, densities=dens, masses=masses, time=t))
-    return Trajectory(snapshots=snapshots, events=events, model=None, config={"seed": 3}, fingerprint="fp")
+    return Trajectory(snapshots=snapshots, events=events, model=None, config={"seed": 3})
 
 
 @settings(max_examples=80, deadline=None)

@@ -90,6 +90,25 @@ def test_model_without_an_oracle_is_rejected_at_construction():
         FluxModel("plain", f, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("kind, params", [("burgers", {}), ("lwr", {}), ("tabulated", {"us": [0.0, 1.0], "fs": [0.0, 1.0]})])
+def test_builtin_flux_refuses_a_negative_top(kind, params):
+    # burgers once took u_high = -1 as lip_f = -1, and Godunov then lost the data's mass
+    with pytest.raises(ValueError, match="u_high must be nonnegative"):
+        builtin_flux(kind, u_high=-1.0, **params)
+    assert builtin_flux(kind, u_high=0.0, **params).u_high == 0.0  # zero-mass data give a zero top
+
+
+@pytest.mark.parametrize("field", ["u_high", "lip_f", "lip_fprime"])
+@pytest.mark.parametrize("value", [-1.0, np.nan])
+def test_model_refuses_a_negative_or_nan_constant(field, value):
+    def f(u):
+        return 0.5 * np.asarray(u, dtype=float) ** 2
+
+    constants = {"u_high": 1.0, "lip_f": 1.0, "lip_fprime": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+        FluxModel("custom", f, 0.0, extremum_oracle=builtin_flux("burgers").extremum_oracle, **constants)
+
+
 def test_min_monotone_under_interval_inclusion():
     rng = np.random.default_rng(2)
     m = builtin_flux("lwr")

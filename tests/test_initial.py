@@ -225,6 +225,22 @@ def test_sampled_data_interpolates():
     assert data.sup_u0 == 2.0
 
 
+def test_variation_and_supremum_are_worked_out_from_u0():
+    # values 1, 2, 3, 3 along x, then the zero tail: 1 + 1 + 1 + 3
+    data = InitialData(PiecewiseAffineFn([0.0, 1.0, 2.0], [1.0, 3.0], [2.0, 3.0]))
+    assert (data.tv_u0, data.sup_u0) == (6.0, 3.0)
+    with pytest.raises(TypeError, match="tv_u0"):
+        InitialData(data.u0, tv_u0=6.0)
+    # the builders' own sums, bit for bit, where no value repeats
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vals = rng.uniform(0.0, 3.0, size=int(rng.integers(2, 40)))
+        bp = np.cumsum(rng.uniform(0.1, 1.0, size=vals.size + 1))
+        assert piecewise_constant_data(bp, vals).tv_u0 == total_variation(vals)
+        assert sampled_data(bp[:-1], vals).tv_u0 == total_variation(vals)
+        assert piecewise_constant_data(bp, vals).sup_u0 == sampled_data(bp[:-1], vals).sup_u0 == vals.max()
+
+
 @pytest.mark.parametrize(
     "u0",
     [
@@ -240,7 +256,7 @@ def test_sampled_data_interpolates():
 )
 def test_initial_data_checks_its_pieces(u0):
     with pytest.raises(ValueError, match="u0"):
-        InitialData(u0, tv_u0=1.0, sup_u0=1.0)
+        InitialData(u0)
 
 
 @pytest.mark.parametrize(

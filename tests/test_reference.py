@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import particle_paths as pp
-from particle_paths import burgers_rarefaction_shock, godunov_reference, riemann_solution
+from particle_paths import burgers_rarefaction_shock, godunov_reference, reference, riemann_solution
 from particle_paths.flux import FluxModel, MonotoneOracle
 
 from conftest import cubic_flux_model
@@ -131,17 +131,53 @@ def test_godunov_linear_flux_transport():
     assert g.l1_distance(shifted) >= 1e-4  # smearing is real
 
 
-def test_riemann_vs_godunov_random_pairs():
+def quadratic_flux(name, c, b, top):
+    """f = c u^2 + b u on [0, top], with a = c u + b rising where c > 0."""
+    a = lambda u: c * np.asarray(u, dtype=float) + b
+    f = lambda u: np.asarray(u, dtype=float) * a(u)
+    lip_f = max(abs(b), abs(2.0 * c * top + b))
+    return FluxModel(name, f, b, lip_f, top, 2.0 * abs(c), extremum_oracle=MonotoneOracle(a, increasing=c > 0))
+
+
+def test_riemann_vs_godunov_random_pairs(monkeypatch):
+    # the custom quadratics take the two closed forms no builtin reaches
+    kinds = []
+    classify = reference._classify_flux
+
+    def recorded(*args):
+        kinds.append(classify(*args))
+        return kinds[-1]
+
+    monkeypatch.setattr(reference, "_classify_flux", recorded)
     rng = np.random.default_rng(12)
-    for name, top in (("burgers", 2.0), ("lwr", 1.0)):
+    models = {
+        "burgers": pp.builtin_flux("burgers", u_high=2.0),
+        "lwr": pp.builtin_flux("lwr", u_high=1.0),
+        "falling": quadratic_flux("falling", -0.5, 0.0, 2.0),  # f = -u^2/2
+        "convex": quadratic_flux("convex", 1.0, -1.0, 2.0),  # f = u^2 - u
+    }
+    for name, m in models.items():
         for _ in range(3):
-            u_l, u_r = rng.uniform(0.05, top, size=2)
-            m = pp.builtin_flux(name, u_high=top)
+            u_l, u_r = rng.uniform(0.05, m.u_high, size=2)
             sol = riemann_solution(m, u_l, u_r)
             data = pp.riemann_data(u_l, u_r, x0=0.0, window=(-3.0, 3.0))
             g = godunov_reference(m, data, 2000, 0.5, window=(-3.0, 3.0))
             err = pp.l1_error_against(g, sol, 0.5, (-1.5, 1.5))
             assert err <= 0.05, (name, u_l, u_r, err)
+    assert [kind for kind, _ in kinds[6:]] == ["nonincreasing"] * 3 + ["convex"] * 3, kinds
+
+
+def test_godunov_takes_a_table_flux_from_its_nodes(monkeypatch):
+    # a concave table: the max of f over [0.3, 0.7] is its node value
+    # f(0.5) = 0.25, where a 2,001-point scan found the vertex 0.50015 and
+    # the flux 0.24998125
+    monkeypatch.setattr(reference, "_classify_flux", lambda *args: pytest.fail("a table was scanned"))
+    us = np.linspace(0.0, 1.0, 9)
+    m = pp.builtin_flux("tabulated", us=us, fs=us * (1.0 - us))
+    g = godunov_reference(m, pp.riemann_data(0.7, 0.3), 2, 0.5, window=(-1.0, 1.0))
+    # one step of h / dx = 0.5 on two cells, which share the interface
+    f_l, f_r = float(m.eval_f(0.7)), float(m.eval_f(0.3))
+    assert g.values.tolist() == [0.7 - 0.5 * (0.25 - f_l), 0.3 - 0.5 * (f_r - 0.25)]
 
 
 def test_godunov_rejects_a_flux_it_would_have_to_scan():
