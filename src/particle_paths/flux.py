@@ -164,12 +164,12 @@ def _piecewise_extrema(g: Callable, nodes: np.ndarray, table: _RangeExtrema, lo,
     """Extrema over [lo, hi] of a function monotone between consecutive nodes.
 
     The candidates are the two ends and the nodes strictly inside the
-    interval, whose min and max the sparse table gives directly.
+    interval, whose min and max the sparse table gives directly.  g is
+    called once, on the stacked ends, so it must work elementwise.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    g_lo = np.asarray(g(lo), dtype=float)
-    g_hi = np.asarray(g(hi), dtype=float)
+    g_lo, g_hi = np.asarray(g(np.stack([lo, hi])), dtype=float)
     i0 = np.searchsorted(nodes, lo, side="right")  # first node > lo
     i1 = np.searchsorted(nodes, hi, side="left") - 1  # last node < hi
     inner = i0 <= i1
@@ -182,29 +182,33 @@ def _piecewise_extrema(g: Callable, nodes: np.ndarray, table: _RangeExtrema, lo,
     )
 
 
+def entropic_extremum(extrema: Callable, left, right):
+    """Min of g over [left, right] where left <= right, else max over [right, left].
+
+    ``extrema(lo, hi)`` gives g's extrema over arrays of intervals.  For a
+    this is the particle velocity, for f Godunov's interface flux (Osher).
+    """
+    ext = extrema(np.minimum(left, right), np.maximum(left, right))
+    return np.where(left <= right, ext.min_value, ext.max_value)
+
+
 class TabulatedOracle:
-    """Exact extrema for a piecewise linear flux f through nodes (us, f(us)).
+    """Exact extrema of a for a piecewise linear flux f through nodes (us, f(us)).
 
     On the piece [u_k, u_{k+1}], f = s_k u + c_k, so a(u) = s_k + c_k/u is
-    monotone and both f and a take their extrema over any interval at its
-    ends or at table nodes inside it.  ``a`` is evaluated exactly as
-    ``FluxModel.eval_a`` does.  ``flux_extrema`` answers the same query for
-    f itself (the Godunov interface flux).  Both work elementwise on arrays
-    of any shape.
+    monotone and takes its extrema over any interval at its ends or at
+    table nodes inside it; so does f, whose node search Godunov runs over
+    the same ``us``.  ``a`` is evaluated exactly as ``FluxModel.eval_a``
+    does.  Works elementwise on arrays of any shape.
     """
 
     def __init__(self, us: np.ndarray, eval_f: Callable, fprime0: float):
         self.us = us
-        self.eval_f = eval_f
         self.eval_a = lambda u: _velocity_field(eval_f, fprime0, u)
         self._a_nodes = _RangeExtrema(np.asarray(self.eval_a(us), dtype=float))
-        self._f_nodes = _RangeExtrema(np.asarray(eval_f(us), dtype=float))
 
     def __call__(self, lo, hi) -> VelocityExtrema:
         return _piecewise_extrema(self.eval_a, self.us, self._a_nodes, lo, hi)
-
-    def flux_extrema(self, lo, hi) -> VelocityExtrema:
-        return _piecewise_extrema(self.eval_f, self.us, self._f_nodes, lo, hi)
 
 
 def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxModel:

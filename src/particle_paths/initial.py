@@ -175,9 +175,10 @@ class ParticleState:
 
     A state is accepted when it has at least two particles at finite,
     strictly increasing positions, one density, mass and width per cell,
-    and finite, nonnegative densities and masses; otherwise the first
-    check that fails raises ``ValueError`` naming it.  Each check is one
-    or two reductions, and the fault is told apart only once one fails.
+    finite, nonnegative densities and masses, and a finite time;
+    otherwise the first check that fails raises ``ValueError`` naming it.
+    Each check is one or two reductions, and the fault is told apart only
+    once one fails.
     ``positions``, ``densities``, ``masses`` and ``widths`` are stored as
     float arrays, so a state built from lists works like any other; a
     float array is kept as given, not copied.
@@ -217,6 +218,8 @@ class ParticleState:
             raise ValueError("negative cell density")
         if not (np.minimum.reduce(mass) >= 0.0 and np.maximum.reduce(mass) < np.inf):
             raise ValueError("cell masses must be finite and nonnegative")
+        if not math.isfinite(self.time):
+            raise ValueError(f"state time must be finite, got {self.time!r}")
 
     @property
     def n_particles(self) -> int:

@@ -5,21 +5,23 @@ shock or a fan linear in x/t for a quadratic flux such as burgers or
 lwr.  The Godunov finite volume scheme is an
 independent first-order baseline used to cross-check runs where no closed
 form exists; its interface flux is the min of f over [u_l, u_r] for
-u_l <= u_r and the max over [u_r, u_l] otherwise, evaluated with the
-classical closed forms for monotone, convex, and concave fluxes, and
-exactly at the ends and table nodes for a tabulated (piecewise linear)
-flux; any other flux has to be sampled into a tabulated one.
+u_l <= u_r and the max over [u_r, u_l] otherwise (the particles' rule on
+f), searched over the ends and a table's nodes or the one point where a
+monotone, convex or concave f turns; any other flux has to be sampled
+into a tabulated one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .field import PiecewiseConstantFn
-from .flux import FluxModel, TabulatedOracle
+from .flux import FluxModel, TabulatedOracle, _piecewise_extrema, _RangeExtrema, entropic_extremum
 from .initial import InitialData, PiecewiseAffineFn, cell_average
 
 __all__ = [
@@ -121,8 +123,8 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
     u_l = float(u_l)
     u_r = float(u_r)
     x0 = float(x0)
-    if u_l < 0 or u_r < 0:
-        raise ValueError("states must be nonnegative")
+    if not (0.0 <= u_l < math.inf and 0.0 <= u_r < math.inf):
+        raise ValueError("states must be finite and nonnegative")
     if u_l == u_r:
         return _fronts(x0, (), (u_l,), f"constant {u_l}")
     if isinstance(model.extremum_oracle, TabulatedOracle):
@@ -147,23 +149,29 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
 
 
 def _classify_flux(model: FluxModel, u_top: float, n: int = 2001):
+    """The grid point where f turns on [0, u_top] and f there, from an n-point scan.
+
+    0 for a monotone f, the grid minimiser of a convex f, the grid maximiser
+    of a concave one (each as a 1-array); any other f raises ``ValueError``.
+    """
     us = np.linspace(0.0, u_top, n)
     fs = np.asarray(model.eval_f(us), dtype=float)
     scale = max(1.0, float(np.max(np.abs(fs))))
     d1 = np.diff(fs)
     d2 = np.diff(fs, 2)
     tol = 1e-12 * scale
-    if np.all(d1 >= -tol):
-        return "nondecreasing", None
-    if np.all(d1 <= tol):
-        return "nonincreasing", None
-    if np.all(d2 >= -tol):
+    if np.all(d1 >= -tol) or np.all(d1 <= tol):
+        i = 0
+    elif np.all(d2 >= -tol):
         i = int(np.argmin(fs))
-        return "convex", float(us[i])
-    if np.all(d2 <= tol):
+    elif np.all(d2 <= tol):
         i = int(np.argmax(fs))
-        return "concave", float(us[i])
-    return "general", None
+    else:
+        raise ValueError(
+            f"flux '{model.name}' is not monotone, convex or concave on the data's range: "
+            "sample it into builtin_flux('tabulated') for an exact interface flux"
+        )
+    return us[i : i + 1], fs[i : i + 1]
 
 
 def godunov_reference(
@@ -179,13 +187,20 @@ def godunov_reference(
     wave travel distance (unless ``window`` is given).  It starts from the
     exact cell averages of u0, zero outside the hint.  Boundary cells copy
     their edge values, which is exact as long as the data is constant near
-    the window edges.  The time step is dt = 0.9 dx / lip_f.  A tabulated
-    flux takes its interface flux from its ends and table nodes, exact for
-    any table; any other is scanned once on [0, sup u0] and must be
-    monotone, convex or concave there, or ``ValueError`` is raised.
+    the window edges.  The time step is dt = 0.9 dx / lip_f.  The interface
+    flux is the particles' min/max rule, ``flux.entropic_extremum``, on f,
+    searched over the ends and the nodes between which f is monotone: a
+    table's ``us``, exact for any table, or else the one point where a
+    scan on [0, sup u0] finds f turning; an f not monotone, convex or
+    concave there raises ``ValueError``, as do a ``T`` that is not finite
+    and nonnegative and a ``lip_f`` that is not finite.
     """
     if cells < 2:
         raise ValueError("need at least two cells")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
+    if not math.isfinite(model.lip_f):
+        raise ValueError(f"flux '{model.name}': lip_f must be finite, got {model.lip_f!r}")
     if window is None:
         pad = T * model.lip_f + 1e-9
         window = (data.support_hint[0] - pad, data.support_hint[1] + pad)
@@ -197,34 +212,17 @@ def godunov_reference(
     u = cell_average(data, edges).densities
 
     if isinstance(model.extremum_oracle, TabulatedOracle):
-        kind, u_star = "tabulated", None
+        nodes = model.extremum_oracle.us
+        values = np.asarray(model.eval_f(nodes), dtype=float)
     else:
-        kind, u_star = _classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
-    if kind == "general":
-        raise ValueError(
-            f"flux '{model.name}' is not monotone, convex or concave on the data's range: "
-            "sample it into builtin_flux('tabulated') for an exact interface flux"
-        )
-    f = model.eval_f
-
-    def interface_flux(ul, ur):
-        if kind == "nondecreasing":
-            return np.asarray(f(ul), dtype=float)
-        if kind == "nonincreasing":
-            return np.asarray(f(ur), dtype=float)
-        if kind == "convex":
-            return np.maximum(f(np.maximum(ul, u_star)), f(np.minimum(ur, u_star)))
-        if kind == "concave":
-            return np.minimum(f(np.minimum(ul, u_star)), f(np.maximum(ur, u_star)))
-        # tabulated f: exact, its extrema sit at the ends or nodes
-        ext = model.extremum_oracle.flux_extrema(np.minimum(ul, ur), np.maximum(ul, ur))
-        return np.where(ul <= ur, ext.min_value, ext.max_value)
+        nodes, values = _classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
+    f_extrema = functools.partial(_piecewise_extrema, model.eval_f, nodes, _RangeExtrema(values))
 
     t = 0.0
     while t < T - 1e-15 * max(1.0, T):
         h = min(dt, T - t)
         padded = np.concatenate([[u[0]], u, [u[-1]]])
-        flux = interface_flux(padded[:-1], padded[1:])
+        flux = entropic_extremum(f_extrema, padded[:-1], padded[1:])
         u = u - (h / dx) * (flux[1:] - flux[:-1])
         t += h
     return PiecewiseConstantFn(edges, u)

@@ -16,7 +16,8 @@ with vacuum (density 0) on both sides.  It has two paths:
   min, max or choice between branches, and the vacuum end takes the
   oracle's a(0).  These are the two-sided rule's bits on every density in
   range, since the oracle's extrema are a's values at the ends;
-* any other oracle (tabulated, custom) takes the two-sided rule: one
+* any other oracle (tabulated, custom) takes the two-sided rule that
+  Godunov's interface flux applies to f, ``flux.entropic_extremum``: one
   oracle call on every padded interval, then the minimum or the maximum.
 """
 
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flux import FluxModel, MonotoneOracle, TabulatedOracle, check_density_intervals
+from .flux import FluxModel, MonotoneOracle, TabulatedOracle, check_density_intervals, entropic_extremum
 from .flux import velocity_extrema  # noqa: F401  (wrapped by perfbench/tracing.py until ROADMAP item 2)
 
 __all__ = ["particle_velocities", "follow_the_leader_deviation"]
@@ -47,8 +48,10 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
     with vacuum on both sides and gives that snapshot's velocities, the
     same bits as a call on the row alone, since the kernel and the flux
     oracles work elementwise.  Column 1 of an (n, 2) block of pairs is the
-    velocity of the particle between each pair.  Raises ValueError when a
-    density is negative or above the model's working interval.
+    velocity of the particle between each pair; any oracle but a
+    ``MonotoneOracle`` takes ``flux.entropic_extremum``, Godunov's rule
+    too.  Raises ValueError when a density is negative or above the
+    model's working interval.
     """
     dens = state.densities
     check_density_intervals(model, dens, dens)
@@ -61,9 +64,7 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
         return vel
     padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
     padded[..., 1:-1] = dens
-    v_l, v_r = padded[..., :-1], padded[..., 1:]
-    ext = oracle(np.minimum(v_l, v_r), np.maximum(v_l, v_r))
-    return np.where(v_l <= v_r, ext.min_value, ext.max_value)
+    return entropic_extremum(oracle, padded[..., :-1], padded[..., 1:])
 
 
 def follow_the_leader_deviation(model: FluxModel, pairs) -> float:

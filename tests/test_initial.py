@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -286,6 +288,15 @@ def test_state_validation():
     for masses in ([1.0, -1.0], [1.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="cell masses must be finite and nonnegative"):
             ParticleState(positions=[0.0, 1.0, 2.0], densities=[1.0, 1.0], masses=masses)
+
+
+@pytest.mark.parametrize("time", [-np.inf, np.nan])
+def test_state_refuses_a_non_finite_time(time):
+    # unchecked, simulate from time -inf never returns (its snapshot
+    # targets are NaN), and from NaN it fails inside numpy
+    state0 = ParticleState.from_cells([0.0, 0.5, 1.0], [1.0, 0.5])
+    with pytest.raises(ValueError, match="state time must be finite"):
+        dataclasses.replace(state0, time=time)
 
 
 def test_state_from_lists_holds_float_arrays():

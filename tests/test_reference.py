@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,19 @@ def test_riemann_rejects_nonconvex_flux():
         riemann_solution(m, 0.1, 1.4)
 
 
+@pytest.mark.parametrize("kind", ["burgers", "tabulated"])
+@pytest.mark.parametrize("u_l, u_r", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5)])
+def test_riemann_refuses_a_state_that_is_not_finite(kind, u_l, u_r):
+    # unchecked, a NaN on the table makes "shock nan -> 0.5 at speed nan"
+    if kind == "burgers":
+        m = pp.builtin_flux("burgers")
+    else:
+        us = np.linspace(0.0, 1.0, 65)
+        m = pp.builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    with pytest.raises(ValueError, match="states must be finite and nonnegative"):
+        riemann_solution(m, u_l, u_r)
+
+
 def test_riemann_rejects_a_state_beyond_the_flux_table():
     # np.interp would extend f flat past the last node and give a wrong front
     m = pp.builtin_flux("tabulated", us=[0.0, 1.0], fs=[0.0, 1.0])
@@ -89,6 +104,30 @@ def test_godunov_constant_data_exact():
     data = pp.riemann_data(0.3, 0.3, x0=0.0, window=(-1.0, 1.0))
     g = godunov_reference(m, data, 200, 0.4, window=(-1.0, 1.0))
     np.testing.assert_allclose(g.values, 0.3, atol=1e-14)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+def test_godunov_refuses_a_time_it_cannot_reach(T):
+    # unchecked, the loop does not run and the initial averages pass for u(T)
+    m = pp.builtin_flux("burgers", u_high=1.0)
+    with pytest.raises(ValueError, match="T must be finite and nonnegative"):
+        godunov_reference(m, pp.box_data(0.5, 0.0, 1.0), 50, T, window=(-1.0, 2.0))
+
+
+def test_godunov_refuses_an_infinite_lip_f():
+    # dt = 0.9 dx / lip_f would be 0, and the time loop would never end
+    m = dataclasses.replace(pp.builtin_flux("burgers", u_high=1.0), lip_f=np.inf)
+    with pytest.raises(ValueError, match="lip_f must be finite"):
+        godunov_reference(m, pp.box_data(0.5, 0.0, 1.0), 50, 0.5, window=(-1.0, 2.0))
+
+
+def test_godunov_takes_a_zero_lip_f():
+    # f = 0 moves nothing: one step of dt = 0.9 dx / 1e-300 leaves the data
+    zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
+    m = FluxModel("still", zero, 0.0, 0.0, 1.0, extremum_oracle=MonotoneOracle(zero, increasing=True))
+    data = pp.box_data(0.5, 0.0, 1.0)
+    g = godunov_reference(m, data, 50, 0.5, window=(-1.0, 2.0))
+    assert g.values.tolist() == pp.cell_average(data, g.breakpoints).densities.tolist()
 
 
 def test_godunov_starts_from_the_data_inside_its_hint():
@@ -140,13 +179,15 @@ def quadratic_flux(name, c, b, top):
 
 
 def test_riemann_vs_godunov_random_pairs(monkeypatch):
-    # the custom quadratics take the two closed forms no builtin reaches
-    kinds = []
+    # the custom quadratics turn where no builtin does: f = -u^2/2 falls
+    # (node 0), f = u^2 - u is convex with its minimum at u = 1/2
+    turns = []
     classify = reference._classify_flux
 
-    def recorded(*args):
-        kinds.append(classify(*args))
-        return kinds[-1]
+    def recorded(model, u_top):
+        nodes, values = classify(model, u_top)
+        turns.append((float(nodes[0]), u_top / 2000))  # the node, one scan step
+        return nodes, values
 
     monkeypatch.setattr(reference, "_classify_flux", recorded)
     rng = np.random.default_rng(12)
@@ -164,7 +205,9 @@ def test_riemann_vs_godunov_random_pairs(monkeypatch):
             g = godunov_reference(m, data, 2000, 0.5, window=(-3.0, 3.0))
             err = pp.l1_error_against(g, sol, 0.5, (-1.5, 1.5))
             assert err <= 0.05, (name, u_l, u_r, err)
-    assert [kind for kind, _ in kinds[6:]] == ["nonincreasing"] * 3 + ["convex"] * 3, kinds
+    assert [u for u, _ in turns[6:9]] == [0.0] * 3, turns
+    # the scanned minimiser is a grid point, within one step of 1/2
+    assert all(abs(u - 0.5) <= step for u, step in turns[9:]), turns
 
 
 def test_godunov_takes_a_table_flux_from_its_nodes(monkeypatch):

@@ -1,0 +1,64 @@
+"""Input that each entry point refuses with ``ValueError`` on one line.
+
+Every case here names the fault instead of returning a wrong answer; no
+other test reaches these checks.
+"""
+
+import numpy as np
+import pytest
+
+import particle_paths as pp
+
+
+def burgers_run(data=None):
+    """A short burgers run on a unit box, with ``data`` as its record."""
+    box = pp.box_data(1.0, 0.0, 1.0)
+    state0 = pp.cell_average(box, pp.place_particles(box, 5, "uniform"))
+    return pp.simulate(pp.builtin_flux("burgers", u_high=1.0), state0, 0.01, dt_max=0.005, data=data)
+
+
+UNIT_TABLE = {"us": [0.0, 1.0], "fs": [0.0, 1.0]}
+REFUSALS = [
+    # builtin_flux
+    ("burgers_params", lambda: pp.builtin_flux("burgers", v_max=1.0), "burgers flux takes no params"),
+    ("lwr_unknown_param", lambda: pp.builtin_flux("lwr", speed=1.0), "unknown lwr params"),
+    ("lwr_zero_v_max", lambda: pp.builtin_flux("lwr", v_max=0.0), "positive v_max and u_max"),
+    ("tabulated_unknown_param", lambda: pp.builtin_flux("tabulated", top=1.0, **UNIT_TABLE), "unknown tabulated params"),
+    ("tabulated_mismatched", lambda: pp.builtin_flux("tabulated", us=[0.0, 1.0], fs=[0.0, 1.0, 2.0]), "matching 1-D"),
+    ("tabulated_repeated_us", lambda: pp.builtin_flux("tabulated", us=[0.0, 0.5, 0.5, 1.0], fs=[0.0, 1.0, 1.0, 0.0]),
+     "strictly increasing"),
+    ("tabulated_u_high_above", lambda: pp.builtin_flux("tabulated", u_high=2.0, **UNIT_TABLE), "exceeds the tabulated"),
+    ("tabulated_slope_overflows", lambda: pp.builtin_flux("tabulated", us=[0.0, 1e-300, 1.0], fs=[0.0, 1e300, 1.0]),
+     "slope overflows"),
+    # initial data and placement
+    ("cell_average_unordered", lambda: pp.cell_average(pp.box_data(1.0, 0.0, 1.0), [0.0, 0.5, 0.5, 1.0]),
+     "positions must be strictly increasing"),
+    ("gap_after_time_zero", lambda: pp.initial_approximation_gap(
+        pp.box_data(1.0, 0.0, 1.0), pp.ParticleState.from_cells([0.0, 1.0], [1.0], time=0.5)), "initial state only"),
+    ("rarefaction_shock_no_margin", lambda: pp.rarefaction_shock_data(0.0), "margin must be positive"),
+    ("mass_quantiles_collapse", lambda: pp.place_particles(
+        pp.piecewise_constant_data([0.0, 1.0, 1.0 + 1e-15, 2.0], [1e-300, 1.0, 1e-300]), 50, "mass_equidistributed"),
+     "mass quantiles are not strictly increasing"),
+    # analysis
+    ("stability_bound_negative", lambda: pp.stability_error_bound(0.1, -1.0, 0.1), "bound inputs must be nonnegative"),
+    ("rate_bound_negative", lambda: pp.explicit_rate_bound(1.0, 1.0, 1.0, 0.1, -1.0), "bound inputs must be nonnegative"),
+    ("error_report_without_data", lambda: pp.error_report(burgers_run(), pp.burgers_rarefaction_shock(), 0.01),
+     "no initial data record"),
+    ("convergence_two_counts", lambda: pp.convergence_study(
+        pp.builtin_flux("burgers", u_high=3.0), pp.rarefaction_shock_data(), pp.burgers_rarefaction_shock(), [9, 17], 0.1),
+     "at least three particle counts"),
+    # the rest
+    ("step_function_nan", lambda: pp.PiecewiseConstantFn([0.0, 1.0], [np.nan]), "non-finite reconstruction"),
+    ("residual_one_snapshot", lambda: pp.spacetime_flux_residual(
+        pp.Trajectory([burgers_run().snapshots[0]], [], pp.builtin_flux("burgers", u_high=1.0))), "at least two snapshots"),
+    ("riemann_negative_state", lambda: pp.riemann_solution(pp.builtin_flux("lwr"), -0.1, 0.5),
+     "states must be finite and nonnegative"),
+    ("godunov_one_cell", lambda: pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 1, 0.1),
+     "at least two cells"),
+]
+
+
+@pytest.mark.parametrize("call, match", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_refused_with_a_named_fault(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

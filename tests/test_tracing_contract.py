@@ -8,6 +8,7 @@ benchmark run.  One round of the CLI workload runs here too, so a case
 that fails in the benchmark fails in the test suite.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -105,3 +106,28 @@ def test_cli_workload_round_passes_every_case(seed, tmp_path):
     rnd = workload.run_round(workload.build(seed))
     assert [(c.label, c.detail) for c in rnd.cases if not c.ok] == []
     assert rnd.checks["repeat_bytes"][0]
+
+
+@pytest.mark.parametrize("case", ["burgers", "nonconvex_tabulated"])
+def test_godunov_replay_counts_the_solver_steps(case):
+    # the tracer replays Godunov's window, dt and stopping rule to count
+    # cells times steps; a counting f gives the solver's own step count
+    tracing = _load("tracing")
+    if case == "burgers":
+        model, data, cells, T = pp.builtin_flux("burgers", u_high=1.0), pp.box_data(1.0, 0.0, 1.0), 100, 0.5
+    else:
+        workload = _load("workloads").NonconvexTabulated()
+        inp = workload.build(0)
+        model, data, cells, T = inp["model"], inp["data"], workload.cells[0], workload.T
+    calls = []
+
+    def counting_f(u):
+        calls.append(1)
+        return model.eval_f(u)
+
+    pp.godunov_reference(dataclasses.replace(model, eval_f=counting_f), data, cells, T)
+    # f is called once before the loop (burgers' turning-point scan, or the
+    # table's node values), then once per time step
+    steps = len(calls) - 1
+    assert steps > 1
+    assert tracing.godunov_cell_steps(model, data, cells, T) == cells * steps
