@@ -228,7 +228,29 @@ def _surely_ordered(x0: float, widths: np.ndarray, w_min: float) -> bool:
 
 
 def default_eps_coll(state: ParticleState) -> float:
-    return 1e-9 * float(np.median(state.widths))
+    """The collision threshold: 1e-9 of the median width, or more far from the origin.
+
+    There the float spacing, not the width, decides how close two particles
+    can come.  With M the state's largest |position|, the ordering
+    certificate's bound B = (|x0| + sum of widths)(1 + 1e-6) is at most
+    3M (1 + 1e-6) < 4M, so positions increase while every width exceeds
+    4 ulp(B) <= 16 ulp(M).  The crossing cap closes no gap by more than
+    1 - theta of it, so the step that takes a closing cell to the threshold
+    leaves it at least theta times the threshold wide, and the step checks
+    its positions one by one.  So the threshold is at least
+    (16 / theta) ulp(M), 160 ulp(M) at the default theta.  That floor
+    stops at half the narrowest width the density cap lets a cell heavier
+    than the sweep's mass tolerance reach (its mass over the initial
+    maximum density), so no sweep meets such a cell.
+    """
+    far = max(abs(float(state.positions[0])), abs(float(state.positions[-1])))
+    floor = 16.0 / THETA_DEFAULT * math.ulp(far)
+    masses = state.masses
+    heavy = masses[masses > MASS_TOL_FRACTION * state.total_mass]
+    if heavy.size:
+        rho_star = float(np.max(state.densities)) * (1.0 + DENSITY_HEADROOM)
+        floor = min(floor, 0.5 * float(np.min(heavy)) / rho_star)
+    return max(1e-9 * float(np.median(state.widths)), floor)
 
 
 def resolve_collisions(

@@ -160,33 +160,44 @@ class _RangeExtrema:
         return np.minimum(self.min.take(i), self.min.take(j)), np.maximum(self.max.take(i), self.max.take(j))
 
 
-def _piecewise_extrema(g: Callable, nodes: np.ndarray, table: _RangeExtrema, lo, hi) -> VelocityExtrema:
-    """Extrema over [lo, hi] of a function monotone between consecutive nodes.
+def entropic_row(g: Callable, nodes: np.ndarray, table: _RangeExtrema, row) -> np.ndarray:
+    """``entropic_extremum``'s rule between consecutive entries of ``row``.
 
-    The candidates are the two ends and the nodes strictly inside the
-    interval, whose min and max the sparse table gives directly.  g is
-    called once, on the stacked ends, so it must work elementwise.
+    Between entries l = row[..., k] and r = row[..., k + 1] it gives the
+    min of g over [l, r] where l <= r and the max over [r, l] otherwise,
+    for a g monotone between consecutive ``nodes`` whose values ``table``
+    holds: the candidates are g at l and r and the nodes strictly between
+    them.  g is called once, on ``row``, and the nodes are searched once per
+    entry; the table is read only where a node lies strictly inside.  Works
+    along the last axis of a row or a row block, so g must be elementwise.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    g_lo, g_hi = np.asarray(g(np.stack([lo, hi])), dtype=float)
-    i0 = np.searchsorted(nodes, lo, side="right")  # first node > lo
-    i1 = np.searchsorted(nodes, hi, side="left") - 1  # last node < hi
-    inner = i0 <= i1
-    node_min, node_max = table.query(np.where(inner, i0, 0), np.where(inner, i1, 0))
-    end_min = np.minimum(g_hi, g_lo)
-    end_max = np.maximum(g_hi, g_lo)
-    return VelocityExtrema(
-        np.where(inner, np.minimum(node_min, end_min), end_min),
-        np.where(inner, np.maximum(node_max, end_max), end_max),
-    )
+    row = np.asarray(row, dtype=float)
+    g_row = np.asarray(g(row), dtype=float)
+    g_l, g_r = g_row[..., :-1], g_row[..., 1:]
+    rising = row[..., :-1] < row[..., 1:]
+    # l == r reads g(r) on either branch: np.maximum keeps its second argument on a tie
+    out = np.where(rising, np.minimum(g_r, g_l), np.maximum(g_l, g_r))
+    above = nodes.searchsorted(row, "right")  # the first node above each entry
+    below = above - (nodes.take(above - 1) == row)  # the first node at or above it
+    # the nodes strictly inside: from the first above the lower entry to
+    # the last below the upper one
+    first = np.minimum(above[..., :-1], above[..., 1:])
+    last = np.maximum(below[..., :-1], below[..., 1:]) - 1
+    inner = np.flatnonzero(first <= last)
+    if inner.size:
+        node_min, node_max = table.query(first.take(inner), last.take(inner))
+        ends = out.take(inner)
+        out.put(inner, np.where(rising.take(inner), np.minimum(node_min, ends), np.maximum(node_max, ends)))
+    return out
 
 
 def entropic_extremum(extrema: Callable, left, right):
     """Min of g over [left, right] where left <= right, else max over [right, left].
 
     ``extrema(lo, hi)`` gives g's extrema over arrays of intervals.  For a
-    this is the particle velocity, for f Godunov's interface flux (Osher).
+    this is the particle velocity of an oracle without a node table; a
+    table's velocities and Godunov's interface flux on f (Osher) take the
+    same rule through ``entropic_row``.
     """
     ext = extrema(np.minimum(left, right), np.maximum(left, right))
     return np.where(left <= right, ext.min_value, ext.max_value)
@@ -197,9 +208,10 @@ class TabulatedOracle:
 
     On the piece [u_k, u_{k+1}], f = s_k u + c_k, so a(u) = s_k + c_k/u is
     monotone and takes its extrema over any interval at its ends or at
-    table nodes inside it; so does f, whose node search Godunov runs over
-    the same ``us``.  ``a`` is evaluated exactly as ``FluxModel.eval_a``
-    does.  Works elementwise on arrays of any shape.
+    table nodes inside it; so does f, whose interface fluxes Godunov takes
+    with the same ``entropic_row`` over the same ``us``.  ``a`` is evaluated
+    exactly as ``FluxModel.eval_a`` does.  Works elementwise on arrays of
+    any shape.
     """
 
     def __init__(self, us: np.ndarray, eval_f: Callable, fprime0: float):
@@ -207,8 +219,15 @@ class TabulatedOracle:
         self.eval_a = lambda u: _velocity_field(eval_f, fprime0, u)
         self._a_nodes = _RangeExtrema(np.asarray(self.eval_a(us), dtype=float))
 
+    def entropic(self, row) -> np.ndarray:
+        """The particle velocities between consecutive densities of a row or row block."""
+        return entropic_row(self.eval_a, self.us, self._a_nodes, row)
+
     def __call__(self, lo, hi) -> VelocityExtrema:
-        return _piecewise_extrema(self.eval_a, self.us, self._a_nodes, lo, hi)
+        # the rule takes the min from the row [lo, hi] and the max from [hi, lo]
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        ext = self.entropic(np.stack([np.stack([lo, hi], axis=-1), np.stack([hi, lo], axis=-1)]))
+        return VelocityExtrema(ext[0, ..., 0], ext[1, ..., 0])
 
 
 def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxModel:

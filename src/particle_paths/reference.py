@@ -13,7 +13,6 @@ into a tabulated one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -21,7 +20,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .field import PiecewiseConstantFn
-from .flux import FluxModel, TabulatedOracle, _piecewise_extrema, _RangeExtrema, entropic_extremum
+from .flux import FluxModel, TabulatedOracle, _RangeExtrema, entropic_row
 from .initial import InitialData, PiecewiseAffineFn, cell_average
 
 __all__ = [
@@ -118,13 +117,16 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
     f'(u) = 2 a(u) - a(0), so converging characteristics give one shock at
     the Rankine-Hugoniot speed and diverging ones a fan linear in x/t.  A
     flux whose a is not affine between the states raises ``ValueError``:
-    sample it into ``builtin_flux("tabulated")``.
+    sample it into ``builtin_flux("tabulated")``.  So does a state that is
+    not finite and nonnegative, and an ``x0`` that is not finite.
     """
     u_l = float(u_l)
     u_r = float(u_r)
     x0 = float(x0)
     if not (0.0 <= u_l < math.inf and 0.0 <= u_r < math.inf):
         raise ValueError("states must be finite and nonnegative")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
     if u_l == u_r:
         return _fronts(x0, (), (u_l,), f"constant {u_l}")
     if isinstance(model.extremum_oracle, TabulatedOracle):
@@ -188,12 +190,13 @@ def godunov_reference(
     exact cell averages of u0, zero outside the hint.  Boundary cells copy
     their edge values, which is exact as long as the data is constant near
     the window edges.  The time step is dt = 0.9 dx / lip_f.  The interface
-    flux is the particles' min/max rule, ``flux.entropic_extremum``, on f,
-    searched over the ends and the nodes between which f is monotone: a
-    table's ``us``, exact for any table, or else the one point where a
-    scan on [0, sup u0] finds f turning; an f not monotone, convex or
-    concave there raises ``ValueError``, as do a ``T`` that is not finite
-    and nonnegative and a ``lip_f`` that is not finite.
+    flux is the particles' min/max rule on f, ``flux.entropic_row`` over
+    the padded row of cells, searched over the two cells and the nodes
+    between which f is monotone: a table's ``us``, exact for any table, or
+    else the one point where a scan on [0, sup u0] finds f turning.  f is
+    called once for the nodes' values and then once per step.  An f not
+    monotone, convex or concave there raises ``ValueError``, as do a ``T``
+    that is not finite and nonnegative and a ``lip_f`` that is not finite.
     """
     if cells < 2:
         raise ValueError("need at least two cells")
@@ -216,13 +219,13 @@ def godunov_reference(
         values = np.asarray(model.eval_f(nodes), dtype=float)
     else:
         nodes, values = _classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
-    f_extrema = functools.partial(_piecewise_extrema, model.eval_f, nodes, _RangeExtrema(values))
+    table = _RangeExtrema(values)
 
     t = 0.0
     while t < T - 1e-15 * max(1.0, T):
         h = min(dt, T - t)
         padded = np.concatenate([[u[0]], u, [u[-1]]])
-        flux = entropic_extremum(f_extrema, padded[:-1], padded[1:])
+        flux = entropic_row(model.eval_f, nodes, table, padded)
         u = u - (h / dx) * (flux[1:] - flux[:-1])
         t += h
     return PiecewiseConstantFn(edges, u)

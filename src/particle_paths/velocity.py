@@ -16,9 +16,13 @@ with vacuum (density 0) on both sides.  It has two paths:
   min, max or choice between branches, and the vacuum end takes the
   oracle's a(0).  These are the two-sided rule's bits on every density in
   range, since the oracle's extrema are a's values at the ends;
-* any other oracle (tabulated, custom) takes the two-sided rule that
-  Godunov's interface flux applies to f, ``flux.entropic_extremum``: one
-  oracle call on every padded interval, then the minimum or the maximum.
+* a ``TabulatedOracle`` takes the two-sided rule through the kernel that
+  Godunov's interface flux runs over f, ``flux.entropic_row``: a is
+  evaluated once on the padded row and the table's nodes searched once
+  per cell, then the minimum or the maximum, with the nodes strictly
+  between two cells read only where there are any;
+* any other oracle (custom) takes the same rule as
+  ``flux.entropic_extremum``: one oracle call on every padded interval.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
     same bits as a call on the row alone, since the kernel and the flux
     oracles work elementwise.  Column 1 of an (n, 2) block of pairs is the
     velocity of the particle between each pair; any oracle but a
-    ``MonotoneOracle`` takes ``flux.entropic_extremum``, Godunov's rule
-    too.  Raises ValueError when a density is negative or above the
-    model's working interval.
+    ``MonotoneOracle`` takes the two-sided rule, Godunov's too.  Raises
+    ValueError when a density is negative or above the model's working
+    interval.
     """
     dens = state.densities
     check_density_intervals(model, dens, dens)
@@ -64,6 +68,8 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
         return vel
     padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
     padded[..., 1:-1] = dens
+    if isinstance(oracle, TabulatedOracle):
+        return oracle.entropic(padded)
     return entropic_extremum(oracle, padded[..., :-1], padded[..., 1:])
 
 

@@ -5,17 +5,18 @@ is the two cells around one particle (``conftest.pair_velocities``).
 """
 
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
 from particle_paths import ParticleState, builtin_flux, velocity_extrema
 from particle_paths.dynamics import SnapshotBlock
-from particle_paths.flux import FluxModel, MonotoneOracle, _piecewise_extrema, _RangeExtrema
+from particle_paths.flux import FluxModel, MonotoneOracle, _RangeExtrema, entropic_extremum, entropic_row
 
 from conftest import cubic_flux_model, pair_velocities
 from dynamics_reference import particle_velocity, two_sided_velocities
@@ -118,13 +119,123 @@ def test_kernel_exact_on_random_tabulated_flux(table, fracs):
     f_nodes = _RangeExtrema(np.asarray(model.eval_f(us), dtype=float))
     for (v_l, v_r), v in zip(pairs, got):
         assert v == pytest.approx(dense_velocity(model, v_l, v_r, us), abs=ANALYTIC_TOL)
-        # the Godunov interface flux runs the same node search over f
+        # the Godunov interface flux runs the same kernel over f: its min
+        # from the row [lo, hi], its max from [hi, lo]
         lo, hi = min(v_l, v_r), max(v_l, v_r)
-        ext = _piecewise_extrema(model.eval_f, us, f_nodes, lo, hi)
+        f_min, f_max = entropic_row(model.eval_f, us, f_nodes, [[lo, hi], [hi, lo]])[:, 0]
         grid = np.union1d(np.linspace(lo, hi, 2001), us[(us > lo) & (us < hi)])
         f_vals = np.asarray(model.eval_f(grid))
-        assert float(ext.min_value) == pytest.approx(f_vals.min(), abs=ANALYTIC_TOL)
-        assert float(ext.max_value) == pytest.approx(f_vals.max(), abs=ANALYTIC_TOL)
+        assert float(f_min) == pytest.approx(f_vals.min(), abs=ANALYTIC_TOL)
+        assert float(f_max) == pytest.approx(f_vals.max(), abs=ANALYTIC_TOL)
+
+
+def interval_extrema(g, nodes, table, lo, hi):
+    """The node search one interval at a time: g at both ends, stacked into
+    one call, and the nodes strictly inside from two searches."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    g_lo, g_hi = np.asarray(g(np.stack([lo, hi])), dtype=float)
+    i0 = np.searchsorted(nodes, lo, side="right")  # first node > lo
+    i1 = np.searchsorted(nodes, hi, side="left") - 1  # last node < hi
+    inner = i0 <= i1
+    node_min, node_max = table.query(np.where(inner, i0, 0), np.where(inner, i1, 0))
+    end_min = np.minimum(g_hi, g_lo)
+    end_max = np.maximum(g_hi, g_lo)
+    return pp.VelocityExtrema(
+        np.where(inner, np.minimum(node_min, end_min), end_min),
+        np.where(inner, np.maximum(node_max, end_max), end_max),
+    )
+
+
+@st.composite
+def node_rows(draw):
+    """Nodes, g monotone between them, and a row or row block of entries.
+
+    g is a table through the nodes (flat beyond them), with values tied
+    often and signed zeros among them; a line through the origin, which
+    keeps the sign of a zero; or, for one node, Godunov's turning point,
+    a parabola.  The entries come from a small pool, so equal neighbours
+    are common, with the nodes themselves, points below the first node and
+    above the last, both zeros and NaN.
+    """
+    nodes = np.unique(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+    value = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0]))
+    values = np.asarray(draw(st.lists(value, min_size=nodes.size, max_size=nodes.size)))
+    kind = draw(st.sampled_from(["table", "line"] + (["turn"] if nodes.size == 1 else [])))
+    if kind == "line":
+        slope = draw(st.sampled_from([1.0, -0.5]))
+        g = lambda u: slope * np.asarray(u, dtype=float)
+    elif kind == "turn":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        g = lambda u: values[0] + sign * (np.asarray(u, dtype=float) - nodes[0]) ** 2
+    else:
+        g = lambda u: np.interp(np.asarray(u, dtype=float), nodes, values)
+    extra = [0.0, -0.0, np.nan, nodes[0] - 0.25, nodes[-1] + 0.25]
+    pool = draw(st.lists(st.one_of(st.sampled_from([*nodes, *extra]), st.floats(-0.5, 1.5)), min_size=1, max_size=6))
+    rows = draw(st.integers(0, 3))
+    size = draw(st.integers(1, 12))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=max(rows, 1) * size, max_size=max(rows, 1) * size))
+    row = np.asarray(picks).reshape((rows, size) if rows else (size,))
+    return g, nodes, np.asarray(g(nodes), dtype=float), row
+
+
+def line_case(row):
+    nodes = np.array([0.0, 0.5])
+    return lambda u: -0.5 * np.asarray(u, dtype=float), nodes, -0.5 * nodes, np.asarray(row)
+
+
+def signed_zero_table(row):
+    nodes, values = np.array([0.25, 0.5, 0.75]), np.array([0.0, -0.0, 0.0])
+    return lambda u: np.interp(np.asarray(u, dtype=float), nodes, values), nodes, values, np.asarray(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=node_rows())
+# a tie between signed zeros takes g of the right entry; a node value that
+# ties with an end value keeps the argument order of the interval search
+@example(case=line_case([0.0, -0.0, -0.0, 0.0, 0.5, np.nan, 0.2, 0.2]))
+@example(case=signed_zero_table([0.25, 0.5, 0.75, 0.5, 0.25, 1.0, -0.0, 0.5]))
+@example(case=signed_zero_table([[0.0, 1.0, 0.25, 0.75], [0.75, 0.25, 1.0, 0.0]]))
+def test_entropic_row_equals_the_interval_rule_bytewise(case):
+    # one search per entry gives the bits of two searches per interval,
+    # signed zeros and NaN included
+    g, nodes, values, row = case
+    table = _RangeExtrema(values)
+    want = entropic_extremum(functools.partial(interval_extrema, g, nodes, table), row[..., :-1], row[..., 1:])
+    got = entropic_row(g, nodes, table, row)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=nonconvex_tables(), data=st.data())
+def test_tabulated_oracle_equals_the_interval_search_bytewise(table, data):
+    # the oracle's min comes from the row [lo, hi] and its max from [hi, lo]
+    us, fs = table
+    oracle = builtin_flux("tabulated", us=us, fs=fs).extremum_oracle
+    frac = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    pick = st.one_of(frac.map(lambda x: x * us[-1]), st.sampled_from(us.tolist()))
+    ends = np.sort(np.asarray(data.draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=30))), axis=1)
+    lo, hi = ends[:, 0], ends[:, 1]
+    got = oracle(lo, hi)
+    want = interval_extrema(oracle.eval_a, us, oracle._a_nodes, lo, hi)
+    assert np.asarray(got.min_value).tobytes() == want.min_value.tobytes()
+    assert np.asarray(got.max_value).tobytes() == want.max_value.tobytes()
+
+
+def test_tabulated_velocities_evaluate_a_once_per_call(monkeypatch):
+    # one call of a, on the padded row block: the interval search asked
+    # for a at both ends of every interface
+    us = np.linspace(0.0, 1.0, 17)
+    model = builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    oracle = model.extremum_oracle
+    calls = []
+    eval_a = oracle.eval_a
+    monkeypatch.setattr(oracle, "eval_a", lambda u: calls.append(np.shape(u)) or eval_a(u))
+    dens = np.stack([np.linspace(0.0, 1.0, 11), us[3:14], np.full(11, 0.5)])
+    vel = pp.particle_velocities(model, cells(dens))
+    assert calls == [(3, 13)]
+    assert vel.tobytes() == two_sided_velocities(model, cells(dens)).tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -84,6 +84,20 @@ def test_riemann_refuses_a_state_that_is_not_finite(kind, u_l, u_r):
         riemann_solution(m, u_l, u_r)
 
 
+@pytest.mark.parametrize("kind", ["burgers", "tabulated"])
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_riemann_refuses_a_jump_position_that_is_not_finite(kind, x0):
+    # unchecked, a NaN x0 gives a fan whose breakpoints are NaN, and the L1
+    # error against it reads NaN without an error
+    if kind == "burgers":
+        m = pp.builtin_flux("burgers", u_high=1.0)
+    else:
+        us = np.linspace(0.0, 1.0, 65)
+        m = pp.builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        riemann_solution(m, 0.2, 0.5, x0=x0)
+
+
 def test_riemann_rejects_a_state_beyond_the_flux_table():
     # np.interp would extend f flat past the last node and give a wrong front
     m = pp.builtin_flux("tabulated", us=[0.0, 1.0], fs=[0.0, 1.0])
@@ -221,6 +235,29 @@ def test_godunov_takes_a_table_flux_from_its_nodes(monkeypatch):
     # one step of h / dx = 0.5 on two cells, which share the interface
     f_l, f_r = float(m.eval_f(0.7)), float(m.eval_f(0.3))
     assert g.values.tolist() == [0.7 - 0.5 * (0.25 - f_l), 0.3 - 0.5 * (f_r - 0.25)]
+
+
+def test_godunov_calls_a_table_flux_once_for_its_nodes_then_once_per_step():
+    # the nodes' values before the loop, then one call per step on the
+    # padded row of cells, never on the interfaces' two ends
+    us = np.linspace(0.0, 1.0, 65)
+    base = pp.builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    calls = []
+
+    def counting(u):
+        calls.append(np.shape(u))
+        return base.eval_f(u)
+
+    m = dataclasses.replace(base, eval_f=counting)
+    data = pp.box_data(0.8, 0.0, 1.0)
+    g = godunov_reference(m, data, 100, 0.5)
+    assert g.values.tobytes() == godunov_reference(base, data, 100, 0.5).values.tobytes()
+    dx = (g.breakpoints[-1] - g.breakpoints[0]) / 100
+    dt, t, steps = 0.9 * dx / base.lip_f, 0.0, 0
+    while t < 0.5 - 1e-15:
+        t += min(dt, 0.5 - t)
+        steps += 1
+    assert calls == [us.shape] + [(102,)] * steps
 
 
 def test_godunov_rejects_a_flux_it_would_have_to_scan():

@@ -34,8 +34,9 @@ def flux_model(kind, top):
     return pp.builtin_flux(kind, u_high=top)
 
 
-def boxes(heights, widths, gaps):
-    """Boxes of the given heights and widths separated by vacuum gaps."""
+def boxes(heights, widths, gaps, offset=0.0, scale=1.0):
+    """Boxes of the given heights and widths separated by vacuum gaps,
+    the breakpoints stretched by ``scale`` and moved by ``offset``."""
     bp, vals = [0.0], []
     for i, h in enumerate(heights):
         bp.append(bp[-1] + widths[i])
@@ -43,7 +44,7 @@ def boxes(heights, widths, gaps):
         if i < len(gaps):
             bp.append(bp[-1] + gaps[i])
             vals.append(0.0)
-    return pp.piecewise_constant_data(bp, vals)
+    return pp.piecewise_constant_data(offset + scale * np.array(bp), vals)
 
 
 def run_both(kind, data, positions, T, dt_ratio, **kw):
@@ -162,6 +163,23 @@ def test_vacuum_collisions_equal_reference(kind, every_step):
     new, ref = run_both(kind, data, pos, 0.6, 0.2, snapshot_count=9, every_step=every_step)
     assert len(new.events) >= 2
     assert_same_run(new, ref)
+
+
+@pytest.mark.parametrize("offset, scale", [(1e6, 1.0), (1e12, 1e3)])
+@pytest.mark.parametrize("kind", FLUXES)
+def test_vacuum_collisions_far_from_the_origin(kind, offset, scale):
+    # a closing vacuum cell falls below the float spacing at the offset
+    # (1.2e-10 at 1e6) long before 1e-9 of the median width (4e-11 there):
+    # the threshold's floor of 160 position ulps sweeps it first, and the
+    # run sweeps as often as the same boxes at the origin do
+    near = boxes([0.8, 0.5, 0.7], [0.5, 0.4, 0.3], [0.2, 0.15])
+    data = boxes([0.8, 0.5, 0.7], [0.5, 0.4, 0.3], [0.2, 0.15], offset, scale)
+    at_origin, _ = run_both(kind, near, np.linspace(*near.support_hint, 41), 0.6, 0.2, snapshot_count=9)
+    new, ref = run_both(kind, data, np.linspace(*data.support_hint, 41), 0.6 * scale, 0.2, snapshot_count=9)
+    assert_same_run(new, ref)
+    assert len(new.events) == len(at_origin.events) >= 2
+    assert pp.invariant_audit(new).passed
+    assert new.config["eps_coll"] == 160.0 * math.ulp(data.support_hint[1])
 
 
 def test_paper_profile_equals_reference(burgers3):
