@@ -55,17 +55,22 @@ DT_MAX_RATIO = 0.2
 # stability bounds
 
 
+def _check_nonnegative(**inputs) -> None:
+    """Raise ValueError naming the first input that is negative or NaN."""
+    for name, value in inputs.items():
+        if not value >= 0:
+            raise ValueError(f"bound inputs must be nonnegative, got {name}={value!r}")
+
+
 def stability_error_bound(initial_gap: float, tv_u0: float, residual: float) -> float:
     """Right side of the L1 stability estimate (monotone in the residual)."""
-    if min(initial_gap, tv_u0, residual) < 0:
-        raise ValueError("bound inputs must be nonnegative")
+    _check_nonnegative(initial_gap=initial_gap, tv_u0=tv_u0, residual=residual)
     return initial_gap + 2.0 * math.sqrt(2.0 * tv_u0 * residual)
 
 
 def explicit_rate_bound(tv_u0: float, sup_u0: float, lip_fprime: float, dx_star: float, T: float) -> float:
     """Explicit order-1/2 error bound under a maximal initial spacing."""
-    if min(tv_u0, sup_u0, lip_fprime, dx_star, T) < 0:
-        raise ValueError("bound inputs must be nonnegative")
+    _check_nonnegative(tv_u0=tv_u0, sup_u0=sup_u0, lip_fprime=lip_fprime, dx_star=dx_star, T=T)
     return tv_u0 * (dx_star + 2.0 * math.sqrt(T * lip_fprime * sup_u0 * dx_star))
 
 

@@ -227,6 +227,37 @@ def _surely_ordered(x0: float, widths: np.ndarray, w_min: float) -> bool:
     return math.isfinite(bound) and w_min > 4.0 * math.ulp(bound)
 
 
+def _advance(
+    x0: float, widths: np.ndarray, masses: np.ndarray, m_max: float, vel: np.ndarray, dt: float, record: bool, eps_coll: float
+) -> Tuple[float, np.ndarray, np.ndarray, float, Optional[np.ndarray]]:
+    """One forward Euler step of the left end and the widths, checked, with its arguments untouched.
+
+    Returns the new left end, widths, densities, narrowest width, and the
+    positions: built and checked one by one when ``record`` is set, the
+    step reaches ``eps_coll`` (a sweep records it) or the ordering
+    certificate fails, and None otherwise.  Raises ``ValueError`` on
+    positions out of order or a value that is not finite.
+    """
+    # bit for bit widths + dt * (vel[1:] - vel[:-1])
+    new_widths = widths - dt * (vel[:-1] - vel[1:])
+    new_x0 = 0.0 + (x0 + dt * vel.item(0))
+    w_min = float(np.minimum.reduce(new_widths))
+    pos = None
+    if record or w_min <= eps_coll or not _surely_ordered(new_x0, new_widths, w_min):
+        pos = _positions(new_x0, new_widths)
+        # also catches a non-positive width: adding it cannot raise the sum
+        if (pos[1:] <= pos[:-1]).any():
+            raise ValueError(f"particle ordering violated after dt={dt:.3e}; step cap failed")
+    densities = masses / new_widths
+    # a running sum is finite at its end only if every term is, and an
+    # overflowed position before a finite end breaks the increase above.
+    # A finite, increasing run has w_min > 0, and correctly rounded
+    # division is monotone, so a finite m_max / w_min bounds every density
+    if not ((pos is None or math.isfinite(pos[-1])) and (math.isfinite(m_max / w_min) or np.isfinite(densities).all())):
+        raise ValueError("non-finite state encountered")
+    return new_x0, new_widths, densities, w_min, pos
+
+
 def default_eps_coll(state: ParticleState) -> float:
     """The collision threshold: 1e-9 of the median width, or more far from the origin.
 
@@ -359,7 +390,8 @@ def simulate(
     if config:
         run_config.update(config)
 
-    targets = np.linspace(state0.time, T, snapshot_count)
+    # an every_step run lands only on T, and records after every step
+    targets = np.linspace(state0.time, T, 2 if every_step else snapshot_count).tolist()
     snaps: List[ParticleState] = [state0]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
@@ -391,22 +423,16 @@ def simulate(
     # non-finite one, so numpy need not warn as it forms them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while t < T:
-            target = T if every_step else float(targets[k])
             vel = particle_velocities(model, _Cells(densities, widths.size + 1))
             if not np.isfinite(vel).all():
                 raise SimulationError("non-finite particle velocity", current())
-            closing = vel[:-1] - vel[1:]
-            caps = (dt_max, *_timestep_cap(widths, masses, rho_star, closing, theta))
+            caps = (dt_max, *_timestep_cap(widths, masses, rho_star, vel[:-1] - vel[1:], theta))
             dt = min(caps)
-            remaining = target - t
-            landed = dt >= remaining * (1.0 - 1e-12)
+            target = targets[k]
+            landed = dt >= (target - t) * (1.0 - 1e-12)
+            limited[landing if landed else caps.index(dt)] += 1
             if landed:
-                dt = remaining
-                t_new = target
-                limited[landing] += 1
-            else:
-                t_new = t + dt
-                limited[caps.index(dt)] += 1
+                dt = target - t
             dts.append(dt)
             if dt <= stall_dt:
                 stall += 1
@@ -414,32 +440,14 @@ def simulate(
                     raise SimulationError("timestep collapsed; system is stuck", current())
             else:
                 stall = 0
-            # Forward Euler on the widths (bit for bit widths + dt * (vel[1:] -
-            # vel[:-1])) and the left end; the loop state moves only once the
-            # checks pass, so an error carries the last valid state
-            new_widths = widths - dt * closing
-            new_x0 = 0.0 + (x0 + dt * vel.item(0))
-            w_min = float(np.minimum.reduce(new_widths))
-            # a step that records builds its positions anyway, so it checks them
-            # one by one; so does a step that fails the ordering certificate
-            new_pos = None
-            if every_step or landed or w_min <= eps_coll or not _surely_ordered(new_x0, new_widths, w_min):
-                new_pos = _positions(new_x0, new_widths)
-                # also catches a non-positive width: adding it cannot raise the sum
-                if (new_pos[1:] <= new_pos[:-1]).any():
-                    raise SimulationError(f"particle ordering violated after dt={dt:.3e}; step cap failed", current())
-            new_densities = masses / new_widths
-            # a running sum is finite at its end only if every term is, and an
-            # overflowed position before a finite end breaks the increase above.
-            # A finite, increasing run has w_min > 0, and correctly rounded
-            # division is monotone, so a finite m_max / w_min bounds every density
-            if not (
-                (new_pos is None or math.isfinite(new_pos[-1]))
-                and (math.isfinite(m_max / w_min) or np.isfinite(new_densities).all())
-            ):
-                raise SimulationError("non-finite state encountered", current())
-            t, x0, pos, widths, densities = t_new, new_x0, new_pos, new_widths, new_densities
-
+            record = every_step or landed
+            # the loop state moves only once the step's checks pass, so an
+            # error carries the last valid state
+            try:
+                x0, widths, densities, w_min, pos = _advance(x0, widths, masses, m_max, vel, dt, record, eps_coll)
+            except ValueError as err:
+                raise SimulationError(str(err), current()) from None
+            t = target if landed else t + dt
             min_width = min(min_width, w_min)
             if w_min <= eps_coll:
                 # resolve_collisions tests these widths against eps_coll too, so
@@ -452,7 +460,7 @@ def simulate(
                 snaps += (pre, post)
                 pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
                 x0, m_max = float(pos[0]), float(np.maximum.reduce(masses))
-            elif every_step or landed:
+            elif record:
                 snaps.append(current())
             if landed:
                 k += 1

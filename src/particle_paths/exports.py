@@ -66,10 +66,17 @@ def _reprs(values) -> list:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+def _plain(obj):
+    """An array or numpy scalar as its Python values, a dataclass as the dict of its fields."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return dataclasses.asdict(obj)
+
+
 def write_json(obj, path) -> None:
     """Write ``obj`` as JSON: two-space indent, sorted keys, each dataclass
-    as the dict of its fields."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, default=dataclasses.asdict))
+    as the dict of its fields and each array as a list."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, default=_plain))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -83,22 +90,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def write_events_json(traj: Trajectory, path) -> None:
-    payload = {
-        "fingerprint": traj.fingerprint,
-        "config": traj.config,
-        "events": [
-            {
-                "time": ev.time,
-                "deleted_particles": [int(j) for j in ev.deleted_particles],
-                "deleted_cells": [int(j) for j in ev.deleted_cells],
-                "survivor_map": [int(j) for j in ev.survivor_map],
-                "discarded_mass": ev.discarded_mass,
-                "pre_particle_count": ev.pre_particle_count,
-            }
-            for ev in traj.events
-        ],
-    }
-    write_json(payload, path)
+    write_json({"fingerprint": traj.fingerprint, "config": traj.config, "events": traj.events}, path)
 
 
 def write_function_csv(fn, path, lo: float, hi: float, n: int = 512) -> None:

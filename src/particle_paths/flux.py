@@ -102,8 +102,8 @@ def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:
     """
     lo = float(lo)
     hi = float(hi)
-    if lo > hi:
-        raise ValueError(f"inverted density interval [{lo}, {hi}]")
+    if not lo <= hi:
+        raise ValueError(f"density interval [{lo}, {hi}] is inverted or NaN")
     check_density_intervals(model, lo, hi)
     return VelocityExtrema(*map(float, model.extremum_oracle(lo, hi)))
 

@@ -316,6 +316,8 @@ def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.
     ``mass_equidistributed`` puts equal mass between consecutive particles
     by inverting the cumulative mass, exactly on each affine piece of u0.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least two particles, got n={n}")
     lo, hi = data.support_hint

@@ -195,9 +195,12 @@ def godunov_reference(
     between which f is monotone: a table's ``us``, exact for any table, or
     else the one point where a scan on [0, sup u0] finds f turning.  f is
     called once for the nodes' values and then once per step.  An f not
-    monotone, convex or concave there raises ``ValueError``, as do a ``T``
-    that is not finite and nonnegative and a ``lip_f`` that is not finite.
+    monotone, convex or concave there raises ``ValueError``, as do a
+    ``cells`` that is not an integer of at least 2, a ``T`` that is not
+    finite and nonnegative and a ``lip_f`` that is not finite.
     """
+    if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
+        raise ValueError(f"cells must be an integer, got {cells!r}")
     if cells < 2:
         raise ValueError("need at least two cells")
     if not (math.isfinite(T) and T >= 0.0):

@@ -7,7 +7,7 @@ agree at v_l = v_r, where the value is a(v_l).
 
 ``particle_velocities`` applies the rule to every particle of a state, of
 a row block of snapshots, or of an (n, 2) array of pairs, each row padded
-with vacuum (density 0) on both sides.  It has two paths:
+with vacuum (density 0) on both sides.  It has three paths:
 
 * a ``MonotoneOracle`` (burgers, lwr) takes one end of the interval:
   a(v_l) for increasing a (burgers), and a(v_r) for decreasing a (lwr),

@@ -55,6 +55,14 @@ REFUSALS = [
      "states must be finite and nonnegative"),
     ("godunov_one_cell", lambda: pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 1, 0.1),
      "at least two cells"),
+    # NaN fails the range guards, and a count must be an integer
+    ("stability_bound_nan", lambda: pp.stability_error_bound(np.nan, 1.0, 1.0), "nonnegative, got initial_gap=nan"),
+    ("rate_bound_nan", lambda: pp.explicit_rate_bound(1.0, 1.0, 1.0, np.nan, 1.0), "nonnegative, got dx_star=nan"),
+    ("velocity_extrema_nan", lambda: pp.velocity_extrema(pp.builtin_flux("burgers"), np.nan, 0.5),
+     r"density interval \[nan, 0.5\]"),
+    ("place_particles_float_n", lambda: pp.place_particles(pp.box_data(1.0, 0.0, 1.0), 11.0), "n must be an integer"),
+    ("godunov_float_cells", lambda: pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 100.0, 0.1),
+     "cells must be an integer"),
 ]
 
 

@@ -190,6 +190,45 @@ def test_paper_profile_equals_reference(burgers3):
     assert_same_run(new, ref)
 
 
+@st.composite
+def cell_states(draw):
+    """3 to 11 cells at a random left end: about 15% vacuum, 20% slivers
+    1e-3 wide, the rest up to 0.5 wide, densities in [0.05, 0.95]."""
+    widths, densities = [], []
+    for kind in draw(st.lists(st.integers(0, 19), min_size=3, max_size=11)):
+        widths.append(1e-3 if 3 <= kind < 7 else draw(st.floats(0.05, 0.5)))
+        densities.append(0.0 if kind < 3 else draw(st.floats(0.05, 0.95)))
+    x0 = draw(st.floats(-1.0, 1.0))
+    return ParticleState.from_cells(x0 + np.concatenate(([0.0], np.cumsum(widths))), densities)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(FLUXES), state=cell_states(), theta=st.sampled_from([0.1, 0.5]), record=st.booleans())
+def test_one_step_at_the_cap_keeps_the_state_valid(kind, state, theta, record):
+    # one step at the caps, with dt_max = 1 where none binds: widths stay
+    # positive, no density rises above the state's maximum, the arguments
+    # are untouched and the step has the reference's bits.  TV(rho) is not
+    # asserted: at these caps it can rise on a step (ROADMAP item 1)
+    model = flux_model(kind, 1.0)
+    rho_star = float(np.max(state.densities)) * (1.0 + dynamics.DENSITY_HEADROOM)
+    vel = dynamics.particle_velocities(model, state)
+    before = [a.tobytes() for a in (state.widths, state.masses, vel)]
+    dt = min(1.0, *dynamics._timestep_cap(state.widths, state.masses, rho_star, vel[:-1] - vel[1:], theta))
+    x0, widths, densities, w_min, pos = dynamics._advance(
+        float(state.positions[0]), state.widths, state.masses, float(np.max(state.masses)), vel, dt, record,
+        dynamics.default_eps_coll(state),
+    )
+    assert w_min == widths.min() > 0.0
+    assert densities.max() <= np.max(state.densities) * (1.0 + 1e-12)
+    assert [a.tobytes() for a in (state.widths, state.masses, vel)] == before
+    ref = dynamics_reference._advance(state, vel, dt, state.time + dt)
+    assert np.float64(x0).tobytes() == ref.positions[:1].tobytes()
+    assert widths.tobytes() == ref.widths.tobytes()
+    assert densities.tobytes() == ref.densities.tobytes()
+    if record:
+        assert pos.tobytes() == ref.positions.tobytes()
+
+
 def count_builds(monkeypatch):
     """Count the position builds of ``simulate`` from now on."""
     calls = []
