@@ -3,11 +3,13 @@
 One JSON config file describes an experiment; flags only override
 top-level fields.  Modes:
 
-* ``simulate``    run once, write trajectory.csv / events.json / stats.json /
-                  summary.txt; needs ``placement.n`` and ``integrator.dt_max``
+* ``simulate``    run once, write trajectory.npy / trajectory.csv / events.json /
+                  stats.json / summary.txt; needs ``placement.n`` and
+                  ``integrator.dt_max``
 * ``convergence`` run a particle-count family, write rate.csv / rate.json;
                   needs ``placement.n_list``
-* ``audit``       re-check invariants on a previously written output dir
+* ``audit``       re-check invariants on a previously written output dir, read
+                  from its trajectory.npy and events.json
 * ``ftl-check``   report the deviation from the follow-the-leader rule on
                   ``FTL_PAIRS`` seeded pairs, against ``FTL_TOL``
 
@@ -154,8 +156,12 @@ def _check_scalars(cfg: ExperimentConfig) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.mode not in _MODES:
+    if not (isinstance(cfg.mode, str) and cfg.mode in _MODES):
         raise ConfigError("mode", f"must be one of {tuple(_MODES)}, got {cfg.mode!r}")
+    if not isinstance(cfg.out, str):
+        raise ConfigError("out", f"must be a path string, got {cfg.out!r}")
+    if not (cfg.input is None or isinstance(cfg.input, str)):
+        raise ConfigError("input", f"must be a path string or null, got {cfg.input!r}")
     for key in ("flux", "initial_data"):
         record = getattr(cfg, key)
         if not isinstance(record, dict) or "kind" not in record:
@@ -284,6 +290,7 @@ def _mode_simulate(cfg: ExperimentConfig, data: InitialData, model: FluxModel, o
     audit = invariant_audit(traj)
     out.mkdir(parents=True, exist_ok=True)
     exports.write_trajectory_csv(traj, out / "trajectory.csv")
+    exports.write_trajectory_npy(traj, out / "trajectory.npy")
     exports.write_events_json(traj, out / "events.json")
     exports.write_json(traj.stats, out / "stats.json")
     mass0 = traj.snapshots[0].total_mass

@@ -228,18 +228,20 @@ def _surely_ordered(x0: float, widths: np.ndarray, w_min: float) -> bool:
 
 
 def _advance(
-    x0: float, widths: np.ndarray, masses: np.ndarray, m_max: float, vel: np.ndarray, dt: float, record: bool, eps_coll: float
+    x0: float, widths: np.ndarray, masses: np.ndarray, m_max: float, vel: np.ndarray, closing: np.ndarray,
+    dt: float, record: bool, eps_coll: float,
 ) -> Tuple[float, np.ndarray, np.ndarray, float, Optional[np.ndarray]]:
     """One forward Euler step of the left end and the widths, checked, with its arguments untouched.
 
-    Returns the new left end, widths, densities, narrowest width, and the
-    positions: built and checked one by one when ``record`` is set, the
-    step reaches ``eps_coll`` (a sweep records it) or the ordering
-    certificate fails, and None otherwise.  Raises ``ValueError`` on
-    positions out of order or a value that is not finite.
+    ``closing`` is ``vel[:-1] - vel[1:]``, the rates the caps were taken
+    from.  Returns the new left end, widths, densities, narrowest width,
+    and the positions: built and checked one by one when ``record`` is
+    set, the step reaches ``eps_coll`` (a sweep records it) or the
+    ordering certificate fails, and None otherwise.  Raises ``ValueError``
+    on positions out of order or a value that is not finite.
     """
     # bit for bit widths + dt * (vel[1:] - vel[:-1])
-    new_widths = widths - dt * (vel[:-1] - vel[1:])
+    new_widths = widths - dt * closing
     new_x0 = 0.0 + (x0 + dt * vel.item(0))
     w_min = float(np.minimum.reduce(new_widths))
     pos = None
@@ -426,7 +428,8 @@ def simulate(
             vel = particle_velocities(model, _Cells(densities, widths.size + 1))
             if not np.isfinite(vel).all():
                 raise SimulationError("non-finite particle velocity", current())
-            caps = (dt_max, *_timestep_cap(widths, masses, rho_star, vel[:-1] - vel[1:], theta))
+            closing = vel[:-1] - vel[1:]
+            caps = (dt_max, *_timestep_cap(widths, masses, rho_star, closing, theta))
             dt = min(caps)
             target = targets[k]
             landed = dt >= (target - t) * (1.0 - 1e-12)
@@ -444,7 +447,7 @@ def simulate(
             # the loop state moves only once the step's checks pass, so an
             # error carries the last valid state
             try:
-                x0, widths, densities, w_min, pos = _advance(x0, widths, masses, m_max, vel, dt, record, eps_coll)
+                x0, widths, densities, w_min, pos = _advance(x0, widths, masses, m_max, vel, closing, dt, record, eps_coll)
             except ValueError as err:
                 raise SimulationError(str(err), current()) from None
             t = target if landed else t + dt

@@ -50,6 +50,7 @@ def test_simulate_writes_outputs(tmp_path):
     assert run_cli([str(path)]) == 0
     out = tmp_path / "out"
     assert (out / "trajectory.csv").exists()
+    assert (out / "trajectory.npy").exists()
     assert (out / "events.json").exists()
     summary = (out / "summary.txt").read_text()
     assert "mass drift: 0.000e+00" in summary
@@ -64,7 +65,8 @@ def test_simulate_deterministic_bytes(tmp_path):
     path = base_config(tmp_path)
     assert run_cli([str(path), "--out", str(tmp_path / "a")]) == 0
     assert run_cli([str(path), "--out", str(tmp_path / "b")]) == 0
-    for name in ("trajectory.csv", "events.json"):
+    # no digest of trajectory.npy is pinned: its header follows the numpy version
+    for name in ("trajectory.csv", "trajectory.npy", "events.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -77,12 +79,10 @@ def test_audit_roundtrip(tmp_path):
 def test_audit_flags_tampered_file(tmp_path):
     path = base_config(tmp_path)
     assert run_cli([str(path)]) == 0
-    csv_path = tmp_path / "out" / "trajectory.csv"
-    lines = csv_path.read_text().splitlines()
-    cols = lines[40].split(",")
-    cols[-1] = repr(float(cols[-1]) * 10)  # density punched above the maximum
-    lines[40] = ",".join(cols)
-    csv_path.write_text("\n".join(lines) + "\n")
+    npy_path = tmp_path / "out" / "trajectory.npy"
+    table = np.load(npy_path)
+    table[39, 4] *= 10  # density punched above the maximum
+    np.save(npy_path, table)
     assert run_cli([str(path), "--mode", "audit", "--set", f"input={tmp_path / 'out'}"]) == 3
 
 

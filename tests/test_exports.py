@@ -1,26 +1,24 @@
-"""Trajectory CSV writer and loader against the row-at-a-time references.
+"""Trajectory writers and loader.
 
-The references below are the csv-module row loops the exporters used
-before they worked one snapshot at a time; the per-snapshot code must
-give the same bytes and the same arrays.  Malformed inputs must raise
-``ValueError`` and make audit mode exit 2, as must malformed config
-values.  The invariant audit takes each cell's creation data from the
-first snapshot and the event log, so it must judge a loaded run as it
-judges the live one.
+``write_trajectory_csv`` and ``write_trajectory_npy`` must give the bytes
+of the csv-module row loop and of ``np.save`` on the stacked rows below.
+``load_trajectory_dir`` reads ``trajectory.npy`` and ``events.json``, so
+a loaded run must equal the live run bit for bit and audit as it does.
+Malformed inputs must raise ``ValueError`` and make audit mode exit 2,
+as must malformed config values.
 """
 
 import csv
 import dataclasses
 import json
 import shutil
-from typing import List, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from particle_paths import cli, exports, invariant_audit, simulate, velocity_extrema
+from particle_paths import cli, exports, fit_loglog_slope, invariant_audit, simulate, velocity_extrema
 from particle_paths.cli import run_cli
 from particle_paths.dynamics import CollisionEvent, Trajectory
 from particle_paths.initial import ParticleState
@@ -40,48 +38,14 @@ def reference_write_trajectory_csv(traj, path):
                 )
 
 
-def reference_load_trajectory_dir(directory, model):
-    rows: List[Tuple[float, int, float, float, float]] = []
-    with (directory / "trajectory.csv").open() as fh:
-        reader = csv.reader(fh)
-        assert next(reader) == ["t", "i", "x_left", "x_right", "v"]
-        for raw in reader:
-            rows.append((float(raw[0]), int(raw[1]), float(raw[2]), float(raw[3]), float(raw[4])))
-    payload = json.loads((directory / "events.json").read_text())
-    events = [
-        CollisionEvent(
-            time=ev["time"],
-            deleted_particles=np.asarray(ev["deleted_particles"], dtype=int),
-            deleted_cells=np.asarray(ev["deleted_cells"], dtype=int),
-            survivor_map=np.asarray(ev["survivor_map"], dtype=int),
-            discarded_mass=ev["discarded_mass"],
-            pre_particle_count=ev["pre_particle_count"],
+def reference_write_trajectory_npy(traj, path):
+    rows = [
+        np.column_stack(
+            [np.full(s.n_cells, s.time), np.arange(s.n_cells), s.positions[:-1], s.positions[1:], s.densities, s.widths, s.masses]
         )
-        for ev in payload["events"]
+        for s in traj.snapshots
     ]
-    groups: List[list] = []
-    for row in rows:
-        if row[1] == 0:
-            groups.append([])
-        groups[-1].append(row)
-    snapshots = []
-    pending = iter(events)
-    for g in groups:
-        t = g[0][0]
-        pos = np.array([r[2] for r in g] + [g[-1][3]])
-        dens = np.array([r[4] for r in g])
-        if not snapshots:
-            masses = dens * np.diff(pos)
-        elif dens.size != masses.size:
-            deleted = set(next(pending).deleted_cells.tolist())
-            masses = np.array([m for i, m in enumerate(masses) if i not in deleted])
-        snapshots.append(ParticleState(positions=pos, densities=dens, masses=masses, time=t))
-    return Trajectory(
-        snapshots=snapshots,
-        events=events,
-        model=model,
-        config=payload.get("config", {}),
-    )
+    np.save(path, np.concatenate(rows), allow_pickle=False)
 
 
 STATE_FIELDS = ("positions", "densities", "masses", "time", "widths")
@@ -147,25 +111,45 @@ def trajectories(draw):
 def test_writer_matches_csv_module_and_roundtrips(tmp_path_factory, traj):
     out = tmp_path_factory.mktemp("traj")
     reference_write_trajectory_csv(traj, out / "reference.csv")
+    reference_write_trajectory_npy(traj, out / "reference.npy")
     exports.write_trajectory_csv(traj, out / "trajectory.csv")
+    exports.write_trajectory_npy(traj, out / "trajectory.npy")
     exports.write_events_json(traj, out / "events.json")
     assert (out / "trajectory.csv").read_bytes() == (out / "reference.csv").read_bytes()
+    assert (out / "trajectory.npy").read_bytes() == (out / "reference.npy").read_bytes()
     assert_same_trajectory(exports.load_trajectory_dir(out, None), traj)
+
+
+def live_run(config, tmp_path, monkeypatch):
+    """Run simulate mode on ``config``; the trajectory it wrote and its directory."""
+    runs = []
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kw: runs.append(simulate(*args, **kw)) or runs[-1])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(runs) == 1
+    return runs[0], tmp_path / "out"
 
 
 @pytest.fixture(scope="module", params=["burgers", "lwr"])
 def golden_run(request, tmp_path_factory):
-    out = tmp_path_factory.mktemp(request.param)
-    config = out / "config.json"
-    config.write_text(json.dumps({"burgers": BURGERS, "lwr": LWR}[request.param]))
-    assert run_cli([str(config), "--out", str(out)]) == 0
-    return out
+    with pytest.MonkeyPatch.context() as mp:
+        return live_run({"burgers": BURGERS, "lwr": LWR}[request.param], tmp_path_factory.mktemp(request.param), mp)
 
 
 def test_loader_matches_row_loader_on_golden_runs(golden_run):
-    loaded = exports.load_trajectory_dir(golden_run, None)
-    assert_same_trajectory(loaded, reference_load_trajectory_dir(golden_run, None))
+    # the loaded run is the live run bit for bit: positions, densities,
+    # widths, masses, times, events and config
+    live, out = golden_run
+    loaded = exports.load_trajectory_dir(out, live.model)
+    assert_same_trajectory(loaded, live)
     assert len(loaded.snapshots) >= 17
+
+
+@pytest.mark.filterwarnings("error")
+def test_rate_csv_of_a_degenerate_fit_writes_nan_without_a_warning(tmp_path):
+    exports.write_rate_csv(fit_loglog_slope([0.1, 0.05, 0.025], [1e-3, 0.0, 0.0]), tmp_path / "rate.csv")
+    assert (tmp_path / "rate.csv").read_bytes() == b"dx,error,slope_so_far\r\n0.1,0.001,\r\n0.05,0.0,nan\r\n0.025,0.0,nan\r\n"
 
 
 # two boxes in vacuum: the gap collapses, so events.json is not empty
@@ -181,10 +165,20 @@ VACUUM = {
 }
 
 
-def _edit_rows(edit):
+def _edit_bytes(edit):
     def corrupt(out):
-        path = out / "trajectory.csv"
-        path.write_bytes(edit(path.read_bytes().split(b"\r\n")))
+        path = out / "trajectory.npy"
+        path.write_bytes(edit(path.read_bytes()))
+    return corrupt
+
+
+def _edit_array(edit, allow_pickle=False):
+    """Save ``edit`` of the trajectory array in its place; ``edit`` changes it in place or returns a new one."""
+    def corrupt(out):
+        path = out / "trajectory.npy"
+        table = np.load(path)
+        edited = edit(table)
+        np.save(path, table if edited is None else edited, allow_pickle=allow_pickle)
     return corrupt
 
 
@@ -225,40 +219,52 @@ def _map_first_event(key, entry):
     return edit
 
 
-def _set_field(rows, k, field, value):
-    """``rows`` with field ``field`` of row ``k`` set to ``value``."""
-    fields = rows[k].split(b",")
-    fields[field] = value
-    return rows[:k] + [b",".join(fields)] + rows[k + 1 :]
+def _set(row, column, value):
+    def edit(table):
+        table[row, column] = value
+    return edit
 
 
 def _last_time(value):
-    """Give the last snapshot's rows (the body ends with an empty line) the time ``value``."""
-    def edit(rows):
-        last = max(k for k, row in enumerate(rows[1:-1], 1) if row.split(b",")[1] == b"0")
-        for k in range(last, len(rows) - 1):
-            rows = _set_field(rows, k, 0, value)
-        return b"\r\n".join(rows)
+    """Give the last snapshot's rows the time ``value``."""
+    def edit(table):
+        table[np.flatnonzero(table[:, 1] == 0)[-1] :, 0] = value
     return edit
+
+
+def _nudge_x_right(table):
+    table[1, 3] += 1e-3
+
+
+def _ragged(table):
+    # rows of different lengths can only be saved as a pickled object array
+    return np.array([table[0].tolist(), table[1, :-1].tolist()], dtype=object)
 
 
 MALFORMED = {
     "missing directory": shutil.rmtree,
-    "bad header": _edit_rows(lambda rows: b"\r\n".join([b"t,i,x_l,x_r,v"] + rows[1:])),
-    "header only": _edit_rows(lambda rows: rows[0] + b"\r\n"),
-    "blank body": _edit_rows(lambda rows: rows[0] + b"\r\n\r\n\r\n"),
-    "first row not cell 0": _edit_rows(lambda rows: b"\r\n".join(rows[:1] + rows[2:])),
-    "non-integral cell index": _edit_rows(lambda rows: b"\r\n".join(rows[:2] + [rows[2].replace(b",1,", b",1.5,", 1)] + rows[3:])),
-    "ragged row": _edit_rows(lambda rows: b"\r\n".join(rows[:3] + [rows[3].rsplit(b",", 1)[0]] + rows[4:])),
-    "every row short": _edit_rows(lambda rows: b"\r\n".join(rows[:1] + [r.rsplit(b",", 1)[0] for r in rows[1:-1]]) + b"\r\n"),
-    "non-numeric row": _edit_rows(lambda rows: b"\r\n".join(rows[:3] + [rows[3].replace(b",", b",x", 1)] + rows[4:])),
-    "two times in one snapshot": _edit_rows(lambda rows: b"\r\n".join(_set_field(rows, 2, 0, b"0.001"))),
-    "cell index skipped": _edit_rows(lambda rows: b"\r\n".join(_set_field(rows, 2, 1, b"2"))),
-    "x_right is not the next x_left": _edit_rows(
-        lambda rows: b"\r\n".join(_set_field(rows, 2, 3, repr(float(rows[2].split(b",")[3]) + 1e-3).encode()))
-    ),
-    "snapshot times decrease": _edit_rows(_last_time(b"0.0")),
-    "snapshot time infinite": _edit_rows(_last_time(b"inf")),
+    "missing trajectory.npy": lambda out: (out / "trajectory.npy").unlink(),
+    "empty file": _edit_bytes(lambda data: b""),
+    "bad header": _edit_bytes(lambda data: data.replace(b"'shape': (", b"'shape': [", 1)),
+    "header only": _edit_bytes(lambda data: data[: data.index(b"\n") + 1]),
+    # the header's length field now ends the header inside its dict
+    "header length short": _edit_bytes(lambda data: data[:8] + bytes([32, 0]) + data[10:]),
+    "truncated data": _edit_bytes(lambda data: data[:-8]),
+    "blank body": _edit_array(lambda table: table[:0]),
+    "every row short": _edit_array(lambda table: table[:, :-1]),
+    "not 2-D": _edit_array(lambda table: table.ravel()),
+    "not float64": _edit_array(lambda table: table.astype(np.float32)),
+    "non-numeric row": _edit_array(lambda table: table.astype(str)),
+    "ragged row": _edit_array(_ragged, allow_pickle=True),
+    "first row not cell 0": _edit_array(lambda table: table[1:]),
+    "non-integral cell index": _edit_array(_set(1, 1, 1.5)),
+    "two times in one snapshot": _edit_array(_set(1, 0, 0.001)),
+    "cell index skipped": _edit_array(_set(1, 1, 2.0)),
+    "x_right is not the next x_left": _edit_array(_nudge_x_right),
+    "snapshot times decrease": _edit_array(_last_time(0.0)),
+    "snapshot time infinite": _edit_array(_last_time(np.inf)),
+    "width zero": _edit_array(_set(1, 5, 0.0)),
+    "width NaN": _edit_array(_set(1, 5, np.nan)),
     "missing events.json": lambda out: (out / "events.json").unlink(),
     "events.json not JSON": _edit_events(lambda text: text[: len(text) // 2]),
     "events.json without events": _edit_events(lambda text: json.dumps({"config": {}})),
@@ -274,6 +280,7 @@ MALFORMED = {
     "deleted particle index a string": _edit_events(_map_first_event("deleted_particles", str)),
     "deleted cell index a bool": _edit_events(_map_first_event("deleted_cells", lambda j: True)),
     "survivor map fractional": _edit_events(_map_first_event("survivor_map", lambda j: 0.25)),
+    "events.json config not an object": _edit_events(lambda text: json.dumps(dict(json.loads(text), config=[1, 2]))),
 }
 
 
@@ -287,7 +294,7 @@ def vacuum_run(tmp_path):
     return config, out
 
 
-@pytest.mark.filterwarnings("error")  # an empty body must not reach np.loadtxt's "no data" warning
+@pytest.mark.filterwarnings("error")  # a refusal is the ValueError, never a numpy warning
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_value_error_and_audit_exit_2(case, vacuum_run, capsys):
     config, out = vacuum_run
@@ -316,6 +323,10 @@ def test_malformed_input_is_value_error_and_audit_exit_2(case, vacuum_run, capsy
         ("seed=-1", "seed"),
         ("seed=false", "seed"),
         ("integrator=3", "integrator"),
+        ("out=5", "out"),
+        ("out=null", "out"),
+        ("mode=[1]", "mode"),
+        ("input=5", "input"),
     ],
 )
 def test_malformed_config_types_exit_2(setting, path, tmp_path, capsys):
@@ -324,17 +335,6 @@ def test_malformed_config_types_exit_2(setting, path, tmp_path, capsys):
     assert run_cli([str(config), "--out", str(tmp_path / "out"), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
     assert not (tmp_path / "out").exists()
-
-
-def live_run(config, tmp_path, monkeypatch):
-    """Run simulate mode on ``config``; the trajectory it wrote and its directory."""
-    runs = []
-    monkeypatch.setattr(cli, "simulate", lambda *args, **kw: runs.append(simulate(*args, **kw)) or runs[-1])
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    run_cli([str(path), "--out", str(tmp_path / "out")])
-    assert len(runs) == 1 and runs[0].events
-    return runs[0], tmp_path / "out"
 
 
 def with_snapshot(traj, j, densities):
@@ -348,27 +348,16 @@ def with_snapshot(traj, j, densities):
 @pytest.mark.parametrize("config", [VACUUM, LWR], ids=["vacuum", "lwr"])
 def test_audit_of_loaded_run_matches_live_run(config, tmp_path, monkeypatch):
     live, out = live_run(config, tmp_path, monkeypatch)
+    assert live.events
     loaded = exports.load_trajectory_dir(out, live.model)
-    # the files keep positions and densities; the loader carries snapshot
-    # 0's masses through the event log, as the run does, and rebuilds the
-    # widths from the positions
-    for s_loaded, s_live in zip(loaded.snapshots, live.snapshots):
-        np.testing.assert_array_equal(s_loaded.masses, s_live.masses)
-    as_written = dataclasses.replace(
-        live,
-        snapshots=[ParticleState(s.positions, s.densities, s.masses, s.time) for s in live.snapshots],
-    )
-    assert invariant_audit(loaded) == invariant_audit(as_written)
-    # checks that read only densities, masses and creation data agree with the live run
-    got, want = invariant_audit(loaded).checks, invariant_audit(live).checks
-    for name in ("mass_drift", "max_principle", "density_lower_bound", "tv_diminishing", "velocity_bounds"):
-        assert got[name] == want[name], name
+    assert invariant_audit(loaded) == invariant_audit(live)
 
 
 def test_audit_follows_each_cell_to_its_creation(tmp_path, monkeypatch):
     # an independent route to each cell's creation data: its index in
     # snapshot 0, carried through the events' survivor maps
     live, _ = live_run(VACUUM, tmp_path, monkeypatch)
+    assert live.events
     state0 = live.snapshots[0]
     ext = velocity_extrema(live.model, 0.0, state0.densities.max())
     spread = ext.max_value - ext.min_value
@@ -385,6 +374,7 @@ def test_audit_follows_each_cell_to_its_creation(tmp_path, monkeypatch):
 
 def test_audit_catches_corruption_after_a_collision(tmp_path, monkeypatch):
     live, _ = live_run(VACUUM, tmp_path, monkeypatch)
+    assert live.events
     report = invariant_audit(live)
     assert report.checks["max_principle"].ok and report.checks["density_lower_bound"].ok
     first = live.events[0]

@@ -65,7 +65,7 @@ def runs(draw):
 def test_blocks_match_the_snapshot_loops(tmp_path_factory, traj, cap, from_disk):
     if from_disk:
         out = tmp_path_factory.mktemp("run")
-        exports.write_trajectory_csv(traj, out / "trajectory.csv")
+        exports.write_trajectory_npy(traj, out / "trajectory.npy")
         exports.write_events_json(traj, out / "events.json")
         traj = exports.load_trajectory_dir(out, traj.model)
     with pytest.MonkeyPatch.context() as mp:

@@ -213,9 +213,10 @@ def test_one_step_at_the_cap_keeps_the_state_valid(kind, state, theta, record):
     rho_star = float(np.max(state.densities)) * (1.0 + dynamics.DENSITY_HEADROOM)
     vel = dynamics.particle_velocities(model, state)
     before = [a.tobytes() for a in (state.widths, state.masses, vel)]
-    dt = min(1.0, *dynamics._timestep_cap(state.widths, state.masses, rho_star, vel[:-1] - vel[1:], theta))
+    closing = vel[:-1] - vel[1:]
+    dt = min(1.0, *dynamics._timestep_cap(state.widths, state.masses, rho_star, closing, theta))
     x0, widths, densities, w_min, pos = dynamics._advance(
-        float(state.positions[0]), state.widths, state.masses, float(np.max(state.masses)), vel, dt, record,
+        float(state.positions[0]), state.widths, state.masses, float(np.max(state.masses)), vel, closing, dt, record,
         dynamics.default_eps_coll(state),
     )
     assert w_min == widths.min() > 0.0
