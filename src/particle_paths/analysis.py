@@ -520,5 +520,13 @@ def richardson_error_estimate(dist_coarse_fine: float, rate: float = 0.5) -> flo
 
     For a method of order p on consecutive dyadic resolutions,
     err_fine ~ ||u_fine - u_coarse|| / (2^p - 1).
+
+    The distance must be nonnegative and the rate finite and positive, with
+    2^p - 1 a positive float (p below 1024 and not so small that 2^p
+    rounds to 1), or ``ValueError`` names the input.
     """
-    return dist_coarse_fine / (2.0**rate - 1.0)
+    _check_nonnegative(dist_coarse_fine=dist_coarse_fine)
+    denominator = 2.0**rate - 1.0 if 0.0 < rate < 1024.0 else math.nan
+    if not denominator > 0.0:
+        raise ValueError(f"rate must be finite and positive with 2**rate - 1 > 0, got rate={rate!r}")
+    return dist_coarse_fine / denominator

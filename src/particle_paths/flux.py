@@ -28,9 +28,10 @@ class VelocityExtrema(NamedTuple):
 def _velocity_field(eval_f: Callable, fprime0: float, u):
     """a(u) = f(u)/u, with a(0) = fprime0."""
     u_arr = np.asarray(u, dtype=float)
-    safe = np.where(u_arr == 0.0, 1.0, u_arr)
+    zero = u_arr == 0.0
+    safe = np.where(zero, 1.0, u_arr)
     f_vals = np.asarray(eval_f(u_arr), dtype=float)
-    out = np.where(u_arr == 0.0, fprime0, f_vals / safe)
+    out = np.where(zero, fprime0, f_vals / safe)
     return float(out) if out.ndim == 0 else out
 
 
@@ -133,10 +134,13 @@ class _RangeExtrema:
     """Sparse table: min and max of values[i0..i1] in O(1).
 
     Level k holds the min and max of every window of 2**k consecutive
-    entries; a query covers [i0, i1] with two overlapping windows of one
-    level (Bender & Farach-Colton, "The LCA problem revisited", 2000).
-    The tables are flat, entry i of level k at k*n + i with an intp n (frexp
-    gives int32 levels), as 1-D ``take`` is cheaper than 2-D fancy indexing.
+    entries; a query covers [i0, i1] with two overlapping windows of level
+    k = floor(log2(i1 - i0 + 1)) (Bender & Farach-Colton, "The LCA problem
+    revisited", 2000).  The tables are flat, entry i of level k at k*n + i,
+    as 1-D ``take`` is cheaper than 2-D fancy indexing.  Two tables indexed
+    by the span d = i1 - i0 hold the level arithmetic, so a query only adds
+    its ends: the first window starts at ``_start[d] + i0`` = k*n + i0 and
+    the second at ``_second[d] + i1`` = k*n + i1 - (2**k - 1), ending at i1.
     """
 
     def __init__(self, values: np.ndarray):
@@ -150,13 +154,16 @@ class _RangeExtrema:
             width = n - (1 << k) + 1
             for table, pick in ((self.min, np.minimum), (self.max, np.maximum)):
                 table[k, :width] = pick(table[k - 1, :width], table[k - 1, half : half + width])
-        self.n, self.min, self.max = np.intp(n), self.min.ravel(), self.max.ravel()
+        self.min, self.max = self.min.ravel(), self.max.ravel()
+        k = np.array([length.bit_length() - 1 for length in range(1, n + 1)], dtype=np.intp)  # level of span length - 1
+        self._start = k * n
+        self._second = self._start - ((1 << k) - 1)
 
     def query(self, i0, i1):
         """(min, max) over the inclusive index ranges [i0, i1], i0 <= i1."""
-        k = np.frexp(i1 - i0 + 1)[1] - 1  # floor(log2(length)), exact for ints
-        i = k * self.n + i0
-        j = i + (i1 - i0 + 1 - (1 << k))  # the second window ends at i1
+        d = i1 - i0
+        i = self._start.take(d) + i0
+        j = self._second.take(d) + i1
         return np.minimum(self.min.take(i), self.min.take(j)), np.maximum(self.max.take(i), self.max.take(j))
 
 

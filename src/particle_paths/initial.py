@@ -108,6 +108,18 @@ def _cuts(x, window):
     return np.unique(np.clip(np.concatenate([window, x]), *window))
 
 
+def finite_window(name: str, window) -> Tuple[float, float]:
+    """``window`` as a pair of floats, or ``ValueError`` naming it unless
+    it is two finite numbers lo < hi."""
+    values = np.asarray(window)
+    # numpy reads a bool beside a number as 0 or 1
+    numbers = values.shape == (2,) and values.dtype.kind in "iuf"
+    numbers = numbers and not any(isinstance(v, (bool, np.bool_)) for v in window)
+    if not (numbers and np.isfinite(values).all() and values[0] < values[1]):
+        raise ValueError(f"{name} must be two finite numbers lo < hi, got {window!r}")
+    return float(values[0]), float(values[1])
+
+
 @dataclass(frozen=True)
 class InitialData:
     """Nonnegative initial density profile ``u0``, affine between its breakpoints.
@@ -151,13 +163,7 @@ class InitialData:
         object.__setattr__(self, "tv_u0", tv_u0)
         object.__setattr__(self, "sup_u0", sup_u0)
         if self.measure_window is not None:
-            window = np.asarray(self.measure_window)
-            # numpy reads a bool beside a number as 0 or 1
-            numbers = window.shape == (2,) and window.dtype.kind in "iuf"
-            numbers = numbers and not any(isinstance(v, (bool, np.bool_)) for v in self.measure_window)
-            if not (numbers and np.isfinite(window).all() and window[0] < window[1]):
-                raise ValueError(f"measure_window must be two finite numbers lo < hi, got {self.measure_window!r}")
-            object.__setattr__(self, "measure_window", (float(window[0]), float(window[1])))
+            object.__setattr__(self, "measure_window", finite_window("measure_window", self.measure_window))
 
     @property
     def support_hint(self) -> Tuple[float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .field import PiecewiseConstantFn
 from .flux import FluxModel, TabulatedOracle, _RangeExtrema, entropic_row
-from .initial import InitialData, PiecewiseAffineFn, cell_average
+from .initial import InitialData, PiecewiseAffineFn, cell_average, finite_window
 
 __all__ = [
     "ExactSolution",
@@ -197,7 +197,8 @@ def godunov_reference(
     called once for the nodes' values and then once per step.  An f not
     monotone, convex or concave there raises ``ValueError``, as do a
     ``cells`` that is not an integer of at least 2, a ``T`` that is not
-    finite and nonnegative and a ``lip_f`` that is not finite.
+    finite and nonnegative, a ``lip_f`` that is not finite and a
+    ``window`` that is not two finite numbers lo < hi.
     """
     if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
         raise ValueError(f"cells must be an integer, got {cells!r}")
@@ -209,13 +210,16 @@ def godunov_reference(
         raise ValueError(f"flux '{model.name}': lip_f must be finite, got {model.lip_f!r}")
     if window is None:
         pad = T * model.lip_f + 1e-9
-        window = (data.support_hint[0] - pad, data.support_hint[1] + pad)
-    x_lo, x_hi = window
+        x_lo, x_hi = data.support_hint[0] - pad, data.support_hint[1] + pad
+    else:
+        x_lo, x_hi = finite_window("window", window)
     dx = (x_hi - x_lo) / cells
     dt = 0.9 * dx / max(model.lip_f, 1e-300)
 
     edges = np.linspace(x_lo, x_hi, cells + 1)
-    u = cell_average(data, edges).densities
+    # the cells between two pads that copy the end cells before each step
+    padded = np.empty(cells + 2)
+    padded[1:-1] = cell_average(data, edges).densities
 
     if isinstance(model.extremum_oracle, TabulatedOracle):
         nodes = model.extremum_oracle.us
@@ -227,8 +231,8 @@ def godunov_reference(
     t = 0.0
     while t < T - 1e-15 * max(1.0, T):
         h = min(dt, T - t)
-        padded = np.concatenate([[u[0]], u, [u[-1]]])
+        padded[0], padded[-1] = padded[1], padded[-2]
         flux = entropic_row(model.eval_f, nodes, table, padded)
-        u = u - (h / dx) * (flux[1:] - flux[:-1])
+        padded[1:-1] -= (h / dx) * (flux[1:] - flux[:-1])
         t += h
-    return PiecewiseConstantFn(edges, u)
+    return PiecewiseConstantFn(edges, padded[1:-1])

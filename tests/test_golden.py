@@ -1,4 +1,4 @@
-"""Golden output digests for two fixed CLI runs.
+"""Golden output digests for three fixed CLI runs.
 
 The digests were recorded with the scalar per-particle velocity loop; the
 array interface-velocity kernel must reproduce its output byte for byte.
@@ -30,11 +30,19 @@ code, given the new positions in place of its own, wrote the same
 ``trajectory.csv``, ``events.json``, ``stats.json`` and ``summary.txt``.
 The burgers run's positions are unchanged: its jumps already sat on the
 grid and it has no vacuum.
+
+The tabulated run pins the node-table path, which neither of the others
+reaches: the particle velocities come from ``flux.entropic_row`` over the
+``_RangeExtrema`` sparse table of a non-convex 17-node table.  It runs the
+LWR boxes in vacuum with seed 2: 108 particles, 1 collision event and
+519 steps, and its audit passes.  Its digests were recorded before range
+queries read their level arithmetic from tables indexed by span.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from particle_paths.cli import run_cli
@@ -65,6 +73,11 @@ LWR = {
     "seed": 1,
 }
 
+# the same boxes under a non-convex 17-node table
+TABLE_US = np.linspace(0.0, 1.0, 17)
+TABLE = {"us": TABLE_US.tolist(), "fs": (TABLE_US * ((TABLE_US - 0.5) ** 2 - 0.1)).tolist()}
+TABULATED = {**LWR, "flux": {"kind": "tabulated", "params": TABLE}, "seed": 2}
+
 GOLDEN = {
     "burgers": (
         BURGERS,
@@ -77,6 +90,12 @@ GOLDEN = {
         "75f815f145ff875b3dfefa1efaa5de71b870e627e4dcca600cb5d4b7669a8679",
         "19c7a085b14b9a3507cfdc0e995a73861690431bc65ae7f7723967fb1897a70d",
         "e8cd73468e382f03481c0a2b0bb7385f314f051347f77398e0dcd7156df3fcf6",
+    ),
+    "tabulated": (
+        TABULATED,
+        "53af0a6326b0b2f1faaba0506d9e801aa756042a2259405229446f8dda7f93e7",
+        "0a6d20d01e717ab2a9e2e73b4da5d22ef77c6fe608db1a203a31eaa9bb0bd13d",
+        "d5833c903ad1ce3649210abced815b23beddc67c39bd3e00ad8f0b2038a125cf",
     ),
 }
 

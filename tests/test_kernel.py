@@ -319,6 +319,10 @@ def test_range_table_matches_brute_force():
         table = _RangeExtrema(values)
         i0 = rng.integers(0, n, size=300)
         i1 = i0 + (rng.integers(0, n, size=300) % (n - i0))
+        if n <= 17 or n >= 64:
+            # every pair as well: every span on both sides of each power of two
+            every = np.triu_indices(n)
+            i0, i1 = np.concatenate([i0, every[0]]), np.concatenate([i1, every[1]])
         got_min, got_max = table.query(i0, i1)
         for a, b, lo, hi in zip(i0, i1, got_min, got_max):
             assert lo == values[a : b + 1].min()

@@ -5,7 +5,7 @@ import pytest
 
 import particle_paths as pp
 from particle_paths import burgers_rarefaction_shock, godunov_reference, reference, riemann_solution
-from particle_paths.flux import FluxModel, MonotoneOracle
+from particle_paths.flux import FluxModel, MonotoneOracle, TabulatedOracle, _RangeExtrema, entropic_row
 
 from conftest import cubic_flux_model
 
@@ -258,6 +258,48 @@ def test_godunov_calls_a_table_flux_once_for_its_nodes_then_once_per_step():
         t += min(dt, 0.5 - t)
         steps += 1
     assert calls == [us.shape] + [(102,)] * steps
+
+
+def concatenating_godunov(model, data, cells, T, window):
+    """Godunov's loop as it was when each step concatenated a new padded row
+    and a new ``u``: the values and the length of the last step."""
+    x_lo, x_hi = window
+    dx = (x_hi - x_lo) / cells
+    dt = 0.9 * dx / max(model.lip_f, 1e-300)
+    u = pp.cell_average(data, np.linspace(x_lo, x_hi, cells + 1)).densities
+    if isinstance(model.extremum_oracle, TabulatedOracle):
+        nodes = model.extremum_oracle.us
+        values = np.asarray(model.eval_f(nodes), dtype=float)
+    else:
+        nodes, values = reference._classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
+    table = _RangeExtrema(values)
+    t, h = 0.0, 0.0
+    while t < T - 1e-15 * max(1.0, T):
+        h = min(dt, T - t)
+        padded = np.concatenate([[u[0]], u, [u[-1]]])
+        flux = entropic_row(model.eval_f, nodes, table, padded)
+        u = u - (h / dx) * (flux[1:] - flux[:-1])
+        t += h
+    return u, h, dt
+
+
+@pytest.mark.parametrize("cells", [2, 3, 500])
+@pytest.mark.parametrize("kind", ["nonconvex_table", "burgers"])
+def test_godunov_steps_in_place_bit_for_bit(kind, cells):
+    # the padded row stepped in place gives the bytes of a new row per step,
+    # on a table and on a convex builtin, whose turning point is scanned, with
+    # a short last step
+    if kind == "burgers":
+        m = pp.builtin_flux("burgers", u_high=1.0)
+    else:
+        us = np.linspace(0.0, 1.0, 65)  # nonconvex_tabulated's table
+        m = pp.builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
+    data = pp.sampled_data(np.linspace(0.0, 1.0, 9), [0.0, 0.3, 0.8, 0.5, 0.6, 0.1, 0.7, 0.4, 0.0])
+    window, T = (0.05, 0.95), 1.37  # nonzero end cells, which the pads copy
+    got = godunov_reference(m, data, cells, T, window=window)
+    want, last, dt = concatenating_godunov(m, data, cells, T, window)
+    assert 0.0 < last < dt < T
+    assert got.values.tobytes() == want.tobytes()
 
 
 def test_godunov_rejects_a_flux_it_would_have_to_scan():

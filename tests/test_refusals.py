@@ -17,6 +17,13 @@ def burgers_run(data=None):
     return pp.simulate(pp.builtin_flux("burgers", u_high=1.0), state0, 0.01, dt_max=0.005, data=data)
 
 
+def godunov_in(window):
+    """A short burgers Godunov run on a unit box over ``window``."""
+    return pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 50, 0.1, window=window)
+
+
+WINDOW = "window must be two finite numbers lo < hi"
+RATE = "rate must be finite and positive"
 UNIT_TABLE = {"us": [0.0, 1.0], "fs": [0.0, 1.0]}
 REFUSALS = [
     # builtin_flux
@@ -47,6 +54,14 @@ REFUSALS = [
     ("convergence_two_counts", lambda: pp.convergence_study(
         pp.builtin_flux("burgers", u_high=3.0), pp.rarefaction_shock_data(), pp.burgers_rarefaction_shock(), [9, 17], 0.1),
      "at least three particle counts"),
+    ("richardson_rate_zero", lambda: pp.richardson_error_estimate(0.01, 0.0), RATE),
+    ("richardson_rate_negative", lambda: pp.richardson_error_estimate(0.01, -1.0), RATE),
+    ("richardson_rate_infinite", lambda: pp.richardson_error_estimate(0.01, np.inf), RATE),
+    ("richardson_rate_nan", lambda: pp.richardson_error_estimate(0.01, np.nan), RATE),
+    ("richardson_distance_nan", lambda: pp.richardson_error_estimate(np.nan, 0.5), "nonnegative, got dist_coarse_fine=nan"),
+    # 2**rate rounds to 1, or overflows
+    ("richardson_rate_underflows", lambda: pp.richardson_error_estimate(0.01, 1e-300), RATE),
+    ("richardson_rate_overflows", lambda: pp.richardson_error_estimate(0.01, 2000.0), RATE),
     # the rest
     ("step_function_nan", lambda: pp.PiecewiseConstantFn([0.0, 1.0], [np.nan]), "non-finite reconstruction"),
     ("residual_one_snapshot", lambda: pp.spacetime_flux_residual(
@@ -55,6 +70,12 @@ REFUSALS = [
      "states must be finite and nonnegative"),
     ("godunov_one_cell", lambda: pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 1, 0.1),
      "at least two cells"),
+    ("godunov_window_nan", lambda: godunov_in((np.nan, 1.0)), WINDOW),
+    ("godunov_window_infinite", lambda: godunov_in((0.0, np.inf)), WINDOW),
+    ("godunov_window_inverted", lambda: godunov_in((1.0, 0.0)), WINDOW),
+    ("godunov_window_empty", lambda: godunov_in((0.5, 0.5)), WINDOW),
+    ("godunov_window_one_number", lambda: godunov_in([0.0]), WINDOW),
+    ("godunov_window_bool", lambda: godunov_in((0.0, True)), WINDOW),
     # NaN fails the range guards, and a count must be an integer
     ("stability_bound_nan", lambda: pp.stability_error_bound(np.nan, 1.0, 1.0), "nonnegative, got initial_gap=nan"),
     ("rate_bound_nan", lambda: pp.explicit_rate_bound(1.0, 1.0, 1.0, np.nan, 1.0), "nonnegative, got dx_star=nan"),
