@@ -13,17 +13,23 @@ against a tight budget.
 
 A run keeps its state between records as plain arrays: the time, the
 left end, the widths, the densities and the masses.  Positions exist only
-for a built state; a validated ``ParticleState`` is built for a recorded
-snapshot, for the states around a collision sweep, and for the state a
-``SimulationError`` carries.  A step that records a state checks its
-positions one by one; any other step checks them by a scalar
-certificate.  With every width at least w_min and every position within
-B = (|x0| + sum of widths)(1 + 1e-6), a finite B and w_min > 4 ulp(B)
-make the positions finite and increasing, since each addition errs by at
-most ulp(B) / 2.  A second certificate covers the densities of every
-step: a finite m_max / w_min makes every m_i / w_i finite, since
-correctly rounded division is monotone.  A step that fails a certificate
-is checked element by element, with the same messages.
+for a built state.  The states around a collision sweep and the state a
+``SimulationError`` carries are built by the ``ParticleState``
+constructor, with its checks; a snapshot recorded by a landed or
+``every_step`` step is built by ``initial._stepped_state`` without them,
+since the step has proved each invariant the constructor tests.  A step
+that records a state checks its positions one by one; any other step
+checks them by a scalar certificate.  With every width at least w_min
+and every position within B = (|x0| + sum of widths)(1 + 1e-6), a finite
+B and w_min > 4 ulp(B) make the positions finite and increasing, since
+each addition errs by at most ulp(B) / 2.  A second certificate covers
+the densities of every step: a finite m_max / w_min makes every
+m_i / w_i finite, since correctly rounded division is monotone.  A third
+covers the velocities: each enters a closing rate vel[i] - vel[i + 1], so
+a finite sum of the rates makes every velocity finite.  A step that fails
+a certificate is checked element by element, with the same messages.
+The density cap's floors, each cell's mass over the cap, change only
+with the masses, so they are formed at entry and after each sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .flux import FluxModel
-from .initial import InitialData, ParticleState
+from .initial import InitialData, ParticleState, _stepped_state
 from .velocity import _Cells, particle_velocities
 
 __all__ = [
@@ -187,9 +193,19 @@ class Trajectory:
 
 
 def _timestep_cap(
-    widths: np.ndarray, masses: np.ndarray, rho_star: float, closing: np.ndarray, theta: float
+    widths: np.ndarray, floor: Optional[np.ndarray], closing: np.ndarray, theta: float
 ) -> Tuple[float, float]:
-    """The no-crossing and density caps (inf when free) from closing rates vel[:-1] - vel[1:]."""
+    """The no-crossing and density caps (inf when free) from closing rates vel[:-1] - vel[1:].
+
+    ``floor`` is the narrowest width each cell may reach, its mass over
+    the density cap rho*, or None when rho* <= 0 and no cell is capped;
+    masses change only at a sweep, so ``simulate`` forms it then.  The
+    density cap is min((gaps - floor) / rate) clamped to +0.0, the bits of
+    min(max(gaps - floor, 0) / rate) with one scalar clamp for the array
+    pass: a cell already past its floor gives a quotient of at most -0.0,
+    where the clamped slack gave +0.0, and either way the cap is +0.0;
+    any other quotient is the same in both.
+    """
     approaching = (closing > 0.0).nonzero()[0]
     if approaching.size == 0:
         return np.inf, np.inf
@@ -197,11 +213,11 @@ def _timestep_cap(
     gaps = widths.take(approaching)
     # no pair may close more than a (1 - theta) fraction of its gap
     crossing = float(np.minimum.reduce((1.0 - theta) * gaps / rate))
-    if rho_star <= 0.0:
+    if floor is None:
         return crossing, np.inf
-    # nor may any cell be squeezed past the initial density maximum
-    slack = np.maximum(gaps - masses.take(approaching) / rho_star, 0.0)
-    return crossing, float(np.minimum.reduce(slack / rate))
+    # nor may any cell be squeezed past the initial density maximum; max
+    # returns its first argument on a tie, so -0.0 clamps to +0.0
+    return crossing, max(0.0, float(np.minimum.reduce((gaps - floor.take(approaching)) / rate)))
 
 
 def _positions(x0: float, widths: np.ndarray) -> np.ndarray:
@@ -403,12 +419,14 @@ def simulate(
     landing = LIMITERS.index("landing")
     # the loop state: the left end x0 and the widths fix the positions,
     # which are built only for a state; pos holds them once built and is
-    # None until then.  masses and m_max change only at a sweep
+    # None until then.  masses, m_max and the density cap's floor change
+    # only at a sweep
     t, x0, widths, densities, masses = (
         state0.time, float(state0.positions[0]), state0.widths, state0.densities, state0.masses,
     )
     pos: Optional[np.ndarray] = state0.positions
     m_max = float(np.maximum.reduce(masses))
+    floor = masses / rho_star if rho_star > 0.0 else None
     dts: List[float] = []
     limited = [0] * len(LIMITERS)
     min_width = float(np.min(widths))
@@ -426,10 +444,13 @@ def simulate(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while t < T:
             vel = particle_velocities(model, _Cells(densities, widths.size + 1))
-            if not np.isfinite(vel).all():
-                raise SimulationError("non-finite particle velocity", current())
             closing = vel[:-1] - vel[1:]
-            caps = (dt_max, *_timestep_cap(widths, masses, rho_star, closing, theta))
+            # every velocity enters a closing rate, so a finite sum of the
+            # rates makes every velocity finite; a sum that overflows on
+            # finite velocities falls back to the test one by one
+            if not (math.isfinite(np.add.reduce(closing)) or np.isfinite(vel).all()):
+                raise SimulationError("non-finite particle velocity", current())
+            caps = (dt_max, *_timestep_cap(widths, floor, closing, theta))
             dt = min(caps)
             target = targets[k]
             landed = dt >= (target - t) * (1.0 - 1e-12)
@@ -463,8 +484,12 @@ def simulate(
                 snaps += (pre, post)
                 pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
                 x0, m_max = float(pos[0]), float(np.maximum.reduce(masses))
+                if floor is not None:
+                    floor = masses / rho_star
             elif record:
-                snaps.append(current())
+                # this step's _advance checked these positions one by one and
+                # certified these densities, so the constructor's passes repeat it
+                snaps.append(_stepped_state(pos, densities, masses, t, widths))
             if landed:
                 k += 1
     stats = RunStats(

@@ -133,7 +133,10 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
         states, speeds = _envelope(model, u_l, u_r)
     else:
         a_l, a_m, a_r = (float(a) for a in model.eval_a(np.array([u_l, 0.5 * u_l + 0.5 * u_r, u_r])))
-        if not abs((a_l - a_m) + (a_r - a_m)) <= 1e-12 * (abs(a_l) + abs(a_m) + abs(a_r)):
+        # an affine a(u) = a(0) + k u rounds to within ulps of |a(0)| + |k u|,
+        # which a near 0 hides: lwr's a(1) = 0 but a(0.99999) = 1 - 0.99999
+        scale = abs(a_l) + abs(a_m) + abs(a_r) + abs(model.fprime0)
+        if not abs((a_l - a_m) + (a_r - a_m)) <= 1e-12 * scale:
             raise ValueError(
                 f"flux '{model.name}' is not quadratic between the states: "
                 "sample it into builtin_flux('tabulated') for its exact Riemann solution"
@@ -197,8 +200,10 @@ def godunov_reference(
     called once for the nodes' values and then once per step.  An f not
     monotone, convex or concave there raises ``ValueError``, as do a
     ``cells`` that is not an integer of at least 2, a ``T`` that is not
-    finite and nonnegative, a ``lip_f`` that is not finite and a
-    ``window`` that is not two finite numbers lo < hi.
+    finite and nonnegative, a ``lip_f`` that is not finite, a ``window``
+    that is not two finite numbers lo < hi, and a window so narrow for its
+    cells that a positive ``T`` has dt < ulp(T), which could not advance
+    the time (a step of at least ulp(T) always does).
     """
     if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
         raise ValueError(f"cells must be an integer, got {cells!r}")
@@ -215,6 +220,11 @@ def godunov_reference(
         x_lo, x_hi = finite_window("window", window)
     dx = (x_hi - x_lo) / cells
     dt = 0.9 * dx / max(model.lip_f, 1e-300)
+    if T > 0.0 and dt < math.ulp(T):
+        raise ValueError(
+            f"window {(x_lo, x_hi)} over {cells} cells gives dt = {dt:.3e} < ulp(T) = {math.ulp(T):.3e}, "
+            "which cannot advance the time"
+        )
 
     edges = np.linspace(x_lo, x_hi, cells + 1)
     # the cells between two pads that copy the end cells before each step

@@ -25,7 +25,7 @@ from particle_paths.dynamics import (
 from particle_paths.flux import check_density_intervals, velocity_extrema
 from particle_paths.initial import ParticleState
 
-__all__ = ["simulate", "two_sided_velocities", "particle_velocity"]
+__all__ = ["simulate", "two_sided_velocities", "particle_velocity", "revalidated"]
 
 
 def two_sided_velocities(model, state) -> np.ndarray:
@@ -51,6 +51,19 @@ def particle_velocity(model, v_l: float, v_r: float) -> float:
     if v_l <= v_r:
         return velocity_extrema(model, v_l, v_r).min_value
     return velocity_extrema(model, v_r, v_l).max_value
+
+
+def revalidated(state: ParticleState) -> None:
+    """Rebuild ``state`` through the public constructor, which runs every check.
+
+    ``simulate`` records a stepped state without re-running the checks its
+    step already made; the rebuilt state must be accepted and hold the same
+    arrays bit for bit.
+    """
+    rebuilt = ParticleState(state.positions, state.densities, state.masses, state.time, state.widths)
+    assert rebuilt.time == state.time
+    for name in ("positions", "densities", "widths", "masses"):
+        assert getattr(rebuilt, name).tobytes() == getattr(state, name).tobytes(), name
 
 
 def _timestep_cap(state: ParticleState, rho_star: float, vel: np.ndarray, theta: float) -> float:

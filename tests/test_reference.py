@@ -65,6 +65,13 @@ def test_riemann_constant():
     assert sol.at(7.0)(123.0) == 0.4
 
 
+def test_riemann_lwr_near_its_top_is_a_rarefaction():
+    # a(1) = 0 and a(0.99999) = 1e-5 keep only the rounding of 1 - u, which
+    # the affine check measures against a(0) = 1, not against a's values
+    sol = riemann_solution(pp.builtin_flux("lwr"), 1.0, 0.99999)
+    assert sol.description == "rarefaction 1.0 -> 0.99999"
+
+
 def test_riemann_rejects_nonconvex_flux():
     m = cubic_flux_model(1.5)
     with pytest.raises(ValueError, match=r"builtin_flux\('tabulated'\)"):

@@ -76,6 +76,10 @@ REFUSALS = [
     ("godunov_window_empty", lambda: godunov_in((0.5, 0.5)), WINDOW),
     ("godunov_window_one_number", lambda: godunov_in([0.0]), WINDOW),
     ("godunov_window_bool", lambda: godunov_in((0.0, True)), WINDOW),
+    # dt = 1.8e-322 could not advance t = 0.5: 0.5 + dt == 0.5
+    ("godunov_step_below_ulp", lambda: pp.godunov_reference(
+        pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 50, 1.0, window=(0.0, 1e-320)),
+     r"window \(0.0, 1e-320\) over 50 cells gives dt = 1.779e-322 < ulp\(T\)"),
     # NaN fails the range guards, and a count must be an integer
     ("stability_bound_nan", lambda: pp.stability_error_bound(np.nan, 1.0, 1.0), "nonnegative, got initial_gap=nan"),
     ("rate_bound_nan", lambda: pp.explicit_rate_bound(1.0, 1.0, 1.0, np.nan, 1.0), "nonnegative, got dx_star=nan"),

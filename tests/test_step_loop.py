@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
@@ -99,6 +99,8 @@ def test_array_loop_equals_reference(kind, data, n, grid, T, dt_ratio, theta, sn
     pos = np.linspace(*data.support_hint, n) if grid else pp.place_particles(data, n, "uniform")
     new, ref = run_both(kind, data, pos, T, dt_ratio, theta=theta, snapshot_count=snapshot_count, every_step=every_step)
     assert_same_run(new, ref)
+    for state in new.snapshots:
+        dynamics_reference.revalidated(state)
 
 
 def far_data(heights, offset, ulps, n):
@@ -214,7 +216,8 @@ def test_one_step_at_the_cap_keeps_the_state_valid(kind, state, theta, record):
     vel = dynamics.particle_velocities(model, state)
     before = [a.tobytes() for a in (state.widths, state.masses, vel)]
     closing = vel[:-1] - vel[1:]
-    dt = min(1.0, *dynamics._timestep_cap(state.widths, state.masses, rho_star, closing, theta))
+    floor = state.masses / rho_star if rho_star > 0.0 else None
+    dt = min(1.0, *dynamics._timestep_cap(state.widths, floor, closing, theta))
     x0, widths, densities, w_min, pos = dynamics._advance(
         float(state.positions[0]), state.widths, state.masses, float(np.max(state.masses)), vel, closing, dt, record,
         dynamics.default_eps_coll(state),
@@ -228,6 +231,61 @@ def test_one_step_at_the_cap_keeps_the_state_valid(kind, state, theta, record):
     assert densities.tobytes() == ref.densities.tobytes()
     if record:
         assert pos.tobytes() == ref.positions.tobytes()
+
+
+def clamped_slack_caps(widths, masses, rho_star, closing, theta):
+    """The two caps as the loop took them with masses / rho* formed every
+    step and each slack clamped at 0 before the division."""
+    approaching = (closing > 0.0).nonzero()[0]
+    if approaching.size == 0:
+        return np.inf, np.inf
+    rate = closing.take(approaching)
+    gaps = widths.take(approaching)
+    crossing = float(np.minimum.reduce((1.0 - theta) * gaps / rate))
+    if rho_star <= 0.0:
+        return crossing, np.inf
+    slack = np.maximum(gaps - masses.take(approaching) / rho_star, 0.0)
+    return crossing, float(np.minimum.reduce(slack / rate))
+
+
+def bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+# under burgers the sliver (density 0.6) and the cell after it both close
+# on the dense cell behind.  Scaled by 1e308, the sliver's slack quotient is
+# subnormal, or -0.0 where rho* sits just below its density, while the
+# other cell's stays positive; scaled by inf every rate overflows
+SQUEEZED = ParticleState.from_cells([0.0, 0.3, 0.3 + 1e-3, 0.6], [0.9, 0.6, 0.2])
+HEADROOM = 1.0 + dynamics.DENSITY_HEADROOM
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(FLUXES),
+    state=cell_states(),
+    theta=st.sampled_from([0.1, 0.5]),
+    rho_scale=st.sampled_from([HEADROOM, 0.5, 0.0]),
+    rate_scale=st.sampled_from([1.0, 1e305, 1e308]),
+)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=HEADROOM, rate_scale=1e308)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=0.6 / 0.9 * (1.0 - 1e-15), rate_scale=1e308)
+@example(kind="burgers", state=SQUEEZED, theta=0.5, rho_scale=0.5, rate_scale=1.0)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=HEADROOM, rate_scale=math.inf)
+@example(kind="lwr", state=SQUEEZED, theta=0.1, rho_scale=0.0, rate_scale=1.0)
+def test_density_cap_equals_the_clamped_slack(kind, state, theta, rho_scale, rate_scale):
+    # the cap from the per-sweep mass floor with one scalar clamp has the
+    # bits, signed zeros included, of the slack clamped cell by cell.
+    # rho_scale 0.5 puts cells past their floor (a negative slack), 0 turns
+    # the density cap off, and rate_scale 1e305 or 1e308 makes the quotients
+    # of slivers subnormal; the examples add a -0.0 quotient beside a
+    # positive one, and rates that overflow
+    vel = dynamics.particle_velocities(flux_model(kind, 1.0), state)
+    closing = (vel[:-1] - vel[1:]) * rate_scale
+    rho_star = float(np.max(state.densities)) * rho_scale
+    floor = state.masses / rho_star if rho_star > 0.0 else None
+    caps = dynamics._timestep_cap(state.widths, floor, closing, theta)
+    assert bits(caps) == bits(clamped_slack_caps(state.widths, state.masses, rho_star, closing, theta))
 
 
 def count_builds(monkeypatch):
@@ -388,3 +446,32 @@ def test_nan_velocity_carries_the_last_valid_state():
     assert_valid(state)
     assert state.time > 0.05 and 0.0 < state.densities[0] < 0.5
     assert_same_state(state, ref)
+
+
+def test_overflowing_closing_sum_falls_back_to_the_velocities():
+    # a jumps from -c to c at u = 0.5, so on alternating densities every
+    # velocity and every closing rate (0 or +-2c) is finite, while the
+    # rates' sum overflows: numpy adds every eighth rate in one partial
+    # sum, all of one sign here.  The loop then tests the velocities one
+    # by one and steps on, as the reference does, to the same end
+    c = 0.6e308
+
+    def a_of(u):
+        return np.where(np.asarray(u, dtype=float) < 0.5, -c, c)
+
+    oracle = MonotoneOracle(a_of, increasing=True)
+    model = FluxModel("jump", lambda u: u * a_of(u), 0.0, 2 * c, 1.0, extremum_oracle=oracle)
+    st0 = ParticleState.from_cells(np.linspace(0.0, 1.0, 25), np.tile([0.2, 0.8], 12))
+    vel = dynamics.particle_velocities(model, st0)
+    closing = vel[:-1] - vel[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(closing).all() and not math.isfinite(np.add.reduce(closing))
+    new = outcome(pp.simulate, model, st0, 1.0, dt_max=0.01, snapshot_count=3)
+    ref = outcome(reference_simulate, model, st0, 1.0, dt_max=0.01, snapshot_count=3)
+    assert type(new) is type(ref)
+    if isinstance(ref, SimulationError):
+        assert str(new) == str(ref)
+        assert_same_state(new.state, ref.state)
+        assert new.state.time > 0.0
+    else:
+        assert_same_run(new, ref)
