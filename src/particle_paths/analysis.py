@@ -22,11 +22,11 @@ import numpy as np
 from .dynamics import THETA_DEFAULT, SnapshotBlock, Trajectory, simulate
 from .field import PiecewiseConstantFn, reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel, velocity_extrema
-from .initial import InitialData, cell_average, initial_approximation_gap
+from .initial import InitialData, cell_average, finite_window, initial_approximation_gap
 from .initial import integrate  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .initial import place_particles, total_variation
 from .reference import ExactSolution
-from .velocity import particle_velocities
+from .velocity import _Cells, particle_velocities
 
 __all__ = [
     "ErrorReport",
@@ -118,7 +118,9 @@ def error_report(
     final time (to a relative 1e-12).  The bounds take TV(u0) and sup(u0)
     from the run's initial data, dx* from its initial state (the widest
     cell with mass) and lip(f') from its model; a model without
-    ``lip_fprime`` gets no rate bound.
+    ``lip_fprime`` gets no rate bound.  The error is measured over
+    ``window``, which must be two finite numbers lo < hi, or by default
+    over the data's measure window or support hint.
     """
     if traj.data is None:
         raise ValueError("trajectory carries no initial data record")
@@ -128,6 +130,8 @@ def error_report(
     data = traj.data
     if window is None:
         window = data.measure_window or data.support_hint
+    else:
+        window = finite_window("window", window)
 
     recon = reconstruct_density(traj.final_state)
     err = l1_error_against(recon, exact, T, window)
@@ -356,6 +360,13 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
 
     discarded_so_far = 0.0
     w0, rho0 = state0.widths, state0.densities
+
+    def creation_terms():
+        # the per-cell terms of the bounds, formed once per creation data
+        # with the operation order of the per-snapshot formulas
+        return w0 * rho0, (rho0 / rho_star * w0 if rho_star > 0 else None)
+
+    m0, sep0 = creation_terms()
     event_iter = iter(traj.events)
     next_event = next(event_iter, None)
     for block in traj.blocks():
@@ -374,29 +385,35 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
                 keep = np.ones(w0.size, dtype=bool)
                 keep[next_event.deleted_cells] = False
                 w0, rho0 = w0[keep], rho0[keep]
+                m0, sep0 = creation_terms()
                 next_event = next(event_iter, None)
             if w0.size != state.n_cells:
                 raise ValueError(f"snapshot at t = {t} has {state.n_cells} cells, the event log leaves {w0.size}")
             discarded[j] = discarded_so_far
 
+        # the ufuncs' own reductions: np.max, np.min and np.sum call them
+        # after a Python-level argument pass, a fixed cost on every block
         dens, widths, masses = block.densities, block.widths, block.masses
-        mass_id[rows] = np.max(np.abs(dens * widths - masses), axis=1) / scale_m
-        drift[rows] = np.abs(np.sum(masses, axis=1) + discarded - mass0) / scale_m
-        max_principle[rows] = rho_star - np.max(dens, axis=1)
+        mass_id[rows] = np.maximum.reduce(np.abs(dens * widths - masses), axis=1) / scale_m
+        drift[rows] = np.abs(np.add.reduce(masses, axis=1) + discarded - mass0) / scale_m
+        row_max = np.maximum.reduce(dens, axis=1)
+        max_principle[rows] = rho_star - row_max
         # the widest each cell can have grown by its snapshot's time
         widest = w0 + block.times[:, None] * spread
-        lower_density[rows] = np.min(dens - w0 * rho0 / widest, axis=1)
-        sep_low[rows] = np.min(widths - rho0 / rho_star * w0, axis=1) if rho_star > 0 else np.inf
-        sep_high[rows] = np.min(widest - widths, axis=1)
+        lower_density[rows] = np.minimum.reduce(dens - m0 / widest, axis=1)
+        sep_low[rows] = np.inf if sep0 is None else np.minimum.reduce(widths - sep0, axis=1)
+        sep_high[rows] = np.minimum.reduce(widest - widths, axis=1)
         tv[rows] = total_variation(dens)
         try:
-            v = particle_velocities(model, block)
+            # every snapshot's densities were proved finite and >= 0 when it
+            # was built, so the kernel's range test needs only the block's top
+            v = particle_velocities(model, _Cells(dens, block.n_particles, float(np.maximum.reduce(row_max))))
         except ValueError:
             # densities left the working interval: report it as a velocity
             # violation rather than aborting the audit
             vel[rows] = -np.inf
         else:
-            vel[rows] = np.fmin(np.min(v - a_min, axis=1), np.min(a_max - v, axis=1))
+            vel[rows] = np.fmin(np.minimum.reduce(v - a_min, axis=1), np.minimum.reduce(a_max - v, axis=1))
 
     # fmax and fmin skip a NaN snapshot value, as the running max/min of a
     # snapshot-at-a-time pass would
@@ -461,11 +478,22 @@ class RateFit:
 
 def fit_loglog_slope(resolutions: Sequence[float], errors: Sequence[float]) -> RateFit:
     """Fit over every resolution and over the three finest; an error at or
-    below 1e-12 makes the fit ``degenerate``, with NaN slopes."""
+    below 1e-12 makes the fit ``degenerate``, with NaN slopes.
+
+    Resolutions must be finite and positive, errors finite and
+    nonnegative; otherwise ``ValueError`` names the first bad value.
+    """
     res = np.asarray(resolutions, dtype=float)
     err = np.asarray(errors, dtype=float)
     if res.size < 3:
         raise ValueError("need at least three resolutions")
+    # NaN fails every comparison
+    bad = res[~((res > 0.0) & (res < np.inf))]
+    if bad.size:
+        raise ValueError(f"resolutions must be finite and positive, got {float(bad[0])!r}")
+    bad = err[~((err >= 0.0) & (err < np.inf))]
+    if bad.size:
+        raise ValueError(f"errors must be finite and nonnegative, got {float(bad[0])!r}")
     if np.any(np.diff(res) >= 0):
         raise ValueError("resolutions must be strictly decreasing")
     degenerate = bool(np.any(err <= 1e-12))

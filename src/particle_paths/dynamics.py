@@ -17,19 +17,22 @@ for a built state.  The states around a collision sweep and the state a
 ``SimulationError`` carries are built by the ``ParticleState``
 constructor, with its checks; a snapshot recorded by a landed or
 ``every_step`` step is built by ``initial._stepped_state`` without them,
-since the step has proved each invariant the constructor tests.  A step
-that records a state checks its positions one by one; any other step
-checks them by a scalar certificate.  With every width at least w_min
-and every position within B = (|x0| + sum of widths)(1 + 1e-6), a finite
-B and w_min > 4 ulp(B) make the positions finite and increasing, since
-each addition errs by at most ulp(B) / 2.  A second certificate covers
-the densities of every step: a finite m_max / w_min makes every
-m_i / w_i finite, since correctly rounded division is monotone.  A third
-covers the velocities: each enters a closing rate vel[i] - vel[i + 1], so
-a finite sum of the rates makes every velocity finite.  A step that fails
-a certificate is checked element by element, with the same messages.
-The density cap's floors, each cell's mass over the cap, change only
-with the masses, so they are formed at entry and after each sweep.
+since the step has proved each invariant the constructor tests.  Every
+step checks its positions by a scalar certificate, a recording step
+too: with every width at least w_min and every position within
+B = (|x0| + sum of widths)(1 + 1e-6), a finite B and w_min > 4 ulp(B)
+make the positions finite and increasing, since each addition errs by
+at most ulp(B) / 2.  A step that fails it checks its positions one by
+one.  A step's densities are masses >= 0 over positive widths, so one
+reduction, their largest value, shows them all finite; the velocity
+kernel then compares that value with the model's working interval in
+place of its range test's two reductions, which only the first state
+and the state after a sweep run.  A second certificate covers the
+velocities: each enters a closing rate vel[i] - vel[i + 1], so a finite
+sum of the rates makes every velocity finite; a step that fails it
+tests them one by one, with the same message.  The density cap's
+floors, each cell's mass over the cap, change only with the masses, so
+they are formed at entry and after each sweep.
 """
 
 from __future__ import annotations
@@ -243,37 +246,59 @@ def _surely_ordered(x0: float, widths: np.ndarray, w_min: float) -> bool:
     return math.isfinite(bound) and w_min > 4.0 * math.ulp(bound)
 
 
+def _check_positions(pos: np.ndarray, dt: float, w_min: float) -> None:
+    """The one-by-one test of positions the ordering certificate did not prove.
+
+    A running sum is finite at its end only if every term is, and an
+    overflowed position before a finite end breaks the increase, so a
+    strict increase and a finite last position make every position finite.
+    A non-positive width cannot raise the sum, so it breaks the increase
+    too: the step cap failed.  With every width positive and the ends
+    finite, the positions lost float resolution instead, and the message
+    names it.
+    """
+    if (pos[1:] <= pos[:-1]).any():
+        far = max(abs(pos.item(0)), abs(pos.item(-1)))
+        if w_min > 0.0 and math.isfinite(far):
+            raise ValueError(
+                f"particle positions lost float resolution after dt={dt:.3e}: every cell is at least "
+                f"{w_min:.3e} wide, but floats near |x| = {far:.3e} are {math.ulp(far):.3e} apart"
+            )
+        raise ValueError(f"particle ordering violated after dt={dt:.3e}; step cap failed")
+    if not math.isfinite(pos.item(-1)):
+        raise ValueError("non-finite state encountered")
+
+
 def _advance(
-    x0: float, widths: np.ndarray, masses: np.ndarray, m_max: float, vel: np.ndarray, closing: np.ndarray,
-    dt: float, record: bool, eps_coll: float,
-) -> Tuple[float, np.ndarray, np.ndarray, float, Optional[np.ndarray]]:
+    x0: float, widths: np.ndarray, masses: np.ndarray, vel: np.ndarray, closing: np.ndarray, dt: float, record: bool,
+) -> Tuple[float, np.ndarray, np.ndarray, float, float, Optional[np.ndarray]]:
     """One forward Euler step of the left end and the widths, checked, with its arguments untouched.
 
     ``closing`` is ``vel[:-1] - vel[1:]``, the rates the caps were taken
     from.  Returns the new left end, widths, densities, narrowest width,
-    and the positions: built and checked one by one when ``record`` is
-    set, the step reaches ``eps_coll`` (a sweep records it) or the
-    ordering certificate fails, and None otherwise.  Raises ``ValueError``
-    on positions out of order or a value that is not finite.
+    largest density, and the positions: built when ``record`` is set or
+    the ordering certificate fails (which then checks them one by one),
+    and None otherwise.  Raises ``ValueError`` on positions out of order or
+    a value that is not finite.
     """
-    # bit for bit widths + dt * (vel[1:] - vel[:-1])
-    new_widths = widths - dt * closing
+    # bit for bit widths + dt * (vel[1:] - vel[:-1]): IEEE products commute
+    new_widths = np.multiply(closing, dt)
+    np.subtract(widths, new_widths, out=new_widths)
     new_x0 = 0.0 + (x0 + dt * vel.item(0))
     w_min = float(np.minimum.reduce(new_widths))
-    pos = None
-    if record or w_min <= eps_coll or not _surely_ordered(new_x0, new_widths, w_min):
-        pos = _positions(new_x0, new_widths)
-        # also catches a non-positive width: adding it cannot raise the sum
-        if (pos[1:] <= pos[:-1]).any():
-            raise ValueError(f"particle ordering violated after dt={dt:.3e}; step cap failed")
+    pos = _positions(new_x0, new_widths) if record else None
+    if not _surely_ordered(new_x0, new_widths, w_min):
+        if pos is None:
+            pos = _positions(new_x0, new_widths)
+        _check_positions(pos, dt, w_min)
+    # finite, increasing positions make every width positive, and masses
+    # are finite and >= 0, so each density lies in [0, inf]: a finite
+    # largest density makes every density finite
     densities = masses / new_widths
-    # a running sum is finite at its end only if every term is, and an
-    # overflowed position before a finite end breaks the increase above.
-    # A finite, increasing run has w_min > 0, and correctly rounded
-    # division is monotone, so a finite m_max / w_min bounds every density
-    if not ((pos is None or math.isfinite(pos[-1])) and (math.isfinite(m_max / w_min) or np.isfinite(densities).all())):
+    top = float(np.maximum.reduce(densities))
+    if not math.isfinite(top):
         raise ValueError("non-finite state encountered")
-    return new_x0, new_widths, densities, w_min, pos
+    return new_x0, new_widths, densities, w_min, top, pos
 
 
 def default_eps_coll(state: ParticleState) -> float:
@@ -285,8 +310,9 @@ def default_eps_coll(state: ParticleState) -> float:
     3M (1 + 1e-6) < 4M, so positions increase while every width exceeds
     4 ulp(B) <= 16 ulp(M).  The crossing cap closes no gap by more than
     1 - theta of it, so the step that takes a closing cell to the threshold
-    leaves it at least theta times the threshold wide, and the step checks
-    its positions one by one.  So the threshold is at least
+    leaves it at least theta times the threshold wide, and the sweep's
+    state is built by the constructor, which checks its positions one by
+    one.  So the threshold is at least
     (16 / theta) ulp(M), 160 ulp(M) at the default theta.  That floor
     stops at half the narrowest width the density cap lets a cell heavier
     than the sweep's mass tolerance reach (its mass over the initial
@@ -419,13 +445,14 @@ def simulate(
     landing = LIMITERS.index("landing")
     # the loop state: the left end x0 and the widths fix the positions,
     # which are built only for a state; pos holds them once built and is
-    # None until then.  masses, m_max and the density cap's floor change
-    # only at a sweep
-    t, x0, widths, densities, masses = (
-        state0.time, float(state0.positions[0]), state0.widths, state0.densities, state0.masses,
+    # None until then.  top is the largest density once a step has proved
+    # every density finite and >= 0, and NaN until then, which sends the
+    # kernel to its full range test.  masses and the density cap's floor
+    # change only at a sweep
+    t, x0, widths, densities, masses, top = (
+        state0.time, float(state0.positions[0]), state0.widths, state0.densities, state0.masses, math.nan,
     )
     pos: Optional[np.ndarray] = state0.positions
-    m_max = float(np.maximum.reduce(masses))
     floor = masses / rho_star if rho_star > 0.0 else None
     dts: List[float] = []
     limited = [0] * len(LIMITERS)
@@ -443,7 +470,7 @@ def simulate(
     # non-finite one, so numpy need not warn as it forms them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while t < T:
-            vel = particle_velocities(model, _Cells(densities, widths.size + 1))
+            vel = particle_velocities(model, _Cells(densities, widths.size + 1, top))
             closing = vel[:-1] - vel[1:]
             # every velocity enters a closing rate, so a finite sum of the
             # rates makes every velocity finite; a sum that overflows on
@@ -468,7 +495,7 @@ def simulate(
             # the loop state moves only once the step's checks pass, so an
             # error carries the last valid state
             try:
-                x0, widths, densities, w_min, pos = _advance(x0, widths, masses, m_max, vel, closing, dt, record, eps_coll)
+                x0, widths, densities, w_min, top, pos = _advance(x0, widths, masses, vel, closing, dt, record)
             except ValueError as err:
                 raise SimulationError(str(err), current()) from None
             t = target if landed else t + dt
@@ -483,12 +510,12 @@ def simulate(
                     raise SimulationError("more collision events than particles", post)
                 snaps += (pre, post)
                 pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
-                x0, m_max = float(pos[0]), float(np.maximum.reduce(masses))
+                x0, top = float(pos[0]), math.nan
                 if floor is not None:
                     floor = masses / rho_star
             elif record:
-                # this step's _advance checked these positions one by one and
-                # certified these densities, so the constructor's passes repeat it
+                # this step's _advance proved these positions ordered and these
+                # densities finite, so the constructor's passes repeat it
                 snaps.append(_stepped_state(pos, densities, masses, t, widths))
             if landed:
                 k += 1

@@ -12,6 +12,7 @@ A flux without a closed form is sampled into a tabulated one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -73,9 +74,9 @@ class FluxModel:
     def eval_a(self, u):
         return _velocity_field(self.eval_f, self.fprime0, u)
 
-    @property
+    @functools.cached_property
     def density_limit(self) -> float:
-        """Largest density accepted as inside [0, u_high] (relative slack 1e-9)."""
+        """Largest density accepted as inside [0, u_high] (relative slack 1e-9), formed once."""
         return self.u_high * (1.0 + 1e-9) + 1e-300
 
 

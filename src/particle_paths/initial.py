@@ -264,13 +264,16 @@ def _stepped_state(positions, densities, masses, time, widths) -> ParticleState:
       come from ``dynamics._positions`` on the new widths, which keep the
       shape of the last checked state's widths; densities are masses over
       widths, and the masses are the last checked state's;
-    * finite, strictly increasing positions: the step tests the increase
-      one by one and the last position for finiteness, which together make
+    * finite, strictly increasing positions: the step's ordering
+      certificate, stated for the positions ``dynamics._positions``
+      builds, or, when it fails, the step's test of the increase one by
+      one and of the last position for finiteness, which together make
       every position finite;
-    * finite densities: the step's density certificate, or its
-      element-by-element test when the certificate fails;
-    * nonnegative densities: masses >= 0 over widths > 0 (the increase
-      rules out a width <= 0), and correctly rounded division keeps the sign;
+    * finite densities: the step's largest density is finite, and every
+      density lies between 0 and it;
+    * nonnegative densities: masses >= 0 over widths > 0 (the certificate's
+      w_min > 0, or the increase, rules out a width <= 0), and correctly
+      rounded division keeps the sign;
     * finite, nonnegative masses: unchanged since a state built by the
       constructor, the run's first state or the one after a sweep;
     * a finite time: a landed step's time is its snapshot time, which lies
@@ -425,8 +428,9 @@ def total_variation(values):
     values = np.asarray(values, dtype=float)
     padded = np.zeros((*values.shape[:-1], values.shape[-1] + 2))
     padded[..., 1:-1] = values
+    # np.diff's and np.sum's bits, without their Python-level argument passes
     with np.errstate(over="ignore"):
-        tv = np.sum(np.abs(np.diff(padded)), axis=-1)
+        tv = np.add.reduce(np.abs(padded[..., 1:] - padded[..., :-1]), axis=-1)
     return float(tv) if tv.ndim == 0 else tv
 
 

@@ -23,10 +23,16 @@ with vacuum (density 0) on both sides.  It has three paths:
   between two cells read only where there are any;
 * any other oracle (custom) takes the same rule as
   ``flux.entropic_extremum``: one oracle call on every padded interval.
+
+Before any path, the densities must lie in the model's working interval.
+``flux.check_density_intervals`` tests that with two reductions, unless
+the caller passes a ``_Cells`` whose ``top``, its proved largest density,
+already lies inside: ``simulate`` after each step, and the invariant audit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -38,27 +44,38 @@ __all__ = ["particle_velocities", "follow_the_leader_deviation"]
 
 
 class _Cells(NamedTuple):
-    """The part of a state the velocity kernel reads, for the array loop."""
+    """The part of a state the velocity kernel reads, for the array loop and the audit.
+
+    ``top`` is the largest density, taken by a caller that has proved every
+    density finite and nonnegative, or NaN when nothing is proved.  The
+    kernel then compares this one value with the working interval's top
+    in place of the range test's two reductions; NaN, or a value above the
+    top, runs the full test, with its messages.
+    """
 
     densities: np.ndarray
     n_particles: int
+    top: float = math.nan
 
 
 def particle_velocities(model: FluxModel, state) -> np.ndarray:
     """Velocity of every particle; sentinel density 0 beyond the ends.
 
-    Reads only ``state.densities``: one state's cells, or a row block's
-    (rows, cells) array with one snapshot per row.  Each row is padded
+    Reads ``state.densities``, and ``state.top`` where there is one: one
+    state's cells, or a row block's (rows, cells) array with one snapshot
+    per row.  Each row is padded
     with vacuum on both sides and gives that snapshot's velocities, the
     same bits as a call on the row alone, since the kernel and the flux
     oracles work elementwise.  Column 1 of an (n, 2) block of pairs is the
     velocity of the particle between each pair; any oracle but a
     ``MonotoneOracle`` takes the two-sided rule, Godunov's too.  Raises
     ValueError when a density is negative or above the model's working
-    interval.
+    interval; a ``_Cells`` whose ``top`` is proved in range skips that
+    test's reductions.
     """
     dens = state.densities
-    check_density_intervals(model, dens, dens)
+    if not getattr(state, "top", math.nan) <= model.density_limit:
+        check_density_intervals(model, dens, dens)
     oracle = model.extremum_oracle
     if isinstance(oracle, MonotoneOracle):
         vel = np.empty((*dens.shape[:-1], dens.shape[-1] + 1))

@@ -10,6 +10,7 @@ states the same rule on one pair of scalars.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -84,9 +85,17 @@ def _advance(state: ParticleState, vel: np.ndarray, dt: float, t_new: float) -> 
     widths = state.widths + dt * (vel[1:] - vel[:-1])
     pos = (state.positions[0] + dt * vel[0]) + np.concatenate(([0.0], np.cumsum(widths)))
     if np.any(np.diff(pos) <= 0.0):
-        raise SimulationError(
-            f"particle ordering violated after dt={dt:.3e}; step cap failed", state
-        )
+        w_min = float(np.min(widths))
+        far = max(abs(float(pos[0])), abs(float(pos[-1])))
+        if w_min > 0.0 and math.isfinite(far):
+            # every cell has room: the positions ran out of float resolution
+            message = (
+                f"particle positions lost float resolution after dt={dt:.3e}: every cell is at least "
+                f"{w_min:.3e} wide, but floats near |x| = {far:.3e} are {math.ulp(far):.3e} apart"
+            )
+        else:
+            message = f"particle ordering violated after dt={dt:.3e}; step cap failed"
+        raise SimulationError(message, state)
     return ParticleState(
         positions=pos,
         densities=state.masses / widths,

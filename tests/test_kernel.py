@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
-from particle_paths import ParticleState, builtin_flux, velocity_extrema
+from particle_paths import ParticleState, builtin_flux, velocity, velocity_extrema
 from particle_paths.dynamics import SnapshotBlock
 from particle_paths.flux import FluxModel, MonotoneOracle, _RangeExtrema, entropic_extremum, entropic_row
+from particle_paths.velocity import _Cells
 
 from conftest import cubic_flux_model, pair_velocities
 from dynamics_reference import particle_velocity, two_sided_velocities
@@ -462,6 +463,77 @@ def test_one_sided_kernel_raises_the_two_sided_message(kind, dens):
         two_sided_velocities(model, state)
     with pytest.raises(ValueError) as got:
         pp.particle_velocities(model, state)
+    assert str(got.value) == str(want.value)
+
+
+def carried(dens, top):
+    """Densities with their largest value carried, as ``simulate`` and the audit pass them."""
+    dens = np.asarray(dens, dtype=float)
+    return _Cells(dens, dens.size // dens.shape[-1] * (dens.shape[-1] + 1), top)
+
+
+def count_range_tests(monkeypatch):
+    calls = []
+    check = velocity.check_density_intervals
+    monkeypatch.setattr(velocity, "check_density_intervals", lambda *args: calls.append(args) or check(*args))
+    return calls
+
+
+CARRY_KINDS = ("burgers", "lwr", "tabulated")
+
+
+def assert_carry_equals_checked(model, dens):
+    # a caller that proved its densities finite and >= 0 passes their
+    # largest value, and the kernel skips the range test's reductions with
+    # the checked call's bits
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_range_tests(monkeypatch)
+        want = pp.particle_velocities(model, cells(dens))
+        got = pp.particle_velocities(model, carried(dens, float(np.max(dens))))
+        unproved = pp.particle_velocities(model, _Cells(dens, 0))
+    assert got.tobytes() == want.tobytes() == unproved.tobytes()
+    # the checked call and the one without a top test the range; the carried one does not
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", CARRY_KINDS)
+def test_carried_top_inside_the_slack_equals_the_checked_call(kind):
+    # vacuum cells, and a top just above u_high, inside the working interval
+    model = pair_model(kind)
+    row = np.array([0.0, 0.5, model.u_high * (1.0 + 1e-10), 0.0, 0.25])
+    for dens in (row, np.stack([row, row[::-1], np.zeros_like(row)])):
+        assert_carry_equals_checked(model, dens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(CARRY_KINDS), rows=st.integers(0, 3), n_cells=st.integers(1, 12), data=st.data())
+def test_carried_top_equals_the_checked_call(kind, rows, n_cells, data):
+    model = pair_model(kind)
+    frac = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    size = max(rows, 1) * n_cells
+    fracs = data.draw(st.lists(frac, min_size=size, max_size=size))
+    assert_carry_equals_checked(model, np.asarray(fracs).reshape((rows, n_cells) if rows else (n_cells,)) * model.u_high)
+
+
+@pytest.mark.parametrize("kind", CARRY_KINDS)
+@pytest.mark.parametrize(
+    "dens, top",
+    [
+        ([0.5, 2.5, 0.2], 2.5),
+        ([0.5, 2.5, 0.2], np.nan),
+        ([np.nan, 0.5, -0.3], np.nan),
+        ([[0.5, 0.2], [3.0, -1.0]], np.nan),
+        ([[0.5, 0.2], [0.3, 1e9]], 1e9),
+    ],
+    ids=["above", "above-unproved", "nan-negative", "block-negative", "block-above"],
+)
+def test_carried_top_out_of_range_raises_the_checked_message(kind, dens, top):
+    # a top above the working interval, or NaN, runs the full range test
+    model = pair_model(kind)
+    with pytest.raises(ValueError) as want:
+        pp.particle_velocities(model, cells(dens))
+    with pytest.raises(ValueError) as got:
+        pp.particle_velocities(model, carried(dens, top))
     assert str(got.value) == str(want.value)
 
 

@@ -17,6 +17,12 @@ def burgers_run(data=None):
     return pp.simulate(pp.builtin_flux("burgers", u_high=1.0), state0, 0.01, dt_max=0.005, data=data)
 
 
+def report_over(window):
+    """``error_report`` of a short burgers run, with its data record, over ``window``."""
+    box = pp.box_data(1.0, 0.0, 1.0)
+    return pp.error_report(burgers_run(box), pp.burgers_rarefaction_shock(), 0.01, window=window)
+
+
 def godunov_in(window):
     """A short burgers Godunov run on a unit box over ``window``."""
     return pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 50, 0.1, window=window)
@@ -51,6 +57,22 @@ REFUSALS = [
     ("rate_bound_negative", lambda: pp.explicit_rate_bound(1.0, 1.0, 1.0, 0.1, -1.0), "bound inputs must be nonnegative"),
     ("error_report_without_data", lambda: pp.error_report(burgers_run(), pp.burgers_rarefaction_shock(), 0.01),
      "no initial data record"),
+    ("error_report_window_text", lambda: report_over(("a", 1)), WINDOW),
+    ("error_report_window_three", lambda: report_over((0, 1, 2)), WINDOW),
+    ("error_report_window_infinite", lambda: report_over((0, np.inf)), WINDOW),
+    ("error_report_window_nan", lambda: report_over((np.nan, 1)), WINDOW),
+    ("fit_resolution_nan", lambda: pp.fit_loglog_slope([0.2, 0.1, np.nan], [1.0, 0.5, 0.2]),
+     "resolutions must be finite and positive, got nan"),
+    ("fit_resolution_zero", lambda: pp.fit_loglog_slope([0.2, 0.1, 0.0], [1.0, 0.5, 0.2]),
+     "resolutions must be finite and positive, got 0.0"),
+    ("fit_resolution_infinite", lambda: pp.fit_loglog_slope([np.inf, 0.1, 0.05], [1.0, 0.5, 0.2]),
+     "resolutions must be finite and positive, got inf"),
+    ("fit_error_nan", lambda: pp.fit_loglog_slope([0.2, 0.1, 0.05], [1.0, np.nan, 0.2]),
+     "errors must be finite and nonnegative, got nan"),
+    ("fit_error_infinite", lambda: pp.fit_loglog_slope([0.2, 0.1, 0.05], [np.inf, 0.5, 0.2]),
+     "errors must be finite and nonnegative, got inf"),
+    ("fit_error_negative", lambda: pp.fit_loglog_slope([0.2, 0.1, 0.05], [1.0, 0.5, -0.2]),
+     "errors must be finite and nonnegative, got -0.2"),
     ("convergence_two_counts", lambda: pp.convergence_study(
         pp.builtin_flux("burgers", u_high=3.0), pp.rarefaction_shock_data(), pp.burgers_rarefaction_shock(), [9, 17], 0.1),
      "at least three particle counts"),

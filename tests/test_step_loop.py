@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import particle_paths as pp
-from particle_paths import ParticleState, SimulationError, dynamics
+from particle_paths import ParticleState, SimulationError, dynamics, velocity
 from particle_paths.flux import FluxModel, MonotoneOracle
 import dynamics_reference
 from dynamics_reference import simulate as reference_simulate
@@ -218,11 +218,11 @@ def test_one_step_at_the_cap_keeps_the_state_valid(kind, state, theta, record):
     closing = vel[:-1] - vel[1:]
     floor = state.masses / rho_star if rho_star > 0.0 else None
     dt = min(1.0, *dynamics._timestep_cap(state.widths, floor, closing, theta))
-    x0, widths, densities, w_min, pos = dynamics._advance(
-        float(state.positions[0]), state.widths, state.masses, float(np.max(state.masses)), vel, closing, dt, record,
-        dynamics.default_eps_coll(state),
+    x0, widths, densities, w_min, top, pos = dynamics._advance(
+        float(state.positions[0]), state.widths, state.masses, vel, closing, dt, record
     )
     assert w_min == widths.min() > 0.0
+    assert top == densities.max()
     assert densities.max() <= np.max(state.densities) * (1.0 + 1e-12)
     assert [a.tobytes() for a in (state.widths, state.masses, vel)] == before
     ref = dynamics_reference._advance(state, vel, dt, state.time + dt)
@@ -319,6 +319,68 @@ def test_far_from_the_origin_builds_positions_on_unrecorded_steps(burgers3, monk
     assert_same_run(traj, reference_simulate(burgers3, state0, state0.time + 0.5 * scale, **kw))
 
 
+def count_checks(monkeypatch):
+    """Count the kernel's full range tests and the step's one-by-one ordering passes."""
+    counts = {"range": 0, "ordering": 0}
+    check, ordering = velocity.check_density_intervals, dynamics._check_positions
+
+    def counted(name, test):
+        def run(*args):
+            counts[name] += 1
+            return test(*args)
+
+        return run
+
+    monkeypatch.setattr(velocity, "check_density_intervals", counted("range", check))
+    monkeypatch.setattr(dynamics, "_check_positions", counted("ordering", ordering))
+    return counts
+
+
+@pytest.mark.parametrize("every_step", [False, True])
+def test_each_check_runs_once_per_proof(burgers3, monkeypatch, every_step):
+    # state0's densities take the kernel's full range test; every later
+    # step carries the largest density it proved.  Every step of the
+    # paper's profile passes the ordering certificate, recorded ones too,
+    # so no step checks its positions one by one
+    counts = count_checks(monkeypatch)
+    data = pp.rarefaction_shock_data()
+    state0 = pp.cell_average(data, pp.place_particles(data, 201, "uniform"))
+    traj = pp.simulate(burgers3, state0, 0.25, dt_max=0.2 * float(np.max(state0.widths)), snapshot_count=33,
+                       every_step=every_step)
+    assert not traj.events and len(traj.snapshots) > 32
+    assert counts == {"range": 1, "ordering": 0}
+
+
+@pytest.mark.parametrize("kind", FLUXES)
+def test_range_test_runs_at_entry_and_after_each_sweep(kind, monkeypatch):
+    # a sweep's state is built by the constructor, not proved by a step
+    data = boxes([0.8, 0.5, 0.7], [0.5, 0.4, 0.3], [0.2, 0.15])
+    model = flux_model(kind, data.sup_u0 * (1.0 + 1e-12))
+    state0 = pp.cell_average(data, np.linspace(*data.support_hint, 41))
+    counts = count_checks(monkeypatch)
+    traj = pp.simulate(model, state0, 0.6, dt_max=0.2 * state0.dx_star, snapshot_count=9)
+    assert len(traj.events) >= 2
+    assert counts == {"range": 1 + len(traj.events), "ordering": 0}
+
+
+def test_failed_certificates_check_positions_one_by_one(burgers3, monkeypatch):
+    # cells eight position ulps wide fail the ordering certificate
+    data, scale = far_data([0.8, 0.3, 0.7], 1e12, 8.0, 41)
+    state0 = pp.cell_average(data, np.linspace(*data.support_hint, 41))
+    counts = count_checks(monkeypatch)
+    traj = pp.simulate(burgers3, state0, state0.time + 0.5 * scale, dt_max=0.2 * state0.dx_star, snapshot_count=9)
+    assert counts["ordering"] > 0
+    assert counts["range"] == 1 + len(traj.events)
+
+
+def test_data_above_the_working_interval_raise_the_range_test(burgers3):
+    # the kernel's own ValueError, before any step
+    st0 = ParticleState.from_cells([0.0, 1.0, 2.0], [0.5, 4.0])
+    with pytest.raises(ValueError) as err:
+        pp.simulate(burgers3, st0, 1.0, dt_max=0.1, snapshot_count=2)
+    assert str(err.value) == f"density 4.0 exceeds working interval [0, {burgers3.u_high}]"
+
+
 def test_run_stats_describe_every_step():
     # with every_step, each step records one state, two at a sweep
     data = boxes([0.8, 0.5, 0.7], [0.5, 0.4, 0.3], [0.2, 0.15])
@@ -404,6 +466,20 @@ def test_ordering_violation_after_unrecorded_steps_carries_the_last_valid_state(
     assert_valid(state)
     assert state.time > 0.0 and state.n_particles == st0.n_particles
     assert_same_state(state, ref)
+
+
+def test_lost_float_resolution_is_named_and_carries_the_last_valid_state():
+    # every cell stays 0.1 wide, but one step moves the box to about
+    # 2.5e15, where floats are 0.5 apart: the positions, not the cap, fail
+    st0 = ParticleState.from_cells(np.linspace(0.0, 1.0, 11), np.full(10, 0.5))
+    with pytest.raises(SimulationError) as err:
+        pp.simulate(pp.builtin_flux("lwr"), st0, 1e16, dt_max=2.5e15, snapshot_count=2)
+    assert str(err.value) == (
+        "particle positions lost float resolution after dt=2.500e+15: every cell is at least "
+        "1.000e-01 wide, but floats near |x| = 2.500e+15 are 5.000e-01 apart"
+    )
+    assert_valid(err.value.state, time=0.0)
+    np.testing.assert_array_equal(err.value.state.positions, st0.positions)
 
 
 def test_stall_carries_the_last_valid_state(burgers3, monkeypatch):
