@@ -26,7 +26,7 @@ from .initial import InitialData, cell_average, finite_window, initial_approxima
 from .initial import integrate  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .initial import place_particles, total_variation
 from .reference import ExactSolution
-from .velocity import _Cells, particle_velocities
+from .velocity import particle_velocities
 
 __all__ = [
     "ErrorReport",
@@ -371,15 +371,15 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     next_event = next(event_iter, None)
     for block in traj.blocks():
         rows = slice(block.start, block.start + block.times.size)
+        n_cells = block.densities.shape[1]
         discarded = np.empty(block.times.size)
         # the events passed before each snapshot of the block: a sweep
         # changes the cell count, so the creation data hold for the whole
         # block, but an event that deletes nothing (a hand-built trajectory
         # can hold one) may still add discarded mass inside it
-        for j, state in enumerate(traj.snapshots[rows]):
-            t = state.time
+        for j, t in enumerate(block.times.tolist()):
             while next_event is not None and (
-                next_event.time < t or (next_event.time == t and state.n_particles < next_event.pre_particle_count)
+                next_event.time < t or (next_event.time == t and n_cells + 1 < next_event.pre_particle_count)
             ):
                 discarded_so_far += next_event.discarded_mass
                 keep = np.ones(w0.size, dtype=bool)
@@ -387,8 +387,8 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
                 w0, rho0 = w0[keep], rho0[keep]
                 m0, sep0 = creation_terms()
                 next_event = next(event_iter, None)
-            if w0.size != state.n_cells:
-                raise ValueError(f"snapshot at t = {t} has {state.n_cells} cells, the event log leaves {w0.size}")
+            if w0.size != n_cells:
+                raise ValueError(f"snapshot at t = {t} has {n_cells} cells, the event log leaves {w0.size}")
             discarded[j] = discarded_so_far
 
         # the ufuncs' own reductions: np.max, np.min and np.sum call them
@@ -396,8 +396,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
         dens, widths, masses = block.densities, block.widths, block.masses
         mass_id[rows] = np.maximum.reduce(np.abs(dens * widths - masses), axis=1) / scale_m
         drift[rows] = np.abs(np.add.reduce(masses, axis=1) + discarded - mass0) / scale_m
-        row_max = np.maximum.reduce(dens, axis=1)
-        max_principle[rows] = rho_star - row_max
+        max_principle[rows] = rho_star - np.maximum.reduce(dens, axis=1)
         # the widest each cell can have grown by its snapshot's time
         widest = w0 + block.times[:, None] * spread
         lower_density[rows] = np.minimum.reduce(dens - m0 / widest, axis=1)
@@ -405,9 +404,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
         sep_high[rows] = np.minimum.reduce(widest - widths, axis=1)
         tv[rows] = total_variation(dens)
         try:
-            # every snapshot's densities were proved finite and >= 0 when it
-            # was built, so the kernel's range test needs only the block's top
-            v = particle_velocities(model, _Cells(dens, block.n_particles, float(np.maximum.reduce(row_max))))
+            v = particle_velocities(model, block)
         except ValueError:
             # densities left the working interval: report it as a velocity
             # violation rather than aborting the audit
@@ -443,7 +440,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
 
 def temporal_modulus_margin(traj: Trajectory) -> float:
     """Largest ratio of ||v(t) - v(s)||_L1 to 4 * lip_f * TV(v0) * |t - s|; a pair at distance 0 reads 0."""
-    recons = [reconstruct_density(s) for s in traj.snapshots]
+    recons = [PiecewiseConstantFn(x, v) for b in traj.blocks() for x, v in zip(b.positions, b.densities)]
     times = traj.times
     bound_rate = 4.0 * traj.model.lip_f * total_variation(recons[0].values)
     # pairs at adjacent distinct times suffice: for s < r < t, ||v(t) - v(s)||

@@ -15,15 +15,15 @@ A run keeps its state between records as plain arrays: the time, the
 left end, the widths, the densities and the masses.  Positions exist only
 for a built state.  The states around a collision sweep and the state a
 ``SimulationError`` carries are built by the ``ParticleState``
-constructor, with its checks; a snapshot recorded by a landed or
-``every_step`` step is built by ``initial._stepped_state`` without them,
-since the step has proved each invariant the constructor tests.  Every
-step checks its positions by a scalar certificate, a recording step
-too: with every width at least w_min and every position within
-B = (|x0| + sum of widths)(1 + 1e-6), a finite B and w_min > 4 ulp(B)
-make the positions finite and increasing, since each addition errs by
-at most ulp(B) / 2.  A step that fails it checks its positions one by
-one.  A step's densities are masses >= 0 over positive widths, so one
+constructor, with its checks; a landed or ``every_step`` step hands the
+``Trajectory`` a plain record of its arrays without them, since the step
+has proved each invariant the constructor tests.  Every step checks its
+positions by a scalar certificate, a recording step too: with every
+width at least w_min and every position within B = (|x0| + sum of
+widths)(1 + 1e-6), a finite B and w_min > 4 ulp(B) make the positions
+finite and increasing, since each addition errs by at most ulp(B) / 2.
+A step that fails it checks its positions one by one.  A step's
+densities are masses >= 0 over positive widths, so one
 reduction, their largest value, shows them all finite; the velocity
 kernel then compares that value with the model's working interval in
 place of its range test's two reductions, which only the first state
@@ -38,15 +38,17 @@ they are formed at entry and after each sweep.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .flux import FluxModel
-from .initial import InitialData, ParticleState, _stepped_state
+from .initial import InitialData, ParticleState
 from .velocity import _Cells, particle_velocities
 
 __all__ = [
@@ -125,7 +127,8 @@ class SnapshotBlock(NamedTuple):
     states' times; ``positions`` is a C-contiguous (rows, particles) array,
     and ``densities``, ``widths`` and ``masses`` are C-contiguous (rows,
     cells) arrays.  ``n_particles`` counts the particles of every row, the
-    work of one kernel call on the block.
+    work of one kernel call on the block.  ``top`` bounds its densities,
+    proved finite and nonnegative, or is NaN (see ``velocity._Cells``).
     """
 
     start: int
@@ -135,27 +138,64 @@ class SnapshotBlock(NamedTuple):
     widths: np.ndarray
     masses: np.ndarray
     n_particles: int
+    top: float = math.nan
+
+
+class _Snapshots(Sequence):
+    """The recorded states, stacked once into ``runs``: one read-only
+    ``SnapshotBlock`` per run of consecutive snapshots with one cell count,
+    whose ``top`` is the run's largest density.  An index builds its
+    ``ParticleState`` through the checked constructor, a slice a list."""
+
+    def __init__(self, records):
+        self.runs: List[SnapshotBlock] = []
+        self._rows: list = []  # the run and row of each snapshot
+        for _, run in itertools.groupby(records, key=lambda r: r[2].size):
+            arrays = [np.array(column, dtype=float) for column in zip(*run)]
+            for a in arrays:
+                a.flags.writeable = False
+            top = float(np.maximum.reduce(arrays[2], axis=None))
+            self.runs.append(SnapshotBlock(len(self._rows), *arrays, arrays[1].size, top))
+            self._rows += [(self.runs[-1], j) for j in range(arrays[0].size)]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        run, j = self._rows[i]
+        return ParticleState(run.positions[j], run.densities[j], run.masses[j], run.times.item(j), run.widths[j])
 
 
 @dataclass
 class Trajectory:
     """Time-ordered snapshots plus collision events for one run.
 
-    Each snapshot is a ``ParticleState``, whose ``time`` is the snapshot's
-    time.  Snapshot times are nondecreasing; they repeat only at collision
-    times, where the state immediately before and immediately after the
-    sweep are both recorded (in that order).  ``stats`` is set by
-    ``simulate`` and absent on a trajectory loaded from disk.  The
-    ``fingerprint`` is worked out from ``config``, so a run and its copy
-    loaded from disk give the same one.
+    ``snapshots`` are ``ParticleState``s or (time, positions, densities,
+    widths, masses) records that pass a state's checks, as those of
+    ``simulate`` and the loader do; each run of one cell count is stacked
+    once, then read as states on access.  Snapshot times are
+    nondecreasing; they repeat only at collision times, where the state
+    immediately before and immediately after the sweep are both recorded
+    (in that order).  ``stats`` is set by ``simulate`` and absent on a
+    trajectory loaded from disk.  The ``fingerprint`` is worked out from
+    ``config``, so a run and its copy loaded from disk give the same one.
     """
 
-    snapshots: List[ParticleState]
+    snapshots: Sequence
     events: List[CollisionEvent]
     model: FluxModel
     data: Optional[InitialData] = None
     config: dict = field(default_factory=dict)
     stats: Optional[RunStats] = None
+
+    def __post_init__(self):
+        if not isinstance(self.snapshots, _Snapshots):
+            self.snapshots = _Snapshots(
+                (s.time, s.positions, s.densities, s.widths, s.masses) if isinstance(s, ParticleState) else s
+                for s in self.snapshots
+            )
 
     @property
     def fingerprint(self) -> str:
@@ -164,35 +204,25 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([state.time for state in self.snapshots], dtype=float)
+        return np.concatenate([run.times for run in self.snapshots.runs])
 
     @property
     def final_state(self) -> ParticleState:
         return self.snapshots[-1]
 
     def blocks(self) -> Iterator[SnapshotBlock]:
-        """The snapshots in record order as row blocks.
+        """The snapshots in record order as row blocks: row slices (views) of the runs.
 
-        A block is a run of consecutive snapshots with one cell count and
-        at most ``BLOCK_CELLS`` cells in all, or a single snapshot when it
-        alone has more.  Cells are deleted only at collision sweeps, so the
-        blocks break at every sweep.
+        A block holds a run's next rows, at most ``BLOCK_CELLS`` cells in
+        all, or a single snapshot when it alone has more, and the run's
+        ``top``.  Cells are deleted only at collision sweeps, so the blocks
+        break at every sweep.
         """
-        counts = [state.n_cells for state in self.snapshots]
-        edges = (np.flatnonzero(np.diff(counts)) + 1).tolist()
-        for lo, hi in zip([0, *edges], [*edges, len(counts)]):
-            rows = max(1, BLOCK_CELLS // counts[lo])
-            for start in range(lo, hi, rows):
-                states = self.snapshots[start : min(start + rows, hi)]
-                yield SnapshotBlock(
-                    start=start,
-                    times=np.array([s.time for s in states], dtype=float),
-                    positions=np.array([s.positions for s in states], dtype=float),
-                    densities=np.array([s.densities for s in states], dtype=float),
-                    widths=np.array([s.widths for s in states], dtype=float),
-                    masses=np.array([s.masses for s in states], dtype=float),
-                    n_particles=len(states) * (counts[lo] + 1),
-                )
+        for run in self.snapshots.runs:
+            step = max(1, BLOCK_CELLS // run.densities.shape[1])
+            for lo in range(0, run.times.size, step):
+                rows = [a[lo : lo + step] for a in run[1:6]]
+                yield SnapshotBlock(run.start + lo, *rows, rows[1].size, run.top)
 
 
 def _timestep_cap(
@@ -436,7 +466,7 @@ def simulate(
 
     # an every_step run lands only on T, and records after every step
     targets = np.linspace(state0.time, T, 2 if every_step else snapshot_count).tolist()
-    snaps: List[ParticleState] = [state0]
+    snaps: list = [state0]
     events: List[CollisionEvent] = []
     max_events = state0.n_particles - 1
     # the density cap: no cell may be squeezed past the initial maximum
@@ -515,8 +545,8 @@ def simulate(
                     floor = masses / rho_star
             elif record:
                 # this step's _advance proved these positions ordered and these
-                # densities finite, so the constructor's passes repeat it
-                snaps.append(_stepped_state(pos, densities, masses, t, widths))
+                # densities finite, so the constructor's passes would repeat it
+                snaps.append((t, pos, densities, widths, masses))
             if landed:
                 k += 1
     stats = RunStats(

@@ -4,8 +4,9 @@
 x_right, density, width and mass, a row per snapshot per cell in record
 order (a cell index of 0 starts a snapshot; a collision time appears
 twice, pre- then post-sweep), in ``np.save``'s format without pickling;
-the loader reads it.  ``trajectory.csv`` holds the first five columns as
-text under the header ``t,i,x_left,x_right,v``.  ``events.json`` holds
+the loader reads it.  Both writers read the trajectory's row blocks.
+``trajectory.csv`` holds the first five columns as text under the header
+``t,i,x_left,x_right,v``.  ``events.json`` holds
 one object per collision: the deleted particles and cells, the survivor
 map and the discarded mass.  Text floats are shortest round-trip
 ``repr``, so identical runs give identical bytes.  Every JSON file goes
@@ -25,7 +26,6 @@ import numpy as np
 
 from .dynamics import CollisionEvent, Trajectory
 from .flux import FluxModel
-from .initial import ParticleState
 
 __all__ = [
     "write_json",
@@ -73,31 +73,28 @@ def write_json(obj, path) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    index = list(map(str, range(max((state.n_cells for state in traj.snapshots), default=0))))
     with Path(path).open("w", newline="") as fh:
         fh.write(_TRAJECTORY_HEADER + "\r\n")
-        for state in traj.snapshots:
-            xs = _reprs(state.positions)
-            n = state.n_cells
-            fh.write(_rows([repr(float(state.time))] * n, index[:n], xs[:-1], xs[1:], _reprs(state.densities)))
+        for block in traj.blocks():
+            index = list(map(str, range(block.densities.shape[1])))
+            for t, pos, dens in zip(block.times.tolist(), block.positions, block.densities):
+                xs = _reprs(pos)
+                fh.write(_rows([repr(t)] * len(index), index, xs[:-1], xs[1:], _reprs(dens)))
 
 
 def write_trajectory_npy(traj: Trajectory, path) -> None:
     """Write the trajectory's rows in ``np.save``'s format: the header for
-    the whole array, then each snapshot's rows from one reused buffer, so
-    the array is never held whole in memory."""
-    counts = [state.n_cells for state in traj.snapshots]
-    buf = np.empty((max(counts, default=0), len(_TRAJECTORY_COLUMNS)))
-    buf[:, 1] = np.arange(buf.shape[0])
-    header = np.lib.format.header_data_from_array_1_0(buf)
-    header["shape"] = (sum(counts), buf.shape[1])
+    the whole array, then each row block's rows, stacked from its columns,
+    so the array is never held whole in memory."""
+    rows = sum(b.densities.size for b in traj.blocks())
+    header = {"descr": np.dtype(float).str, "fortran_order": False, "shape": (rows, len(_TRAJECTORY_COLUMNS))}
     with Path(path).open("wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for state, n in zip(traj.snapshots, counts):
-            pos, rows = state.positions, buf[:n]
-            rows[:, 0], rows[:, 2], rows[:, 3] = state.time, pos[:-1], pos[1:]
-            rows[:, 4], rows[:, 5], rows[:, 6] = state.densities, state.widths, state.masses
-            rows.tofile(fh)
+        for b in traj.blocks():
+            x = b.positions
+            cell = np.arange(b.densities.shape[1])
+            columns = (b.times[:, None], cell, x[:, :-1], x[:, 1:], b.densities, b.widths, b.masses)
+            np.stack(np.broadcast_arrays(*columns), axis=-1).tofile(fh)
 
 
 def write_events_json(traj: Trajectory, path) -> None:
@@ -135,7 +132,7 @@ def _read_trajectory_columns(path: Path) -> np.ndarray:
     # shape[1:] is (7,) only for a 2-D array of 7 columns
     if table.dtype != np.float64 or table.shape[1:] != (len(_TRAJECTORY_COLUMNS),) or table.size == 0:
         raise ValueError(f"trajectory array is {table.dtype} of shape {table.shape}, need float64 (rows > 0, 7)")
-    t, cells, x_left, x_right, _, widths, _ = table.T
+    t, cells, x_left, x_right, densities, widths, masses = table.T
     if not np.all(cells % 1.0 == 0.0):
         raise ValueError("non-integral cell index in trajectory array")
     if cells[0] != 0:
@@ -152,9 +149,14 @@ def _read_trajectory_columns(path: Path) -> np.ndarray:
         raise ValueError("snapshot times decrease")
     if np.any(x_left[1:][same] != x_right[:-1][same]):
         raise ValueError("a cell's x_right differs from the next cell's x_left")
-    # ParticleState checks only the shape of the widths; NaN fails both tests
+    # so x_left < x_right orders each snapshot's positions, and finite ends bound them
+    if not (np.all(x_left < x_right) and np.minimum.reduce(x_left) > -np.inf and np.maximum.reduce(x_right) < np.inf):
+        raise ValueError("particle positions must be finite and strictly increasing")
     if not (np.minimum.reduce(widths) > 0.0 and np.maximum.reduce(widths) < np.inf):
         raise ValueError("cell widths must be finite and positive")
+    for name, column in (("densities", densities), ("masses", masses)):
+        if not (np.minimum.reduce(column) >= 0.0 and np.maximum.reduce(column) < np.inf):
+            raise ValueError(f"cell {name} must be finite and nonnegative")
     return table.T
 
 
@@ -203,9 +205,10 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     for one.  A well-formed ``trajectory.npy`` is a nonempty 2-D float64
     array of 7 columns that numbers each snapshot's cells 0..n-1 in order,
     gives all of them one finite time, never lets that time decrease,
-    repeats each cell's ``x_right`` as the next cell's ``x_left`` and has
-    finite, positive widths.  The fingerprint is worked out from the
-    recorded config, as for a run.
+    repeats each cell's ``x_right`` as the next cell's ``x_left``, puts each
+    ``x_left`` below its ``x_right`` and holds only finite values, positive
+    widths and nonnegative densities and masses.  The fingerprint is worked
+    out from the recorded config, as for a run.
     """
     directory = Path(directory)
     try:
@@ -217,17 +220,17 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     # a snapshot starts wherever the cell index restarts at 0
     bounds = np.append(np.flatnonzero(cells == 0), cells.size).tolist()
 
-    snapshots = []
+    records = []
     pending = list(events)
     for lo, hi in zip(bounds, bounds[1:]):
         n = hi - lo
-        if snapshots and snapshots[-1].n_cells != n:
+        if records and records[-1][2].size != n:
             # a sweep deletes the cells its event names, and no others
-            before, deleted = snapshots[-1].n_cells, (pending.pop(0).deleted_cells if pending else None)
+            before, deleted = records[-1][2].size, (pending.pop(0).deleted_cells if pending else None)
             if deleted is None or before - np.unique(deleted).size != n or np.any((deleted < 0) | (deleted >= before)):
                 raise ValueError("cell count change does not match the event log")
         pos = np.append(x_left[lo:hi], x_right[hi - 1])
-        snapshots.append(ParticleState(pos, densities[lo:hi], masses[lo:hi], float(times[lo]), widths[lo:hi]))
+        records.append((float(times[lo]), pos, densities[lo:hi], widths[lo:hi], masses[lo:hi]))
     if pending:
         raise ValueError(f"event log has {len(pending)} more event(s) than cell count changes")
-    return Trajectory(snapshots=snapshots, events=events, model=model, config=config)
+    return Trajectory(snapshots=records, events=events, model=model, config=config)

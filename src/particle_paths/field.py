@@ -103,11 +103,13 @@ def trace_characteristic(traj: Trajectory, x_start: float, t_start: float) -> Tu
     ts = [float(t_start)]
     xs = [float(x_start)]
     x = float(x_start)
-    for t0, t1, state in zip(times, times[1:], traj.snapshots):
-        if t1 <= t_start or t1 <= t0:
-            continue
-        seg_lo = max(t0, t_start)
-        x += (t1 - seg_lo) * float(np.interp(x, state.positions, particle_velocities(traj.model, state)))
-        ts.append(float(t1))
-        xs.append(x)
+    for block in traj.blocks():
+        # one kernel call per row block; the last snapshot starts no interval
+        for j, pos, vel in zip(range(block.start, times.size - 1), block.positions, particle_velocities(traj.model, block)):
+            t0, t1 = times[j], times[j + 1]
+            if t1 <= t_start or t1 <= t0:
+                continue
+            x += (t1 - max(t0, t_start)) * float(np.interp(x, pos, vel))
+            ts.append(float(t1))
+            xs.append(x)
     return np.asarray(ts), np.asarray(xs)

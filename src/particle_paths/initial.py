@@ -254,37 +254,6 @@ class ParticleState:
         return ParticleState(positions=pos, densities=dens, masses=dens * np.diff(pos), time=float(time))
 
 
-def _stepped_state(positions, densities, masses, time, widths) -> ParticleState:
-    """A state a checked step of ``dynamics.simulate`` formed, without ``__post_init__``.
-
-    Each invariant the constructor tests is already proved by the step
-    (``dynamics._advance`` with ``record`` set) or by the state it came from:
-
-    * float arrays of shape (n + 1,) and (n,), n >= 1: the step's positions
-      come from ``dynamics._positions`` on the new widths, which keep the
-      shape of the last checked state's widths; densities are masses over
-      widths, and the masses are the last checked state's;
-    * finite, strictly increasing positions: the step's ordering
-      certificate, stated for the positions ``dynamics._positions``
-      builds, or, when it fails, the step's test of the increase one by
-      one and of the last position for finiteness, which together make
-      every position finite;
-    * finite densities: the step's largest density is finite, and every
-      density lies between 0 and it;
-    * nonnegative densities: masses >= 0 over widths > 0 (the certificate's
-      w_min > 0, or the increase, rules out a width <= 0), and correctly
-      rounded division keeps the sign;
-    * finite, nonnegative masses: unchanged since a state built by the
-      constructor, the run's first state or the one after a sweep;
-    * a finite time: a landed step's time is its snapshot time, which lies
-      between the first state's time and a finite T, and any other step's
-      time is below it.
-    """
-    state = object.__new__(ParticleState)
-    state.__dict__.update(positions=positions, densities=densities, masses=masses, time=time, widths=widths)
-    return state
-
-
 def integrate(g_l, g_r, w):
     """Integral of |g| over intervals of width w where g is affine (elementwise).
 

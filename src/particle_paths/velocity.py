@@ -26,8 +26,8 @@ with vacuum (density 0) on both sides.  It has three paths:
 
 Before any path, the densities must lie in the model's working interval.
 ``flux.check_density_intervals`` tests that with two reductions, unless
-the caller passes a ``_Cells`` whose ``top``, its proved largest density,
-already lies inside: ``simulate`` after each step, and the invariant audit.
+the caller passes a ``_Cells`` or ``SnapshotBlock`` whose proved ``top``
+lies inside: ``simulate`` after each step, and every trajectory block.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ __all__ = ["particle_velocities", "follow_the_leader_deviation"]
 
 
 class _Cells(NamedTuple):
-    """The part of a state the velocity kernel reads, for the array loop and the audit.
+    """The part of a state the velocity kernel reads, for the array loop and the FTL check.
 
-    ``top`` is the largest density, taken by a caller that has proved every
-    density finite and nonnegative, or NaN when nothing is proved.  The
+    ``top`` is at least every density, taken by a caller that has proved
+    each density finite and nonnegative, or NaN when nothing is proved.  The
     kernel then compares this one value with the working interval's top
     in place of the range test's two reductions; NaN, or a value above the
     top, runs the full test, with its messages.
@@ -70,8 +70,7 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
     velocity of the particle between each pair; any oracle but a
     ``MonotoneOracle`` takes the two-sided rule, Godunov's too.  Raises
     ValueError when a density is negative or above the model's working
-    interval; a ``_Cells`` whose ``top`` is proved in range skips that
-    test's reductions.
+    interval; a ``top`` proved in range skips that test's reductions.
     """
     dens = state.densities
     if not getattr(state, "top", math.nan) <= model.density_limit:

@@ -57,9 +57,9 @@ def particle_velocity(model, v_l: float, v_r: float) -> float:
 def revalidated(state: ParticleState) -> None:
     """Rebuild ``state`` through the public constructor, which runs every check.
 
-    ``simulate`` records a stepped state without re-running the checks its
-    step already made; the rebuilt state must be accepted and hold the same
-    arrays bit for bit.
+    ``simulate`` hands its trajectory a plain record of each stepped state
+    without re-running the checks its step already made; the rebuilt state
+    must be accepted and hold the same arrays bit for bit.
     """
     rebuilt = ParticleState(state.positions, state.densities, state.masses, state.time, state.widths)
     assert rebuilt.time == state.time

@@ -96,8 +96,7 @@ def test_invariant_audit_detects_corruption(burgers3, rarefaction_shock_run):
     )
     snaps = list(rarefaction_shock_run.snapshots)
     snaps[30] = bad_state
-    corrupted = dataclasses.replace(rarefaction_shock_run)
-    corrupted.snapshots = snaps
+    corrupted = dataclasses.replace(rarefaction_shock_run, snapshots=snaps)
     report = pp.invariant_audit(corrupted)
     assert not report.passed
     assert "max_principle" in report.failures()

@@ -236,6 +236,11 @@ def _nudge_x_right(table):
     table[1, 3] += 1e-3
 
 
+def _reversed_cell(table):
+    # cell 1 runs backwards, yet each x_right is still the next x_left
+    table[0, 3] = table[1, 2] = table[1, 3] + 1e-3
+
+
 def _ragged(table):
     # rows of different lengths can only be saved as a pickled object array
     return np.array([table[0].tolist(), table[1, :-1].tolist()], dtype=object)
@@ -265,6 +270,13 @@ MALFORMED = {
     "snapshot time infinite": _edit_array(_last_time(np.inf)),
     "width zero": _edit_array(_set(1, 5, 0.0)),
     "width NaN": _edit_array(_set(1, 5, np.nan)),
+    "density negative": _edit_array(_set(1, 4, -0.1)),
+    "density NaN": _edit_array(_set(1, 4, np.nan)),
+    "density infinite": _edit_array(_set(1, 4, np.inf)),
+    "mass negative": _edit_array(_set(1, 6, -1e-3)),
+    "mass NaN": _edit_array(_set(1, 6, np.nan)),
+    "x_left above x_right": _edit_array(_reversed_cell),
+    "x_left NaN": _edit_array(_set(0, 2, np.nan)),
     "missing events.json": lambda out: (out / "events.json").unlink(),
     "events.json not JSON": _edit_events(lambda text: text[: len(text) // 2]),
     "events.json without events": _edit_events(lambda text: json.dumps({"config": {}})),

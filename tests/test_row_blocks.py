@@ -206,3 +206,57 @@ def test_temporal_modulus_of_a_run_without_mass_is_zero():
     state0 = pp.cell_average(data, pp.place_particles(data, 9, "uniform"))
     traj = pp.simulate(model, state0, 0.1, dt_max=0.01, snapshot_count=5)
     assert pp.temporal_modulus_margin(traj) == 0.0
+
+
+def test_blocks_are_views_of_the_stacked_runs(monkeypatch):
+    # the runs are stacked once, when the trajectory is built; every call
+    # of blocks() slices them, and a snapshot's state reads the same rows
+    traj = vacuum_run(29, 0.6, 0.8, every_step=True)
+    monkeypatch.setattr(dynamics, "BLOCK_CELLS", 7 * 28)
+    runs = traj.snapshots.runs
+    assert len(runs) == len(traj.events) + 1
+    first, second = list(traj.blocks()), list(traj.blocks())
+    assert len(first) > len(runs)
+    for a, b in zip(first, second):
+        (run,) = [r for r in runs if r.start <= a.start < r.start + r.times.size]
+        for name in ("times", "positions", "densities", "widths", "masses"):
+            assert np.shares_memory(getattr(a, name), getattr(b, name)), name
+            assert np.shares_memory(getattr(a, name), getattr(run, name)), name
+            assert not getattr(a, name).flags.writeable, name
+        assert a.top == run.top == run.densities.max()
+        assert np.shares_memory(traj.snapshots[a.start].densities, run.densities)
+
+
+@pytest.mark.parametrize("from_disk", [False, True])
+def test_row_blocks_carry_their_run_top_to_the_kernel(tmp_path, monkeypatch, from_disk):
+    # every density of a stacked run was proved finite and nonnegative, so
+    # no pass over the blocks runs the kernel's full range test
+    traj = vacuum_run(29, 0.6, 0.8)
+    if from_disk:
+        exports.write_trajectory_npy(traj, tmp_path / "trajectory.npy")
+        exports.write_events_json(traj, tmp_path / "events.json")
+        traj = exports.load_trajectory_dir(tmp_path, traj.model)
+    calls = []
+    check = pp.velocity.check_density_intervals
+    monkeypatch.setattr(pp.velocity, "check_density_intervals", lambda *args: calls.append(args) or check(*args))
+    pp.invariant_audit(traj)
+    pp.spacetime_flux_residual(traj)
+    pp.entropy_defect(traj, 0.3, pp.SpaceTimeBump(0.35, 0.3, 0.25, 0.2), (0.0, 0.7))
+    assert calls == []
+
+
+def test_simulate_and_the_loader_build_no_state_per_snapshot(tmp_path, monkeypatch):
+    # they hand the trajectory plain records; only a sweep builds states,
+    # the one before it and the one after
+    data = pp.piecewise_constant_data([0.0, 0.3, 0.4, 0.7], [0.6, 0.0, 0.8])
+    state0 = pp.cell_average(data, pp.place_particles(data, 29, "uniform"))
+    built = []
+    check = ParticleState.__post_init__
+    monkeypatch.setattr(ParticleState, "__post_init__", lambda self: built.append(self) or check(self))
+    traj = pp.simulate(pp.builtin_flux("lwr"), state0, 0.5, dt_max=0.002, every_step=True)
+    assert traj.events and len(traj.snapshots) > 100
+    assert len(built) == 2 * len(traj.events)
+    exports.write_trajectory_npy(traj, tmp_path / "trajectory.npy")
+    exports.write_events_json(traj, tmp_path / "events.json")
+    exports.load_trajectory_dir(tmp_path, traj.model)
+    assert len(built) == 2 * len(traj.events)
