@@ -409,9 +409,10 @@ def _steps(bp, vals, description: str, measure_window=None) -> InitialData:
 
 
 def riemann_data(u_l, u_r, x0=0.0, window=(-1.0, 1.0), measure_window=None) -> InitialData:
-    """Two-state step profile, truncated to ``window``."""
+    """Two-state step profile, truncated to ``window`` (two finite numbers lo < hi)."""
     u_l, u_r, x0 = float(u_l), float(u_r), float(x0)
-    return _steps((window[0], x0, window[1]), (u_l, u_r), f"step {u_l} -> {u_r} at x = {x0}", measure_window)
+    lo, hi = finite_window("window", window)
+    return _steps((lo, x0, hi), (u_l, u_r), f"step {u_l} -> {u_r} at x = {x0}", measure_window)
 
 
 def rarefaction_shock_data(margin: float = 1.0) -> InitialData:

@@ -1,11 +1,19 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from particle_paths import analysis, cell_average, place_particles, riemann_data
+import particle_paths
+from particle_paths import analysis, cell_average, cli, place_particles, riemann_data
 from particle_paths.analysis import AuditReport, CheckResult
 from particle_paths.cli import run_cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(tmp_path, **overrides):
@@ -566,3 +574,62 @@ def test_convergence_mode_on_a_nonconvex_tabulated_flux(tmp_path):
     reports = json.loads((tmp_path / "out" / "rate.json").read_text())["reports"]
     assert [r["audit_passed"] for r in reports] == [True] * 3
     assert all(r["l1_error_at_T"] <= r["stability_bound"] for r in reports)
+
+
+@pytest.mark.parametrize("key", ["time_horizon", "integrator.dt_max"])
+def test_integer_beyond_the_float_range_is_exit_2(key, tmp_path, capsys):
+    # JSON reads it as an int; it once passed validation and ended in
+    # float()'s OverflowError, a traceback after the output directory was made
+    assert run_cli([str(base_config(tmp_path)), "--set", f"{key}={10**309}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module", ["particle_paths", "particle_paths.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    # the source tree on PYTHONPATH, as in a checkout without pip install
+    src = str(Path(particle_paths.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    good = base_config(tmp_path, placement={"strategy": "uniform", "n": 11}, snapshots=2)
+    run = subprocess.run([sys.executable, "-m", module, str(good)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "audit: PASS" in (tmp_path / "out" / "summary.txt").read_text()
+    bad = base_config(tmp_path, seed=-1)
+    run = subprocess.run([sys.executable, "-m", module, str(bad)], env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith("config error at seed: ")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"mode": "convergence", "placement": {"strategy": "uniform", "n_list": [9, 17, 33]}},
+        {
+            "mode": "ftl-check",
+            "flux": {"kind": "lwr", "params": {}},
+            "initial_data": {"kind": "riemann", "params": {"u_l": 0.2, "u_r": 0.8, "window": [-1, 1]}},
+        },
+    ],
+    ids=["simulate", "convergence", "ftl-check"],
+)
+def test_out_at_an_existing_file_is_exit_2(overrides, tmp_path, capsys, monkeypatch):
+    # out is made before the run: a file's path once ended in a traceback after it
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    monkeypatch.setattr(cli, "convergence_study", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    assert run_cli([str(base_config(tmp_path, **overrides)), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at out: ") and len(err.splitlines()) == 1
+    assert taken.read_text() == "a file\n"
+
+
+def test_readme_example_config_has_the_default_keys_and_validates():
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert example.keys() == cli.DEFAULTS.keys()
+    cli._validate(example)

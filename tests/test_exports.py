@@ -11,6 +11,7 @@ as must malformed config values.
 import csv
 import dataclasses
 import json
+import re
 import shutil
 
 import numpy as np
@@ -320,33 +321,48 @@ def test_malformed_input_is_value_error_and_audit_exit_2(case, vacuum_run, capsy
     assert err.startswith("config error at input: ") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "setting, path",
-    [
-        ('time_horizon="abc"', "time_horizon"),
-        ("time_horizon=-1", "time_horizon"),
-        ('placement.n="x"', "placement.n"),
-        ("placement.n=true", "placement.n"),
-        ("placement.n=30.0", "placement.n"),
-        ('placement.n_list=[9, 17, "x"]', "placement.n_list[2]"),
-        ('integrator.dt_max="fast"', "integrator.dt_max"),
-        ("integrator.theta=1.0", "integrator.theta"),
-        ('snapshots="x"', "snapshots"),
-        ("seed=-1", "seed"),
-        ("seed=false", "seed"),
-        ("integrator=3", "integrator"),
-        ("out=5", "out"),
-        ("out=null", "out"),
-        ("mode=[1]", "mode"),
-        ("input=5", "input"),
-    ],
-)
+MALFORMED_SETTINGS = [
+    ('time_horizon="abc"', "time_horizon"),
+    ("time_horizon=-1", "time_horizon"),
+    ("time_horizon=1e400", "time_horizon"),  # JSON reads it as inf
+    ('placement.n="x"', "placement.n"),
+    ("placement.n=true", "placement.n"),
+    ("placement.n=30.0", "placement.n"),
+    ('placement.n_list=[9, 17, "x"]', "placement.n_list[2]"),
+    ("placement.strategy=3", "placement.strategy"),
+    ('integrator.dt_max="fast"', "integrator.dt_max"),
+    ("integrator.theta=1.0", "integrator.theta"),
+    ("integrator.theta=true", "integrator.theta"),
+    ('snapshots="x"', "snapshots"),
+    ("snapshots=1", "snapshots"),
+    ("seed=-1", "seed"),
+    ("seed=false", "seed"),
+    ("integrator=3", "integrator"),
+    ("out=5", "out"),
+    ("out=null", "out"),
+    ("mode=[1]", "mode"),
+    ("input=5", "input"),
+    ("flux=3", "flux"),
+    ('flux.params="x"', "flux.params"),
+    ('initial_data=["box"]', "initial_data"),
+    ("initial_data.kind=[1]", "initial_data.kind"),
+    ("initial_data.params=3", "initial_data.params"),
+]
+
+
+@pytest.mark.parametrize("setting, path", MALFORMED_SETTINGS)
 def test_malformed_config_types_exit_2(setting, path, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(VACUUM))
     assert run_cli([str(config), "--out", str(tmp_path / "out"), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_every_rule_has_a_malformed_row():
+    # a rule added to the table without a row above fails here
+    covered = {re.sub(r"\[\d+\]", "[]", path) for _, path in MALFORMED_SETTINGS}
+    assert {path for path, _, _ in cli._RULES} <= covered
 
 
 def with_snapshot(traj, j, densities):

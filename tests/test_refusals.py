@@ -49,6 +49,9 @@ REFUSALS = [
     ("gap_after_time_zero", lambda: pp.initial_approximation_gap(
         pp.box_data(1.0, 0.0, 1.0), pp.ParticleState.from_cells([0.0, 1.0], [1.0], time=0.5)), "initial state only"),
     ("rarefaction_shock_no_margin", lambda: pp.rarefaction_shock_data(0.0), "margin must be positive"),
+    # a one-number window once raised IndexError, a traceback from the CLI
+    ("riemann_window_one_number", lambda: pp.riemann_data(0.2, 0.8, window=[1.0]), WINDOW),
+    ("riemann_window_three_numbers", lambda: pp.riemann_data(0.2, 0.8, window=[-1.0, 0.5, 1.0]), WINDOW),
     ("mass_quantiles_collapse", lambda: pp.place_particles(
         pp.piecewise_constant_data([0.0, 1.0, 1.0 + 1e-15, 2.0], [1e-300, 1.0, 1e-300]), 50, "mass_equidistributed"),
      "mass quantiles are not strictly increasing"),
