@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import THETA_DEFAULT, SnapshotBlock, Trajectory, simulate
-from .field import PiecewiseConstantFn, reconstruct_density, spacetime_flux_residual
+from .field import reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel, velocity_extrema
-from .initial import InitialData, cell_average, finite_window, initial_approximation_gap
+from .initial import InitialData, PiecewiseAffineFn, cell_average, finite_window, initial_approximation_gap
 from .initial import integrate  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .initial import place_particles, total_variation
 from .reference import ExactSolution
@@ -79,7 +79,7 @@ def explicit_rate_bound(tv_u0: float, sup_u0: float, lip_fprime: float, dx_star:
 
 
 def l1_error_against(
-    recon: PiecewiseConstantFn,
+    recon: PiecewiseAffineFn,
     exact: ExactSolution,
     T: float,
     window: Tuple[float, float],
@@ -440,9 +440,10 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
 
 def temporal_modulus_margin(traj: Trajectory) -> float:
     """Largest ratio of ||v(t) - v(s)||_L1 to 4 * lip_f * TV(v0) * |t - s|; a pair at distance 0 reads 0."""
-    recons = [PiecewiseConstantFn(x, v) for b in traj.blocks() for x, v in zip(b.positions, b.densities)]
+    # the record's rows are states the step loop or the loader has checked
+    recons = [PiecewiseAffineFn(x, v, v) for b in traj.blocks() for x, v in zip(b.positions, b.densities)]
     times = traj.times
-    bound_rate = 4.0 * traj.model.lip_f * total_variation(recons[0].values)
+    bound_rate = 4.0 * traj.model.lip_f * total_variation(recons[0].left)
     # pairs at adjacent distinct times suffice: for s < r < t, ||v(t) - v(s)||
     # <= ||v(t) - v(r)|| + ||v(r) - v(s)||, and a ratio of two sums is at most
     # the larger ratio of its terms; a sweep's pre- and post-sweep states share

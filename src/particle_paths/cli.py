@@ -121,7 +121,10 @@ def _read_table(path, where: str) -> np.ndarray:
     rows = [line for line in lines if line.split("#", 1)[0].strip()]  # as np.loadtxt skips
     if not rows:
         raise ConfigError(where, f"no data rows in {path}")
-    table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(where, f"{path}: {exc}")
     if table.shape[1] < 2:
         raise ConfigError(where, f"need two columns in {path}")
     return table

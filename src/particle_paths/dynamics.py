@@ -70,10 +70,11 @@ DENSITY_HEADROOM = 1e-13
 # what can set a step, in the order ties are broken
 LIMITERS = ("dt_max", "crossing", "density", "landing")
 # cells per row block of snapshots: enough rows to spread the kernel's
-# fixed per-call cost (about 50 us for a 65-node tabulated oracle) over
-# many snapshots, few enough that a block's temporaries stay small (on a
-# 1601-particle run a 4096-cell cap adds about 0.1 MB of peak memory, a
-# 16384-cell cap 1.6 MB); a snapshot with more cells is a block on its own
+# fixed per-call cost (25-30 us for a 65-node tabulated oracle on 1-100
+# cells, 2-vCPU Xeon) over many snapshots, few enough that a block's
+# temporaries stay small (on a 1601-particle run a 4096-cell cap adds
+# about 0.1 MB of peak memory, a 16384-cell cap 1.6 MB); a snapshot with
+# more cells is a block on its own
 BLOCK_CELLS = 4096
 
 
@@ -468,7 +469,6 @@ def simulate(
     targets = np.linspace(state0.time, T, 2 if every_step else snapshot_count).tolist()
     snaps: list = [state0]
     events: List[CollisionEvent] = []
-    max_events = state0.n_particles - 1
     # the density cap: no cell may be squeezed past the initial maximum
     rho_star = float(np.max(state0.densities, initial=0.0)) * (1.0 + DENSITY_HEADROOM)
     stall_dt = 1e-16 * max(1.0, T)
@@ -536,8 +536,6 @@ def simulate(
                 pre = current()
                 post, event = resolve_collisions(pre, eps_coll)
                 events.append(event)
-                if len(events) > max_events:
-                    raise SimulationError("more collision events than particles", post)
                 snaps += (pre, post)
                 pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
                 x0, top = float(pos[0]), math.nan

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from tokenize import TokenError
 
@@ -170,17 +171,26 @@ def _integers(values, key: str) -> np.ndarray:
     return np.asarray(values, dtype=int)
 
 
+def _finite(value, key: str, nonnegative: bool = False) -> float:
+    """``value`` as a float; ``ValueError`` naming ``key`` unless it is
+    finite (and, if ``nonnegative`` is set, at least 0)."""
+    number = float(value)
+    if not (math.isfinite(number) and (number >= 0.0 or not nonnegative)):
+        raise ValueError(f"{key} holds {number!r}, not a finite{' nonnegative' if nonnegative else ''} number")
+    return number
+
+
 def _read_events(path: Path) -> tuple:
     """Events and config recorded in ``events.json``."""
     try:
         payload = json.loads(path.read_text())
         events = [
             CollisionEvent(
-                time=float(ev["time"]),
+                time=_finite(ev["time"], "time"),
                 deleted_particles=_integers(ev["deleted_particles"], "deleted_particles"),
                 deleted_cells=_integers(ev["deleted_cells"], "deleted_cells"),
                 survivor_map=_integers(ev["survivor_map"], "survivor_map"),
-                discarded_mass=float(ev["discarded_mass"]),
+                discarded_mass=_finite(ev["discarded_mass"], "discarded_mass", nonnegative=True),
                 pre_particle_count=int(_integers([ev["pre_particle_count"]], "pre_particle_count")[0]),
             )
             for ev in payload["events"]

@@ -321,12 +321,16 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
             },
             "initial_data.kind",
         ),
+        # a cell that is not a number was once reported at flux or at initial_data.params
+        ({"flux": {"kind": "tabulated", "params": {"path": "non_numeric.csv"}}}, "flux.params.path"),
+        ({"initial_data": {"kind": "sampled", "params": {"path": "non_numeric.csv"}}}, "initial_data.params.path"),
     ],
 )
 def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "one_column.csv").write_text("u\n0.0\n1.0\n")
     (tmp_path / "header_only.csv").write_text("x,u\n")
+    (tmp_path / "non_numeric.csv").write_text("u,f\nabc,1\n")
     config = base_config(tmp_path, **overrides)
     assert run_cli([str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")

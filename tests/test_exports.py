@@ -285,6 +285,10 @@ MALFORMED = {
     "event log too long": _edit_events(_append_empty_event),
     "event time not a number": _edit_events(_set_first_event("time", "abc")),
     "discarded mass not a number": _edit_events(_set_first_event("discarded_mass", "abc")),
+    # a NaN discarded mass once turned the drift NaN, and the audit passed
+    "discarded mass NaN": _edit_events(_set_first_event("discarded_mass", float("nan"))),
+    "discarded mass negative": _edit_events(_set_first_event("discarded_mass", -1e-12)),
+    "event time infinite": _edit_events(_set_first_event("time", float("inf"))),
     "particle count not a number": _edit_events(_set_first_event("pre_particle_count", "abc")),
     "particle count not integral": _edit_events(_set_first_event("pre_particle_count", 3.5)),
     "particle count infinite": _edit_events(_set_first_event("pre_particle_count", float("inf"))),

@@ -501,6 +501,27 @@ def test_nonfinite_state_aborts_with_the_last_valid_state():
     np.testing.assert_array_equal(err.value.state.positions, st0.positions)
 
 
+def test_overflowing_density_aborts_with_the_last_valid_state():
+    # the largest initial density is the largest float, so the density cap
+    # rho* = top * (1 + 1e-13) overflows to inf and leaves every cell
+    # without a floor (the dense cell is narrow, so the total mass stays
+    # finite).  Under a decreasing a the light cell closes on the dense
+    # one, and the crossing cap lets it shrink to a tenth of its width,
+    # which takes its density past the float range
+    top = np.finfo(float).max
+
+    def a_of(u):
+        return 1.0 - np.asarray(u, dtype=float) / top
+
+    oracle = MonotoneOracle(a_of, increasing=False)
+    model = FluxModel("overflow", lambda u: u * a_of(u), 1.0, 1.0, top, extremum_oracle=oracle)
+    st0 = ParticleState.from_cells([0.0, 1.0, 1.00001], [1e308, top])
+    with pytest.raises(SimulationError, match="non-finite state") as err:
+        pp.simulate(model, st0, 10.0, dt_max=10.0, snapshot_count=2)
+    assert_valid(err.value.state, time=0.0)
+    np.testing.assert_array_equal(err.value.state.densities, st0.densities)
+
+
 def test_nan_velocity_carries_the_last_valid_state():
     # a(u) = u except NaN on (0, 0.5).  The density cap keeps every cell at
     # or below the initial maximum, so the band lies below it: the box's
