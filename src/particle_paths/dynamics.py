@@ -15,9 +15,9 @@ A run keeps its state between records as plain arrays: the time, the
 left end, the widths, the densities and the masses.  Positions exist only
 for a built state.  The states around a collision sweep and the state a
 ``SimulationError`` carries are built by the ``ParticleState``
-constructor, with its checks; a landed or ``every_step`` step hands the
-``Trajectory`` a plain record of its arrays without them, since the step
-has proved each invariant the constructor tests.  Every step checks its
+constructor, with its checks; a landed or ``every_step`` step writes its
+arrays without them straight into those of its run, since the step has
+proved each invariant the constructor tests.  Every step checks its
 positions by a scalar certificate, a recording step too: with every
 width at least w_min and every position within B = (|x0| + sum of
 widths)(1 + 1e-6), a finite B and w_min > 4 ulp(B) make the positions
@@ -32,7 +32,9 @@ velocities: each enters a closing rate vel[i] - vel[i + 1], so a finite
 sum of the rates makes every velocity finite; a step that fails it
 tests them one by one, with the same message.  The density cap's
 floors, each cell's mass over the cap, change only with the masses, so
-they are formed at entry and after each sweep.
+they are formed at entry and after each sweep.  A third certificate
+covers the caps: where it proves neither cap below the step that
+``dt_max`` or the next landing allows, the caps are not taken.
 """
 
 from __future__ import annotations
@@ -143,16 +145,15 @@ class SnapshotBlock(NamedTuple):
 
 
 class _Snapshots(Sequence):
-    """The recorded states, stacked once into ``runs``: one read-only
-    ``SnapshotBlock`` per run of consecutive snapshots with one cell count,
-    whose ``top`` is the run's largest density.  An index builds its
+    """The recorded states as ``runs``: one read-only ``SnapshotBlock`` per
+    run of consecutive snapshots with one cell count, kept as given, whose
+    ``top`` is the run's largest density.  An index builds its
     ``ParticleState`` through the checked constructor, a slice a list."""
 
-    def __init__(self, records):
+    def __init__(self, runs):
         self.runs: List[SnapshotBlock] = []
         self._rows: list = []  # the run and row of each snapshot
-        for _, run in itertools.groupby(records, key=lambda r: r[2].size):
-            arrays = [np.array(column, dtype=float) for column in zip(*run)]
+        for arrays in runs:
             for a in arrays:
                 a.flags.writeable = False
             top = float(np.maximum.reduce(arrays[2], axis=None))
@@ -169,19 +170,50 @@ class _Snapshots(Sequence):
         return ParticleState(run.positions[j], run.densities[j], run.masses[j], run.times.item(j), run.widths[j])
 
 
+def _stack(states) -> Iterator[List[np.ndarray]]:
+    """The arrays of each run of a hand-built trajectory's states, stacked."""
+    for _, run in itertools.groupby(states, key=lambda s: s.n_cells):
+        records = [(s.time, s.positions, s.densities, s.widths, s.masses) for s in run]
+        yield [np.array(column, dtype=float) for column in zip(*records)]
+
+
+class _Stack:
+    """The arrays of one run, which ``simulate`` writes a row per recorded
+    state into: sized for ``capacity`` rows, doubled when full (only an
+    ``every_step`` run fills them) and cut to their rows in place by
+    ``resize``.  No view of them exists before, so it skips numpy's check."""
+
+    def __init__(self, capacity: int, *row):
+        self.arrays = [np.empty((capacity, *np.shape(value))) for value in row]
+        self.rows = 0
+        self.write(*row)
+
+    def write(self, *row) -> None:
+        if self.rows == self.arrays[0].size:
+            self.resize(2 * self.rows)
+        for a, value in zip(self.arrays, row):
+            a[self.rows] = value
+        self.rows += 1
+
+    def resize(self, rows: int) -> List[np.ndarray]:
+        for a in self.arrays:
+            a.resize((rows, *a.shape[1:]), refcheck=False)
+        return self.arrays
+
+
 @dataclass
 class Trajectory:
     """Time-ordered snapshots plus collision events for one run.
 
-    ``snapshots`` are ``ParticleState``s or (time, positions, densities,
-    widths, masses) records that pass a state's checks, as those of
-    ``simulate`` and the loader do; each run of one cell count is stacked
-    once, then read as states on access.  Snapshot times are
-    nondecreasing; they repeat only at collision times, where the state
-    immediately before and immediately after the sweep are both recorded
-    (in that order).  ``stats`` is set by ``simulate`` and absent on a
-    trajectory loaded from disk.  The ``fingerprint`` is worked out from
-    ``config``, so a run and its copy loaded from disk give the same one.
+    ``simulate`` and the loader hand over their runs whole; a hand-built
+    trajectory gives a list of ``ParticleState``s, stacked once per run of
+    one cell count.  Either way they are read as states on access.
+    Snapshot times are nondecreasing; they repeat only at collision times,
+    where the state immediately before and immediately after the sweep are
+    both recorded (in that order).  ``stats`` is set by ``simulate`` and
+    absent on a trajectory loaded from disk.  The ``fingerprint`` is worked
+    out from ``config``, so a run and its copy loaded from disk give the
+    same one.
     """
 
     snapshots: Sequence
@@ -193,10 +225,7 @@ class Trajectory:
 
     def __post_init__(self):
         if not isinstance(self.snapshots, _Snapshots):
-            self.snapshots = _Snapshots(
-                (s.time, s.positions, s.densities, s.widths, s.masses) if isinstance(s, ParticleState) else s
-                for s in self.snapshots
-            )
+            self.snapshots = _Snapshots(_stack(self.snapshots))
 
     @property
     def fingerprint(self) -> str:
@@ -252,6 +281,30 @@ def _timestep_cap(
     # nor may any cell be squeezed past the initial density maximum; max
     # returns its first argument on a tie, so -0.0 clamps to +0.0
     return crossing, max(0.0, float(np.minimum.reduce((gaps - floor.take(approaching)) / rate)))
+
+
+def _caps_clear(bound: float, widths: np.ndarray, w_min: float, floor: Optional[np.ndarray], closing: np.ndarray,
+                theta: float) -> bool:
+    """The caps certificate: True proves both caps of ``_timestep_cap`` at least ``bound`` >= 0.
+
+    ``w_min`` is the narrowest width.  Either no pair approaches (both caps
+    are inf), or, with reach = bound (1 + 2**-48) and R the fastest closing
+    rate, fl((1 - theta) w_min) > fl(R reach) and every cell has
+    fl(widths - floor) > fl(closing reach).  Rounding is monotone, so each
+    approaching cell's numerator, fl((1 - theta) gap) or fl(gap - floor),
+    exceeds fl(rate reach) >= fl(rate bound); a float above a rounded
+    product exceeds the exact one (subnormal or not), so the exact
+    quotient exceeds bound and rounds to at least it.  The 2**-48 is
+    headroom that argument does not use.  An overflowed or NaN product
+    fails the test.  False only says the caps must be taken.
+    """
+    fastest = float(np.maximum.reduce(closing))
+    if fastest <= 0.0:
+        return True
+    reach = bound * (1.0 + 2.0**-48)
+    if not (1.0 - theta) * w_min > fastest * reach:
+        return False
+    return floor is None or bool(np.logical_and.reduce(np.subtract(widths, floor) > np.multiply(closing, reach)))
 
 
 def _positions(x0: float, widths: np.ndarray) -> np.ndarray:
@@ -433,8 +486,9 @@ def simulate(
 
     ``T`` must be finite and later than ``state0.time``, ``dt_max``
     positive (``inf`` leaves the step to the caps), ``theta`` inside
-    (0, 1) and ``snapshot_count`` an ``int`` (not a ``bool``) of at least
-    2; otherwise ``ValueError`` names the argument.
+    (0, 1), ``snapshot_count`` an ``int`` (not a ``bool``) of at least
+    2 and ``state0``'s total mass finite; otherwise ``ValueError`` names
+    the argument.
 
     The loop tests every value it forms and raises ``SimulationError``,
     carrying the last valid state, on a non-finite one, so it runs with
@@ -451,6 +505,9 @@ def simulate(
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     if isinstance(snapshot_count, bool) or not isinstance(snapshot_count, int) or snapshot_count < 2:
         raise ValueError(f"snapshot_count must be an int of at least 2, got {snapshot_count!r}")
+    mass = state0.total_mass
+    if not math.isfinite(mass):
+        raise ValueError(f"state0's total mass must be finite, got {mass!r}")
     eps_coll = default_eps_coll(state0)
     run_config = {
         "T": T,
@@ -467,7 +524,6 @@ def simulate(
 
     # an every_step run lands only on T, and records after every step
     targets = np.linspace(state0.time, T, 2 if every_step else snapshot_count).tolist()
-    snaps: list = [state0]
     events: List[CollisionEvent] = []
     # the density cap: no cell may be squeezed past the initial maximum
     rho_star = float(np.max(state0.densities, initial=0.0)) * (1.0 + DENSITY_HEADROOM)
@@ -475,10 +531,10 @@ def simulate(
     landing = LIMITERS.index("landing")
     # the loop state: the left end x0 and the widths fix the positions,
     # which are built only for a state; pos holds them once built and is
-    # None until then.  top is the largest density once a step has proved
-    # every density finite and >= 0, and NaN until then, which sends the
-    # kernel to its full range test.  masses and the density cap's floor
-    # change only at a sweep
+    # None until then.  w_min is the narrowest width.  top is the largest
+    # density once a step has proved every density finite and >= 0, and
+    # NaN until then, which sends the kernel to its full range test.
+    # masses and the density cap's floor change only at a sweep
     t, x0, widths, densities, masses, top = (
         state0.time, float(state0.positions[0]), state0.widths, state0.densities, state0.masses, math.nan,
     )
@@ -486,9 +542,13 @@ def simulate(
     floor = masses / rho_star if rho_star > 0.0 else None
     dts: List[float] = []
     limited = [0] * len(LIMITERS)
-    min_width = float(np.min(widths))
+    w_min = min_width = float(np.min(widths))
     k = 1
     stall = 0
+    # a run's rows: its first state and one per target left, the last of
+    # which may be the state before the sweep that ends the run
+    runs: list = []
+    stack = _Stack(len(targets), t, pos, densities, widths, masses)
 
     def current() -> ParticleState:
         nonlocal pos
@@ -507,13 +567,23 @@ def simulate(
             # finite velocities falls back to the test one by one
             if not (math.isfinite(np.add.reduce(closing)) or np.isfinite(vel).all()):
                 raise SimulationError("non-finite particle velocity", current())
-            caps = (dt_max, *_timestep_cap(widths, floor, closing, theta))
-            dt = min(caps)
             target = targets[k]
-            landed = dt >= (target - t) * (1.0 - 1e-12)
-            limited[landing if landed else caps.index(dt)] += 1
+            remaining = target - t
+            # a step is at most dt_max and lands at the latest on target;
+            # where the certificate proves both caps no smaller, dt_max or
+            # the landing sets it, as the caps would
+            bound = min(dt_max, remaining)
+            if _caps_clear(bound, widths, w_min, floor, closing, theta):
+                dt, limiter = bound, 0
+            else:
+                caps = (dt_max, *_timestep_cap(widths, floor, closing, theta))
+                dt = min(caps)
+                limiter = caps.index(dt)
+            landed = dt >= remaining * (1.0 - 1e-12)
+            limited[landing if landed else limiter] += 1
             if landed:
-                dt = target - t
+                dt = remaining
+                k += 1
             dts.append(dt)
             if dt <= stall_dt:
                 stall += 1
@@ -536,17 +606,18 @@ def simulate(
                 pre = current()
                 post, event = resolve_collisions(pre, eps_coll)
                 events.append(event)
-                snaps += (pre, post)
+                stack.write(t, pre.positions, densities, widths, masses)
+                runs.append(stack.resize(stack.rows))
                 pos, widths, densities, masses = post.positions, post.widths, post.densities, post.masses
-                x0, top = float(pos[0]), math.nan
+                stack = _Stack(1 + len(targets) - k, t, pos, densities, widths, masses)
+                x0, top, w_min = float(pos[0]), math.nan, float(np.minimum.reduce(widths))
                 if floor is not None:
                     floor = masses / rho_star
             elif record:
                 # this step's _advance proved these positions ordered and these
                 # densities finite, so the constructor's passes would repeat it
-                snaps.append((t, pos, densities, widths, masses))
-            if landed:
-                k += 1
+                stack.write(t, pos, densities, widths, masses)
+    runs.append(stack.resize(stack.rows))
     stats = RunStats(
         steps=len(dts),
         dt_min=min(dts),
@@ -555,4 +626,4 @@ def simulate(
         collision_sweeps=len(events),
         min_width=min_width,
     )
-    return Trajectory(snapshots=snaps, events=events, model=model, data=data, config=run_config, stats=stats)
+    return Trajectory(snapshots=_Snapshots(runs), events=events, model=model, data=data, config=run_config, stats=stats)

@@ -25,7 +25,7 @@ from tokenize import TokenError
 
 import numpy as np
 
-from .dynamics import CollisionEvent, Trajectory
+from .dynamics import CollisionEvent, Trajectory, _Snapshots
 from .flux import FluxModel
 
 __all__ = [
@@ -209,7 +209,10 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     """Rebuild a trajectory from ``trajectory.npy`` and ``events.json``.
 
     Every snapshot holds the run's own positions, densities, widths,
-    masses and time, so a loaded run audits as the live one does.  Raises
+    masses and time, so a loaded run audits as the live one does.  Each
+    stretch of the columns with one cell count is reshaped, in one copy
+    per column, into the arrays of one run, which the trajectory keeps
+    as they are, as it keeps those of ``simulate``.  Raises
     ``ValueError`` if either file is missing, unreadable or malformed, or
     if the changes in the cell count do not match the recorded events one
     for one.  A well-formed ``trajectory.npy`` is a nonempty 2-D float64
@@ -227,20 +230,24 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     except OSError as exc:
         raise ValueError(f"cannot read {exc.filename}: {exc.strerror}") from exc
 
-    # a snapshot starts wherever the cell index restarts at 0
-    bounds = np.append(np.flatnonzero(cells == 0), cells.size).tolist()
+    # a snapshot starts wherever the cell index restarts at 0, and each
+    # stretch of snapshots with one cell count is a run
+    starts = np.flatnonzero(cells == 0)
+    counts = np.diff(starts, append=cells.size)
+    edges = np.flatnonzero(np.diff(counts, prepend=0, append=0)).tolist()
 
-    records = []
-    pending = list(events)
-    for lo, hi in zip(bounds, bounds[1:]):
-        n = hi - lo
-        if records and records[-1][2].size != n:
+    runs, pending = [], list(events)
+    for first, end in zip(edges, edges[1:]):
+        rows, n, lo = end - first, int(counts[first]), int(starts[first])
+        if runs:
             # a sweep deletes the cells its event names, and no others
-            before, deleted = records[-1][2].size, (pending.pop(0).deleted_cells if pending else None)
+            before, deleted = runs[-1][2].shape[1], (pending.pop(0).deleted_cells if pending else None)
             if deleted is None or before - np.unique(deleted).size != n or np.any((deleted < 0) | (deleted >= before)):
                 raise ValueError("cell count change does not match the event log")
-        pos = np.append(x_left[lo:hi], x_right[hi - 1])
-        records.append((float(times[lo]), pos, densities[lo:hi], widths[lo:hi], masses[lo:hi]))
+        left, *cell_columns = (c[lo : lo + rows * n].reshape(rows, n) for c in (x_left, densities, widths, masses))
+        positions = np.concatenate([left, x_right[lo + n - 1 : lo + rows * n : n, None]], axis=1)
+        # C-order copies of the strided columns, one run apiece
+        runs.append((times[lo : lo + rows * n : n].copy(), positions, *map(np.array, cell_columns)))
     if pending:
         raise ValueError(f"event log has {len(pending)} more event(s) than cell count changes")
-    return Trajectory(snapshots=records, events=events, model=model, config=config)
+    return Trajectory(snapshots=_Snapshots(runs), events=events, model=model, config=config)

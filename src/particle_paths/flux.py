@@ -76,8 +76,12 @@ class FluxModel:
 
     @functools.cached_property
     def density_limit(self) -> float:
-        """Largest density accepted as inside [0, u_high] (relative slack 1e-9), formed once."""
-        return self.u_high * (1.0 + 1e-9) + 1e-300
+        """Largest density accepted as inside [0, u_high] (relative slack 1e-9), formed once.
+
+        A Python float, which overflows to inf without numpy's warning when
+        u_high is near the largest float.
+        """
+        return float(self.u_high) * (1.0 + 1e-9) + 1e-300
 
 
 def check_density_intervals(model: FluxModel, lo: np.ndarray, hi: np.ndarray) -> None:

@@ -237,7 +237,9 @@ class ParticleState:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.masses))
+        """The sum of the masses: inf, without numpy's warning, when it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.masses))
 
     @property
     def dx_star(self) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import particle_paths as pp
+from particle_paths.flux import MonotoneOracle
 
 
 def burgers_run(data=None):
@@ -28,6 +29,19 @@ def godunov_in(window):
     return pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 50, 0.1, window=window)
 
 
+def largest_float_model():
+    """A decreasing a(u) = 1 - u / max on [0, max], max the largest float."""
+    top = np.finfo(float).max
+
+    def a_of(u):
+        return 1.0 - np.asarray(u, dtype=float) / top
+
+    return pp.FluxModel("overflow", lambda u: u * a_of(u), 1.0, 1.0, top,
+                        extremum_oracle=MonotoneOracle(a_of, increasing=False))
+
+
+# two cells of finite mass whose masses sum past the largest float
+MASS_OVERFLOWS = pp.ParticleState.from_cells([0.0, 1.0, 2.0], [1e308, np.finfo(float).max])
 WINDOW = "window must be two finite numbers lo < hi"
 RATE = "rate must be finite and positive"
 UNIT_TABLE = {"us": [0.0, 1.0], "fs": [0.0, 1.0]}
@@ -43,6 +57,9 @@ REFUSALS = [
     ("tabulated_u_high_above", lambda: pp.builtin_flux("tabulated", u_high=2.0, **UNIT_TABLE), "exceeds the tabulated"),
     ("tabulated_slope_overflows", lambda: pp.builtin_flux("tabulated", us=[0.0, 1e-300, 1.0], fs=[0.0, 1e300, 1.0]),
      "slope overflows"),
+    # simulate: numpy's overflow warning once escaped from the total mass
+    ("simulate_total_mass_overflows", lambda: pp.simulate(largest_float_model(), MASS_OVERFLOWS, 10.0, dt_max=10.0),
+     "state0's total mass must be finite, got inf"),
     # initial data and placement
     ("cell_average_unordered", lambda: pp.cell_average(pp.box_data(1.0, 0.0, 1.0), [0.0, 0.5, 0.5, 1.0]),
      "positions must be strictly increasing"),
@@ -120,3 +137,13 @@ REFUSALS = [
 def test_refused_with_a_named_fault(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_total_mass_and_working_top_overflow_without_a_warning():
+    # the suite turns warnings into errors: the total mass is inf, and the
+    # kernel's working top, formed from u_high as a float, is inf too
+    assert MASS_OVERFLOWS.total_mass == np.inf
+    model = largest_float_model()
+    vel = pp.particle_velocities(model, MASS_OVERFLOWS)
+    assert model.density_limit == np.inf
+    assert np.isfinite(vel).all()

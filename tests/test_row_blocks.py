@@ -260,3 +260,55 @@ def test_simulate_and_the_loader_build_no_state_per_snapshot(tmp_path, monkeypat
     exports.write_events_json(traj, tmp_path / "events.json")
     exports.load_trajectory_dir(tmp_path, traj.model)
     assert len(built) == 2 * len(traj.events)
+
+
+def vacuum_boxes_model(kind):
+    """Three boxes across two vacuum gaps, 41 grid particles, and the flux ``kind``."""
+    data = pp.piecewise_constant_data([0.0, 0.5, 0.7, 1.1, 1.25, 1.55], [0.8, 0.0, 0.5, 0.0, 0.7])
+    if kind == "tabulated":
+        model = pp.builtin_flux("tabulated", us=TABLE, fs=TABLE * ((TABLE - 0.5) ** 2 - 0.1))
+    else:
+        model = pp.builtin_flux(kind, u_high=data.sup_u0 * (1.0 + 1e-12))
+    return model, pp.cell_average(data, np.linspace(*data.support_hint, 41))
+
+
+@pytest.mark.parametrize("every_step", [False, True])
+@pytest.mark.parametrize("kind", ["burgers", "lwr", "tabulated"])
+def test_runs_are_recorded_into_stacks_of_exactly_their_rows(tmp_path, monkeypatch, kind, every_step):
+    # simulate writes each run's rows into its own arrays, cut to its rows
+    # when a sweep ends it, and the loader reshapes each stretch of its
+    # columns with one cell count: neither stacks a list of states, and no
+    # run array is a view of a larger buffer
+    stacked = []
+    stack = dynamics._stack
+    monkeypatch.setattr(dynamics, "_stack", lambda records: stacked.append(1) or stack(records))
+    model, state0 = vacuum_boxes_model(kind)
+    traj = pp.simulate(model, state0, 0.6, dt_max=0.2 * state0.dx_star, snapshot_count=9, every_step=every_step)
+    assert len(traj.events) >= 2
+    exports.write_trajectory_npy(traj, tmp_path / "trajectory.npy")
+    exports.write_events_json(traj, tmp_path / "events.json")
+    loaded = exports.load_trajectory_dir(tmp_path, model)
+    assert stacked == []
+    assert len(traj.snapshots.runs) == len(loaded.snapshots.runs) == len(traj.events) + 1
+    for live, disk in zip(traj.snapshots.runs, loaded.snapshots.runs):
+        assert (live.start, live.n_particles, live.top) == (disk.start, disk.n_particles, disk.top)
+        rows = live.times.size
+        for a, b in zip(live[1:6], disk[1:6]):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape and a.shape[0] == rows
+            for arr in (a, b):
+                assert not arr.flags.writeable and arr.flags.c_contiguous
+                assert arr.base is None or arr.base.shape[0] == rows
+
+
+def test_hand_built_trajectories_are_stacked_from_their_states(monkeypatch):
+    # a list of states, from a run's snapshots, goes through the stacking
+    # helper once and gives the same runs
+    stacked = []
+    stack = dynamics._stack
+    monkeypatch.setattr(dynamics, "_stack", lambda records: stacked.append(1) or stack(records))
+    traj = vacuum_run(29, 0.6, 0.8)
+    rebuilt = dataclasses.replace(traj, snapshots=list(traj.snapshots))
+    assert len(stacked) == 1
+    for a, b in zip(traj.snapshots.runs, rebuilt.snapshots.runs):
+        assert a.start == b.start and a.top == b.top
+        assert all(x.tobytes() == y.tobytes() and x.shape == y.shape for x, y in zip(a[1:6], b[1:6]))

@@ -572,3 +572,117 @@ def test_overflowing_closing_sum_falls_back_to_the_velocities():
         assert new.state.time > 0.0
     else:
         assert_same_run(new, ref)
+
+
+def overflowing_density_case():
+    """The model and state of ``test_overflowing_density_aborts_with_the_last_valid_state``."""
+    top = np.finfo(float).max
+
+    def a_of(u):
+        return 1.0 - np.asarray(u, dtype=float) / top
+
+    model = FluxModel("overflow", lambda u: u * a_of(u), 1.0, 1.0, top,
+                      extremum_oracle=MonotoneOracle(a_of, increasing=False))
+    return model, ParticleState.from_cells([0.0, 1.0, 1.00001], [1e308, top]), 10.0, 10.0
+
+
+def nan_velocity_case():
+    """The model and state of ``test_nan_velocity_carries_the_last_valid_state``."""
+    def a_of(u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 0.0) & (u < 0.5), np.nan, u)
+
+    model = FluxModel("nan band", lambda u: u * a_of(u), 0.0, 1.0, 1.0,
+                      extremum_oracle=MonotoneOracle(a_of, increasing=True))
+    return model, ParticleState.from_cells(np.linspace(0.0, 1.0, 11), np.ones(10)), 1.0, 0.01
+
+
+@pytest.mark.parametrize("case", [overflowing_density_case, nan_velocity_case])
+def test_aborted_runs_equal_reference(case):
+    # both loops raise the same error, with the same message, carrying the
+    # same state from before the failing step
+    model, st0, T, dt_max = case()
+    new = outcome(pp.simulate, model, st0, T, dt_max=dt_max, snapshot_count=2)
+    ref = outcome(reference_simulate, model, st0, T, dt_max=dt_max, snapshot_count=2)
+    assert type(new) is type(ref) is SimulationError
+    assert str(new) == str(ref)
+    assert_same_state(new.state, ref.state)
+
+
+# scales of the closing rates: rounding-level, subnormal quotients on
+# slivers, products that overflow, and rates that are inf (or NaN where 0)
+RATE_SCALES = [1.0, 1e305, 1e308, math.inf]
+# at one ulp above the crossing cap of the first state (without floors)
+# and the density cap of the second, rate * bound rounds down onto the
+# cap's numerator: a certificate comparing with >= and without the 2**-48
+# margin passes there, though the cap lies below the bound
+ROUNDS_ONTO_CROSSING = ParticleState.from_cells([0.0, 0.165, 0.165 + 0.147], [0.74, 0.11])
+ROUNDS_ONTO_DENSITY = ParticleState.from_cells([0.0, 0.244, 0.244 + 0.227, 0.244 + 0.227 + 0.375], [0.95, 0.9, 0.54])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(FLUXES),
+    state=cell_states(),
+    theta=st.sampled_from([0.1, 0.5]),
+    rho_scale=st.sampled_from([HEADROOM, 0.5, 0.0]),
+    rate_scale=st.sampled_from(RATE_SCALES),
+    which=st.sampled_from([0, 1]),
+    scale=st.sampled_from([1.0, 1.0 - 2.0**-47, 1.0 - 1e-9, 0.5, 2.0]),
+    ulps=st.integers(-2, 2),
+)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=HEADROOM, rate_scale=1.0, which=0, scale=1.0, ulps=0)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=HEADROOM, rate_scale=1.0, which=0, scale=1.0, ulps=-1)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=HEADROOM, rate_scale=1.0, which=0, scale=1.0, ulps=1)
+@example(kind="burgers", state=SQUEEZED, theta=0.5, rho_scale=HEADROOM, rate_scale=1.0, which=1, scale=1.0, ulps=0)
+@example(kind="burgers", state=SQUEEZED, theta=0.5, rho_scale=HEADROOM, rate_scale=1.0, which=1, scale=1.0, ulps=-1)
+@example(kind="burgers", state=SQUEEZED, theta=0.5, rho_scale=HEADROOM, rate_scale=1.0, which=1, scale=1.0, ulps=1)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=HEADROOM, rate_scale=1e308, which=1, scale=1.0, ulps=-1)
+@example(kind="burgers", state=ROUNDS_ONTO_CROSSING, theta=0.1, rho_scale=0.0, rate_scale=1.0, which=0, scale=1.0, ulps=1)
+@example(kind="burgers", state=ROUNDS_ONTO_DENSITY, theta=0.1, rho_scale=HEADROOM, rate_scale=1.0, which=1, scale=1.0, ulps=1)
+@example(kind="burgers", state=SQUEEZED, theta=0.1, rho_scale=HEADROOM, rate_scale=math.inf, which=0, scale=0.5, ulps=0)
+def test_caps_certificate_never_passes_above_a_cap(kind, state, theta, rho_scale, rate_scale, which, scale, ulps):
+    # bound is drawn around one of the exact caps (around 1 where both are
+    # inf): at it, a few ulps either side, just below and well away.  A
+    # certificate that passes proves min(dt_max, caps) >= bound with
+    # dt_max = bound, so the loop's step is the one the caps give
+    vel = dynamics.particle_velocities(flux_model(kind, 1.0), state)
+    rho_star = float(np.max(state.densities)) * rho_scale
+    floor = state.masses / rho_star if rho_star > 0.0 else None
+    w_min = float(np.min(state.widths))
+    with np.errstate(over="ignore", invalid="ignore"):
+        closing = (vel[:-1] - vel[1:]) * rate_scale
+        caps = dynamics._timestep_cap(state.widths, floor, closing, theta)
+        finite = [cap for cap in caps if math.isfinite(cap)] or [1.0]
+        bound = finite[which % len(finite)] * scale
+        for _ in range(abs(ulps)):
+            bound = math.nextafter(bound, math.copysign(math.inf, ulps))
+        bound = max(bound, 0.0)
+        if dynamics._caps_clear(bound, state.widths, w_min, floor, closing, theta):
+            assert min(bound, *caps) >= bound
+
+
+def count_caps(monkeypatch):
+    """Count the calls of ``_timestep_cap`` from now on."""
+    calls = []
+    cap = dynamics._timestep_cap
+    monkeypatch.setattr(dynamics, "_timestep_cap", lambda *args: calls.append(1) or cap(*args))
+    return calls
+
+
+def test_caps_are_taken_only_where_the_certificate_fails(burgers3, monkeypatch):
+    # on the paper's profile neither cap ever binds, and the certificate
+    # proves it on every step; on boxes in vacuum the closing gaps set
+    # some steps, and each such step took its caps
+    calls = count_caps(monkeypatch)
+    data = pp.rarefaction_shock_data()
+    state0 = pp.cell_average(data, pp.place_particles(data, 201, "uniform"))
+    traj = pp.simulate(burgers3, state0, 0.25, dt_max=0.2 * float(np.max(state0.widths)), snapshot_count=33)
+    assert traj.stats.steps > 32 and calls == []
+    data = boxes([0.8, 0.5, 0.7], [0.5, 0.4, 0.3], [0.2, 0.15])
+    state0 = pp.cell_average(data, np.linspace(*data.support_hint, 41))
+    traj = pp.simulate(flux_model("lwr", data.sup_u0 * (1.0 + 1e-12)), state0, 0.6, dt_max=0.2 * state0.dx_star,
+                       snapshot_count=9)
+    capped = traj.stats.limited_by["crossing"] + traj.stats.limited_by["density"]
+    assert capped > 0 and len(calls) >= capped
+    assert len(calls) < traj.stats.steps
