@@ -484,16 +484,17 @@ def simulate(
     ``default_eps_coll(state0)``.  The trajectory's ``stats`` summarise
     the steps.
 
-    ``T`` must be finite and later than ``state0.time``, ``dt_max``
-    positive (``inf`` leaves the step to the caps), ``theta`` inside
-    (0, 1), ``snapshot_count`` an ``int`` (not a ``bool``) of at least
-    2 and ``state0``'s total mass finite; otherwise ``ValueError`` names
-    the argument.
+    ``T`` must be finite and later than ``state0.time``, ``dt_max`` at
+    least the float spacing of the times (``inf`` leaves the step to the
+    caps), ``theta`` inside (0, 1), ``snapshot_count`` an ``int`` (not a
+    ``bool``) of at least 2 and ``state0``'s total mass finite; otherwise
+    ``ValueError`` names the argument.
 
     The loop tests every value it forms and raises ``SimulationError``,
     carrying the last valid state, on a non-finite one, so it runs with
     numpy's overflow, divide and invalid warnings off: the error, not a
-    warning, reports the fault.
+    warning, reports the fault, as it does a cap that sets over 2000
+    steps in a row of at most 1e-16 max(1, T).
     """
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T!r}")
@@ -501,6 +502,8 @@ def simulate(
         raise ValueError("T must exceed the initial time")
     if not dt_max > 0.0:
         raise ValueError(f"dt_max must be positive, got {dt_max!r}")
+    if dt_max < math.ulp(max(abs(state0.time), abs(T))):
+        raise ValueError(f"dt_max {dt_max!r} is below the float spacing of the run's times, so no step could advance t")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     if isinstance(snapshot_count, bool) or not isinstance(snapshot_count, int) or snapshot_count < 2:
@@ -585,12 +588,11 @@ def simulate(
                 dt = remaining
                 k += 1
             dts.append(dt)
-            if dt <= stall_dt:
-                stall += 1
-                if stall > 2000:
-                    raise SimulationError("timestep collapsed; system is stuck", current())
-            else:
-                stall = 0
+            # only the caps can shrink the step without end: dt_max and the
+            # landings move t by their own, chosen sizes
+            stall = stall + 1 if limiter and not landed and dt <= stall_dt else 0
+            if stall > 2000:
+                raise SimulationError("timestep collapsed; system is stuck", current())
             record = every_step or landed
             # the loop state moves only once the step's checks pass, so an
             # error carries the last valid state

@@ -3,10 +3,10 @@
 A Lipschitz flux f with f(0) = 0 induces the transport velocity
 a(u) = f(u)/u, extended continuously by a(0) = f'(0).  Particle dynamics
 only ever query a through its extrema over density intervals, so every
-model carries an exact array oracle for them: closed form for the
-monotone velocity fields of burgers and lwr, and a node-range search for
-tabulated fluxes, whose velocity field is monotone on every linear piece.
-A flux without a closed form is sampled into a tabulated one.
+model carries an exact array oracle for them, of two kinds: closed form
+for a monotone a (``MonotoneOracle``: burgers, lwr), and a node search for
+an a monotone between turning points it names (``PiecewiseMonotoneOracle``,
+and ``TabulatedOracle`` for a table).  Other fluxes are sampled to tables.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-__all__ = ["FluxModel", "VelocityExtrema", "MonotoneOracle", "TabulatedOracle", "builtin_flux", "velocity_extrema"]
+__all__ = ["FluxModel", "VelocityExtrema", "MonotoneOracle", "PiecewiseMonotoneOracle", "TabulatedOracle",
+           "builtin_flux", "velocity_extrema"]
 
 
 class VelocityExtrema(NamedTuple):
@@ -44,13 +45,12 @@ class FluxModel:
     |a| there since |a(u)| = |f(u) - f(0)| / |u - 0|.  ``lip_fprime`` is
     optional and only needed for explicit rate bounds.  ``u_high``,
     ``lip_f`` and ``lip_fprime`` (when given) must be nonnegative and not
-    NaN, or ``ValueError`` names the field.  The required,
-    keyword-only ``extremum_oracle(lo, hi)`` returns the exact
-    ``VelocityExtrema`` of a over arrays of intervals 0 <= lo <= hi <= u_high
-    (a(lo) for lo == hi) and is the only source of interface velocities; it
-    works elementwise on arrays of any shape, as ``eval_f`` and ``eval_a``
-    do, so one call serves a whole row block of snapshots.
-    A flux without a closed form for them is sampled into
+    NaN, or ``ValueError`` names the field.  The required, keyword-only
+    ``extremum_oracle``, a ``MonotoneOracle`` or a ``PiecewiseMonotoneOracle``,
+    is the only source of interface velocities; ``extremum_oracle(lo, hi)``
+    gives the exact ``VelocityExtrema`` of a over arrays of intervals
+    0 <= lo <= hi <= u_high (a(lo) for lo == hi), elementwise on any shape.
+    Any other oracle raises ``ValueError``: sample such a flux into
     ``builtin_flux("tabulated", ...)``, exact for the interpolant.
     """
 
@@ -60,10 +60,10 @@ class FluxModel:
     lip_f: float
     u_high: float
     lip_fprime: Optional[float] = None
-    extremum_oracle: Callable = dataclasses.field(kw_only=True)
+    extremum_oracle: MonotoneOracle | PiecewiseMonotoneOracle = dataclasses.field(kw_only=True)
 
     def __post_init__(self):
-        if not callable(self.extremum_oracle):
+        if not isinstance(self.extremum_oracle, (MonotoneOracle, PiecewiseMonotoneOracle)):
             raise ValueError(f"flux '{self.name}' needs an extremum oracle; sample it into builtin_flux('tabulated')")
         for name in ("u_high", "lip_f", "lip_fprime"):
             value = getattr(self, name)
@@ -119,8 +119,10 @@ class MonotoneOracle:
 
     Elementwise on arrays of any shape: a's values at the interval ends.
     ``a_vacuum`` is a(0), evaluated once, for the vacuum beyond a state's
-    end particles.
+    end particles; ``nodes`` holds the one monotone piece's start.
     """
+
+    nodes = np.zeros(1)
 
     def __init__(self, a_of: Callable, increasing: bool):
         self.a_of = a_of
@@ -173,7 +175,7 @@ class _RangeExtrema:
 
 
 def entropic_row(g: Callable, nodes: np.ndarray, table: _RangeExtrema, row) -> np.ndarray:
-    """``entropic_extremum``'s rule between consecutive entries of ``row``.
+    """The entropic rule between consecutive entries of ``row``.
 
     Between entries l = row[..., k] and r = row[..., k + 1] it gives the
     min of g over [l, r] where l <= r and the max over [r, l] otherwise,
@@ -203,43 +205,45 @@ def entropic_row(g: Callable, nodes: np.ndarray, table: _RangeExtrema, row) -> n
     return out
 
 
-def entropic_extremum(extrema: Callable, left, right):
-    """Min of g over [left, right] where left <= right, else max over [right, left].
+class PiecewiseMonotoneOracle:
+    """Exact extrema of a velocity field monotone between given nodes.
 
-    ``extrema(lo, hi)`` gives g's extrema over arrays of intervals.  For a
-    this is the particle velocity of an oracle without a node table; a
-    table's velocities and Godunov's interface flux on f (Osher) take the
-    same rule through ``entropic_row``.
-    """
-    ext = extrema(np.minimum(left, right), np.maximum(left, right))
-    return np.where(left <= right, ext.min_value, ext.max_value)
-
-
-class TabulatedOracle:
-    """Exact extrema of a for a piecewise linear flux f through nodes (us, f(us)).
-
-    On the piece [u_k, u_{k+1}], f = s_k u + c_k, so a(u) = s_k + c_k/u is
-    monotone and takes its extrema over any interval at its ends or at
-    table nodes inside it; so does f, whose interface fluxes Godunov takes
-    with the same ``entropic_row`` over the same ``us``.  ``a`` is evaluated
-    exactly as ``FluxModel.eval_a`` does.  Works elementwise on arrays of
-    any shape.
+    ``a_of`` is a closed-form a, elementwise on arrays of any shape, and
+    ``nodes``, strictly increasing from 0, the points where it may turn.
+    Over any interval a takes its extrema at the ends or at nodes inside,
+    which ``entropic_row`` searches in a sparse table of a's node values.
     """
 
-    def __init__(self, us: np.ndarray, eval_f: Callable, fprime0: float):
-        self.us = us
-        self.eval_a = lambda u: _velocity_field(eval_f, fprime0, u)
-        self._a_nodes = _RangeExtrema(np.asarray(self.eval_a(us), dtype=float))
+    def __init__(self, a_of: Callable, nodes):
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 1 or nodes.size == 0 or nodes[0] != 0.0 or not np.all(np.diff(nodes) > 0.0):
+            raise ValueError(f"oracle nodes must be strictly increasing from 0, got {nodes!r}")
+        self.a_of = a_of
+        self.nodes = nodes
+        self._a_nodes = _RangeExtrema(np.asarray(a_of(nodes), dtype=float))
 
     def entropic(self, row) -> np.ndarray:
         """The particle velocities between consecutive densities of a row or row block."""
-        return entropic_row(self.eval_a, self.us, self._a_nodes, row)
+        return entropic_row(self.a_of, self.nodes, self._a_nodes, row)
 
     def __call__(self, lo, hi) -> VelocityExtrema:
         # the rule takes the min from the row [lo, hi] and the max from [hi, lo]
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         ext = self.entropic(np.stack([np.stack([lo, hi], axis=-1), np.stack([hi, lo], axis=-1)]))
         return VelocityExtrema(ext[0, ..., 0], ext[1, ..., 0])
+
+
+class TabulatedOracle(PiecewiseMonotoneOracle):
+    """Exact extrema of a for a piecewise linear flux f through nodes (us, f(us)).
+
+    On each piece f = s_k u + c_k, so f and a(u) = s_k + c_k/u are monotone
+    between the ``us``, over which Godunov's interface flux searches too.
+    ``a`` is evaluated exactly as ``FluxModel.eval_a`` does.
+    """
+
+    def __init__(self, us: np.ndarray, eval_f: Callable, fprime0: float):
+        super().__init__(lambda u: _velocity_field(eval_f, fprime0, u), us)
+        self.us = self.nodes
 
 
 def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxModel:

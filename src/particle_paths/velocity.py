@@ -7,7 +7,7 @@ agree at v_l = v_r, where the value is a(v_l).
 
 ``particle_velocities`` applies the rule to every particle of a state, of
 a row block of snapshots, or of an (n, 2) array of pairs, each row padded
-with vacuum (density 0) on both sides.  It has three paths:
+with vacuum (density 0) on both sides.  It has one path per oracle kind:
 
 * a ``MonotoneOracle`` (burgers, lwr) takes one end of the interval:
   a(v_l) for increasing a (burgers), and a(v_r) for decreasing a (lwr),
@@ -16,15 +16,14 @@ with vacuum (density 0) on both sides.  It has three paths:
   min, max or choice between branches, and the vacuum end takes the
   oracle's a(0).  These are the two-sided rule's bits on every density in
   range, since the oracle's extrema are a's values at the ends;
-* a ``TabulatedOracle`` takes the two-sided rule through the kernel that
-  Godunov's interface flux runs over f, ``flux.entropic_row``: a is
-  evaluated once on the padded row and the table's nodes searched once
+* a ``PiecewiseMonotoneOracle`` (a closed-form field with its turning
+  points, or ``tabulated``) takes the two-sided rule through the kernel
+  that Godunov's interface flux runs over f, ``flux.entropic_row``: a is
+  evaluated once on the padded row and the oracle's nodes searched once
   per cell, then the minimum or the maximum, with the nodes strictly
-  between two cells read only where there are any;
-* any other oracle (custom) takes the same rule as
-  ``flux.entropic_extremum``: one oracle call on every padded interval.
+  between two cells read only where there are any.
 
-Before any path, the densities must lie in the model's working interval.
+Before either path, the densities must lie in the model's working interval.
 ``flux.check_density_intervals`` tests that with two reductions, unless
 the caller passes a ``_Cells`` or ``SnapshotBlock`` whose proved ``top``
 lies inside: ``simulate`` after each step, and every trajectory block.
@@ -37,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flux import FluxModel, MonotoneOracle, TabulatedOracle, check_density_intervals, entropic_extremum
+from .flux import FluxModel, MonotoneOracle, check_density_intervals
 from .flux import velocity_extrema  # noqa: F401  (wrapped by perfbench/tracing.py until ROADMAP item 2)
 
 __all__ = ["particle_velocities", "follow_the_leader_deviation"]
@@ -67,10 +66,10 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
     with vacuum on both sides and gives that snapshot's velocities, the
     same bits as a call on the row alone, since the kernel and the flux
     oracles work elementwise.  Column 1 of an (n, 2) block of pairs is the
-    velocity of the particle between each pair; any oracle but a
-    ``MonotoneOracle`` takes the two-sided rule, Godunov's too.  Raises
-    ValueError when a density is negative or above the model's working
-    interval; a ``top`` proved in range skips that test's reductions.
+    velocity of the particle between each pair; a ``PiecewiseMonotoneOracle``
+    takes the two-sided rule, Godunov's too.  Raises ValueError when a
+    density is negative or above the model's working interval; a ``top``
+    proved in range skips that test's reductions.
     """
     dens = state.densities
     if not getattr(state, "top", math.nan) <= model.density_limit:
@@ -84,9 +83,7 @@ def particle_velocities(model: FluxModel, state) -> np.ndarray:
         return vel
     padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
     padded[..., 1:-1] = dens
-    if isinstance(oracle, TabulatedOracle):
-        return oracle.entropic(padded)
-    return entropic_extremum(oracle, padded[..., :-1], padded[..., 1:])
+    return oracle.entropic(padded)
 
 
 def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
@@ -98,21 +95,14 @@ def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
     rule that is exactly a(v_r) reads 0.
 
     Requires a nonincreasing velocity field on [0, u_high], read from the
-    model without a scan: a ``MonotoneOracle``'s a is monotone, so its two
-    ends decide, and a ``TabulatedOracle``'s a is monotone on each piece, so
-    its nodes below u_high and u_high itself decide.  A rise between them
-    raises ``ValueError`` naming both points; any other oracle raises too.
+    model without a scan: either oracle kind's a is monotone between its
+    nodes, so 0, the nodes inside (0, u_high) and u_high decide (0 and
+    u_high alone for a ``MonotoneOracle``).  A rise between two of them
+    raises ``ValueError`` naming both points.
     """
     oracle = model.extremum_oracle
-    if isinstance(oracle, MonotoneOracle):
-        us = np.array([0.0, model.u_high])
-    elif isinstance(oracle, TabulatedOracle):
-        us = np.append(oracle.us[oracle.us < model.u_high], model.u_high)
-    else:
-        raise ValueError(
-            f"flux '{model.name}' does not expose where its velocity field is monotone: "
-            "sample it into builtin_flux('tabulated') for the follow-the-leader check"
-        )
+    nodes = oracle.nodes
+    us = np.concatenate(([0.0], nodes[(nodes > 0.0) & (nodes < model.u_high)], [model.u_high]))
     av = np.asarray(model.eval_a(us), dtype=float)
     rise_tol = 1e-12 * max(1.0, float(np.max(np.abs(av))))
     rises = np.diff(av) > rise_tol

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import particle_paths as pp
-from particle_paths.flux import FluxModel, VelocityExtrema
+from particle_paths.flux import FluxModel, PiecewiseMonotoneOracle
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def lwr_riemann_run(lwr1):
 
 
 def cubic_flux_model(u_high: float) -> FluxModel:
-    """Non-convex monotone flux u^3/3 - u^2/2 + u/2 with analytic extrema of a."""
+    """Non-convex monotone flux u^3/3 - u^2/2 + u/2; a turns only at its vertex u = 3/4."""
 
     def f(u):
         u = np.asarray(u, dtype=float)
@@ -44,12 +44,6 @@ def cubic_flux_model(u_high: float) -> FluxModel:
         u = np.asarray(u, dtype=float)
         return u**2 / 3.0 - u / 2.0 + 0.5
 
-    def oracle(lo, hi):
-        vert = 0.75  # vertex of the quadratic a
-        u_min = np.clip(vert, lo, hi)
-        u_max = np.where(vert - lo >= hi - vert, lo, hi)
-        return VelocityExtrema(a(u_min), a(u_max))
-
     return FluxModel(
         name="cubic",
         eval_f=f,
@@ -57,7 +51,7 @@ def cubic_flux_model(u_high: float) -> FluxModel:
         lip_f=max(0.5, u_high**2 - u_high + 0.5),
         u_high=u_high,
         lip_fprime=max(1.0, abs(2.0 * u_high - 1.0)),
-        extremum_oracle=oracle,
+        extremum_oracle=PiecewiseMonotoneOracle(a, [0.0, 0.75]),
     )
 
 

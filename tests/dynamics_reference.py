@@ -133,7 +133,8 @@ def simulate(
         vel = two_sided_velocities(model, state)
         if not np.all(np.isfinite(vel)):
             raise SimulationError("non-finite particle velocity", state)
-        dt = min(dt_max, _timestep_cap(state, rho_star, vel, theta))
+        cap = _timestep_cap(state, rho_star, vel, theta)
+        dt = min(dt_max, cap)
         remaining = target - state.time
         landed = dt >= remaining * (1.0 - 1e-12)
         if landed:
@@ -141,12 +142,10 @@ def simulate(
             t_new = target
         else:
             t_new = state.time + dt
-        if dt <= 1e-16 * max(1.0, T):
-            stall += 1
-            if stall > 2000:
-                raise SimulationError("timestep collapsed; system is stuck", state)
-        else:
-            stall = 0
+        # only a step a cap set counts toward the stall, not dt_max nor a landing
+        stall = stall + 1 if cap < dt_max and not landed and dt <= 1e-16 * max(1.0, T) else 0
+        if stall > 2000:
+            raise SimulationError("timestep collapsed; system is stuck", state)
         try:
             state = _advance(state, vel, dt, t_new)
         except ValueError:

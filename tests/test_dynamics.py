@@ -272,6 +272,7 @@ def step_run_inputs():
         ({"snapshot_count": 1}, "snapshot_count must be an int of at least 2, got 1"),
         ({"snapshot_count": True}, "snapshot_count must be an int of at least 2, got True"),
         ({"snapshot_count": 2.5}, "snapshot_count must be an int of at least 2, got 2.5"),
+        ({"dt_max": 1e-17}, "dt_max 1e-17 is below the float spacing of the run's times, so no step could advance t"),
     ],
 )
 def test_invalid_run_arguments_are_refused_at_entry(step_run_inputs, args, message):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import particle_paths as pp
 from particle_paths import ParticleState, builtin_flux, velocity, velocity_extrema
 from particle_paths.dynamics import SnapshotBlock
-from particle_paths.flux import FluxModel, MonotoneOracle, _RangeExtrema, entropic_extremum, entropic_row
+from particle_paths.flux import FluxModel, MonotoneOracle, PiecewiseMonotoneOracle, _RangeExtrema, entropic_row
 from particle_paths.velocity import _Cells
 
 from conftest import cubic_flux_model, pair_velocities
@@ -130,6 +130,13 @@ def test_kernel_exact_on_random_tabulated_flux(table, fracs):
         assert float(f_max) == pytest.approx(f_vals.max(), abs=ANALYTIC_TOL)
 
 
+def entropic_extremum(extrema, left, right):
+    """Min of g over [left, right] where left <= right, else max over [right, left],
+    from ``extrema(lo, hi)``, g's extrema over arrays of intervals."""
+    ext = extrema(np.minimum(left, right), np.maximum(left, right))
+    return np.where(left <= right, ext.min_value, ext.max_value)
+
+
 def interval_extrema(g, nodes, table, lo, hi):
     """The node search one interval at a time: g at both ends, stacked into
     one call, and the nodes strictly inside from two searches."""
@@ -219,7 +226,7 @@ def test_tabulated_oracle_equals_the_interval_search_bytewise(table, data):
     ends = np.sort(np.asarray(data.draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=30))), axis=1)
     lo, hi = ends[:, 0], ends[:, 1]
     got = oracle(lo, hi)
-    want = interval_extrema(oracle.eval_a, us, oracle._a_nodes, lo, hi)
+    want = interval_extrema(oracle.a_of, us, oracle._a_nodes, lo, hi)
     assert np.asarray(got.min_value).tobytes() == want.min_value.tobytes()
     assert np.asarray(got.max_value).tobytes() == want.max_value.tobytes()
 
@@ -231,8 +238,8 @@ def test_tabulated_velocities_evaluate_a_once_per_call(monkeypatch):
     model = builtin_flux("tabulated", us=us, fs=us * ((us - 0.5) ** 2 - 0.1))
     oracle = model.extremum_oracle
     calls = []
-    eval_a = oracle.eval_a
-    monkeypatch.setattr(oracle, "eval_a", lambda u: calls.append(np.shape(u)) or eval_a(u))
+    a_of = oracle.a_of
+    monkeypatch.setattr(oracle, "a_of", lambda u: calls.append(np.shape(u)) or a_of(u))
     dens = np.stack([np.linspace(0.0, 1.0, 11), us[3:14], np.full(11, 0.5)])
     vel = pp.particle_velocities(model, cells(dens))
     assert calls == [(3, 13)]
@@ -258,6 +265,55 @@ def test_custom_oracle_finds_the_interior_minimum():
     assert vel[0] == pytest.approx(5.0 / 16.0, abs=1e-15)
     assert vel[0] == pytest.approx(dense_velocity(model, 0.0, 1.5, n=2**16 + 1), abs=ANALYTIC_TOL)
     assert vel[1] == 0.5
+
+
+@st.composite
+def turning_cubics(draw):
+    """A closed-form cubic a on [0, top] whose critical points, inside, are its nodes.
+
+    a' = k (u - r1)(u - r2), so a is monotone between 0, r1, r2 and top.
+    a is evaluated in Horner's form, elementwise, so its bits do not depend
+    on the shape of the array it is evaluated on.
+    """
+    top = draw(st.floats(0.5, 4.0))
+    r1, r2 = top * np.sort(draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2)))
+    k = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    c0 = draw(st.floats(-1.0, 1.0))
+    c1, c2, c3 = k * r1 * r2, -k * (r1 + r2) / 2.0, k / 3.0
+
+    def a(u):
+        u = np.asarray(u, dtype=float)
+        return c0 + u * (c1 + u * (c2 + u * c3))
+
+    def f(u):
+        return np.asarray(u, dtype=float) * a(u)
+
+    lip_f = abs(c0) + 2.0 * abs(c1) * top + 3.0 * abs(c2) * top**2 + 4.0 * abs(c3) * top**3
+    oracle = PiecewiseMonotoneOracle(a, np.unique([0.0, r1, r2]))
+    return FluxModel("turning cubic", f, c0, lip_f, top, extremum_oracle=oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=turning_cubics(), rows=st.integers(0, 3), n_cells=st.integers(1, 12), data=st.data())
+def test_kernel_on_a_turning_closed_form_field_takes_the_interval_rule(model, rows, n_cells, data):
+    # the bytes of the interval rule, one padded interval at a time, over a
+    # at both ends and at the nodes strictly inside; densities land on the
+    # turning points often
+    oracle = model.extremum_oracle
+    nodes = oracle.nodes
+    pick = st.one_of(unit.map(lambda x: x * model.u_high), st.sampled_from([*nodes, model.u_high]))
+    size = max(rows, 1) * n_cells
+    dens = np.asarray(data.draw(st.lists(pick, min_size=size, max_size=size)))
+    dens = dens.reshape((rows, n_cells) if rows else (n_cells,))
+    padded = np.zeros((*dens.shape[:-1], n_cells + 2))
+    padded[..., 1:-1] = dens
+    extrema = functools.partial(interval_extrema, oracle.a_of, nodes, _RangeExtrema(oracle.a_of(nodes)))
+    want = entropic_extremum(extrema, padded[..., :-1], padded[..., 1:])
+    got = pp.particle_velocities(model, cells(dens))
+    assert got.tobytes() == want.tobytes()
+    row = padded.reshape(-1, n_cells + 2)[0]
+    for v_l, v_r, v in zip(row[:-1], row[1:], got.reshape(-1, n_cells + 1)[0]):
+        assert v == pytest.approx(dense_velocity(model, v_l, v_r, nodes), abs=ANALYTIC_TOL)
 
 
 def test_tabulated_scalar_extrema_are_attained():

@@ -491,6 +491,24 @@ def test_stall_carries_the_last_valid_state(burgers3, monkeypatch):
     assert 0.0 < err.value.state.time < 1e-15
 
 
+@pytest.mark.parametrize(
+    "T, kw",
+    [(2.5e-14, {"dt_max": 1e-17}), (1e-13, {"dt_max": 1.0, "snapshot_count": 3000})],
+    ids=["dt_max", "landings"],
+)
+def test_tiny_steps_no_cap_set_run_to_T(T, kw):
+    # about 2500 steps of dt_max = 1e-17, or landings 3.3e-17 apart: each
+    # step is below the stall size 1e-16, but no cap set it, so the run is
+    # not stuck.  The stall guard once counted them and stopped these runs
+    # at t = 2e-14 and 6.67e-14
+    st0 = ParticleState.from_cells(np.linspace(0.0, 1.0, 11), np.full(10, 0.5))
+    model = pp.builtin_flux("burgers")
+    traj = pp.simulate(model, st0, T, **kw)
+    assert traj.times[-1] == T
+    assert traj.stats.steps > 2000 and traj.stats.limited_by["crossing"] == traj.stats.limited_by["density"] == 0
+    assert_same_run(traj, reference_simulate(model, st0, T, **kw))
+
+
 def test_nonfinite_state_aborts_with_the_last_valid_state():
     # the right end particle runs past the largest float in one step
     st0 = ParticleState.from_cells([1.7e308, 1.79e308], [1.0])

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import cubic_flux_model, pair_velocities
 from particle_paths import builtin_flux, follow_the_leader_deviation, velocity_extrema
+from particle_paths.flux import FluxModel, PiecewiseMonotoneOracle
 
 
 def pair_velocity(model, v_l, v_r) -> float:
@@ -81,13 +82,27 @@ def test_ftl_deviation_of_lwr_is_exactly_zero(lwr1):
 
 
 def test_ftl_rejects_increasing_velocity_field(burgers3):
-    # the table's a is 0.2 on [0, 0.5] and rises to 0.5 at u = 1; the cubic
-    # model's a falls on [0, 0.7], but its plain-function oracle cannot say so
+    # the table's a is 0.2 on [0, 0.5] and rises to 0.5 at u = 1
     rising_table = builtin_flux("tabulated", us=[0.0, 0.5, 1.0], fs=[0.0, 0.1, 0.5])
+    # a = |u - 1/2| + 1/10 falls to its node u = 1/2 and rises beyond it
+    def v_shape(u):
+        return np.abs(np.asarray(u, dtype=float) - 0.5) + 0.1
+
+    rising_nodes = FluxModel("v", lambda u: u * v_shape(u), 0.6, 1.1, 1.0,
+                             extremum_oracle=PiecewiseMonotoneOracle(v_shape, [0.0, 0.5]))
     for model, message in (
         (burgers3, "not nonincreasing"),
         (rising_table, r"not nonincreasing: a\(0\.5\) = 0\.2 < a\(1\) = 0\.5$"),
-        (cubic_flux_model(0.7), r"builtin_flux\('tabulated'\)"),
+        (rising_nodes, r"not nonincreasing: a\(0\.5\) = 0\.1 < a\(1\) = 0\.6$"),
     ):
         with pytest.raises(ValueError, match=message):
             follow_the_leader_deviation(model, [(0.5, 0.5)])
+
+
+def test_ftl_checks_a_closed_form_field_by_its_nodes():
+    # the cubic's a falls on [0, 3/4], and its one node lies beyond 0.7, so
+    # 0 and 0.7 decide; the rule there is a(v_r) exactly
+    model = cubic_flux_model(0.7)
+    pairs = np.random.default_rng(7).uniform(0.0, 0.7, size=(1000, 2))
+    assert follow_the_leader_deviation(model, pairs) == 0.0
+    assert follow_the_leader_deviation(model, [(0.5, 0.5)]) == 0.0
