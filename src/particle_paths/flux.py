@@ -51,7 +51,8 @@ class FluxModel:
     gives the exact ``VelocityExtrema`` of a over arrays of intervals
     0 <= lo <= hi <= u_high (a(lo) for lo == hi), elementwise on any shape.
     Any other oracle raises ``ValueError``: sample such a flux into
-    ``builtin_flux("tabulated", ...)``, exact for the interpolant.
+    ``builtin_flux("tabulated", ...)``, exact for the interpolant.  The
+    references read where f turns from the oracle too.
     """
 
     name: str
@@ -209,9 +210,11 @@ class PiecewiseMonotoneOracle:
     """Exact extrema of a velocity field monotone between given nodes.
 
     ``a_of`` is a closed-form a, elementwise on arrays of any shape, and
-    ``nodes``, strictly increasing from 0, the points where it may turn.
-    Over any interval a takes its extrema at the ends or at nodes inside,
-    which ``entropic_row`` searches in a sparse table of a's node values.
+    ``nodes``, strictly increasing from 0, points between which a and
+    f = u a are both monotone.  Over any interval a takes its extrema at
+    the ends or at nodes inside, which ``entropic_row`` searches in a
+    sparse table of a's node values; Godunov's interface flux searches the
+    same nodes for f's.
     """
 
     def __init__(self, a_of: Callable, nodes):
@@ -234,16 +237,15 @@ class PiecewiseMonotoneOracle:
 
 
 class TabulatedOracle(PiecewiseMonotoneOracle):
-    """Exact extrema of a for a piecewise linear flux f through nodes (us, f(us)).
+    """Exact extrema of a for a piecewise linear flux f through (us, f(us)).
 
     On each piece f = s_k u + c_k, so f and a(u) = s_k + c_k/u are monotone
-    between the ``us``, over which Godunov's interface flux searches too.
-    ``a`` is evaluated exactly as ``FluxModel.eval_a`` does.
+    between the samples ``us``, which become the ``nodes``.  ``a`` is
+    evaluated exactly as ``FluxModel.eval_a`` does.
     """
 
     def __init__(self, us: np.ndarray, eval_f: Callable, fprime0: float):
         super().__init__(lambda u: _velocity_field(eval_f, fprime0, u), us)
-        self.us = self.nodes
 
 
 def builtin_flux(name: str, u_high: Optional[float] = None, **params) -> FluxModel:

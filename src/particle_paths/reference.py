@@ -6,9 +6,10 @@ lwr.  The Godunov finite volume scheme is an
 independent first-order baseline used to cross-check runs where no closed
 form exists; its interface flux is the min of f over [u_l, u_r] for
 u_l <= u_r and the max over [u_r, u_l] otherwise (the particles' rule on
-f), searched over the ends and a table's nodes or the one point where a
-monotone, convex or concave f turns; any other flux has to be sampled
-into a tabulated one.
+f), searched over the ends and the nodes the flux model names: an
+oracle's nodes, or the vertex of a quadratic f.  Both solvers take "is f
+quadratic" from one affine test of the oracle's a; any other flux has to
+be sampled into a tabulated one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .field import PiecewiseConstantFn
-from .flux import FluxModel, TabulatedOracle, _RangeExtrema, entropic_row
+from .flux import FluxModel, PiecewiseMonotoneOracle, TabulatedOracle, _RangeExtrema, entropic_row
 from .initial import InitialData, PiecewiseAffineFn, cell_average, finite_window
 
 __all__ = [
@@ -85,10 +86,10 @@ def _envelope(model: FluxModel, u_l: float, u_r: float):
     increasing, so the speeds come out strictly increasing.
     """
     lo, hi = min(u_l, u_r), max(u_l, u_r)
-    us = model.extremum_oracle.us
-    if hi > us[-1]:
-        raise ValueError(f"state {hi} lies beyond the flux table, which ends at u = {us[-1]}")
-    pts = np.concatenate([[lo], us[(us > lo) & (us < hi)], [hi]])
+    nodes = model.extremum_oracle.nodes
+    if hi > nodes[-1]:
+        raise ValueError(f"state {hi} lies beyond the flux table, which ends at u = {nodes[-1]}")
+    pts = np.concatenate([[lo], nodes[(nodes > lo) & (nodes < hi)], [hi]])
     sign = 1.0 if u_l < u_r else -1.0
     g = sign * np.asarray(model.eval_f(pts), dtype=float)
     hull, slopes = [0], []
@@ -105,6 +106,18 @@ def _envelope(model: FluxModel, u_l: float, u_r: float):
     return (states, speeds) if sign > 0 else (states[::-1], speeds[::-1])
 
 
+def _affine_ends(model: FluxModel, lo: float, hi: float):
+    """a(lo) and a(hi) from the oracle's ``a_of``; ``ValueError`` unless a at
+    lo, the midpoint and hi is affine, so f = u a(u) quadratic, on [lo, hi]."""
+    a_lo, a_mid, a_hi = (float(a) for a in model.extremum_oracle.a_of(np.array([lo, 0.5 * lo + 0.5 * hi, hi])))
+    # an affine a(u) = a(0) + k u rounds to within ulps of |a(0)| + |k u|,
+    # which a near 0 hides: lwr's a(1) = 0 but a(0.99999) = 1 - 0.99999
+    scale = abs(a_lo) + abs(a_mid) + abs(a_hi) + abs(model.fprime0)
+    if not abs((a_lo - a_mid) + (a_hi - a_mid)) <= 1e-12 * scale:
+        raise ValueError(f"flux '{model.name}' is not quadratic on [{lo}, {hi}]: sample it into builtin_flux('tabulated')")
+    return a_lo, a_hi
+
+
 def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) -> ExactSolution:
     """Exact entropy solution of the two-state problem.
 
@@ -113,7 +126,7 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
     condition; Dafermos 1972).  A tabulated flux is polygonal, so its
     envelope is a finite fan of fronts, one per envelope edge, each moving
     with the edge's slope.  Any other flux must be quadratic with
-    f(0) = 0, as burgers and lwr are: then a is affine and
+    f(0) = 0, as burgers and lwr are: then the oracle's a is affine and
     f'(u) = 2 a(u) - a(0), so converging characteristics give one shock at
     the Rankine-Hugoniot speed and diverging ones a fan linear in x/t.  A
     flux whose a is not affine between the states raises ``ValueError``:
@@ -132,15 +145,7 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
     if isinstance(model.extremum_oracle, TabulatedOracle):
         states, speeds = _envelope(model, u_l, u_r)
     else:
-        a_l, a_m, a_r = (float(a) for a in model.eval_a(np.array([u_l, 0.5 * u_l + 0.5 * u_r, u_r])))
-        # an affine a(u) = a(0) + k u rounds to within ulps of |a(0)| + |k u|,
-        # which a near 0 hides: lwr's a(1) = 0 but a(0.99999) = 1 - 0.99999
-        scale = abs(a_l) + abs(a_m) + abs(a_r) + abs(model.fprime0)
-        if not abs((a_l - a_m) + (a_r - a_m)) <= 1e-12 * scale:
-            raise ValueError(
-                f"flux '{model.name}' is not quadratic between the states: "
-                "sample it into builtin_flux('tabulated') for its exact Riemann solution"
-            )
+        a_l, a_r = _affine_ends(model, u_l, u_r)
         s_l = 2.0 * a_l - model.fprime0
         s_r = 2.0 * a_r - model.fprime0
         if s_l < s_r:
@@ -153,30 +158,16 @@ def riemann_solution(model: FluxModel, u_l: float, u_r: float, x0: float = 0.0) 
     return _fronts(x0, speeds, states, f"{len(speeds)} fronts {u_l} -> {u_r}")
 
 
-def _classify_flux(model: FluxModel, u_top: float, n: int = 2001):
-    """The grid point where f turns on [0, u_top] and f there, from an n-point scan.
-
-    0 for a monotone f, the grid minimiser of a convex f, the grid maximiser
-    of a concave one (each as a 1-array); any other f raises ``ValueError``.
-    """
-    us = np.linspace(0.0, u_top, n)
-    fs = np.asarray(model.eval_f(us), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(fs))))
-    d1 = np.diff(fs)
-    d2 = np.diff(fs, 2)
-    tol = 1e-12 * scale
-    if np.all(d1 >= -tol) or np.all(d1 <= tol):
-        i = 0
-    elif np.all(d2 >= -tol):
-        i = int(np.argmin(fs))
-    elif np.all(d2 <= tol):
-        i = int(np.argmax(fs))
-    else:
-        raise ValueError(
-            f"flux '{model.name}' is not monotone, convex or concave on the data's range: "
-            "sample it into builtin_flux('tabulated') for an exact interface flux"
-        )
-    return us[i : i + 1], fs[i : i + 1]
+def _flux_nodes(model: FluxModel, u_top: float) -> np.ndarray:
+    """Points from 0 between which f is monotone on [0, u_top]: a
+    ``PiecewiseMonotoneOracle``'s nodes, or 0 and, inside (0, u_top), the
+    vertex of the quadratic f a ``MonotoneOracle`` with affine a gives."""
+    if isinstance(model.extremum_oracle, PiecewiseMonotoneOracle):
+        return model.extremum_oracle.nodes
+    a_0, a_top = _affine_ends(model, 0.0, u_top)
+    # f' = a(0) + 2 (a(u_top) - a(0)) u / u_top vanishes at the vertex
+    vertex = -a_0 * u_top / (2.0 * (a_top - a_0)) if a_top != a_0 else 0.0
+    return np.array([0.0, vertex]) if 0.0 < vertex < u_top else np.zeros(1)
 
 
 def godunov_reference(
@@ -194,16 +185,14 @@ def godunov_reference(
     their edge values, which is exact as long as the data is constant near
     the window edges.  The time step is dt = 0.9 dx / lip_f.  The interface
     flux is the particles' min/max rule on f, ``flux.entropic_row`` over
-    the padded row of cells, searched over the two cells and the nodes
-    between which f is monotone: a table's ``us``, exact for any table, or
-    else the one point where a scan on [0, sup u0] finds f turning.  f is
-    called once for the nodes' values and then once per step.  An f not
-    monotone, convex or concave there raises ``ValueError``, as do a
-    ``cells`` that is not an integer of at least 2, a ``T`` that is not
-    finite and nonnegative, a ``lip_f`` that is not finite, a ``window``
-    that is not two finite numbers lo < hi, and a window so narrow for its
-    cells that a positive ``T`` has dt < ulp(T), which could not advance
-    the time (a step of at least ulp(T) always does).
+    the padded row of cells, searched over the two cells and the nodes the
+    model names (``_flux_nodes``); f is called once for the nodes' values
+    and then once per step.  A ``MonotoneOracle`` whose a is not affine on
+    [0, sup u0] raises ``ValueError``, as do a ``cells`` that is not an
+    integer of at least 2, a ``T`` that is not finite and nonnegative, a
+    ``lip_f`` that is not finite, a ``window`` that is not two finite
+    numbers lo < hi, and a window so narrow for its cells that T needs
+    more than 1e8 steps, which the loop would not finish.
     """
     if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
         raise ValueError(f"cells must be an integer, got {cells!r}")
@@ -220,10 +209,11 @@ def godunov_reference(
         x_lo, x_hi = finite_window("window", window)
     dx = (x_hi - x_lo) / cells
     dt = 0.9 * dx / max(model.lip_f, 1e-300)
-    if T > 0.0 and dt < math.ulp(T):
+    # ulp(T) <= 2**-52 T, so this also refuses every dt that cannot advance t
+    if dt * 1e8 < T:
         raise ValueError(
-            f"window {(x_lo, x_hi)} over {cells} cells gives dt = {dt:.3e} < ulp(T) = {math.ulp(T):.3e}, "
-            "which cannot advance the time"
+            f"window {(x_lo, x_hi)} over {cells} cells gives dt = {dt:.3e}, "
+            f"more than 1e8 steps to T = {T!r}"
         )
 
     edges = np.linspace(x_lo, x_hi, cells + 1)
@@ -231,12 +221,8 @@ def godunov_reference(
     padded = np.empty(cells + 2)
     padded[1:-1] = cell_average(data, edges).densities
 
-    if isinstance(model.extremum_oracle, TabulatedOracle):
-        nodes = model.extremum_oracle.us
-        values = np.asarray(model.eval_f(nodes), dtype=float)
-    else:
-        nodes, values = _classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
-    table = _RangeExtrema(values)
+    nodes = _flux_nodes(model, data.sup_u0 * (1.0 + 1e-12))
+    table = _RangeExtrema(np.asarray(model.eval_f(nodes), dtype=float))
 
     t = 0.0
     while t < T - 1e-15 * max(1.0, T):

@@ -95,15 +95,15 @@ def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
     rule that is exactly a(v_r) reads 0.
 
     Requires a nonincreasing velocity field on [0, u_high], read from the
-    model without a scan: either oracle kind's a is monotone between its
-    nodes, so 0, the nodes inside (0, u_high) and u_high decide (0 and
-    u_high alone for a ``MonotoneOracle``).  A rise between two of them
-    raises ``ValueError`` naming both points.
+    oracle's own a without a scan: either oracle kind's a is monotone
+    between its nodes, so 0, the nodes inside (0, u_high) and u_high
+    decide (0 and u_high alone for a ``MonotoneOracle``).  A rise between
+    two of them raises ``ValueError`` naming both points.
     """
     oracle = model.extremum_oracle
     nodes = oracle.nodes
     us = np.concatenate(([0.0], nodes[(nodes > 0.0) & (nodes < model.u_high)], [model.u_high]))
-    av = np.asarray(model.eval_a(us), dtype=float)
+    av = np.asarray(oracle.a_of(us), dtype=float)
     rise_tol = 1e-12 * max(1.0, float(np.max(np.abs(av))))
     rises = np.diff(av) > rise_tol
     if rises.any():

@@ -34,7 +34,11 @@ def lwr_riemann_run(lwr1):
 
 
 def cubic_flux_model(u_high: float) -> FluxModel:
-    """Non-convex monotone flux u^3/3 - u^2/2 + u/2; a turns only at its vertex u = 3/4."""
+    """Non-convex monotone flux u^3/3 - u^2/2 + u/2; a turns only at its vertex u = 3/4.
+
+    f' = u^2 - u + 1/2 > 0, so a and f are both monotone between the nodes
+    [0, 0.75], as the oracle's contract asks.
+    """
 
     def f(u):
         u = np.asarray(u, dtype=float)

@@ -217,10 +217,10 @@ def test_riemann_fan_of_a_tabulated_flux_is_its_envelope(model, states, T):
     assert gained == pytest.approx(T * (model.eval_f(u_l) - model.eval_f(u_r)), rel=0.0, abs=tol)
     fan = values[widths > 0.0]
     assert fan[0] == u_l and fan[-1] == u_r
-    us = model.extremum_oracle.us
-    assert np.all(np.isin(fan, np.concatenate([[u_l, u_r], us])))
+    table = model.extremum_oracle.nodes
+    assert np.all(np.isin(fan, np.concatenate([[u_l, u_r], table])))
     # Oleinik: the polygon through the fan states lies below f for u_l < u_r, above it otherwise
-    nodes = us[(us >= min(states)) & (us <= max(states))]
+    nodes = table[(table >= min(states)) & (table <= max(states))]
     order = np.argsort(fan)
     chords = np.interp(nodes, fan[order], model.eval_f(fan[order]))
     assert np.all(np.sign(u_r - u_l) * (model.eval_f(nodes) - chords) >= -1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 import particle_paths as pp
 from particle_paths import burgers_rarefaction_shock, godunov_reference, reference, riemann_solution
-from particle_paths.flux import FluxModel, MonotoneOracle, TabulatedOracle, _RangeExtrema, entropic_row
+from particle_paths.flux import FluxModel, MonotoneOracle, _RangeExtrema, entropic_row
 
 from conftest import cubic_flux_model
 
@@ -199,26 +199,19 @@ def quadratic_flux(name, c, b, top):
     return FluxModel(name, f, b, lip_f, top, 2.0 * abs(c), extremum_oracle=MonotoneOracle(a, increasing=c > 0))
 
 
-def test_riemann_vs_godunov_random_pairs(monkeypatch):
+def test_riemann_vs_godunov_random_pairs():
     # the custom quadratics turn where no builtin does: f = -u^2/2 falls
-    # (node 0), f = u^2 - u is convex with its minimum at u = 1/2
-    turns = []
-    classify = reference._classify_flux
-
-    def recorded(model, u_top):
-        nodes, values = classify(model, u_top)
-        turns.append((float(nodes[0]), u_top / 2000))  # the node, one scan step
-        return nodes, values
-
-    monkeypatch.setattr(reference, "_classify_flux", recorded)
+    # (node 0 only), f = u^2 - u is convex with its vertex at u = 1/2
     rng = np.random.default_rng(12)
     models = {
-        "burgers": pp.builtin_flux("burgers", u_high=2.0),
-        "lwr": pp.builtin_flux("lwr", u_high=1.0),
-        "falling": quadratic_flux("falling", -0.5, 0.0, 2.0),  # f = -u^2/2
-        "convex": quadratic_flux("convex", 1.0, -1.0, 2.0),  # f = u^2 - u
+        "burgers": (pp.builtin_flux("burgers", u_high=2.0), [0.0]),
+        "lwr": (pp.builtin_flux("lwr", u_high=1.0), [0.0, 0.5]),
+        "falling": (quadratic_flux("falling", -0.5, 0.0, 2.0), [0.0]),  # f = -u^2/2
+        "convex": (quadratic_flux("convex", 1.0, -1.0, 2.0), [0.0, 0.5]),  # f = u^2 - u
     }
-    for name, m in models.items():
+    for name, (m, nodes) in models.items():
+        # the vertex is the closed form, not a grid point near it
+        assert reference._flux_nodes(m, m.u_high).tolist() == nodes, name
         for _ in range(3):
             u_l, u_r = rng.uniform(0.05, m.u_high, size=2)
             sol = riemann_solution(m, u_l, u_r)
@@ -226,20 +219,25 @@ def test_riemann_vs_godunov_random_pairs(monkeypatch):
             g = godunov_reference(m, data, 2000, 0.5, window=(-3.0, 3.0))
             err = pp.l1_error_against(g, sol, 0.5, (-1.5, 1.5))
             assert err <= 0.05, (name, u_l, u_r, err)
-    assert [u for u, _ in turns[6:9]] == [0.0] * 3, turns
-    # the scanned minimiser is a grid point, within one step of 1/2
-    assert all(abs(u - 0.5) <= step for u, step in turns[9:]), turns
 
 
-def test_godunov_takes_a_table_flux_from_its_nodes(monkeypatch):
+def test_godunov_takes_a_table_flux_from_its_nodes():
     # a concave table: the max of f over [0.3, 0.7] is its node value
-    # f(0.5) = 0.25, where a 2,001-point scan found the vertex 0.50015 and
-    # the flux 0.24998125
-    monkeypatch.setattr(reference, "_classify_flux", lambda *args: pytest.fail("a table was scanned"))
+    # f(0.5) = 0.25, read from the table's own nodes
     us = np.linspace(0.0, 1.0, 9)
     m = pp.builtin_flux("tabulated", us=us, fs=us * (1.0 - us))
+    assert reference._flux_nodes(m, 0.7) is m.extremum_oracle.nodes
     g = godunov_reference(m, pp.riemann_data(0.7, 0.3), 2, 0.5, window=(-1.0, 1.0))
     # one step of h / dx = 0.5 on two cells, which share the interface
+    f_l, f_r = float(m.eval_f(0.7)), float(m.eval_f(0.3))
+    assert g.values.tolist() == [0.7 - 0.5 * (0.25 - f_l), 0.3 - 0.5 * (f_r - 0.25)]
+
+
+def test_godunov_takes_lwr_at_its_vertex():
+    # the same two cells under lwr, whose quadratic f turns at u_max / 2:
+    # the interface flux is f(0.5) = 0.25 exactly, not f near the vertex
+    m = pp.builtin_flux("lwr", u_high=1.0)
+    g = godunov_reference(m, pp.riemann_data(0.7, 0.3), 2, 0.5, window=(-1.0, 1.0))
     f_l, f_r = float(m.eval_f(0.7)), float(m.eval_f(0.3))
     assert g.values.tolist() == [0.7 - 0.5 * (0.25 - f_l), 0.3 - 0.5 * (f_r - 0.25)]
 
@@ -274,12 +272,8 @@ def concatenating_godunov(model, data, cells, T, window):
     dx = (x_hi - x_lo) / cells
     dt = 0.9 * dx / max(model.lip_f, 1e-300)
     u = pp.cell_average(data, np.linspace(x_lo, x_hi, cells + 1)).densities
-    if isinstance(model.extremum_oracle, TabulatedOracle):
-        nodes = model.extremum_oracle.us
-        values = np.asarray(model.eval_f(nodes), dtype=float)
-    else:
-        nodes, values = reference._classify_flux(model, max(data.sup_u0 * (1.0 + 1e-12), 1e-300))
-    table = _RangeExtrema(values)
+    nodes = reference._flux_nodes(model, data.sup_u0 * (1.0 + 1e-12))
+    table = _RangeExtrema(np.asarray(model.eval_f(nodes), dtype=float))
     t, h = 0.0, 0.0
     while t < T - 1e-15 * max(1.0, T):
         h = min(dt, T - t)
@@ -294,8 +288,8 @@ def concatenating_godunov(model, data, cells, T, window):
 @pytest.mark.parametrize("kind", ["nonconvex_table", "burgers"])
 def test_godunov_steps_in_place_bit_for_bit(kind, cells):
     # the padded row stepped in place gives the bytes of a new row per step,
-    # on a table and on a convex builtin, whose turning point is scanned, with
-    # a short last step
+    # on a table and on a convex builtin, whose one node is 0, with a short
+    # last step
     if kind == "burgers":
         m = pp.builtin_flux("burgers", u_high=1.0)
     else:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import particle_paths as pp
-from particle_paths.flux import MonotoneOracle
+from particle_paths.flux import MonotoneOracle, PiecewiseMonotoneOracle
 
 
 def burgers_run(data=None):
@@ -44,6 +44,7 @@ def largest_float_model():
 MASS_OVERFLOWS = pp.ParticleState.from_cells([0.0, 1.0, 2.0], [1e308, np.finfo(float).max])
 WINDOW = "window must be two finite numbers lo < hi"
 RATE = "rate must be finite and positive"
+NODES = "oracle nodes must be strictly increasing from 0"
 UNIT_TABLE = {"us": [0.0, 1.0], "fs": [0.0, 1.0]}
 REFUSALS = [
     # builtin_flux
@@ -118,10 +119,20 @@ REFUSALS = [
     ("godunov_window_empty", lambda: godunov_in((0.5, 0.5)), WINDOW),
     ("godunov_window_one_number", lambda: godunov_in([0.0]), WINDOW),
     ("godunov_window_bool", lambda: godunov_in((0.0, True)), WINDOW),
-    # dt = 1.8e-322 could not advance t = 0.5: 0.5 + dt == 0.5
+    # dt = 1.8e-322 could not advance t = 1: 1 + dt == 1
     ("godunov_step_below_ulp", lambda: pp.godunov_reference(
         pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 50, 1.0, window=(0.0, 1e-320)),
-     r"window \(0.0, 1e-320\) over 50 cells gives dt = 1.779e-322 < ulp\(T\)"),
+     r"window \(0.0, 1e-320\) over 50 cells gives dt = 1.779e-322, more than 1e8 steps to T = 1.0"),
+    # dt = 1.8e-11 advances t, but T = 1 would take about 5.6e10 steps
+    ("godunov_window_too_narrow", lambda: pp.godunov_reference(
+        pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 50, 1.0, window=(0.0, 1e-9)),
+     r"window \(0.0, 1e-09\) over 50 cells gives dt = 1.800e-11, more than 1e8 steps to T = 1.0"),
+    # an oracle's nodes must be a 1-D run strictly increasing from 0
+    ("oracle_nodes_not_from_zero", lambda: PiecewiseMonotoneOracle(np.negative, [0.5, 1.0]), NODES),
+    ("oracle_nodes_repeated", lambda: PiecewiseMonotoneOracle(np.negative, [0.0, 0.5, 0.5, 1.0]), NODES),
+    ("oracle_nodes_empty", lambda: PiecewiseMonotoneOracle(np.negative, []), NODES),
+    ("oracle_nodes_2d", lambda: PiecewiseMonotoneOracle(np.negative, [[0.0, 1.0]]), NODES),
+    ("oracle_nodes_nan", lambda: PiecewiseMonotoneOracle(np.negative, [0.0, np.nan, 1.0]), NODES),
     # NaN fails the range guards, and a count must be an integer
     ("stability_bound_nan", lambda: pp.stability_error_bound(np.nan, 1.0, 1.0), "nonnegative, got initial_gap=nan"),
     ("rate_bound_nan", lambda: pp.explicit_rate_bound(1.0, 1.0, 1.0, np.nan, 1.0), "nonnegative, got dx_star=nan"),
