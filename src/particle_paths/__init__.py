@@ -44,7 +44,7 @@ from .field import (
     spacetime_flux_residual,
     trace_characteristic,
 )
-from .flux import FluxModel, VelocityExtrema, builtin_flux, velocity_extrema
+from .flux import FluxModel, builtin_flux
 from .initial import (
     InitialData,
     ParticleState,
@@ -59,6 +59,6 @@ from .initial import (
     sampled_data,
 )
 from .reference import ExactSolution, burgers_rarefaction_shock, godunov_reference, riemann_solution
-from .velocity import follow_the_leader_deviation, particle_velocities
+from .velocity import VelocityExtrema, follow_the_leader_deviation, particle_velocities, velocity_extrema
 
 __version__ = "0.1.0"

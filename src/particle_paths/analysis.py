@@ -21,12 +21,12 @@ import numpy as np
 
 from .dynamics import THETA_DEFAULT, SnapshotBlock, Trajectory, simulate
 from .field import reconstruct_density, spacetime_flux_residual
-from .flux import FluxModel, velocity_extrema
+from .flux import FluxModel
 from .initial import InitialData, PiecewiseAffineFn, cell_average, finite_window, initial_approximation_gap
 from .initial import integrate  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .initial import place_particles, total_variation
 from .reference import ExactSolution
-from .velocity import particle_velocities
+from .velocity import particle_velocities, velocity_extrema
 
 __all__ = [
     "ErrorReport",

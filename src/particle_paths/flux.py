@@ -3,10 +3,11 @@
 A Lipschitz flux f with f(0) = 0 induces the transport velocity
 a(u) = f(u)/u, extended continuously by a(0) = f'(0).  Particle dynamics
 only ever query a through its extrema over density intervals, so every
-model carries an exact array oracle for them, of two kinds: closed form
-for a monotone a (``MonotoneOracle``: burgers, lwr), and a node search for
-an a monotone between turning points it names (``PiecewiseMonotoneOracle``,
-and ``TabulatedOracle`` for a table).  Other fluxes are sampled to tables.
+model carries an oracle that makes them exact, a closed-form a and the
+nodes between which it is monotone, of two kinds: one monotone piece
+(``MonotoneOracle``: burgers, lwr), or turning points it names
+(``PiecewiseMonotoneOracle``, and ``TabulatedOracle`` for a table).
+Other fluxes are sampled to tables; ``velocity`` reads the extrema.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["FluxModel", "VelocityExtrema", "MonotoneOracle", "PiecewiseMonotoneOracle", "TabulatedOracle",
-           "builtin_flux", "velocity_extrema"]
-
-
-class VelocityExtrema(NamedTuple):
-    min_value: float
-    max_value: float
+__all__ = ["FluxModel", "MonotoneOracle", "PiecewiseMonotoneOracle", "TabulatedOracle", "builtin_flux"]
 
 
 def _velocity_field(eval_f: Callable, fprime0: float, u):
@@ -47,9 +42,9 @@ class FluxModel:
     ``lip_f`` and ``lip_fprime`` (when given) must be nonnegative and not
     NaN, or ``ValueError`` names the field.  The required, keyword-only
     ``extremum_oracle``, a ``MonotoneOracle`` or a ``PiecewiseMonotoneOracle``,
-    is the only source of interface velocities; ``extremum_oracle(lo, hi)``
-    gives the exact ``VelocityExtrema`` of a over arrays of intervals
-    0 <= lo <= hi <= u_high (a(lo) for lo == hi), elementwise on any shape.
+    is the only source of interface velocities: its ``a_of``, a closed-form
+    a elementwise on any shape, and its ``nodes``, from 0 up, between which
+    a is monotone, so a takes its extrema at an interval's ends or nodes inside.
     Any other oracle raises ``ValueError``: sample such a flux into
     ``builtin_flux("tabulated", ...)``, exact for the interpolant.  The
     references read where f turns from the oracle too.
@@ -85,40 +80,11 @@ class FluxModel:
         return float(self.u_high) * (1.0 + 1e-9) + 1e-300
 
 
-def check_density_intervals(model: FluxModel, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Raise ValueError unless every 0 <= lo[i] and hi[i] <= the working top.
-
-    The package's only range test.  fmin and fmax skip NaN, so a NaN
-    passes and callers see it propagate, without hiding a negative density
-    beside it, which the message then names.
-    """
-    lowest = np.fmin.reduce(lo, axis=None, initial=0.0)
-    if lowest < 0.0:
-        raise ValueError(f"negative density {float(lowest)}")
-    highest = np.fmax.reduce(hi, axis=None, initial=0.0)
-    if highest > model.density_limit:
-        raise ValueError(f"density {float(highest)} exceeds working interval [0, {model.u_high}]")
-
-
-def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:
-    """Extrema of the velocity field a over the density interval [lo, hi].
-
-    The model's oracle answers every interval, a degenerate one with its own
-    a(lo), as in the array kernel.  Inputs must be nonnegative, ordered,
-    and inside the model's working interval.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not lo <= hi:
-        raise ValueError(f"density interval [{lo}, {hi}] is inverted or NaN")
-    check_density_intervals(model, lo, hi)
-    return VelocityExtrema(*map(float, model.extremum_oracle(lo, hi)))
-
-
 class MonotoneOracle:
-    """Closed-form extrema of a velocity field monotone on the working interval.
+    """A closed-form velocity field monotone on the working interval.
 
-    Elementwise on arrays of any shape: a's values at the interval ends.
+    ``a_of`` is elementwise on arrays of any shape; a's extrema over an
+    interval are its values at the ends, in the order ``increasing`` says.
     ``a_vacuum`` is a(0), evaluated once, for the vacuum beyond a state's
     end particles; ``nodes`` holds the one monotone piece's start.
     """
@@ -129,13 +95,6 @@ class MonotoneOracle:
         self.a_of = a_of
         self.increasing = increasing
         self.a_vacuum = float(a_of(np.zeros(1))[0])
-
-    def __call__(self, lo, hi) -> VelocityExtrema:
-        a_lo = self.a_of(lo)
-        a_hi = self.a_of(hi)
-        if self.increasing:
-            return VelocityExtrema(a_lo, a_hi)
-        return VelocityExtrema(a_hi, a_lo)
 
 
 class _RangeExtrema:
@@ -207,7 +166,7 @@ def entropic_row(g: Callable, nodes: np.ndarray, table: _RangeExtrema, row) -> n
 
 
 class PiecewiseMonotoneOracle:
-    """Exact extrema of a velocity field monotone between given nodes.
+    """A closed-form velocity field monotone between given nodes.
 
     ``a_of`` is a closed-form a, elementwise on arrays of any shape, and
     ``nodes``, strictly increasing from 0, points between which a and
@@ -229,15 +188,9 @@ class PiecewiseMonotoneOracle:
         """The particle velocities between consecutive densities of a row or row block."""
         return entropic_row(self.a_of, self.nodes, self._a_nodes, row)
 
-    def __call__(self, lo, hi) -> VelocityExtrema:
-        # the rule takes the min from the row [lo, hi] and the max from [hi, lo]
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        ext = self.entropic(np.stack([np.stack([lo, hi], axis=-1), np.stack([hi, lo], axis=-1)]))
-        return VelocityExtrema(ext[0, ..., 0], ext[1, ..., 0])
-
 
 class TabulatedOracle(PiecewiseMonotoneOracle):
-    """Exact extrema of a for a piecewise linear flux f through (us, f(us)).
+    """The velocity field of a piecewise linear flux f through (us, f(us)).
 
     On each piece f = s_k u + c_k, so f and a(u) = s_k + c_k/u are monotone
     between the samples ``us``, which become the ``nodes``.  ``a`` is

@@ -23,6 +23,7 @@ import numpy as np
 from .field import PiecewiseConstantFn
 from .flux import FluxModel, PiecewiseMonotoneOracle, TabulatedOracle, _RangeExtrema, entropic_row
 from .initial import InitialData, PiecewiseAffineFn, cell_average, finite_window
+from .velocity import check_density_intervals
 
 __all__ = [
     "ExactSolution",
@@ -60,8 +61,6 @@ def burgers_rarefaction_shock() -> ExactSolution:
     """
 
     def profile(t):
-        if t == 0.0:
-            return PiecewiseAffineFn((0.0, 1.0), (3.0,), (3.0,), 1.0, 1.0)
         return PiecewiseAffineFn((t, 3.0 * t, 1.0 + 2.0 * t), (1.0, 3.0), (3.0, 3.0), 1.0, 1.0)
 
     return ExactSolution(profile, "rarefaction into shock, quadratic flux", (0.0, 1.0))
@@ -188,12 +187,14 @@ def godunov_reference(
     the padded row of cells, searched over the two cells and the nodes the
     model names (``_flux_nodes``); f is called once for the nodes' values
     and then once per step.  A ``MonotoneOracle`` whose a is not affine on
-    [0, sup u0] raises ``ValueError``, as do a ``cells`` that is not an
+    [0, sup u0] raises ``ValueError``, as do data above the model's working
+    interval (``simulate``'s range test), a ``cells`` that is not an
     integer of at least 2, a ``T`` that is not finite and nonnegative, a
     ``lip_f`` that is not finite, a ``window`` that is not two finite
     numbers lo < hi, and a window so narrow for its cells that T needs
     more than 1e8 steps, which the loop would not finish.
     """
+    check_density_intervals(model, 0.0, data.sup_u0)
     if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
         raise ValueError(f"cells must be an integer, got {cells!r}")
     if cells < 2:

@@ -3,7 +3,8 @@
 The particle between a left state v_l and right state v_r moves with the
 minimum of the velocity field a over [v_l, v_r] when density rises to the
 right, and with the maximum over [v_r, v_l] when it falls.  Both branches
-agree at v_l = v_r, where the value is a(v_l).
+agree at v_l = v_r, where the value is a(v_l).  ``velocity_extrema`` gives
+both extrema over one interval, for the audit's velocity bounds.
 
 ``particle_velocities`` applies the rule to every particle of a state, of
 a row block of snapshots, or of an (n, 2) array of pairs, each row padded
@@ -24,7 +25,7 @@ with vacuum (density 0) on both sides.  It has one path per oracle kind:
   between two cells read only where there are any.
 
 Before either path, the densities must lie in the model's working interval.
-``flux.check_density_intervals`` tests that with two reductions, unless
+``check_density_intervals`` tests that with two reductions, unless
 the caller passes a ``_Cells`` or ``SnapshotBlock`` whose proved ``top``
 lies inside: ``simulate`` after each step, and every trajectory block.
 """
@@ -36,10 +37,49 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flux import FluxModel, MonotoneOracle, check_density_intervals
-from .flux import velocity_extrema  # noqa: F401  (wrapped by perfbench/tracing.py until ROADMAP item 2)
+from .flux import FluxModel, MonotoneOracle
 
-__all__ = ["particle_velocities", "follow_the_leader_deviation"]
+__all__ = ["VelocityExtrema", "velocity_extrema", "particle_velocities", "follow_the_leader_deviation"]
+
+
+class VelocityExtrema(NamedTuple):
+    min_value: float
+    max_value: float
+
+
+def check_density_intervals(model: FluxModel, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise ValueError unless every 0 <= lo[i] and hi[i] <= the working top.
+
+    The package's only range test.  fmin and fmax skip NaN, so a NaN
+    passes and callers see it propagate, without hiding a negative density
+    beside it, which the message then names.
+    """
+    lowest = np.fmin.reduce(lo, axis=None, initial=0.0)
+    if lowest < 0.0:
+        raise ValueError(f"negative density {float(lowest)}")
+    highest = np.fmax.reduce(hi, axis=None, initial=0.0)
+    if highest > model.density_limit:
+        raise ValueError(f"density {float(highest)} exceeds working interval [0, {model.u_high}]")
+
+
+def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:
+    """Extrema of the velocity field a over the density interval [lo, hi].
+
+    A ``MonotoneOracle`` gives a at both ends, in the order a rises, and a
+    ``PiecewiseMonotoneOracle`` the kernel's min on the row [lo, hi] and
+    max on [hi, lo]; [lo, lo] gives a(lo).  Inputs must be nonnegative,
+    ordered, and inside the model's working interval.
+    """
+    lo = float(lo)
+    hi = float(hi)
+    if not lo <= hi:
+        raise ValueError(f"density interval [{lo}, {hi}] is inverted or NaN")
+    check_density_intervals(model, lo, hi)
+    oracle = model.extremum_oracle
+    if isinstance(oracle, MonotoneOracle):
+        ends = oracle.a_of(lo), oracle.a_of(hi)
+        return VelocityExtrema(*map(float, ends if oracle.increasing else ends[::-1]))
+    return VelocityExtrema(*map(float, oracle.entropic([[lo, hi], [hi, lo]])[:, 0]))
 
 
 class _Cells(NamedTuple):
@@ -91,8 +131,8 @@ def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
 
     Each pair is the two cells around one particle, whose velocity
     ``particle_velocities`` gives in column 1 of the (pairs, 2) block.
-    a(v_r) is the oracle's own value, its extremum over [v_r, v_r], so a
-    rule that is exactly a(v_r) reads 0.
+    a(v_r) is the oracle's own ``a_of``, the rule's value on [v_r, v_r], so
+    a rule that is exactly a(v_r) reads 0.
 
     Requires a nonincreasing velocity field on [0, u_high], read from the
     oracle's own a without a scan: either oracle kind's a is monotone
@@ -115,5 +155,5 @@ def follow_the_leader_deviation(model: FluxModel, pairs) -> float:
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     v_r = pairs[:, 1]
     vel = particle_velocities(model, _Cells(pairs, 3 * len(pairs)))[:, 1]
-    dev = np.abs(vel - np.asarray(oracle(v_r, v_r).min_value, dtype=float))
+    dev = np.abs(vel - np.asarray(oracle.a_of(v_r), dtype=float))
     return float(np.max(dev, initial=0.0))

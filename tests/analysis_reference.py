@@ -20,8 +20,9 @@ import numpy as np
 from particle_paths.analysis import AuditReport, CheckResult
 from particle_paths.dynamics import Trajectory
 from particle_paths.field import reconstruct_density
-from particle_paths.flux import FluxModel, velocity_extrema
+from particle_paths.flux import FluxModel
 from particle_paths.initial import ParticleState, integrate, total_variation
+from particle_paths.velocity import velocity_extrema
 
 from dynamics_reference import two_sided_velocities
 

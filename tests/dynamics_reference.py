@@ -3,8 +3,9 @@
 ``simulate`` now runs on raw arrays and validates a state only when it
 records one; this loop builds a full ``ParticleState`` after every step
 and is the reference its results must equal bit for bit.  Its velocities
-come from ``two_sided_velocities``, the velocity rule applied as stated,
-so the reference does not follow the package's kernel; ``particle_velocity``
+come from ``two_sided_velocities``, the velocity rule applied as stated
+through ``interval_extrema``, a node search one interval at a time, so the
+reference does not follow the package's kernel; ``particle_velocity``
 states the same rule on one pair of scalars.
 """
 
@@ -23,19 +24,40 @@ from particle_paths.dynamics import (
     default_eps_coll,
     resolve_collisions,
 )
-from particle_paths.flux import check_density_intervals, velocity_extrema
+from particle_paths.flux import _RangeExtrema
 from particle_paths.initial import ParticleState
+from particle_paths.velocity import VelocityExtrema, check_density_intervals, velocity_extrema
 
-__all__ = ["simulate", "two_sided_velocities", "particle_velocity", "revalidated"]
+__all__ = ["simulate", "interval_extrema", "two_sided_velocities", "particle_velocity", "revalidated"]
+
+
+def interval_extrema(g, nodes, table, lo, hi):
+    """The node search one interval at a time: g at both ends, stacked into
+    one call, and the nodes strictly inside from two searches."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    g_lo, g_hi = np.asarray(g(np.stack([lo, hi])), dtype=float)
+    i0 = np.searchsorted(nodes, lo, side="right")  # first node > lo
+    i1 = np.searchsorted(nodes, hi, side="left") - 1  # last node < hi
+    inner = i0 <= i1
+    node_min, node_max = table.query(np.where(inner, i0, 0), np.where(inner, i1, 0))
+    end_min = np.minimum(g_hi, g_lo)
+    end_max = np.maximum(g_hi, g_lo)
+    return VelocityExtrema(
+        np.where(inner, np.minimum(node_min, end_min), end_min),
+        np.where(inner, np.maximum(node_max, end_max), end_max),
+    )
 
 
 def two_sided_velocities(model, state) -> np.ndarray:
     """Velocity of every particle by the two-sided rule, vacuum beyond the ends.
 
-    Pads each row of ``state.densities`` with density 0, asks the oracle for
-    the extrema of a over [min, max] of every neighbouring pair, and takes
-    the minimum where density rises to the right, the maximum where it
-    falls.  Raises the range check's ValueError first.
+    Pads each row of ``state.densities`` with density 0, takes the extrema
+    of the oracle's a over [min, max] of every neighbouring pair from
+    ``interval_extrema`` over its nodes (a ``MonotoneOracle``'s one node,
+    0, never lies strictly inside), and takes the minimum where density
+    rises to the right, the maximum where it falls.  Raises the range
+    check's ValueError first.
     """
     dens = np.asarray(state.densities, dtype=float)
     padded = np.zeros((*dens.shape[:-1], dens.shape[-1] + 2))
@@ -43,7 +65,9 @@ def two_sided_velocities(model, state) -> np.ndarray:
     v_l, v_r = padded[..., :-1], padded[..., 1:]
     lo, hi = np.minimum(v_l, v_r), np.maximum(v_l, v_r)
     check_density_intervals(model, lo, hi)
-    ext = model.extremum_oracle(lo, hi)
+    oracle = model.extremum_oracle
+    table = _RangeExtrema(np.asarray(oracle.a_of(oracle.nodes), dtype=float))
+    ext = interval_extrema(oracle.a_of, oracle.nodes, table, lo, hi)
     return np.where(v_l <= v_r, ext.min_value, ext.max_value)
 
 

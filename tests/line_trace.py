@@ -8,9 +8,13 @@ Run from anywhere, with the same extra arguments pytest takes::
 The suite runs in this process under ``sys.settrace``, which traces only
 frames whose code lives in the package; each line a compiled code object
 of the package can start is then reported, as ``path:line: source``,
-unless some test ran it.  Code a test runs in a subprocess (the CLI's
-``main()`` under ``python -m``) is not seen.  Only the standard library
-and pytest are used, and pytest does not collect this file.
+unless some test ran it.  Code a test runs only in a subprocess is not
+seen.  Only the standard library and pytest are used, and pytest does
+not collect this file.
+
+The exit status is pytest's when that is nonzero, else 1 when any line
+is listed, so a run gates on every package line being tested; a partial
+selection such as ``-k refusals`` lists lines and exits 1.
 """
 
 import sys
@@ -65,7 +69,7 @@ def main(args) -> int:
             print(f"{path.relative_to(REPO)}:{line}: {source[line - 1].strip()}")
             missed += 1
     print(f"{missed} line(s) of src/particle_paths not executed")
-    return int(status)
+    return int(status) or int(missed > 0)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -602,6 +603,19 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     run = subprocess.run([sys.executable, "-m", module, str(bad)], env=env, capture_output=True, text=True)
     assert run.returncode == 2
     assert run.stderr.startswith("config error at seed: ")
+
+
+@pytest.mark.parametrize("module", ["particle_paths", "particle_paths.cli"])
+# runpy warns that the module it runs as __main__ is already imported
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules after import of package:RuntimeWarning")
+def test_python_dash_m_entry_lines_run_in_process(module, tmp_path, monkeypatch):
+    # the same ``__main__`` blocks as above, in this process, where
+    # tests/line_trace.py sees them run
+    for overrides, code in (({"placement": {"strategy": "uniform", "n": 11}, "snapshots": 2}, 0), ({"seed": -1}, 2)):
+        monkeypatch.setattr(sys, "argv", [module, str(base_config(tmp_path, **overrides))])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module(module, run_name="__main__")
+        assert exit_info.value.code == code
 
 
 @pytest.mark.parametrize(

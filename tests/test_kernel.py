@@ -20,7 +20,7 @@ from particle_paths.flux import FluxModel, MonotoneOracle, PiecewiseMonotoneOrac
 from particle_paths.velocity import _Cells
 
 from conftest import cubic_flux_model, pair_velocities
-from dynamics_reference import particle_velocity, two_sided_velocities
+from dynamics_reference import interval_extrema, particle_velocity, two_sided_velocities
 
 ANALYTIC_TOL = 1e-10
 
@@ -137,24 +137,6 @@ def entropic_extremum(extrema, left, right):
     return np.where(left <= right, ext.min_value, ext.max_value)
 
 
-def interval_extrema(g, nodes, table, lo, hi):
-    """The node search one interval at a time: g at both ends, stacked into
-    one call, and the nodes strictly inside from two searches."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    g_lo, g_hi = np.asarray(g(np.stack([lo, hi])), dtype=float)
-    i0 = np.searchsorted(nodes, lo, side="right")  # first node > lo
-    i1 = np.searchsorted(nodes, hi, side="left") - 1  # last node < hi
-    inner = i0 <= i1
-    node_min, node_max = table.query(np.where(inner, i0, 0), np.where(inner, i1, 0))
-    end_min = np.minimum(g_hi, g_lo)
-    end_max = np.maximum(g_hi, g_lo)
-    return pp.VelocityExtrema(
-        np.where(inner, np.minimum(node_min, end_min), end_min),
-        np.where(inner, np.maximum(node_max, end_max), end_max),
-    )
-
-
 @st.composite
 def node_rows(draw):
     """Nodes, g monotone between them, and a row or row block of entries.
@@ -218,17 +200,18 @@ def test_entropic_row_equals_the_interval_rule_bytewise(case):
 @settings(max_examples=100, deadline=None)
 @given(table=nonconvex_tables(), data=st.data())
 def test_tabulated_oracle_equals_the_interval_search_bytewise(table, data):
-    # the oracle's min comes from the row [lo, hi] and its max from [hi, lo]
+    # velocity_extrema takes its min from the row [lo, hi] and its max from [hi, lo]
     us, fs = table
-    oracle = builtin_flux("tabulated", us=us, fs=fs).extremum_oracle
+    model = builtin_flux("tabulated", us=us, fs=fs)
+    oracle = model.extremum_oracle
     frac = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     pick = st.one_of(frac.map(lambda x: x * us[-1]), st.sampled_from(us.tolist()))
     ends = np.sort(np.asarray(data.draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=30))), axis=1)
-    lo, hi = ends[:, 0], ends[:, 1]
-    got = oracle(lo, hi)
-    want = interval_extrema(oracle.a_of, us, oracle._a_nodes, lo, hi)
-    assert np.asarray(got.min_value).tobytes() == want.min_value.tobytes()
-    assert np.asarray(got.max_value).tobytes() == want.max_value.tobytes()
+    want = interval_extrema(oracle.a_of, us, _RangeExtrema(oracle.a_of(us)), ends[:, 0], ends[:, 1])
+    for (lo, hi), want_min, want_max in zip(ends, want.min_value, want.max_value):
+        got = velocity_extrema(model, lo, hi)
+        assert np.float64(got.min_value).tobytes() == want_min.tobytes()
+        assert np.float64(got.max_value).tobytes() == want_max.tobytes()
 
 
 def test_tabulated_velocities_evaluate_a_once_per_call(monkeypatch):
@@ -340,9 +323,7 @@ def test_degenerate_interval_takes_the_oracles_own_value(kind):
     else:
         model = builtin_flux(kind)
     vs = np.array([0.0, 0.2, 0.3, 0.5, 0.7, 1.0])
-    oracle = model.extremum_oracle(vs, vs)
-    own = np.asarray(oracle.min_value, dtype=float)
-    assert own.tobytes() == np.asarray(oracle.max_value, dtype=float).tobytes()
+    own = np.asarray(model.extremum_oracle.a_of(vs), dtype=float)
     assert pair_velocities(model, vs, vs).tobytes() == own.tobytes()
     assert [velocity_extrema(model, v, v) for v in vs] == [(a, a) for a in own]
     if kind == "burgers":

@@ -141,6 +141,15 @@ REFUSALS = [
     ("place_particles_float_n", lambda: pp.place_particles(pp.box_data(1.0, 0.0, 1.0), 11.0), "n must be an integer"),
     ("godunov_float_cells", lambda: pp.godunov_reference(pp.builtin_flux("burgers"), pp.box_data(1.0, 0.0, 1.0), 100.0, 0.1),
      "cells must be an integer"),
+    # lip_f bounds the wave speed only on [0, u_high]: past it the step
+    # outruns the waves, and a table holds f flat beyond its last sample
+    ("godunov_data_above_model", lambda: pp.godunov_reference(
+        pp.builtin_flux("burgers", u_high=1.0), pp.box_data(1.2, 0.0, 1.0), 400, 0.5),
+     r"density 1.2 exceeds working interval \[0, 1.0\]"),
+    ("godunov_data_above_table", lambda: pp.godunov_reference(
+        pp.builtin_flux("tabulated", us=np.linspace(0.0, 1.0, 65), fs=np.linspace(0.0, 1.0, 65) ** 2 / 2.0),
+        pp.box_data(1.2, 0.0, 1.0), 400, 0.5),
+     r"density 1.2 exceeds working interval \[0, 1.0\]"),
 ]
 
 

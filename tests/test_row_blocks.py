@@ -230,7 +230,8 @@ def test_blocks_are_views_of_the_stacked_runs(monkeypatch):
 @pytest.mark.parametrize("from_disk", [False, True])
 def test_row_blocks_carry_their_run_top_to_the_kernel(tmp_path, monkeypatch, from_disk):
     # every density of a stacked run was proved finite and nonnegative, so
-    # no pass over the blocks runs the kernel's full range test
+    # no pass over the blocks runs the kernel's full range test; the one
+    # call is the audit's scalar velocity bounds over [0, rho*]
     traj = vacuum_run(29, 0.6, 0.8)
     if from_disk:
         exports.write_trajectory_npy(traj, tmp_path / "trajectory.npy")
@@ -242,7 +243,7 @@ def test_row_blocks_carry_their_run_top_to_the_kernel(tmp_path, monkeypatch, fro
     pp.invariant_audit(traj)
     pp.spacetime_flux_residual(traj)
     pp.entropy_defect(traj, 0.3, pp.SpaceTimeBump(0.35, 0.3, 0.25, 0.2), (0.0, 0.7))
-    assert calls == []
+    assert calls == [(traj.model, 0.0, float(traj.snapshots[0].densities.max()))]
 
 
 def test_simulate_and_the_loader_build_no_state_per_snapshot(tmp_path, monkeypatch):
