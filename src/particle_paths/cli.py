@@ -158,7 +158,7 @@ def _build_data(cfg: dict) -> InitialData:
         return _DATA_KINDS[kind][0](*samples, **params)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("initial_data.params", str(exc))
 
 
@@ -179,7 +179,7 @@ def _build_model(cfg: dict, data: InitialData) -> FluxModel:
         return builtin_flux(kind, u_high=u_high, **params)
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError("flux", str(exc))
 
 
@@ -357,6 +357,10 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("placement.n_list", f"counts must be strictly increasing, got {n_list!r}")
     if cfg["mode"] == "simulate" and "dt_max" not in cfg["integrator"]:
         raise ConfigError("integrator.dt_max", "required")
+    # simulate's own refusal, here before the output directory is made
+    dt_max, T = cfg["integrator"].get("dt_max", np.inf), cfg["time_horizon"]
+    if cfg["mode"] == "simulate" and dt_max < np.spacing(T):
+        raise ConfigError("integrator.dt_max", f"{dt_max!r} is below the float spacing of T = {T!r}, so no step could advance t")
     for key in cfg["integrator"]:
         if key not in ("dt_max", "theta"):
             raise ConfigError(f"integrator.{key}", "unknown key")

@@ -72,7 +72,7 @@ DENSITY_HEADROOM = 1e-13
 # what can set a step, in the order ties are broken
 LIMITERS = ("dt_max", "crossing", "density", "landing")
 # cells per row block of snapshots: enough rows to spread the kernel's
-# fixed per-call cost (25-30 us for a 65-node tabulated oracle on 1-100
+# fixed per-call cost (20-25 us for a 65-node tabulated oracle on 1-100
 # cells, 2-vCPU Xeon) over many snapshots, few enough that a block's
 # temporaries stay small (on a 1601-particle run a 4096-cell cap adds
 # about 0.1 MB of peak memory, a 16384-cell cap 1.6 MB); a snapshot with

@@ -25,10 +25,8 @@ __all__ = ["FluxModel", "MonotoneOracle", "PiecewiseMonotoneOracle", "TabulatedO
 def _velocity_field(eval_f: Callable, fprime0: float, u):
     """a(u) = f(u)/u, with a(0) = fprime0."""
     u_arr = np.asarray(u, dtype=float)
-    zero = u_arr == 0.0
-    safe = np.where(zero, 1.0, u_arr)
     f_vals = np.asarray(eval_f(u_arr), dtype=float)
-    out = np.where(zero, fprime0, f_vals / safe)
+    out = np.divide(f_vals, u_arr, out=np.full(u_arr.shape, fprime0), where=u_arr != 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,28 +138,30 @@ def entropic_row(g: Callable, nodes: np.ndarray, table: _RangeExtrema, row) -> n
     Between entries l = row[..., k] and r = row[..., k + 1] it gives the
     min of g over [l, r] where l <= r and the max over [r, l] otherwise,
     for a g monotone between consecutive ``nodes`` whose values ``table``
-    holds: the candidates are g at l and r and the nodes strictly between
-    them.  g is called once, on ``row``, and the nodes are searched once per
-    entry; the table is read only where a node lies strictly inside.  Works
-    along the last axis of a row or a row block, so g must be elementwise.
+    holds: the candidates are g at l and r and the nodes between them.  g
+    is called once, on ``row``, and each entry searched once for the first
+    node above it; where two neighbours' indices differ, nodes lie in
+    (lower, upper] and the table is read.  A node at the upper entry keeps
+    the bits of the nodes strictly inside: its value equals g(upper), as g
+    is elementwise; on a tie np.minimum and np.maximum return their second
+    argument, the end value; and the table returns the rightmost tied
+    node, so that node, no better than the ends, is not chosen or loses to
+    them.  Works along the last axis of a row or a row block, so g must be
+    elementwise.
     """
     row = np.asarray(row, dtype=float)
     g_row = np.asarray(g(row), dtype=float)
     g_l, g_r = g_row[..., :-1], g_row[..., 1:]
     rising = row[..., :-1] < row[..., 1:]
     # l == r reads g(r) on either branch: np.maximum keeps its second argument on a tie
-    out = np.where(rising, np.minimum(g_r, g_l), np.maximum(g_l, g_r))
+    out = np.maximum(g_l, g_r)
+    np.minimum(g_r, g_l, out=out, where=rising)
     above = nodes.searchsorted(row, "right")  # the first node above each entry
-    below = above - (nodes.take(above - 1) == row)  # the first node at or above it
-    # the nodes strictly inside: from the first above the lower entry to
-    # the last below the upper one
-    first = np.minimum(above[..., :-1], above[..., 1:])
-    last = np.maximum(below[..., :-1], below[..., 1:]) - 1
-    inner = np.flatnonzero(first <= last)
-    if inner.size:
-        node_min, node_max = table.query(first.take(inner), last.take(inner))
-        ends = out.take(inner)
-        out.put(inner, np.where(rising.take(inner), np.minimum(node_min, ends), np.maximum(node_max, ends)))
+    inner = (above[..., :-1] != above[..., 1:]).ravel().nonzero()[0]
+    a_l, a_r = above[..., :-1].take(inner), above[..., 1:].take(inner)
+    node_min, node_max = table.query(np.minimum(a_l, a_r), np.maximum(a_l, a_r) - 1)
+    ends = out.take(inner)
+    out.put(inner, np.where(rising.take(inner), np.minimum(node_min, ends), np.maximum(node_max, ends)))
     return out
 
 
@@ -171,9 +171,9 @@ class PiecewiseMonotoneOracle:
     ``a_of`` is a closed-form a, elementwise on arrays of any shape, and
     ``nodes``, strictly increasing from 0, points between which a and
     f = u a are both monotone.  Over any interval a takes its extrema at
-    the ends or at nodes inside, which ``entropic_row`` searches in a
-    sparse table of a's node values; Godunov's interface flux searches the
-    same nodes for f's.
+    the ends or at nodes between them, which ``entropic_row`` reads, in
+    (lower, upper], from a sparse table of a's node values; Godunov's
+    interface flux reads the same nodes for f's.
     """
 
     def __init__(self, a_of: Callable, nodes):

@@ -157,7 +157,7 @@ class InitialData:
             raise ValueError("u0 must be zero outside its breakpoints")
         # repeats dropped, a step profile's values are its steps
         tv_u0 = total_variation(vals[np.append(True, vals[1:] != vals[:-1])])
-        sup_u0 = float(np.max(vals, initial=0.0))
+        sup_u0 = float(np.max(vals, initial=0.0)) + 0.0  # + 0.0 turns a -0.0 maximum into 0.0
         if not tv_u0 < np.inf:
             raise ValueError(f"variation {tv_u0} and supremum {sup_u0} must be finite and nonnegative")
         object.__setattr__(self, "tv_u0", tv_u0)
@@ -298,6 +298,8 @@ def _uniform(data: InitialData, n: int) -> np.ndarray:
         pos[j] = inner
         unclipped = j == near
         pos[j[unclipped]] = inner[unclipped]
+    if np.any(np.diff(pos) <= 0.0):
+        raise ValueError(f"{n} uniform positions on {(lo, hi)} are not strictly increasing in floats")
     # the particles strictly inside each run of pieces where u0 is zero go
     if not vacuum.any():
         return pos
@@ -323,6 +325,7 @@ def place_particles(data: InitialData, n: int, strategy: str = "uniform") -> np.
     with mass is between dx/2 and 2 dx wide.
     ``mass_equidistributed`` puts equal mass between consecutive particles
     by inverting the cumulative mass, exactly on each affine piece of u0.
+    Either raises ``ValueError`` where its positions collapse in floats.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")

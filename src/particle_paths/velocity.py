@@ -18,11 +18,9 @@ with vacuum (density 0) on both sides.  It has one path per oracle kind:
   oracle's a(0).  These are the two-sided rule's bits on every density in
   range, since the oracle's extrema are a's values at the ends;
 * a ``PiecewiseMonotoneOracle`` (a closed-form field with its turning
-  points, or ``tabulated``) takes the two-sided rule through the kernel
-  that Godunov's interface flux runs over f, ``flux.entropic_row``: a is
-  evaluated once on the padded row and the oracle's nodes searched once
-  per cell, then the minimum or the maximum, with the nodes strictly
-  between two cells read only where there are any.
+  points, or ``tabulated``) takes the two-sided rule through
+  ``flux.entropic_row``, the kernel Godunov's interface flux runs over f,
+  which reads the nodes in (lower, upper] of two neighbouring cells.
 
 Before either path, the densities must lie in the model's working interval.
 ``check_density_intervals`` tests that with two reductions, unless

@@ -1,23 +1,30 @@
-"""Cost per step of ``simulate``, for one source tree or two side by side.
+"""Cost per step of ``simulate`` and of Godunov's reference, for one source tree or two side by side.
 
     python tests/step_cost.py [SRC [SRC2]] [--rounds R] [--repeats K]
 
 Runs each tree (default: this checkout's ``src``) ``R`` times, alternating
 between the trees, each time in a fresh interpreter pinned to one CPU.  A
-run times ``simulate`` on each case, best of ``K`` calls, and prints, per
-tree and case, the steps, the median over the rounds of the microseconds
-per step, and the share of steps whose caps the caps certificate settled
-(steps minus calls of ``dynamics._timestep_cap``, counted in a separate
-untimed call).  The cases are the paper's rarefaction-shock profile under
-burgers at N = 201 ... 6401 (33 snapshots, T = 0.25, dt_max = 0.2 dx*
-with dx* the widest initial cell), and the LWR boxes in vacuum of the
-benchmark's cli_vacuum_lwr workload at seed 0.  Uses only the standard
-library and numpy; pytest does not collect it.
+run times each case, best of ``K`` calls, and prints, per tree and case,
+the steps, the median over the rounds of the microseconds per step, and,
+for ``simulate``, the share of steps whose caps the caps certificate
+settled (steps minus calls of ``dynamics._timestep_cap``, counted in a
+separate untimed call).  The ``simulate`` cases are the paper's
+rarefaction-shock profile under burgers at N = 201 ... 6401 (33
+snapshots, T = 0.25, dt_max = 0.2 dx* with dx* the widest initial cell),
+the LWR boxes in vacuum of the benchmark's cli_vacuum_lwr workload at
+seed 0, and the nonconvex_tabulated workload's seed-0 scheme runs (its
+65-node non-convex table, N = 51 and 101 placed by
+``mass_equidistributed``, dt_max = T/32, 33 snapshots), whose velocities
+come from ``flux.entropic_row``.  The Godunov cases time
+``godunov_reference`` on that workload's profile at 500 and 1000 cells,
+one ``entropic_row`` call per step, whose calls give the step count.
+Uses only the standard library and numpy; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -27,6 +34,9 @@ import time
 from pathlib import Path
 
 SIZES = (201, 401, 801, 1601, 3201, 6401)
+NONCONVEX_SIZES = (51, 101)
+GODUNOV_CELLS = (500, 1000)
+NONCONVEX_T = 0.25
 
 
 def _vacuum_boxes(pp, np):
@@ -48,6 +58,19 @@ def _vacuum_boxes(pp, np):
     return model, state0, 1.0, dict(dt_max=0.2 * (bp[-1] - bp[0]) / 300, theta=0.1, snapshot_count=64)
 
 
+def _nonconvex_table(pp, np):
+    """nonconvex_tabulated's seed-0 profile, two waves sampled at 17 points, and its 65-node table."""
+    phase = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=2)
+    xs = np.linspace(0.0, 1.0, 17)
+    us = 0.5 + 0.25 * np.sin(4.0 * np.pi * xs + phase[0]) + 0.1 * np.sin(10.0 * np.pi * xs + phase[1])
+    us[0] = us[-1] = 0.0
+    us *= 0.85 / us.max()
+    data = pp.sampled_data(xs, us)
+    table = np.linspace(0.0, 1.0, 65)
+    fs = table * ((table - 0.5) ** 2 - 0.1)
+    return pp.builtin_flux("tabulated", us=table, fs=fs, u_high=data.sup_u0 * (1.0 + 1e-12)), data
+
+
 def _cases(pp, np):
     data = pp.rarefaction_shock_data()
     model = pp.builtin_flux("burgers", u_high=data.sup_u0 * (1.0 + 1e-12))
@@ -55,6 +78,32 @@ def _cases(pp, np):
         state0 = pp.cell_average(data, pp.place_particles(data, n, "uniform"))
         yield f"paper N={n}", (model, state0, 0.25, dict(dt_max=0.2 * float(np.max(state0.widths)), snapshot_count=33))
     yield "cli_vacuum_lwr seed 0", _vacuum_boxes(pp, np)
+    model, data = _nonconvex_table(pp, np)
+    for n in NONCONVEX_SIZES:
+        state0 = pp.cell_average(data, pp.place_particles(data, n, "mass_equidistributed"))
+        kw = dict(dt_max=NONCONVEX_T / 32, snapshot_count=33, data=data)
+        yield f"nonconvex N={n}", (model, state0, NONCONVEX_T, kw)
+
+
+def _best_of(repeats: int, run) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@contextlib.contextmanager
+def _calls_of(module, name: str):
+    """Count the calls of ``module.name`` inside the block."""
+    calls = []
+    fn = getattr(module, name)
+    setattr(module, name, lambda *args: calls.append(1) or fn(*args))
+    try:
+        yield calls
+    finally:
+        setattr(module, name, fn)
 
 
 def _child(src: str, repeats: int) -> None:
@@ -64,23 +113,20 @@ def _child(src: str, repeats: int) -> None:
     import numpy as np
 
     import particle_paths as pp
-    from particle_paths import dynamics
+    from particle_paths import dynamics, reference
 
     out = {}
     for label, (model, state0, T, kw) in _cases(pp, np):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            traj = pp.simulate(model, state0, T, **kw)
-            best = min(best, time.perf_counter() - t0)
-        calls = []
-        cap = dynamics._timestep_cap
-        dynamics._timestep_cap = lambda *args: calls.append(1) or cap(*args)
-        try:
+        best = _best_of(repeats, lambda: pp.simulate(model, state0, T, **kw))
+        with _calls_of(dynamics, "_timestep_cap") as calls:
             steps = pp.simulate(model, state0, T, **kw).stats.steps
-        finally:
-            dynamics._timestep_cap = cap
-        out[label] = {"steps": traj.stats.steps, "us_per_step": 1e6 * best / steps, "cleared": 1.0 - len(calls) / steps}
+        out[label] = {"steps": steps, "us_per_step": 1e6 * best / steps, "cleared": 1.0 - len(calls) / steps}
+    model, data = _nonconvex_table(pp, np)
+    for cells in GODUNOV_CELLS:
+        best = _best_of(repeats, lambda: pp.godunov_reference(model, data, cells, NONCONVEX_T))
+        with _calls_of(reference, "entropic_row") as calls:
+            pp.godunov_reference(model, data, cells, NONCONVEX_T)
+        out[f"godunov cells={cells}"] = {"steps": len(calls), "us_per_step": 1e6 * best / len(calls), "cleared": None}
     print(json.dumps(out))
 
 
@@ -109,7 +155,8 @@ def main() -> None:
         print(f"  {'case':<24}{'steps':>7}{'us/step':>10}{'cleared':>9}")
         for label, first in runs[0].items():
             us = statistics.median(run[label]["us_per_step"] for run in runs)
-            print(f"  {label:<24}{first['steps']:>7}{us:>10.1f}{first['cleared']:>9.1%}")
+            cleared = "-" if first["cleared"] is None else f"{first['cleared']:.1%}"
+            print(f"  {label:<24}{first['steps']:>7}{us:>10.1f}{cleared:>9}")
 
 
 if __name__ == "__main__":

@@ -121,6 +121,20 @@ def test_ftl_check_mode(tmp_path):
     assert (payload["pairs"], payload["tol"]) == (10000, 1e-8)
 
 
+@pytest.mark.parametrize("height", [0.0, -0.0])
+def test_ftl_check_on_zero_data_of_either_sign(height, tmp_path):
+    # a -0.0 height once gave sup_u0 = -0.0 and rng.uniform(0.0, -0.0) a traceback
+    assert str(particle_paths.box_data(height, 0.0, 1.0).sup_u0) == "0.0"
+    path = base_config(
+        tmp_path,
+        mode="ftl-check",
+        flux={"kind": "lwr", "params": {}},
+        initial_data={"kind": "box", "params": {"height": height, "a": 0.0, "b": 1.0}},
+    )
+    assert run_cli([str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "ftl_check.json").read_text())["max_deviation"] == 0.0
+
+
 def test_ftl_check_rejects_rising_velocity_field(tmp_path):
     path = base_config(tmp_path, mode="ftl-check")  # burgers: a increases
     assert run_cli([str(path)]) == 3
@@ -325,6 +339,27 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
         # a cell that is not a number was once reported at flux or at initial_data.params
         ({"flux": {"kind": "tabulated", "params": {"path": "non_numeric.csv"}}}, "flux.params.path"),
         ({"initial_data": {"kind": "sampled", "params": {"path": "non_numeric.csv"}}}, "initial_data.params.path"),
+        # an int beyond the float range once ended in float()'s OverflowError
+        ({"flux": {"kind": "lwr", "params": {"v_max": 10**400}}}, "flux"),
+        ({"initial_data": {"kind": "box", "params": {"height": 10**400, "a": 0, "b": 1}}}, "initial_data.params"),
+        # evenly spaced positions that repeat in floats once reached
+        # cell_average's refusal as a traceback
+        (
+            {
+                "initial_data": {"kind": "box", "params": {"height": 1.0, "a": 1e15, "b": 1e15 + 1}},
+                "placement": {"strategy": "uniform", "n": 21},
+            },
+            "placement.strategy",
+        ),
+        (
+            {
+                "mode": "convergence",
+                "flux": {"kind": "lwr", "params": {}},
+                "initial_data": {"kind": "riemann", "params": {"u_l": 0.2, "u_r": 0.8, "x0": 1e15 + 0.5, "window": [1e15, 1e15 + 1]}},
+                "placement": {"strategy": "uniform", "n_list": [9, 17, 33]},
+            },
+            "placement.strategy",
+        ),
     ],
 )
 def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, monkeypatch):
@@ -345,6 +380,10 @@ def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, m
         # the collision threshold is no option: eps_coll is an unknown key
         ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": 1e-9}, "integrator.eps_coll"),
         ("simulate", "integrator", {"dt_max": 0.001, "eps_coll": None}, "integrator.eps_coll"),
+        # a dt_max below the float spacing of T, which simulate refuses, once
+        # ended in a traceback after the output directory was made
+        ("simulate", "integrator", {"dt_max": 1e-320}, "integrator.dt_max"),
+        ("simulate", "time_horizon", 1e308, "integrator.dt_max"),
     ],
 )
 def test_bad_step_parameter_is_exit_2(mode, key, value, path, tmp_path, capsys):

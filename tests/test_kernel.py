@@ -179,6 +179,11 @@ def signed_zero_table(row):
     return lambda u: np.interp(np.asarray(u, dtype=float), nodes, values), nodes, values, np.asarray(row)
 
 
+def dip_hump_table(row):
+    nodes, values = np.array([0.2, 0.4, 0.6, 0.8]), np.array([0.0, -1.0, 1.0, 0.0])
+    return lambda u: np.interp(np.asarray(u, dtype=float), nodes, values), nodes, values, np.asarray(row)
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=node_rows())
 # a tie between signed zeros takes g of the right entry; a node value that
@@ -186,6 +191,15 @@ def signed_zero_table(row):
 @example(case=line_case([0.0, -0.0, -0.0, 0.0, 0.5, np.nan, 0.2, 0.2]))
 @example(case=signed_zero_table([0.25, 0.5, 0.75, 0.5, 0.25, 1.0, -0.0, 0.5]))
 @example(case=signed_zero_table([[0.0, 1.0, 0.25, 0.75], [0.75, 0.25, 1.0, 0.0]]))
+# the kernel reads the nodes in (lower, upper]: a node at the upper entry
+# ties an inner node of the other signed zero (0.75 rising and falling),
+# or is the other signed zero of g(upper) (-0.0 on the node 0.0), and the
+# end value wins either tie
+@example(case=signed_zero_table([0.3, 0.75, 0.3]))
+@example(case=line_case([-0.25, -0.0, -0.25]))
+# inner interfaces are found in the raveled mask of a row block: the
+# second row's dip and hump sit after a first row with none
+@example(case=dip_hump_table([[0.5, 0.5, 0.5, 0.5], [0.3, 0.7, 0.3, 0.6]]))
 def test_entropic_row_equals_the_interval_rule_bytewise(case):
     # one search per entry gives the bits of two searches per interval,
     # signed zeros and NaN included

@@ -70,6 +70,8 @@ REFUSALS = [
     # a one-number window once raised IndexError, a traceback from the CLI
     ("riemann_window_one_number", lambda: pp.riemann_data(0.2, 0.8, window=[1.0]), WINDOW),
     ("riemann_window_three_numbers", lambda: pp.riemann_data(0.2, 0.8, window=[-1.0, 0.5, 1.0]), WINDOW),
+    ("uniform_positions_collapse", lambda: pp.place_particles(pp.box_data(1.0, 1e15, 1e15 + 1), 21, "uniform"),
+     "21 uniform positions on .* are not strictly increasing in floats"),
     ("mass_quantiles_collapse", lambda: pp.place_particles(
         pp.piecewise_constant_data([0.0, 1.0, 1.0 + 1e-15, 2.0], [1e-300, 1.0, 1e-300]), 50, "mass_equidistributed"),
      "mass quantiles are not strictly increasing"),
