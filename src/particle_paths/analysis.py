@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import THETA_DEFAULT, SnapshotBlock, Trajectory, simulate
+from .dynamics import THETA_DEFAULT, SnapshotBlock, Trajectory, _row_blocks, simulate
 from .field import reconstruct_density, spacetime_flux_residual
 from .flux import FluxModel
 from .initial import InitialData, PiecewiseAffineFn, cell_average, finite_window, initial_approximation_gap
@@ -329,14 +329,14 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     bounds, nonincreasing total variation, and velocity bounds.
 
     The bounds are stated per cell in its width and density at creation:
-    those of snapshot 0, with each event's deleted cells dropped as the
-    audit passes it.  Raises ``ValueError`` when a snapshot's cell count
-    does not match the events passed before it.  Bookkeeping, the density
+    those of snapshot 0, with each event's deleted cells dropped before
+    the run that follows it (``Trajectory`` pairs each event with the runs
+    on either side when it is built).  Bookkeeping, the density
     and separation bounds and the velocity bounds hold to a relative 1e-12,
     the TV nonincrease to 1e-12 of snapshot 0's TV, or 1e-10 where that is
     larger.
 
-    The snapshots are read a row block at a time (``Trajectory.blocks``):
+    Each run is read a row block at a time (``Trajectory.blocks``):
     each check's elementwise work runs once per block and reduces along
     the rows to one value per snapshot, so verdicts, margins and details
     are those of a pass over one snapshot at a time.  A block whose
@@ -358,59 +358,38 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     # each check's worst value per snapshot, filled a block at a time
     mass_id, drift, max_principle, lower_density, sep_low, sep_high, tv, vel = np.empty((8, times.size))
 
-    discarded_so_far = 0.0
+    discarded = 0.0
     w0, rho0 = state0.widths, state0.densities
-
-    def creation_terms():
-        # the per-cell terms of the bounds, formed once per creation data
-        # with the operation order of the per-snapshot formulas
-        return w0 * rho0, (rho0 / rho_star * w0 if rho_star > 0 else None)
-
-    m0, sep0 = creation_terms()
-    event_iter = iter(traj.events)
-    next_event = next(event_iter, None)
-    for block in traj.blocks():
-        rows = slice(block.start, block.start + block.times.size)
-        n_cells = block.densities.shape[1]
-        discarded = np.empty(block.times.size)
-        # the events passed before each snapshot of the block: a sweep
-        # changes the cell count, so the creation data hold for the whole
-        # block, but an event that deletes nothing (a hand-built trajectory
-        # can hold one) may still add discarded mass inside it
-        for j, t in enumerate(block.times.tolist()):
-            while next_event is not None and (
-                next_event.time < t or (next_event.time == t and n_cells + 1 < next_event.pre_particle_count)
-            ):
-                discarded_so_far += next_event.discarded_mass
-                keep = np.ones(w0.size, dtype=bool)
-                keep[next_event.deleted_cells] = False
-                w0, rho0 = w0[keep], rho0[keep]
-                m0, sep0 = creation_terms()
-                next_event = next(event_iter, None)
-            if w0.size != n_cells:
-                raise ValueError(f"snapshot at t = {t} has {n_cells} cells, the event log leaves {w0.size}")
-            discarded[j] = discarded_so_far
-
-        # the ufuncs' own reductions: np.max, np.min and np.sum call them
-        # after a Python-level argument pass, a fixed cost on every block
-        dens, widths, masses = block.densities, block.widths, block.masses
-        mass_id[rows] = np.maximum.reduce(np.abs(dens * widths - masses), axis=1) / scale_m
-        drift[rows] = np.abs(np.add.reduce(masses, axis=1) + discarded - mass0) / scale_m
-        max_principle[rows] = rho_star - np.maximum.reduce(dens, axis=1)
-        # the widest each cell can have grown by its snapshot's time
-        widest = w0 + block.times[:, None] * spread
-        lower_density[rows] = np.minimum.reduce(dens - m0 / widest, axis=1)
-        sep_low[rows] = np.inf if sep0 is None else np.minimum.reduce(widths - sep0, axis=1)
-        sep_high[rows] = np.minimum.reduce(widest - widths, axis=1)
-        tv[rows] = total_variation(dens)
-        try:
-            v = particle_velocities(model, block)
-        except ValueError:
-            # densities left the working interval: report it as a velocity
-            # violation rather than aborting the audit
-            vel[rows] = -np.inf
-        else:
-            vel[rows] = np.fmin(np.minimum.reduce(v - a_min, axis=1), np.minimum.reduce(a_max - v, axis=1))
+    for event, run in zip([None, *traj.events], traj.snapshots.runs):
+        if event is not None:
+            discarded += event.discarded_mass
+            keep = np.ones(w0.size, dtype=bool)
+            keep[event.deleted_cells] = False
+            w0, rho0 = w0[keep], rho0[keep]
+        # the per-cell terms of the bounds, in the operation order of the per-snapshot formulas
+        m0, sep0 = w0 * rho0, (rho0 / rho_star * w0 if rho_star > 0 else None)
+        for block in _row_blocks(run):
+            rows = slice(block.start, block.start + block.times.size)
+            # the ufuncs' own reductions: np.max, np.min and np.sum call them
+            # after a Python-level argument pass, a fixed cost on every block
+            dens, widths, masses = block.densities, block.widths, block.masses
+            mass_id[rows] = np.maximum.reduce(np.abs(dens * widths - masses), axis=1) / scale_m
+            drift[rows] = np.abs(np.add.reduce(masses, axis=1) + discarded - mass0) / scale_m
+            max_principle[rows] = rho_star - np.maximum.reduce(dens, axis=1)
+            # the widest each cell can have grown by its snapshot's time
+            widest = w0 + block.times[:, None] * spread
+            lower_density[rows] = np.minimum.reduce(dens - m0 / widest, axis=1)
+            sep_low[rows] = np.inf if sep0 is None else np.minimum.reduce(widths - sep0, axis=1)
+            sep_high[rows] = np.minimum.reduce(widest - widths, axis=1)
+            tv[rows] = total_variation(dens)
+            try:
+                v = particle_velocities(model, block)
+            except ValueError:
+                # densities left the working interval: report it as a velocity
+                # violation rather than aborting the audit
+                vel[rows] = -np.inf
+            else:
+                vel[rows] = np.fmin(np.minimum.reduce(v - a_min, axis=1), np.minimum.reduce(a_max - v, axis=1))
 
     # fmax and fmin skip a NaN snapshot value, as the running max/min of a
     # snapshot-at-a-time pass would

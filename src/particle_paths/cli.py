@@ -13,8 +13,9 @@ updated with its top-level keys; flags only override fields.  Modes:
 * ``ftl-check``   report the deviation from the follow-the-leader rule on
                   ``FTL_PAIRS`` seeded pairs, against ``FTL_TOL``
 
-Each value a mode reads is checked by one row of ``_RULES``.  A writing
-mode makes the output directory once its checks pass, before any write.
+Each value a mode reads is checked by one row of ``_RULES``, and a key
+no row names is refused.  A writing mode makes the output directory
+once its checks pass, before any write.
 Exit codes: 0 success, 2 config error, 3 invariant failure, 4 runtime
 failure.  Outputs are deterministic for a fixed config (fixed seed, floats
 written in shortest round-trip form).  Run as ``particle-paths`` or
@@ -91,9 +92,6 @@ def _read_config(path) -> dict:
         raise ConfigError(str(path), f"invalid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top level must be a JSON object")
-    for key in raw:
-        if key not in DEFAULTS:
-            raise ConfigError(key, "unknown key")
     return {**copy.deepcopy(DEFAULTS), **raw}
 
 
@@ -145,7 +143,6 @@ _DATA_KINDS = {
     "piecewise_constant": (piecewise_constant_data, None),
     "sampled": (sampled_data, None),
 }
-_DATA_KINDS["rarefaction_shock"] = _DATA_KINDS["paper_example"]
 
 
 def _build_data(cfg: dict) -> InitialData:
@@ -308,6 +305,7 @@ _RULES = (
     ("out", lambda v: isinstance(v, str), "must be a path string"),
     ("input", lambda v: v is None or isinstance(v, str), "must be a path string or null"),
     ("flux", lambda v: isinstance(v, dict) and "kind" in v, "need a tagged record {kind, params}"),
+    ("flux.kind", lambda v: isinstance(v, str), "must be a string"),
     ("flux.params", lambda v: isinstance(v, dict), "must be an object"),
     ("initial_data", lambda v: isinstance(v, dict) and "kind" in v, "need a tagged record {kind, params}"),
     ("initial_data.kind", lambda v: isinstance(v, str) and v in _DATA_KINDS, f"must be one of {tuple(_DATA_KINDS)}"),
@@ -341,6 +339,12 @@ def _validate(cfg: dict) -> None:
         for name, value in _rule_values(cfg, path):
             if not test(value):
                 raise ConfigError(name, f"{message}, got {value!r}")
+    # a key no rule reads, at the top or in a record, is a typo: refused, not ignored
+    known = {part for path, _, _ in _RULES for part in (path.removesuffix("[]"), path.split(".")[0])}
+    records = [key for key, default in DEFAULTS.items() if isinstance(default, dict)]
+    for key in [*cfg, *(f"{record}.{k}" for record in records for k in cfg[record])]:
+        if key not in known:
+            raise ConfigError(key, "unknown key")
     place = cfg["placement"]
     # only simulate and convergence place particles, and only simulate reads dt_max
     needed = {"simulate": "n", "convergence": "n_list"}.get(cfg["mode"])
@@ -361,9 +365,6 @@ def _validate(cfg: dict) -> None:
     dt_max, T = cfg["integrator"].get("dt_max", np.inf), cfg["time_horizon"]
     if cfg["mode"] == "simulate" and dt_max < np.spacing(T):
         raise ConfigError("integrator.dt_max", f"{dt_max!r} is below the float spacing of T = {T!r}, so no step could advance t")
-    for key in cfg["integrator"]:
-        if key not in ("dt_max", "theta"):
-            raise ConfigError(f"integrator.{key}", "unknown key")
 
 
 def _apply_overrides(cfg: dict, sets: list[str]) -> None:

@@ -214,6 +214,12 @@ class Trajectory:
     absent on a trajectory loaded from disk.  The ``fingerprint`` is worked
     out from ``config``, so a run and its copy loaded from disk give the
     same one.
+
+    Cells are deleted only at a sweep, so event r sits between runs r and
+    r + 1: it deletes distinct, in-range cells of run r, leaves run r + 1's
+    cell count, and falls from run r's last time to run r + 1's first.
+    Construction checks this rule, whatever the source, and raises
+    ``ValueError`` naming the event log where it fails.
     """
 
     snapshots: Sequence
@@ -226,6 +232,18 @@ class Trajectory:
     def __post_init__(self):
         if not isinstance(self.snapshots, _Snapshots):
             self.snapshots = _Snapshots(_stack(self.snapshots))
+        runs = self.snapshots.runs
+        extra = len(self.events) - len(runs[1:])
+        if extra > 0:
+            raise ValueError(f"event log has {extra} more event(s) than cell count changes")
+        if extra < 0:
+            raise ValueError("cell count change does not match the event log")
+        for r, (event, before, after) in enumerate(zip(self.events, runs, runs[1:])):
+            deleted, n, kept = event.deleted_cells, before.densities.shape[1], after.densities.shape[1]
+            if not (deleted.size == np.unique(deleted).size == n - kept and np.all((deleted >= 0) & (deleted < n))):
+                raise ValueError("cell count change does not match the event log")
+            if not before.times[-1] <= event.time <= after.times[0]:
+                raise ValueError(f"event log: event {r} at t = {event.time!r} falls outside the times of its runs")
 
     @property
     def fingerprint(self) -> str:
@@ -249,10 +267,15 @@ class Trajectory:
         break at every sweep.
         """
         for run in self.snapshots.runs:
-            step = max(1, BLOCK_CELLS // run.densities.shape[1])
-            for lo in range(0, run.times.size, step):
-                rows = [a[lo : lo + step] for a in run[1:6]]
-                yield SnapshotBlock(run.start + lo, *rows, rows[1].size, run.top)
+            yield from _row_blocks(run)
+
+
+def _row_blocks(run: SnapshotBlock) -> Iterator[SnapshotBlock]:
+    """One run's rows as ``Trajectory.blocks`` gives them: row slices (views), each with the run's ``top``."""
+    step = max(1, BLOCK_CELLS // run.densities.shape[1])
+    for lo in range(0, run.times.size, step):
+        rows = [a[lo : lo + step] for a in run[1:6]]
+        yield SnapshotBlock(run.start + lo, *rows, rows[1].size, run.top)
 
 
 def _timestep_cap(

@@ -214,14 +214,14 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     per column, into the arrays of one run, which the trajectory keeps
     as they are, as it keeps those of ``simulate``.  Raises
     ``ValueError`` if either file is missing, unreadable or malformed, or
-    if the changes in the cell count do not match the recorded events one
-    for one.  A well-formed ``trajectory.npy`` is a nonempty 2-D float64
-    array of 7 columns that numbers each snapshot's cells 0..n-1 in order,
-    gives all of them one finite time, never lets that time decrease,
-    repeats each cell's ``x_right`` as the next cell's ``x_left``, puts each
-    ``x_left`` below its ``x_right`` and holds only finite values, positive
-    widths and nonnegative densities and masses.  The fingerprint is worked
-    out from the recorded config, as for a run.
+    if the runs and the recorded events break the rule ``Trajectory``
+    checks when it is built.  A well-formed ``trajectory.npy`` is a
+    nonempty 2-D float64 array of 7 columns that numbers each snapshot's
+    cells 0..n-1 in order, gives all of them one finite time, never lets
+    that time decrease, repeats each cell's ``x_right`` as the next cell's
+    ``x_left``, puts each ``x_left`` below its ``x_right`` and holds only
+    finite values, positive widths and nonnegative densities and masses.
+    The fingerprint is worked out from the recorded config, as for a run.
     """
     directory = Path(directory)
     try:
@@ -236,18 +236,11 @@ def load_trajectory_dir(directory, model: FluxModel) -> Trajectory:
     counts = np.diff(starts, append=cells.size)
     edges = np.flatnonzero(np.diff(counts, prepend=0, append=0)).tolist()
 
-    runs, pending = [], list(events)
+    runs = []
     for first, end in zip(edges, edges[1:]):
         rows, n, lo = end - first, int(counts[first]), int(starts[first])
-        if runs:
-            # a sweep deletes the cells its event names, and no others
-            before, deleted = runs[-1][2].shape[1], (pending.pop(0).deleted_cells if pending else None)
-            if deleted is None or before - np.unique(deleted).size != n or np.any((deleted < 0) | (deleted >= before)):
-                raise ValueError("cell count change does not match the event log")
         left, *cell_columns = (c[lo : lo + rows * n].reshape(rows, n) for c in (x_left, densities, widths, masses))
         positions = np.concatenate([left, x_right[lo + n - 1 : lo + rows * n : n, None]], axis=1)
         # C-order copies of the strided columns, one run apiece
         runs.append((times[lo : lo + rows * n : n].copy(), positions, *map(np.array, cell_columns)))
-    if pending:
-        raise ValueError(f"event log has {len(pending)} more event(s) than cell count changes")
     return Trajectory(snapshots=_Snapshots(runs), events=events, model=model, config=config)

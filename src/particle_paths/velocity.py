@@ -25,7 +25,8 @@ with vacuum (density 0) on both sides.  It has one path per oracle kind:
 Before either path, the densities must lie in the model's working interval.
 ``check_density_intervals`` tests that with two reductions, unless
 the caller passes a ``_Cells`` or ``SnapshotBlock`` whose proved ``top``
-lies inside: ``simulate`` after each step, and every trajectory block.
+lies inside: ``simulate`` after each step, every trajectory block, and
+``velocity_extrema`` after its own scalar test.
 """
 
 from __future__ import annotations
@@ -63,21 +64,18 @@ def check_density_intervals(model: FluxModel, lo: np.ndarray, hi: np.ndarray) ->
 def velocity_extrema(model: FluxModel, lo: float, hi: float) -> VelocityExtrema:
     """Extrema of the velocity field a over the density interval [lo, hi].
 
-    A ``MonotoneOracle`` gives a at both ends, in the order a rises, and a
-    ``PiecewiseMonotoneOracle`` the kernel's min on the row [lo, hi] and
-    max on [hi, lo]; [lo, lo] gives a(lo).  Inputs must be nonnegative,
-    ordered, and inside the model's working interval.
+    The kernel's velocity of the particle between the cells [lo, hi] (the
+    rule's min) and [hi, lo] (its max); [lo, lo] gives a(lo).  Inputs must
+    be nonnegative, ordered, and inside the model's working interval,
+    tested here, so the kernel gets ``hi`` as a proved ``top``.
     """
     lo = float(lo)
     hi = float(hi)
     if not lo <= hi:
         raise ValueError(f"density interval [{lo}, {hi}] is inverted or NaN")
     check_density_intervals(model, lo, hi)
-    oracle = model.extremum_oracle
-    if isinstance(oracle, MonotoneOracle):
-        ends = oracle.a_of(lo), oracle.a_of(hi)
-        return VelocityExtrema(*map(float, ends if oracle.increasing else ends[::-1]))
-    return VelocityExtrema(*map(float, oracle.entropic([[lo, hi], [hi, lo]])[:, 0]))
+    cells = _Cells(np.array([[lo, hi], [hi, lo]]), 6, hi)
+    return VelocityExtrema(*map(float, particle_velocities(model, cells)[:, 1]))
 
 
 class _Cells(NamedTuple):

@@ -18,6 +18,9 @@ seed 0, and the nonconvex_tabulated workload's seed-0 scheme runs (its
 come from ``flux.entropic_row``.  The Godunov cases time
 ``godunov_reference`` on that workload's profile at 500 and 1000 cells,
 one ``entropic_row`` call per step, whose calls give the step count.
+The audit cases time ``invariant_audit`` on the trajectories of the
+paper cases at N = 201 and 1601 and of the cli_vacuum_lwr case, best of
+``20 K`` calls, and print the snapshots and the microseconds per audit.
 Uses only the standard library and numpy; pytest does not collect it.
 """
 
@@ -37,6 +40,7 @@ SIZES = (201, 401, 801, 1601, 3201, 6401)
 NONCONVEX_SIZES = (51, 101)
 GODUNOV_CELLS = (500, 1000)
 NONCONVEX_T = 0.25
+AUDITED = ("paper N=201", "paper N=1601", "cli_vacuum_lwr seed 0")
 
 
 def _vacuum_boxes(pp, np):
@@ -119,8 +123,12 @@ def _child(src: str, repeats: int) -> None:
     for label, (model, state0, T, kw) in _cases(pp, np):
         best = _best_of(repeats, lambda: pp.simulate(model, state0, T, **kw))
         with _calls_of(dynamics, "_timestep_cap") as calls:
-            steps = pp.simulate(model, state0, T, **kw).stats.steps
+            traj = pp.simulate(model, state0, T, **kw)
+        steps = traj.stats.steps
         out[label] = {"steps": steps, "us_per_step": 1e6 * best / steps, "cleared": 1.0 - len(calls) / steps}
+        if label in AUDITED:
+            best = _best_of(20 * repeats, lambda: pp.invariant_audit(traj))
+            out[f"audit {label}"] = {"snapshots": len(traj.snapshots), "us": 1e6 * best}
     model, data = _nonconvex_table(pp, np)
     for cells in GODUNOV_CELLS:
         best = _best_of(repeats, lambda: pp.godunov_reference(model, data, cells, NONCONVEX_T))
@@ -152,11 +160,17 @@ def main() -> None:
             results[tree].append(json.loads(proc.stdout.splitlines()[-1]))
     for tree, runs in results.items():
         print(tree)
-        print(f"  {'case':<24}{'steps':>7}{'us/step':>10}{'cleared':>9}")
+        print(f"  {'case':<30}{'steps':>7}{'us/step':>10}{'cleared':>9}")
         for label, first in runs[0].items():
-            us = statistics.median(run[label]["us_per_step"] for run in runs)
-            cleared = "-" if first["cleared"] is None else f"{first['cleared']:.1%}"
-            print(f"  {label:<24}{first['steps']:>7}{us:>10.1f}{cleared:>9}")
+            if "steps" in first:
+                us = statistics.median(run[label]["us_per_step"] for run in runs)
+                cleared = "-" if first["cleared"] is None else f"{first['cleared']:.1%}"
+                print(f"  {label:<30}{first['steps']:>7}{us:>10.1f}{cleared:>9}")
+        print(f"  {'case':<30}{'snaps':>7}{'us/call':>10}")
+        for label, first in runs[0].items():
+            if "snapshots" in first:
+                us = statistics.median(run[label]["us"] for run in runs)
+                print(f"  {label:<30}{first['snapshots']:>7}{us:>10.1f}")
 
 
 if __name__ == "__main__":

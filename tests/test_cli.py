@@ -275,6 +275,8 @@ def test_placement_key_is_checked_after_the_mode_flag(tmp_path):
         ("flux.nosuch.x=1", "flux.nosuch"),
         ("to_dict=1", "to_dict"),
         ("placement.n", "placement.n"),  # no '='
+        # a misspelt key in a record once ran the default in its place
+        ("placement.stratgy=uniform", "placement.stratgy"),
     ],
 )
 def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
@@ -360,6 +362,11 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
             },
             "placement.strategy",
         ),
+        # a misspelt or stray key in a record once ran another experiment
+        # and exited 0: lwr with v_max 1, uniform placement, no window
+        ({"flux": {"kind": "lwr", "parms": {"v_max": 2.0}}}, "flux.parms"),
+        ({"placement": {"stratgy": "mass_equidistributed", "n": 31}}, "placement.stratgy"),
+        ({"initial_data": {"kind": "paper_example", "params": {}, "measure": [0.0, 1.0]}}, "initial_data.measure"),
     ],
 )
 def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, monkeypatch):

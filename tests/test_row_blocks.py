@@ -8,10 +8,12 @@ trajectories loaded from disk, for any block cap, and the kernel must
 run once per block, in them and in ``entropy_defect``.
 ``temporal_modulus_margin`` pairs only snapshots at adjacent times; on
 the same runs it must equal the loop over every pair, up to rounding
-where the ratios tie.
+where the ratios tie.  ``Trajectory`` refuses an event log that does not
+match its runs, from whichever source it is built.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -145,19 +147,17 @@ def test_density_out_of_range_is_a_velocity_violation(rarefaction_shock_run):
     assert repr(pp.invariant_audit(broken)) == repr(reference.invariant_audit(broken))
 
 
-def test_an_event_inside_a_block_is_passed_snapshot_by_snapshot():
-    # a trajectory built by hand may hold an event that deletes nothing, so
-    # the event log can step inside a block: the mass it discards counts
-    # from the snapshot it falls before, not from the block's start
+def test_an_event_inside_a_run_is_refused():
+    # an event that deletes nothing would step inside a run of one cell
+    # count, between two sweeps: the trajectory refuses it when it is built
     data = pp.rarefaction_shock_data()
     state0 = pp.cell_average(data, pp.place_particles(data, 21, "uniform"))
     traj = pp.simulate(pp.builtin_flux("burgers", u_high=3.0), state0, 0.25, dt_max=0.01, snapshot_count=9)
-    assert len(list(traj.blocks())) == 1
+    assert len(traj.snapshots.runs) == 1
     t_mid = float(traj.times[4]) - 1e-3
     event = dynamics.CollisionEvent(t_mid, np.array([], dtype=int), np.array([], dtype=int), np.arange(21), 1e-3, 21)
-    with_event = dataclasses.replace(traj, events=[event])
-    assert not pp.invariant_audit(with_event).checks["mass_drift"].ok
-    assert_same_as_reference(with_event)
+    with pytest.raises(ValueError, match="event log"):
+        dataclasses.replace(traj, events=[event])
 
 
 def assert_modulus_of_every_pair(traj):
@@ -313,3 +313,46 @@ def test_hand_built_trajectories_are_stacked_from_their_states(monkeypatch):
     for a, b in zip(traj.snapshots.runs, rebuilt.snapshots.runs):
         assert a.start == b.start and a.top == b.top
         assert all(x.tobytes() == y.tobytes() and x.shape == y.shape for x, y in zip(a[1:6], b[1:6]))
+
+
+@functools.cache
+def swept_run():
+    """LWR boxes across two vacuum gaps, recorded at 9 times: a run with sweeps."""
+    model, state0 = vacuum_boxes_model("lwr")
+    traj = pp.simulate(model, state0, 0.6, dt_max=0.2 * state0.dx_star, snapshot_count=9)
+    assert len(traj.events) >= 2
+    return traj
+
+
+@settings(max_examples=40, deadline=None)
+@given(edit=st.sampled_from([None, "drop", "append", "delay", "out of range"]), from_states=st.booleans(),
+       data=st.data())
+def test_the_trajectory_refuses_an_event_log_that_does_not_match_its_runs(edit, from_states, data):
+    # the rule lives in Trajectory, so a run and a list of states meet it
+    # when they are built, as the loader's runs do (test_exports); the
+    # audit then reads the runs and events as paired, as the snapshot
+    # loop does
+    traj = swept_run()
+    runs, events = traj.snapshots.runs, list(traj.events)
+    r = data.draw(st.integers(0, len(events) - 1), label="event")
+    if edit == "drop":
+        del events[r]
+    elif edit == "append":
+        # an event that deletes nothing
+        n, empty = runs[-1].densities.shape[1], np.array([], dtype=int)
+        events.append(dynamics.CollisionEvent(runs[-1].times[-1].item(), empty, empty, np.arange(n + 1), 0.0, n + 1))
+    elif edit == "delay":
+        late = runs[r + 1].times[0].item() + data.draw(st.floats(1e-9, 1.0), label="delay")
+        events[r] = dataclasses.replace(events[r], time=late)
+    elif edit == "out of range":
+        n, cells = runs[r].densities.shape[1], events[r].deleted_cells.copy()
+        j = data.draw(st.integers(0, cells.size - 1), label="entry")
+        cells[j] = data.draw(st.one_of(st.integers(n, 10 * n), st.integers(-10 * n, -1)), label="cell")
+        events[r] = dataclasses.replace(events[r], deleted_cells=cells)
+    snapshots = list(traj.snapshots) if from_states else traj.snapshots
+    if edit is None:
+        rebuilt = dataclasses.replace(traj, snapshots=snapshots, events=events)
+        assert repr(pp.invariant_audit(rebuilt)) == repr(reference.invariant_audit(traj))
+        return
+    with pytest.raises(ValueError, match="event log"):
+        dataclasses.replace(traj, snapshots=snapshots, events=events)
