@@ -24,7 +24,7 @@ print("cells at t=0:", {k: float(v) for k, v in zip(["left box", "vacuum", "righ
 trajectory = pp.simulate(model, state0, 2.0, dt_max=1e-3, data=data)
 for ev in trajectory.events:
     print(
-        f"collision at t = {ev.time:.4f}: deleted particles {[int(j) for j in ev.deleted_particles]}, "
+        f"collision at t = {ev.time:.4f}: deleted particles {[int(j) for j in ev.deleted_cells]}, "
         f"discarded mass {ev.discarded_mass:.2e}"
     )
 

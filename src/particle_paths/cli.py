@@ -14,8 +14,8 @@ updated with its top-level keys; flags only override fields.  Modes:
                   ``FTL_PAIRS`` seeded pairs, against ``FTL_TOL``
 
 Each value a mode reads is checked by one row of ``_RULES``, and a key
-no row names is refused.  A writing mode makes the output directory
-once its checks pass, before any write.
+no row names is refused, as is a bool param.  A writing mode makes the
+output directory once its checks pass, before any write.
 Exit codes: 0 success, 2 config error, 3 invariant failure, 4 runtime
 failure.  Outputs are deterministic for a fixed config (fixed seed, floats
 written in shortest round-trip form).  Run as ``particle-paths`` or
@@ -180,12 +180,15 @@ def _build_model(cfg: dict, data: InitialData) -> FluxModel:
         raise ConfigError("flux", str(exc))
 
 
-def _place(cfg: dict, data: InitialData, n: int) -> np.ndarray:
-    """Initial positions; a strategy the data cannot support is a config error."""
+def _place(cfg: dict, data: InitialData, n: int, key: str) -> np.ndarray:
+    """Initial positions; a count whose floats no numpy array or no memory can hold
+    is a config error at ``key``, a strategy the data cannot support one at its own."""
     try:
         return place_particles(data, n, cfg["placement"].get("strategy", "uniform"))
-    except ValueError as exc:
-        raise ConfigError("placement.strategy", str(exc)) from exc
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses an array of more than intp.max bytes with a ValueError
+        too_big = isinstance(exc, MemoryError) or n > np.iinfo(np.intp).max // 8
+        raise ConfigError(key if too_big else "placement.strategy", str(exc)) from exc
 
 
 def _make_out(cfg: dict) -> Path:
@@ -199,7 +202,7 @@ def _make_out(cfg: dict) -> Path:
 
 
 def _mode_simulate(cfg: dict, data: InitialData, model: FluxModel) -> int:
-    state0 = cell_average(data, _place(cfg, data, cfg["placement"]["n"]))
+    state0 = cell_average(data, _place(cfg, data, cfg["placement"]["n"], "placement.n"))
     out = _make_out(cfg)
     traj = simulate(
         model,
@@ -247,7 +250,7 @@ def _mode_convergence(cfg: dict, data: InitialData, model: FluxModel) -> int:
     n_list = cfg["placement"]["n_list"]
     # a placement the data cannot support, or a dx* that does not fall as n
     # grows (the rate fit needs strictly finer runs), fails before any run
-    dx_star = [cell_average(data, _place(cfg, data, n)).dx_star for n in n_list]
+    dx_star = [cell_average(data, _place(cfg, data, n, f"placement.n_list[{j}]")).dx_star for j, n in enumerate(n_list)]
     if any(later >= earlier for earlier, later in zip(dx_star, dx_star[1:])):
         pairs = ", ".join(f"n = {n}: {dx:.6g}" for n, dx in zip(n_list, dx_star))
         raise ConfigError("placement.n_list", f"dx* must fall as n grows, got {pairs}")
@@ -345,6 +348,12 @@ def _validate(cfg: dict) -> None:
     for key in [*cfg, *(f"{record}.{k}" for record in records for k in cfg[record])]:
         if key not in known:
             raise ConfigError(key, "unknown key")
+    # no builder takes a bool, and a bool is no number: numpy would read it as 0 or 1
+    for record in ("flux", "initial_data"):
+        for key, value in cfg[record].get("params", {}).items():
+            for j, item in enumerate(value) if isinstance(value, list) else [(None, value)]:
+                if type(item) is bool:
+                    raise ConfigError(f"{record}.params.{key}" + ("" if j is None else f"[{j}]"), "a bool is no number")
     place = cfg["placement"]
     # only simulate and convergence place particles, and only simulate reads dt_max
     needed = {"simulate": "n", "convergence": "n_list"}.get(cfg["mode"])

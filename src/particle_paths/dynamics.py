@@ -90,18 +90,15 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CollisionEvent:
-    """Record of one collision sweep.
+    """Record of one collision sweep: its time, the cells it deleted and their mass.
 
-    Indices refer to the pre-collision state.  ``survivor_map[i]`` is the
-    post-collision index of particle i, or -1 if it was deleted.
+    Indices refer to the pre-collision state.  Each deleted cell goes with
+    its left end, the particle of its index; the survivors keep their order.
     """
 
     time: float
-    deleted_particles: np.ndarray
     deleted_cells: np.ndarray
-    survivor_map: np.ndarray
     discarded_mass: float
-    pre_particle_count: int
 
 
 @dataclass(frozen=True)
@@ -217,9 +214,10 @@ class Trajectory:
 
     Cells are deleted only at a sweep, so event r sits between runs r and
     r + 1: it deletes distinct, in-range cells of run r, leaves run r + 1's
-    cell count, and falls from run r's last time to run r + 1's first.
-    Construction checks this rule, whatever the source, and raises
-    ``ValueError`` naming the event log where it fails.
+    cell count and the masses of the cells it keeps, and falls from run r's
+    last time to run r + 1's first.  Construction checks this rule,
+    whatever the source, and raises ``ValueError`` naming the event log
+    where it fails.
     """
 
     snapshots: Sequence
@@ -242,6 +240,8 @@ class Trajectory:
             deleted, n, kept = event.deleted_cells, before.densities.shape[1], after.densities.shape[1]
             if not (deleted.size == np.unique(deleted).size == n - kept and np.all((deleted >= 0) & (deleted < n))):
                 raise ValueError("cell count change does not match the event log")
+            if not np.array_equal(np.delete(before.masses[-1], deleted), after.masses[0]):
+                raise ValueError(f"event log: event {r} keeps cells whose masses are not those of the next run")
             if not before.times[-1] <= event.time <= after.times[0]:
                 raise ValueError(f"event log: event {r} at t = {event.time!r} falls outside the times of its runs")
 
@@ -442,8 +442,9 @@ def resolve_collisions(
 
     Within a cluster all particles except the rightmost are deleted, along
     with the cells between them; surviving cells keep their masses and take
-    over the widths of the deleted cells to their right.  The state is
-    returned unchanged when no gap is small enough.
+    over the widths of the deleted cells to their right.  Returns the new
+    state and the sweep's ``CollisionEvent``, or the state unchanged and
+    None when no gap is small enough.
     """
     gaps = state.widths
     small = gaps <= eps_coll
@@ -452,7 +453,6 @@ def resolve_collisions(
     # particle i sits left of gap i, so the small-gap mask marks exactly
     # the non-rightmost members of each cluster and their cells
     deleted_cells = np.where(small)[0]
-    deleted_particles = deleted_cells.copy()
     discarded = float(np.sum(state.masses[small]))
     total = state.total_mass
     if discarded > MASS_TOL_FRACTION * max(total, 1e-300):
@@ -463,8 +463,6 @@ def resolve_collisions(
         )
     keep_cells = ~small
     keep_particles = np.append(keep_cells, True)
-    survivor_map = np.full(state.n_particles, -1, dtype=int)
-    survivor_map[keep_particles] = np.arange(int(keep_particles.sum()))
 
     masses = state.masses[keep_cells]
     widths = np.add.reduceat(state.widths, np.flatnonzero(keep_cells))
@@ -475,15 +473,7 @@ def resolve_collisions(
         time=state.time,
         widths=widths,
     )
-    event = CollisionEvent(
-        time=state.time,
-        deleted_particles=deleted_particles,
-        deleted_cells=deleted_cells,
-        survivor_map=survivor_map,
-        discarded_mass=discarded,
-        pre_particle_count=state.n_particles,
-    )
-    return new_state, event
+    return new_state, CollisionEvent(time=state.time, deleted_cells=deleted_cells, discarded_mass=discarded)
 
 
 def simulate(

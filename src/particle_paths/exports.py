@@ -6,9 +6,9 @@ order (a cell index of 0 starts a snapshot; a collision time appears
 twice, pre- then post-sweep), in ``np.save``'s format without pickling;
 the loader reads it.  Both writers read the trajectory's row blocks.
 ``trajectory.csv`` holds the first five columns as text under the header
-``t,i,x_left,x_right,v``.  ``events.json`` holds
-one object per collision: the deleted particles and cells, the survivor
-map and the discarded mass.  Text floats are shortest round-trip
+``t,i,x_left,x_right,v``.  ``events.json`` holds one ``CollisionEvent``
+per sweep: its time, deleted cells and discarded mass, and no other key
+(the loader refuses one).  Text floats are shortest round-trip
 ``repr``, so identical runs give identical bytes.  Every JSON file goes
 through ``write_json`` and every CSV row through ``_rows`` (the
 ``\\r\\n``-ended rows of ``csv.writer``).  The loader raises
@@ -181,17 +181,17 @@ def _finite(value, key: str, nonnegative: bool = False) -> float:
 
 
 def _read_events(path: Path) -> tuple:
-    """Events and config recorded in ``events.json``."""
+    """Events and config recorded in ``events.json``; an event key besides its three fields is refused."""
     try:
         payload = json.loads(path.read_text())
+        stray = [key for ev in payload["events"] for key in ev if key not in ("time", "deleted_cells", "discarded_mass")]
+        if stray:
+            raise ValueError(f"unknown event key {stray[0]!r}")
         events = [
             CollisionEvent(
                 time=_finite(ev["time"], "time"),
-                deleted_particles=_integers(ev["deleted_particles"], "deleted_particles"),
                 deleted_cells=_integers(ev["deleted_cells"], "deleted_cells"),
-                survivor_map=_integers(ev["survivor_map"], "survivor_map"),
                 discarded_mass=_finite(ev["discarded_mass"], "discarded_mass", nonnegative=True),
-                pre_particle_count=int(_integers([ev["pre_particle_count"]], "pre_particle_count")[0]),
             )
             for ev in payload["events"]
         ]

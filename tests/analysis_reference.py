@@ -74,7 +74,7 @@ def invariant_audit(traj: Trajectory) -> AuditReport:
     for state in traj.snapshots:
         t = state.time
         while next_event is not None and (
-            next_event.time < t or (next_event.time == t and state.n_particles < next_event.pre_particle_count)
+            next_event.time < t or (next_event.time == t and state.n_cells != w0.size)
         ):
             discarded_so_far += next_event.discarded_mass
             keep = np.ones(w0.size, dtype=bool)

@@ -21,6 +21,9 @@ one ``entropic_row`` call per step, whose calls give the step count.
 The audit cases time ``invariant_audit`` on the trajectories of the
 paper cases at N = 201 and 1601 and of the cli_vacuum_lwr case, best of
 ``20 K`` calls, and print the snapshots and the microseconds per audit.
+Beside them, the record cases time ``exports.write_events_json`` and
+``exports.load_trajectory_dir`` (``trajectory.npy`` and ``events.json``)
+on the cli_vacuum_lwr trajectory, best of ``20 K`` calls.
 Uses only the standard library and numpy; pytest does not collect it.
 """
 
@@ -33,6 +36,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,6 +45,7 @@ NONCONVEX_SIZES = (51, 101)
 GODUNOV_CELLS = (500, 1000)
 NONCONVEX_T = 0.25
 AUDITED = ("paper N=201", "paper N=1601", "cli_vacuum_lwr seed 0")
+RECORDED = "cli_vacuum_lwr seed 0"
 
 
 def _vacuum_boxes(pp, np):
@@ -117,7 +122,7 @@ def _child(src: str, repeats: int) -> None:
     import numpy as np
 
     import particle_paths as pp
-    from particle_paths import dynamics, reference
+    from particle_paths import dynamics, exports, reference
 
     out = {}
     for label, (model, state0, T, kw) in _cases(pp, np):
@@ -129,6 +134,13 @@ def _child(src: str, repeats: int) -> None:
         if label in AUDITED:
             best = _best_of(20 * repeats, lambda: pp.invariant_audit(traj))
             out[f"audit {label}"] = {"snapshots": len(traj.snapshots), "us": 1e6 * best}
+        if label == RECORDED:
+            with tempfile.TemporaryDirectory() as tmp:
+                exports.write_trajectory_npy(traj, Path(tmp) / "trajectory.npy")
+                best = _best_of(20 * repeats, lambda: exports.write_events_json(traj, Path(tmp) / "events.json"))
+                out["write_events_json cli seed 0"] = {"snapshots": len(traj.snapshots), "us": 1e6 * best}
+                best = _best_of(20 * repeats, lambda: exports.load_trajectory_dir(tmp, model))
+                out["load_trajectory_dir cli seed 0"] = {"snapshots": len(traj.snapshots), "us": 1e6 * best}
     model, data = _nonconvex_table(pp, np)
     for cells in GODUNOV_CELLS:
         best = _best_of(repeats, lambda: pp.godunov_reference(model, data, cells, NONCONVEX_T))

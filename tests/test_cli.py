@@ -14,6 +14,8 @@ from particle_paths import analysis, cell_average, cli, place_particles, riemann
 from particle_paths.analysis import AuditReport, CheckResult
 from particle_paths.cli import run_cli
 
+from test_golden import LWR
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -306,7 +308,8 @@ def test_bad_override_path_is_exit_2(setting, path, tmp_path, capsys):
                     "initial_data": {"kind": "riemann", "params": {"u_l": 0.8, "u_r": 0.2, "window": [-2, 2], "measure_window": window}},
                     "placement": {"strategy": "uniform", "n": 31, "n_list": [37, 73, 145]},
                 },
-                "initial_data.params",
+                # a bool is refused at its own path before the builder reads the window
+                "initial_data.params.measure_window[0]" if window == [True, 2] else "initial_data.params",
             )
             for mode in ("simulate", "convergence")
             for window in ("ab", [0, 1, 2], [1, -1], [0, "x"], [-float("inf"), 1], [0.5, 0.5], [True, 2])
@@ -375,6 +378,43 @@ def test_bad_input_file_or_params_is_exit_2(overrides, path, tmp_path, capsys, m
     (tmp_path / "header_only.csv").write_text("x,u\n")
     (tmp_path / "non_numeric.csv").write_text("u,f\nabc,1\n")
     config = base_config(tmp_path, **overrides)
+    assert run_cli([str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, path",
+    [
+        ("flux.params.v_max=true", "flux.params.v_max"),
+        ("flux.params.u_max=true", "flux.params.u_max"),
+        ("initial_data.params.values=[true,0.0,0.8,0.0,0.5]", "initial_data.params.values[0]"),
+    ],
+)
+def test_a_bool_param_is_refused_at_its_path(setting, path, tmp_path, capsys):
+    # each once ran with 1.0 in its place and exited 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(LWR))
+    assert run_cli([str(config), "--out", str(tmp_path / "out"), "--set", setting]) == 2
+    assert capsys.readouterr().err == f"config error at {path}: a bool is no number\n"
+    assert not (tmp_path / "out").exists()
+
+
+# no count here allocates: numpy refuses the first two sizes outright, and
+# 2**59 floats (4 EiB) cannot be mapped; a count a machine could partly
+# allocate, such as 2**40, must never be tried
+@pytest.mark.parametrize(
+    "mode, placement, path",
+    [
+        ("simulate", {"n": 10**400}, "placement.n"),
+        ("simulate", {"n": 2**60}, "placement.n"),
+        ("simulate", {"n": 2**59}, "placement.n"),
+        ("convergence", {"n_list": [3, 5, 2**59]}, "placement.n_list[2]"),
+    ],
+)
+def test_a_count_no_array_can_hold_is_refused_at_its_key(mode, placement, path, tmp_path, capsys):
+    # these were once reported at placement.strategy, or ended in a traceback
+    config = base_config(tmp_path, mode=mode, placement={"strategy": "uniform", **placement})
     assert run_cli([str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
     assert not (tmp_path / "out").exists()

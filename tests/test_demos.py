@@ -30,7 +30,7 @@ DEMOS = {
     },
     "04_vacuum_collision.py": {
         "collision_trajectory.csv": "20960e9f990607ede66f6412603e860d3acbe98212b692742e2a7bdb36e0c491",
-        "collision_events.json": "d982f8f3f314b905b985c14b95d3e626bb44b24570eed4c6e5257ff95030fef8",
+        "collision_events.json": "8d7c6a9ec7b4e7b25df6f295c50134ad6e04e3ed4a27f61d606582194d68014c",
     },
 }
 

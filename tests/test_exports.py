@@ -50,7 +50,7 @@ def reference_write_trajectory_npy(traj, path):
 
 
 STATE_FIELDS = ("positions", "densities", "masses", "time", "widths")
-EVENT_FIELDS = ("time", "deleted_particles", "deleted_cells", "survivor_map", "discarded_mass", "pre_particle_count")
+EVENT_FIELDS = ("time", "deleted_cells", "discarded_mass")
 
 
 def assert_same_trajectory(got, want):
@@ -85,18 +85,7 @@ def trajectories(draw):
     for t in times:
         if snapshots and n_cells > 1 and draw(st.booleans()):
             deleted = np.asarray(sorted(draw(st.sets(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells - 1))))
-            survivors = np.ones(n_cells + 1, dtype=bool)
-            survivors[deleted + 1] = False
-            events.append(
-                CollisionEvent(
-                    time=t,
-                    deleted_particles=deleted + 1,
-                    deleted_cells=deleted,
-                    survivor_map=np.where(survivors, np.cumsum(survivors) - 1, -1),
-                    discarded_mass=draw(st.floats(0.0, 1.0)),
-                    pre_particle_count=n_cells + 1,
-                )
-            )
+            events.append(CollisionEvent(time=t, deleted_cells=deleted, discarded_mass=draw(st.floats(0.0, 1.0))))
             n_cells -= deleted.size
             masses = np.delete(masses, deleted)
         pos = np.sort(draw(st.lists(coord, min_size=n_cells + 1, max_size=n_cells + 1, unique=True)))
@@ -199,8 +188,17 @@ def _drop_first_event(text):
 def _append_empty_event(text):
     # a sweep always deletes cells, so this event matches no cell count change
     payload = json.loads(text)
-    payload["events"].append(dict(payload["events"][-1], deleted_particles=[], deleted_cells=[], discarded_mass=0.0))
+    payload["events"].append(dict(payload["events"][-1], deleted_cells=[], discarded_mass=0.0))
     return json.dumps(payload)
+
+
+def _edit_first_event(key, wrong):
+    """Replace the first event's ``key`` by ``wrong(value)``."""
+    def edit(text):
+        payload = json.loads(text)
+        payload["events"][0][key] = wrong(payload["events"][0][key])
+        return json.dumps(payload)
+    return edit
 
 
 def _set_first_event(key, value):
@@ -213,11 +211,7 @@ def _set_first_event(key, value):
 
 def _map_first_event(key, entry):
     """Replace each entry of the first event's ``key`` list by ``entry(value)``."""
-    def edit(text):
-        payload = json.loads(text)
-        payload["events"][0][key] = [entry(v) for v in payload["events"][0][key]]
-        return json.dumps(payload)
-    return edit
+    return _edit_first_event(key, lambda values: [entry(v) for v in values])
 
 
 def _set(row, column, value):
@@ -289,14 +283,11 @@ MALFORMED = {
     "discarded mass NaN": _edit_events(_set_first_event("discarded_mass", float("nan"))),
     "discarded mass negative": _edit_events(_set_first_event("discarded_mass", -1e-12)),
     "event time infinite": _edit_events(_set_first_event("time", float("inf"))),
-    "particle count not a number": _edit_events(_set_first_event("pre_particle_count", "abc")),
-    "particle count not integral": _edit_events(_set_first_event("pre_particle_count", 3.5)),
-    "particle count infinite": _edit_events(_set_first_event("pre_particle_count", float("inf"))),
+    # a key the record does not have would be a field that nothing checks
+    "event has survivor_map": _edit_events(_set_first_event("survivor_map", [0, 1])),
     # each of these once loaded as a nearby integer, and the audit passed
     "deleted cell index fractional": _edit_events(_map_first_event("deleted_cells", lambda j: j + 0.5)),
-    "deleted particle index a string": _edit_events(_map_first_event("deleted_particles", str)),
     "deleted cell index a bool": _edit_events(_map_first_event("deleted_cells", lambda j: True)),
-    "survivor map fractional": _edit_events(_map_first_event("survivor_map", lambda j: 0.25)),
     "events.json config not an object": _edit_events(lambda text: json.dumps(dict(json.loads(text), config=[1, 2]))),
 }
 
@@ -388,7 +379,7 @@ def test_audit_of_loaded_run_matches_live_run(config, tmp_path, monkeypatch):
 
 def test_audit_follows_each_cell_to_its_creation(tmp_path, monkeypatch):
     # an independent route to each cell's creation data: its index in
-    # snapshot 0, carried through the events' survivor maps
+    # snapshot 0, carried through the events' deleted cells
     live, _ = live_run(VACUUM, tmp_path, monkeypatch)
     assert live.events
     state0 = live.snapshots[0]
@@ -397,7 +388,7 @@ def test_audit_follows_each_cell_to_its_creation(tmp_path, monkeypatch):
     ids, events, margin = np.arange(state0.n_cells), iter(live.events), np.inf
     for s in live.snapshots:
         if ids.size != s.n_cells:
-            ids = ids[next(events).survivor_map[:-1] >= 0]
+            ids = np.delete(ids, next(events).deleted_cells)
         np.testing.assert_array_equal(s.masses, state0.masses[ids])  # fixed at creation
         w0, d0 = state0.widths[ids], state0.densities[ids]
         margin = min(margin, float(np.min(s.densities - w0 * d0 / (w0 + s.time * spread))))
@@ -410,9 +401,8 @@ def test_audit_catches_corruption_after_a_collision(tmp_path, monkeypatch):
     assert live.events
     report = invariant_audit(live)
     assert report.checks["max_principle"].ok and report.checks["density_lower_bound"].ok
-    first = live.events[0]
-    # the first snapshot after the post-collision one
-    j = next(j for j, s in enumerate(live.snapshots) if s.n_particles < first.pre_particle_count) + 1
+    # the first snapshot after the post-collision one of the first sweep
+    j = next(j for j, s in enumerate(live.snapshots) if s.n_cells < live.snapshots[0].n_cells) + 1
     densities = live.snapshots[j].densities
     rho_star = live.snapshots[0].densities.max()
     above = densities.copy()
@@ -440,3 +430,56 @@ def test_event_log_out_of_step_with_snapshots_exits_2(vacuum_run, lwr1, capsys):
     capsys.readouterr()
     assert run_cli([str(config), "--mode", "audit", "--set", f"input={out}"]) == 2
     assert capsys.readouterr().err.startswith("config error at input: ")
+
+
+def _audit_exit(config, out, capsys):
+    """Audit mode's exit code on ``out`` and the first line it printed to stderr."""
+    capsys.readouterr()
+    code = run_cli([str(config), "--mode", "audit", "--set", f"input={out}"])
+    return code, (capsys.readouterr().err.splitlines() or [""])[0]
+
+
+@pytest.mark.parametrize(
+    "key, wrong, code",
+    [
+        # no longer between the pre- and post-sweep snapshots: the load refuses it
+        ("time", lambda t: t + 1e-6, 2),
+        # the next cells, which hold mass: the masses the next run keeps differ
+        ("deleted_cells", lambda cells: [j + 1 for j in cells], 2),
+        # a rounding-sized mass the run never lost: the mass drift fails
+        ("discarded_mass", lambda _: 1e-12, 3),
+    ],
+)
+def test_every_event_key_is_read(key, wrong, code, tmp_path, monkeypatch, capsys):
+    # a plausible wrong value in any key of the record is refused by the
+    # load (exit 2) or fails the audit (exit 3)
+    _, out = live_run(LWR, tmp_path, monkeypatch)
+    config = tmp_path / "config.json"
+    assert _audit_exit(config, out, capsys)[0] == 0
+    _edit_events(_edit_first_event(key, wrong))(out)
+    assert _audit_exit(config, out, capsys)[0] == code
+
+
+def test_the_earlier_event_format_is_refused_naming_its_key(tmp_path, monkeypatch, capsys):
+    # events.json once also held each event's deleted particles (its
+    # deleted cells), survivor map and pre-sweep particle count, which
+    # nothing read: edited to a survivor map of zeros, deleted particles
+    # [0] and a count of 3, the file still audited clean
+    live, out = live_run(LWR, tmp_path, monkeypatch)
+    config = tmp_path / "config.json"
+    payload = json.loads((out / "events.json").read_text())
+    for ev, run in zip(payload["events"], live.snapshots.runs):
+        n = run.densities.shape[1]
+        kept = np.ones(n + 1, dtype=bool)
+        kept[ev["deleted_cells"]] = False
+        ev.update(
+            deleted_particles=ev["deleted_cells"],
+            survivor_map=np.where(kept, np.cumsum(kept) - 1, -1).tolist(),
+            pre_particle_count=n + 1,
+        )
+    exports.write_json(payload, out / "events.json")
+    assert _audit_exit(config, out, capsys) == (2, "config error at input: invalid events.json: unknown event key 'deleted_particles'")
+    first = payload["events"][0]
+    first.update(survivor_map=[0] * len(first["survivor_map"]), deleted_particles=[0], pre_particle_count=3)
+    exports.write_json(payload, out / "events.json")
+    assert _audit_exit(config, out, capsys) == (2, "config error at input: invalid events.json: unknown event key 'deleted_particles'")

@@ -42,6 +42,13 @@ The ``trajectory.npy`` and ``summary.txt`` digests of all three runs were
 recorded while ``Trajectory`` still held one ``ParticleState`` per
 snapshot and both writers looped over them; the writers now read the
 stacked runs and must give the same bytes.
+
+The LWR and tabulated ``events.json`` digests were re-recorded when an
+event became its time, deleted cells and discarded mass: each earlier
+file, with its ``deleted_particles``, ``survivor_map`` and
+``pre_particle_count`` keys dropped and written again by
+``exports.write_json``, gives the new bytes.  The burgers run has no
+event, and its ``events.json`` did not move.
 """
 
 import hashlib
@@ -98,7 +105,7 @@ GOLDEN = {
     "lwr": (
         LWR,
         "75f815f145ff875b3dfefa1efaa5de71b870e627e4dcca600cb5d4b7669a8679",
-        "19c7a085b14b9a3507cfdc0e995a73861690431bc65ae7f7723967fb1897a70d",
+        "7757a28e30e57a0aec1e2d315911438494896a18a57022acaddba43ef33cb1ff",
         "e8cd73468e382f03481c0a2b0bb7385f314f051347f77398e0dcd7156df3fcf6",
         "2c57c6dbf55109142e502afdb2e9de04f26ac0dcfb68211bac37b91b4309de40",
         "4d8369f4d29d680aefee72222e0617945c76b4c68ead63971468b844fbff1e93",
@@ -106,7 +113,7 @@ GOLDEN = {
     "tabulated": (
         TABULATED,
         "53af0a6326b0b2f1faaba0506d9e801aa756042a2259405229446f8dda7f93e7",
-        "0a6d20d01e717ab2a9e2e73b4da5d22ef77c6fe608db1a203a31eaa9bb0bd13d",
+        "789fdc1f1961571023cd59b5ea3610d7c1c272b916f264eee9feb5fb8fe946d9",
         "d5833c903ad1ce3649210abced815b23beddc67c39bd3e00ad8f0b2038a125cf",
         "3e4c44d0754cf2bd174751f86481e551795f4648590d92efacc049936dd710a7",
         "688d0aeffffbc8de62596f130232987ca598243cf27e77af6486cd81b218925a",

@@ -155,7 +155,7 @@ def test_an_event_inside_a_run_is_refused():
     traj = pp.simulate(pp.builtin_flux("burgers", u_high=3.0), state0, 0.25, dt_max=0.01, snapshot_count=9)
     assert len(traj.snapshots.runs) == 1
     t_mid = float(traj.times[4]) - 1e-3
-    event = dynamics.CollisionEvent(t_mid, np.array([], dtype=int), np.array([], dtype=int), np.arange(21), 1e-3, 21)
+    event = dynamics.CollisionEvent(t_mid, np.array([], dtype=int), 1e-3)
     with pytest.raises(ValueError, match="event log"):
         dataclasses.replace(traj, events=[event])
 
@@ -339,8 +339,7 @@ def test_the_trajectory_refuses_an_event_log_that_does_not_match_its_runs(edit, 
         del events[r]
     elif edit == "append":
         # an event that deletes nothing
-        n, empty = runs[-1].densities.shape[1], np.array([], dtype=int)
-        events.append(dynamics.CollisionEvent(runs[-1].times[-1].item(), empty, empty, np.arange(n + 1), 0.0, n + 1))
+        events.append(dynamics.CollisionEvent(runs[-1].times[-1].item(), np.array([], dtype=int), 0.0))
     elif edit == "delay":
         late = runs[r + 1].times[0].item() + data.draw(st.floats(1e-9, 1.0), label="delay")
         events[r] = dataclasses.replace(events[r], time=late)
